@@ -514,7 +514,8 @@ def cmd_estimate(cfg: ScenarioConfig, writer: RunWriter, seed_override: int | No
     if cfg.experiment is None:
         raise ConfigError("estimate command needs an 'experiment' block")
     exp = cfg.experiment
-    seed = seed_override if seed_override is not None else exp.get("seed", 0)
+    seed = int(seed_override if seed_override is not None else exp.get("seed", 0))
+    writer.seed = seed  # the manifest records the seed the run used
     scheme_spec = None
     if cfg.scheme.get("variant") != "none":
         scheme_spec = build_scheme_spec(cfg.scheme)
@@ -523,7 +524,7 @@ def cmd_estimate(cfg: ScenarioConfig, writer: RunWriter, seed_override: int | No
         scheme=scheme_spec,
         nu=int(exp["nu"]),
         trials=int(exp["trials"]),
-        seed=int(seed),
+        seed=seed,
         estimator=exp.get("estimator", "amr"),
         noise=noise_model,
         true_value=float(exp.get("true_value", 0.0)),

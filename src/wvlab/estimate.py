@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BoundaryMaximum, SingularCovariance
 from .infometrics import ParamDistribution, classical_fisher
-from .noise import CorrelatedNoiseModel, cm_fisher_correlated, covariance, spd_cholesky
+from .noise import CorrelatedNoiseModel, StateSpaceNoise, spd_cholesky
 from scipy.linalg import cho_solve
 
 
@@ -80,10 +80,10 @@ def sample(
 def correlated_noise_samples(
     model: CorrelatedNoiseModel, seed: int, trial: int = 0
 ) -> np.ndarray:
-    """One zero-mean Gaussian noise sequence with the model covariance."""
+    """One zero-mean Gaussian noise sequence with the model covariance: an
+    AR(1) state plus white noise from 2N normals of the (seed, trial) stream."""
     rng = substream(seed, trial)
-    chol = np.linalg.cholesky(covariance(model))
-    return chol @ rng.standard_normal(model.n)
+    return StateSpaceNoise(model).sample(rng.standard_normal(2 * model.n))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,9 @@ def amr_estimate(samples: np.ndarray, calibration: float) -> float:
 
 
 def mle_weights(c: np.ndarray) -> np.ndarray:
-    """Generalized-least-squares weights f = C^{-1} 1 / (1' C^{-1} 1)."""
+    """Generalized-least-squares weights f = C^{-1} 1 / (1' C^{-1} 1) of a
+    dense covariance; `StateSpaceNoise.gls_weights` is the O(N) path for the
+    correlated-noise model."""
     y = cho_solve(spd_cholesky(c), np.ones(c.shape[0]))
     total = y.sum()
     if total <= 0:
@@ -124,15 +126,19 @@ def mle_grid(
 ) -> float:
     """Grid maximum-likelihood with three-point parabolic refinement."""
     g_grid = np.asarray(g_grid, dtype=float)
+    if dist.kind == "discrete":
+        # each sample's outcome index, whatever order the labels are in
+        labels = dist.outcome_values()
+        order = np.argsort(labels, kind="stable")
+        pos = np.searchsorted(labels[order], samples)
+        idx = order[np.clip(pos, 0, labels.size - 1)]
     loglik = np.empty(g_grid.size)
     for i, g in enumerate(g_grid):
         p = dist.probabilities(g)
         if dist.kind == "continuous":
             vals = np.interp(samples, dist.grid, p)
         else:
-            labels = dist.outcome_values()
-            idx = np.searchsorted(labels, samples)
-            vals = p[np.clip(idx, 0, p.size - 1)]
+            vals = p[idx]
         loglik[i] = np.sum(np.log(np.clip(vals, 1e-300, None)))
     k = int(np.argmax(loglik))
     if k == 0 or k == g_grid.size - 1:
@@ -264,13 +270,12 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
                 )
         elif plan.scheme is not None:
             raise ValueError("noise plans support scheme=None or StandardSpec")
-        c = covariance(model)
-        fisher_total = calibration**2 * cm_fisher_correlated(model)
-        weights = mle_weights(c) if plan.estimator == "mle_correlated" else None
-        chol = np.linalg.cholesky(c)
+        engine = StateSpaceNoise(model)
+        fisher_total = calibration**2 * engine.fisher()
+        weights = engine.gls_weights() if plan.estimator == "mle_correlated" else None
         for t in range(plan.trials):
             rng = substream(plan.seed, t)
-            s = truth * calibration + chol @ rng.standard_normal(plan.nu)
+            s = truth * calibration + engine.sample(rng.standard_normal(2 * plan.nu))
             if plan.estimator == "amr":
                 estimates[t] = amr_estimate(s, calibration)
             elif plan.estimator == "mle_correlated":

@@ -10,11 +10,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
-from scipy.stats import norm as _norm
-from scipy.stats import poisson as _poisson
+from scipy.linalg import cho_factor, toeplitz
+from scipy.linalg.lapack import dtbtrs
+from scipy.special import gammaln, ndtr, xlogy
 
 from .errors import ResolutionTooCoarse, SingularCovariance, UnsupportedCombination
 from .infometrics import ParamDistribution, classical_fisher
@@ -42,6 +43,8 @@ class CorrelatedNoiseModel:
             raise ValueError("correlated variance c must be nonnegative")
         if self.dt <= 0 or self.tau_c <= 0:
             raise ValueError("dt and tau_c must be positive")
+        if not 0 < self.dt / self.tau_c < math.inf:
+            raise ValueError("dt / tau_c must be a positive finite number")
         if self.n < 1:
             raise ValueError("N must be >= 1")
 
@@ -78,11 +81,122 @@ def spd_cholesky(mat: np.ndarray):
             raise SingularCovariance("covariance not positive definite") from exc
 
 
+def _recursion_band(coef: np.ndarray) -> np.ndarray:
+    """LAPACK lower band storage of the unit bidiagonal matrix whose solve
+    runs z_k = coef_k z_{k-1} + rhs_k (coef_0 unused)."""
+    band = np.empty((2, coef.size))
+    band[0] = 1.0
+    band[1, :-1] = -coef[1:]
+    band[1, -1] = 0.0
+    return band
+
+
+def _run_recursion(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The recursion of `band` driven by `rhs`, which it overwrites."""
+    z, info = dtbtrs(band, rhs, uplo="L", overwrite_b=1)
+    if info != 0:
+        raise SingularCovariance(f"bidiagonal solve failed (info={info})")
+    return z
+
+
+class StateSpaceNoise:
+    """C = c K + a I with K_kl = rho^|k-l|, rho = exp(-dt/tau_c), as the
+    state-space model x_k = rho x_{k-1} + sqrt(c (1 - rho^2)) xi_k,
+    y_k = x_k + sqrt(a) eta_k, with x_1 ~ N(0, c).
+
+    Every quantity costs O(N) time and memory. The Kalman filter of this model
+    factors C^{-1} = (I - B)' D^{-1} (I - B): D holds the innovation variances
+    S_k and I - B maps a sequence to its innovations. The predicted state
+    variances P_k follow a scalar Riccati recursion, a Moebius map with fixed
+    points P_inf > 0 > P_-, so (P_k - P_inf)/(P_k - P_-) decays geometrically
+    and P_k has a closed form (Kalman 1960; Kac, Murdock & Szegoe 1953).
+    """
+
+    def __init__(self, model: CorrelatedNoiseModel):
+        self.model = model
+        r = model.ratio
+        self.rho = math.exp(-r)
+        self._one_minus_rho = -math.expm1(-r)
+        self._one_minus_rho2 = -math.expm1(-2 * r)
+
+    @cached_property
+    def _kalman(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(S_k, P_k / S_k, a / S_k, innovations of the all-ones sequence)."""
+        m, rho, eps = self.model, self.rho, self._one_minus_rho2
+        a, c, n, r = m.a, m.c, m.n, m.ratio
+        # fixed points of P -> rho^2 a P / (P + a) + c eps: the roots of
+        # P^2 + b P - c a eps = 0, each taken in its cancellation-free form
+        b = eps * (a - c)
+        root = math.sqrt(b * b + 4 * c * a * eps)
+        if b >= 0:
+            p_minus = -(b + root) / 2
+            p_inf = 2 * c * a * eps / (b + root)
+        else:
+            p_inf = (root - b) / 2
+            p_minus = -c * a * eps / p_inf
+        # w_k = (P_k - P_inf)/(P_k - P_-) = w_1 kappa^(k-1) with
+        # kappa = (rho a / (a + P_inf))^2, the map's slope at P_inf
+        log_kappa = -2 * r - 2 * math.log1p(p_inf / a)
+        w_1 = (c - p_inf) / (c - p_minus)
+        one_minus_w_1 = (p_inf - p_minus) / (c - p_minus)
+        steps = np.arange(1, n) * log_kappa
+        w = w_1 * np.exp(steps)
+        p = np.empty(n)
+        p[0] = c
+        p[1:] = p_inf + (p_inf - p_minus) * w / (one_minus_w_1 - w_1 * np.expm1(steps))
+        s = p + a
+        keep = a / s
+        # innovations of y = 1: e_1 = 1, e_{k+1} = (1 - rho) + rho (a/S_k) e_k
+        coef = np.empty(n)
+        coef[0] = 0.0
+        coef[1:] = rho * keep[:-1]
+        rhs = np.full(n, self._one_minus_rho)
+        rhs[0] = 1.0
+        return s, p / s, keep, _run_recursion(_recursion_band(coef), rhs)
+
+    def fisher(self) -> float:
+        """1' C^{-1} 1 = sum_k e_k^2 / S_k."""
+        s, _, _, e = self._kalman
+        return float(np.sum(e * e / s))
+
+    def gls_weights(self) -> np.ndarray:
+        """C^{-1} 1 / (1' C^{-1} 1) = (I - B)' D^{-1} e, normalised."""
+        s, gain, keep, e = self._kalman
+        u = e / s
+        # (I - B)' u: v_j = u_j - rho gain_j r_j with the backward recursion
+        # r_j = u_{j+1} + rho keep_{j+1} r_{j+1}, r_N = 0 (solved reversed)
+        n = u.size
+        coef = np.empty(n)
+        coef[0] = 0.0
+        coef[1:] = self.rho * keep[:0:-1]
+        rhs = np.empty(n)
+        rhs[0] = 0.0
+        rhs[1:] = u[:0:-1]
+        r = _run_recursion(_recursion_band(coef), rhs)[::-1]
+        v = u - self.rho * gain * r
+        return v / v.sum()
+
+    @cached_property
+    def _ar1(self) -> tuple[np.ndarray, np.ndarray]:
+        """(recursion band, innovation scales) of the AR(1) state."""
+        n, c = self.model.n, self.model.c
+        scale = np.full(n, math.sqrt(c * self._one_minus_rho2))
+        scale[0] = math.sqrt(c)
+        return _recursion_band(np.full(n, self.rho)), scale
+
+    def sample(self, normals: np.ndarray) -> np.ndarray:
+        """The noise sequence made from 2N standard normals: the first N
+        drive the AR(1) state, the last N are the white floor."""
+        n = self.model.n
+        band, scale = self._ar1
+        state = _run_recursion(band, scale * normals[:n])
+        state += math.sqrt(self.model.a) * normals[n:]
+        return state
+
+
 def cm_fisher_correlated(model: CorrelatedNoiseModel) -> float:
-    """F_CM = sum_{k,l} [C^{-1}]_{k,l}, via a Cholesky solve of C y = 1."""
-    mat = covariance(model)
-    y = cho_solve(spd_cholesky(mat), np.ones(model.n))
-    return float(y.sum())
+    """F_CM = sum_{k,l} [C^{-1}]_{k,l}, from the Kalman innovations in O(N)."""
+    return StateSpaceNoise(model).fisher()
 
 
 def amr_variance_exact(model: CorrelatedNoiseModel) -> float:
@@ -400,7 +514,7 @@ def saturating_response(det: SaturatingDetector, n_in: int) -> DiscreteDistribut
     # bin edges halfway between ladder points; +-inf at the ends implement
     # clipping at 0 and saturation at k_s
     edges = np.concatenate([[-np.inf], 0.5 * (levels[1:] + levels[:-1]), [np.inf]])
-    cdf = _norm.cdf(edges, loc=n_in, scale=det.readout_sigma)
+    cdf = ndtr((edges - n_in) / det.readout_sigma)
     probs = np.diff(cdf)
     return DiscreteDistribution(levels, probs)
 
@@ -414,7 +528,7 @@ def _response_matrix(det: SaturatingDetector, n_values: np.ndarray) -> np.ndarra
             out[i] = saturating_response(det, int(n)).probs
         return out
     edges = np.concatenate([[-np.inf], 0.5 * (levels[1:] + levels[:-1]), [np.inf]])
-    cdf = _norm.cdf(edges[None, :], loc=n_values[:, None], scale=det.readout_sigma)
+    cdf = ndtr((edges[None, :] - n_values[:, None]) / det.readout_sigma)
     return np.diff(cdf, axis=1)
 
 
@@ -437,7 +551,7 @@ def readout_distribution(
     lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
     hi = int(mu + 10 * math.sqrt(mu) + 10)
     ns = np.arange(lo, hi + 1)
-    pois = _poisson.pmf(ns, mu)
+    pois = np.exp(xlogy(ns, mu) - gammaln(ns + 1) - mu)
     if response is not None:
         rows = np.clip(ns, 0, response.shape[0] - 1)
         return pois @ response[rows]

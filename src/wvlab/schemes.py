@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .coupling import (
     CouplingConfig,
@@ -475,6 +474,7 @@ def joint_wm_mle(
     over (tau, phi); the spectrum factor is parameter-independent."""
     if spec.delta_omega == 0:
         raise FlatLikelihood("zero spectral spread carries no delay information")
+    from scipy.optimize import minimize
 
     def nll(x) -> float:
         tau, phi = x
@@ -501,6 +501,8 @@ def joint_wm_pseudo_true(spec: JointWMSpec) -> tuple[float, float]:
     """
     if spec.delta_omega == 0:
         raise FlatLikelihood("zero spectral spread carries no delay information")
+    from scipy.optimize import minimize
+
     var_obs = spec.delta_omega**2 + spec.omega_noise**2
     kappa = spec.delta_omega**2 / var_obs
     v = kappa * spec.omega_noise**2
@@ -598,6 +600,8 @@ class BiasedResult:
 def biased_beta_s(epsilon: float, omega0: float) -> float:
     """Root of omega0 * beta - epsilon = 0 (solved numerically so callers can
     sweep beta around it without baked-in assumptions)."""
+    from scipy.optimize import brentq
+
     hi = 2 * abs(epsilon) / omega0 + 1e-12
     return float(brentq(lambda b: omega0 * b - epsilon, -hi, hi))
 

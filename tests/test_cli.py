@@ -183,6 +183,18 @@ class TestCommands:
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    def test_manifest_records_config_seed(self, tmp_path):
+        payload = {
+            "scheme": {"variant": "standard", "g": 0.002, "sigma": 1.0, "epsilon": 0.05},
+            "experiment": {"nu": 200, "trials": 10, "seed": 4, "estimator": "amr"},
+        }
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        report = json.loads((out / "estimate.json").read_text())
+        assert manifest["seed"] == report["seed"] == 4
+
     def test_estimate_with_noise_model(self, tmp_path):
         cfg = write_config(
             tmp_path,

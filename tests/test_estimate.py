@@ -18,7 +18,8 @@ from wvlab.estimate import (
 )
 from wvlab.infometrics import ParamDistribution
 from wvlab.noise import CorrelatedNoiseModel, cm_fisher_correlated, covariance
-from wvlab.schemes import StandardSpec
+from wvlab.meter import FockMeter
+from wvlab.schemes import EntangledSpec, PhaseSpaceSpec, StandardSpec
 
 
 def gaussian_family(sigma=1.0):
@@ -112,6 +113,22 @@ class TestEstimators:
         est = mle_grid(draws, fam, grid)
         assert est == pytest.approx(np.mean(draws), abs=2e-3)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PhaseSpaceSpec(g=1e-3, epsilon=0.1, meter=FockMeter.coherent(10)),
+            EntangledSpec(phi=0.01, epsilon=0.05, n=4),
+        ],
+        ids=["phase_space", "entangled"],
+    )
+    def test_mle_grid_descending_labels(self, spec):
+        # outcome labels [1, 0] and [1, -1]: each sample must be scored with
+        # its own outcome's probability
+        rep = run_experiment(ExperimentPlan(spec, 10000, 20, 3, "mle_grid"))
+        truth = spec.g if isinstance(spec, PhaseSpaceSpec) else spec.phi
+        assert math.isfinite(rep.mean_estimate) and math.isfinite(rep.crb_ratio)
+        assert abs(rep.mean_estimate - truth) <= 4.5 * math.sqrt(rep.crb / rep.trials)
+
     def test_mle_grid_boundary(self):
         fam = gaussian_family()
         draws = sample(fam, 100, seed=3, g=0.0)
@@ -198,8 +215,6 @@ class TestRunExperiment:
     def test_wva_with_slow_noise_beats_cm_averaging(self):
         # slow-2 regime: post-selection thins the sequence but the amplified
         # response mitigates the correlated offset by ~1/p_f
-        from wvlab.schemes import StandardSpec
-
         n_in, p_f = 4000, 0.01
         eps = 2 * math.asin(math.sqrt(p_f))  # selection with p_f = sin^2(eps/2)
         spec = StandardSpec(g=1e-3, sigma=1.0, epsilon=eps)
