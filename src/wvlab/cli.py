@@ -33,8 +33,9 @@ from .infometrics import (
     classical_fisher,
     info_budget,
     qfi_joint,
-    qfi_postselected,
+    quadrature_family,
     selection_fisher,
+    selection_probability,
 )
 from .meter import FockMeter, GaussianMeter, to_grid
 from .noise import (
@@ -336,26 +337,13 @@ def cmd_budget(cfg: ScenarioConfig, writer: RunWriter) -> int:
 def _budget_pf_sweep(sigma: float, g: float, writer: RunWriter) -> None:
     """Classical readout FI of real (Q readout) vs imaginary (P readout) WVA
     against the post-selection probability, Fig.-5(c,d) style."""
-    from .infometrics import ParamDistribution, classical_fisher
+    meter = GaussianMeter(sigma)
+    q_grid = to_grid(meter, 16 * sigma + 8 * g, 4096).q_grid
+    coupling = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
 
-    base = to_grid(GaussianMeter(sigma), 16 * sigma + 8 * g, 4096)
-    p_grid = base.momentum().q_grid
-
-    def readout_fisher(pre, post, momentum: bool) -> tuple[float, float]:
-        def density(gp: float) -> np.ndarray:
-            joint = evolve_joint(
-                pre, base, CouplingConfig(gp, Generator.MOMENTUM_KICK, SIGMA_Z)
-            )
-            cm = postselect(joint, post).success_meter
-            return (cm.momentum() if momentum else cm).density().density
-
-        grid = p_grid if momentum else base.q_grid
-        fam = ParamDistribution("continuous", density, grid=grid)
-        p_f, _ = qfi_postselected(
-            pre, post,
-            CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z),
-            GaussianMeter(sigma),
-        )
+    def readout_fisher(pre, post, theta: float) -> tuple[float, float]:
+        fam = quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid)
+        p_f, _ = selection_probability(pre, post, coupling, meter)
         return p_f, classical_fisher(fam, g).fi
 
     rows = []
@@ -363,11 +351,11 @@ def _budget_pf_sweep(sigma: float, g: float, writer: RunWriter) -> None:
         # real WVA: optimal pair (theta_i, -theta_i); p_f ~ cos^2(theta_i)
         pre_re = bloch_state(delta, 0.0)
         post_re = optimal_postselection(pre_re, SIGMA_Z)
-        p_re, f_re = readout_fisher(pre_re, post_re, momentum=False)
+        p_re, f_re = readout_fisher(pre_re, post_re, 0.0)
         # imaginary WVA: azimuth-detuned pair at the equator; p_f ~ sin^2(d/2)
         pre_im = bloch_state(np.pi / 2, 0.0)
         post_im = bloch_state(-np.pi / 2, delta)
-        p_im, f_im = readout_fisher(pre_im, post_im, momentum=True)
+        p_im, f_im = readout_fisher(pre_im, post_im, np.pi / 2)
         rows.append([delta, p_re, p_re * f_re, p_im, p_im * f_im])
     writer.write_table(
         "budget_pf_sweep.csv",
@@ -377,6 +365,14 @@ def _budget_pf_sweep(sigma: float, g: float, writer: RunWriter) -> None:
 
 
 def cmd_noise(cfg: ScenarioConfig, writer: RunWriter) -> int:
+    """Information table of averaging (I) against the full 1'C^-1 1 (F), for
+    conventional measurement and for real WVA at p_f <A>_w^2 = 1.
+
+    F has a closed form, the averaging information of its I row, only in the
+    white limit C -> (a + c) I and the fully correlated limit C -> a I + c 11'
+    (exchangeable, so uniform GLS weights). The slow regimes lie between the
+    two, so their F rows print NaN in the analytic column.
+    """
     block = cfg.scheme
     if block.get("variant") != "noise_table":
         raise ConfigError("noise expects scheme variant 'noise_table'")
@@ -384,7 +380,6 @@ def cmd_noise(cfg: ScenarioConfig, writer: RunWriter) -> int:
         raise ConfigError("noise command needs a 'noise' block")
     base = build_noise_model(cfg.noise)
     p_f = float(block.get("wva_p_f", 0.01))
-    w = 1.0 / math.sqrt(p_f)
 
     # slow_1: post-selection thins the kept samples below the correlation
     # time (p_f < dt/tau); slow_2: they stay correlated (p_f > dt/tau)
@@ -395,28 +390,27 @@ def cmd_noise(cfg: ScenarioConfig, writer: RunWriter) -> int:
         ),
         "slow_2": CorrelatedNoiseModel(base.a, base.c, base.dt, base.dt * 1e3, base.n),
     }
-    rows = []
-    for name, model in regimes.items():
-        i_cm = amr_information(model, "cm")
-        i_wva = amr_information(model, "wva", p_f=p_f, weak_value=w)
-        f_cm_numeric = cm_fisher_correlated(model)
-        i_cm_numeric = 1.0 / amr_variance_exact(model)
-        thinned = model.thinned(p_f)
-        f_wva_numeric = w**2 * cm_fisher_correlated(thinned)
-        i_wva_numeric = w**2 / amr_variance_exact(thinned)
-        n = model.n
-        f_cm_table = n / (model.a + model.c) if name == "white" else n / model.a
-        f_wva_table = n / (model.a + model.c) if name == "white" else n / model.a
-        rows += [
-            [name, "I_CM", i_cm.value, i_cm_numeric],
-            [name, "F_CM", f_cm_table, f_cm_numeric],
-            [name, "I_WVA", i_wva.value, i_wva_numeric],
-            [name, "F_WVA", f_wva_table, f_wva_numeric],
-        ]
+    rows = [r for name, m in regimes.items() for r in _noise_rows(name, m, p_f, name == "white")]
     writer.write_table(
         "noise_table.csv", ["regime", "quantity", "analytic", "numeric"], rows
     )
     return 0
+
+
+def _noise_rows(name: str, model: CorrelatedNoiseModel, p_f: float, at_limit: bool) -> list:
+    """The I_CM, F_CM, I_WVA and F_WVA rows of one regime: [name, quantity,
+    analytic, numeric]. The analytic F is the averaging information when
+    `model` sits at the white or fully correlated limit, and NaN otherwise."""
+    w = 1.0 / math.sqrt(p_f)
+    i_cm = amr_information(model, "cm").value
+    i_wva = amr_information(model, "wva", p_f=p_f, weak_value=w).value
+    thinned = model.thinned(p_f)
+    return [
+        [name, "I_CM", i_cm, 1.0 / amr_variance_exact(model)],
+        [name, "F_CM", i_cm if at_limit else math.nan, cm_fisher_correlated(model)],
+        [name, "I_WVA", i_wva, w**2 / amr_variance_exact(thinned)],
+        [name, "F_WVA", i_wva if at_limit else math.nan, w**2 * cm_fisher_correlated(thinned)],
+    ]
 
 
 def cmd_scheme(cfg: ScenarioConfig, writer: RunWriter) -> int:

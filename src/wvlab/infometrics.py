@@ -7,7 +7,9 @@ K(m) = sum_k u_k e^{-i a_k g m} acting multiplicatively in the eigenbasis of
 the meter generator M (momentum p or photon number n), with
 u_k = <f|v_k><v_k|i>. Its g-derivative kernel is J(m) = sum_k u_k a_k m
 e^{-i a_k g m}, so p_f, dp_f/dg and the conditioned-state QFI are all plain
-quadratures -- no weak-coupling approximation anywhere.
+quadratures -- no weak-coupling approximation anywhere. The same kernels
+(`Conditioning`) give every post-selected outcome family its density and its
+analytic g-derivative.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from .meter import (
     FockState,
     GaussianMeter,
     GridMeter,
-    SampledDistribution,
-    coherent_coeffs,
+    gaussian_density,
 )
-from .qsys import SystemState
+from .qsys import Observable, SystemState
 
 PROBABILITY_FLOOR = 1e-14  # outcomes below this are excluded from FI sums
 SLD_EIGENVALUE_CUTOFF = 1e-12
@@ -284,10 +285,9 @@ def qfi_joint(pre: SystemState, meter, cfg: CouplingConfig) -> float:
 
 @dataclass(frozen=True)
 class _Kernels:
-    values: np.ndarray  # generator spectrum m
-    weights: np.ndarray  # |phi(m)|^2 weights
+    weights: np.ndarray  # |phi(m)|^2 weights of the outcome values m
     k: np.ndarray  # K(m) = sum_k u_k exp(-i a_k g m)
-    j: np.ndarray  # J(m) = sum_k u_k a_k m exp(-i a_k g m)
+    j: np.ndarray  # J(m) = sum_k u_k a_k m exp(-i a_k g m), so dK/dg = -i J
 
     def p_f(self) -> float:
         return float(np.sum(np.abs(self.k) ** 2 * self.weights))
@@ -295,6 +295,16 @@ class _Kernels:
     def dp_dg(self) -> float:
         # p' = 2 Im <K|J> for the unnormalized kernels
         return 2.0 * float(np.imag(np.sum(np.conj(self.k) * self.j * self.weights)))
+
+    def density(self) -> np.ndarray:
+        """Conditioned outcome probabilities |K|^2 w / p_f over the values."""
+        return np.abs(self.k) ** 2 * self.weights / self.p_f()
+
+    def density_dg(self) -> np.ndarray:
+        """g-derivative of `density`: [2 Im(K* J) w - |K|^2 w p_f'/p_f] / p_f."""
+        p = self.p_f()
+        k2 = np.abs(self.k) ** 2
+        return (2.0 * np.imag(np.conj(self.k) * self.j) - k2 * self.dp_dg() / p) * self.weights / p
 
     def qfi_conditioned(self) -> float:
         p = self.p_f()
@@ -305,22 +315,110 @@ class _Kernels:
         return 4.0 * (jj / p - abs(jk) ** 2 / p**2)
 
 
-def _conditioning_kernels(
-    pre: SystemState, post: SystemState, cfg: CouplingConfig, meter
-) -> _Kernels:
-    eigvals, eigvecs = cfg.a.eig()
-    u = np.array(
-        [
-            np.vdot(post.amplitudes, eigvecs[:, k])
-            * np.vdot(eigvecs[:, k], pre.amplitudes)
-            for k in range(eigvals.size)
-        ]
-    )
-    m, w = _generator_weights(meter, cfg)
-    phases = np.exp(-1j * np.outer(eigvals, m) * cfg.g)
-    k = u @ phases
-    j = (u * eigvals) @ (phases * m[None, :])
-    return _Kernels(m, w, k, j)
+@dataclass(frozen=True)
+class Conditioning:
+    """Selection of `pre` on `post` after U = exp(-i g A x M), the one engine
+    behind every post-selected probability, outcome family and QFI.
+
+    A enters through its eigenvalues a_k and u_k = <f|v_k><v_k|i>; the
+    readout is the spectrum m of M with probability weights w(m). With
+    `position` set, the readout is the position q of that Gaussian meter
+    under a momentum kick, with the grid spacing as weight: K(q) = sum_k u_k
+    psi(q - a_k g) is the conditioned amplitude and J = i dK/dg.
+    """
+
+    u: np.ndarray
+    a: np.ndarray
+    values: np.ndarray
+    weights: np.ndarray
+    position: GaussianMeter | None = None
+
+    @classmethod
+    def of(
+        cls, pre: SystemState, post: SystemState, a: Observable, values, weights,
+        position: GaussianMeter | None = None,
+    ) -> "Conditioning":
+        eigvals, eigvecs = a.eig()
+        v_dag = eigvecs.conj().T
+        u = np.conj(v_dag @ post.amplitudes) * (v_dag @ pre.amplitudes)
+        values, weights = np.asarray(values, float), np.asarray(weights, float)
+        return cls(u, eigvals, values, weights, position)
+
+    @classmethod
+    def of_meter(
+        cls, pre: SystemState, post: SystemState, cfg: CouplingConfig, meter
+    ) -> "Conditioning":
+        """Readout on the spectrum of the coupling generator in `meter`. A
+        mixed Fock meter enters through its number distribution alone,
+        because K(n) is the same for every component."""
+        return cls.of(pre, post, cfg.a, *_generator_weights(meter, cfg))
+
+    def kernels(self, g: float) -> _Kernels:
+        if self.position is None:
+            phases = np.exp(-1j * np.outer(self.a, self.values) * g)
+            k = self.u @ phases
+            j = (self.u * self.a) @ (phases * self.values[None, :])
+        else:
+            meter = self.position
+            x = self.values[None, :] - g * self.a[:, None]
+            psi = meter.amplitudes(x)
+            dpsi = ((x - meter.mean_q) / (2 * meter.sigma**2) - 1j * meter.mean_p) * psi
+            k = self.u @ psi
+            j = 1j * ((self.u * self.a) @ dpsi)
+        return _Kernels(self.weights, k, j)
+
+    def family(self, grid: np.ndarray | None = None) -> ParamDistribution:
+        """Outcome family g -> conditioned distribution over `values`, with
+        its analytic g-derivative: discrete with the values as labels, or a
+        density on `grid`, the uniform readout axis with one point per value."""
+        scale = 1.0 if grid is None else 1.0 / float(grid[1] - grid[0])
+        return ParamDistribution(
+            "discrete" if grid is None else "continuous",
+            lambda g: scale * self.kernels(g).density(),
+            grid=grid, labels=self.values if grid is None else None,
+            derivative=lambda g: scale * self.kernels(g).density_dg(),
+        )
+
+    def selection_family(self) -> ParamDistribution:
+        """The {p_f, 1 - p_f} statistics of the selection (labels 1 and 0),
+        with the analytic derivative {p_f', -p_f'}."""
+        step = np.array([1.0, -1.0])
+        return ParamDistribution(
+            "discrete", lambda g: np.array([0.0, 1.0]) + self.kernels(g).p_f() * step,
+            labels=np.array([1.0, 0.0]), derivative=lambda g: self.kernels(g).dp_dg() * step,
+        )
+
+
+def quadrature_family(
+    pre: SystemState, post: SystemState, a: Observable, meter: GaussianMeter,
+    theta: float, q_grid: np.ndarray,
+) -> ParamDistribution:
+    """Family g -> density of S_theta = Q cos(theta) + P sin(theta) of the
+    Gaussian meter conditioned on `post` after the kick exp(-i g A x P).
+
+    theta must be a multiple of pi/2 (to 1e-6), and the readout is the
+    nearest quarter turn: Q on `q_grid`, P on its FFT momentum grid, each
+    axis reversed where cos(theta) or sin(theta) is -1. These are the grids
+    `quadrature_marginal` gives for a meter sampled on `q_grid`; that grid
+    path is this family's oracle.
+    """
+    q_grid = np.asarray(q_grid, dtype=float)
+    turns, dq = round(2 * theta / math.pi), q_grid[1] - q_grid[0]
+    if abs(theta - turns * math.pi / 2) > 1e-6:
+        raise ValueError(f"readout angle {theta!r} is not a multiple of pi/2")
+    sign = 1.0 if turns % 4 < 2 else -1.0
+    if turns % 2 == 0:
+        axis, position = q_grid, meter
+        weights = np.full(q_grid.size, dq)
+    else:
+        position = None
+        axis = np.fft.fftshift(2 * np.pi * np.fft.fftfreq(q_grid.size, dq))
+        momentum = GaussianMeter(1.0 / (2 * meter.sigma), meter.mean_p)
+        weights = gaussian_density(momentum, axis) * (axis[1] - axis[0])
+    if sign < 0:
+        axis, weights = axis[::-1], weights[::-1]
+    cond = Conditioning.of(pre, post, a, axis, weights, position)
+    return cond.family(grid=sign * axis)
 
 
 def qfi_postselected(
@@ -332,7 +430,7 @@ def qfi_postselected(
     scaled by 1/sqrt(p_f); identical to the QFI of the normalized conditioned
     meter family (the p_f variation cancels exactly).
     """
-    kern = _conditioning_kernels(pre, post, cfg, meter)
+    kern = Conditioning.of_meter(pre, post, cfg, meter).kernels(cfg.g)
     p = kern.p_f()
     if p <= PROBABILITY_FLOOR:
         raise EmptyPostselection(f"p_f = {p:.3e}")
@@ -343,7 +441,7 @@ def selection_probability(
     pre: SystemState, post: SystemState, cfg: CouplingConfig, meter
 ) -> tuple[float, float]:
     """(p_f, dp_f/dg) with the derivative evaluated analytically."""
-    kern = _conditioning_kernels(pre, post, cfg, meter)
+    kern = Conditioning.of_meter(pre, post, cfg, meter).kernels(cfg.g)
     return kern.p_f(), kern.dp_dg()
 
 

@@ -221,20 +221,6 @@ def to_grid(
     return GridMeter.normalized(q, meter.amplitudes(q))
 
 
-def default_grid(
-    sigma: float,
-    expected_shift: float = 0.0,
-    center: float = 0.0,
-    points: int = DEFAULT_GRID_POINTS,
-) -> np.ndarray:
-    """Default position grid: [-L, L) around `center`, L = 8 (sigma + |shift|).
-
-    Keeps aliasing and truncation error below ~1e-8 for the scenarios in play.
-    """
-    half = 8.0 * (sigma + abs(expected_shift))
-    return np.linspace(center - half, center + half, points, endpoint=False)
-
-
 # ---------------------------------------------------------------------------
 # Wigner transform
 

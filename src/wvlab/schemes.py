@@ -28,11 +28,13 @@ from .coupling import (
 )
 from .errors import FlatLikelihood, RegimeViolationWarning, ValidityViolation
 from .infometrics import (
+    Conditioning,
     InfoBudget,
     ParamDistribution,
     classical_fisher,
     info_budget,
     qfi_joint,
+    quadrature_family,
     selection_probability,
 )
 from .meter import (
@@ -40,9 +42,8 @@ from .meter import (
     GaussianMeter,
     GridMeter,
     SampledDistribution,
-    coherent_coeffs,
+    fock_moments,
     optimal_quadrature_angle,
-    quadrature_marginal,
     to_grid,
 )
 from .qsys import (
@@ -138,20 +139,6 @@ def _fixed_grid_meter(sigma: float, g: float, a_max: float, points: int) -> Grid
     return to_grid(GaussianMeter(sigma), span, points)
 
 
-def _conditioned_marginal(
-    pre: SystemState,
-    post: SystemState,
-    base: GridMeter,
-    a: Observable,
-    theta: float,
-    g: float,
-) -> SampledDistribution:
-    cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, a)
-    joint = evolve_joint(pre, base, cfg)
-    ps = postselect(joint, post)
-    return quadrature_marginal(ps.success_meter, theta)
-
-
 def standard_scheme(spec: StandardSpec) -> StandardResult:
     """Standard WVA measured along its optimal quadrature.
 
@@ -170,20 +157,18 @@ def standard_scheme(spec: StandardSpec) -> StandardResult:
         warnings.warn(msg, RegimeViolationWarning, stacklevel=2)
         notes.append(msg)
 
-    theta = optimal_quadrature_angle(w, spec.sigma)
-    base = _fixed_grid_meter(spec.sigma, spec.g, 1.0, spec.points)
-    dist = _conditioned_marginal(pre, post, base, SIGMA_Z, theta, spec.g)
-    grid = dist.grid
-
-    def density(gp: float) -> np.ndarray:
-        return _conditioned_marginal(pre, post, base, SIGMA_Z, theta, gp).density
-
-    family = ParamDistribution("continuous", density, grid=grid)
+    # StandardSpec's weak value is real (epsilon) or imaginary (phi), so the
+    # optimal angle is a quarter turn: 0 or pi reads +-Q, -+pi/2 reads -+P.
+    # Roundoff in w tilts the computed angle by ~1e-15 sigma^2 / phi; snap it.
+    theta = math.pi / 2 * round(2 * optimal_quadrature_angle(w, spec.sigma) / math.pi)
+    q_grid = _fixed_grid_meter(spec.sigma, spec.g, 1.0, spec.points).q_grid
+    family = quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid)
+    dist = SampledDistribution(family.grid, family.probabilities(spec.g))
 
     budget = info_budget(pre, post, cfg, meter)
     p_f, _ = selection_probability(pre, post, cfg, meter)
     fi_cond = classical_fisher(family, spec.g).fi
-    x0 = SampledDistribution(grid, density(0.0)).mean()
+    x0 = SampledDistribution(family.grid, family.probabilities(0.0)).mean()
     std = math.sqrt(dist.var())
     snr1 = abs(dist.mean() - x0) / std if std > 0 else 0.0
 
@@ -598,12 +583,8 @@ class BiasedResult:
 
 
 def biased_beta_s(epsilon: float, omega0: float) -> float:
-    """Root of omega0 * beta - epsilon = 0 (solved numerically so callers can
-    sweep beta around it without baked-in assumptions)."""
-    from scipy.optimize import brentq
-
-    hi = 2 * abs(epsilon) / omega0 + 1e-12
-    return float(brentq(lambda b: omega0 * b - epsilon, -hi, hi))
+    """Root beta_s = epsilon / omega0 of omega0 * beta - epsilon = 0."""
+    return epsilon / omega0
 
 
 def _biased_spectrum(spec: BiasedSpec, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -784,82 +765,30 @@ class PhaseSpaceResult:
 
 
 def phase_space_selection_probability(spec: PhaseSpaceSpec, g: float) -> float:
-    """Exact p_f(g) summed over the coherent mixture components."""
+    """Exact p_f(g) = sum_n |K(n)|^2 P(n) over the meter's number distribution,
+    mixed or not."""
     pre, post = spec.states()
     cfg = CouplingConfig(g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
-    total = 0.0
-    for wgt, alpha in spec.meter.components:
-        comp = FockMeter.coherent(alpha, spec.meter.n_max)
-        p, _ = selection_probability(pre, post, cfg, comp)
-        total += wgt * p
-    return total
+    return selection_probability(pre, post, cfg, spec.meter)[0]
 
 
 def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
     pre, post = spec.states()
     cfg = CouplingConfig(spec.g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
     w = weak_value(pre, post, PROJ_ONE)
-    nbar0, var0 = spec.meter.number_probabilities(), None
-    n = np.arange(spec.meter.n_max + 1, dtype=float)
-    mean0 = float(np.sum(n * nbar0))
-    var0 = float(np.sum(n**2 * nbar0) - mean0**2)
+    mean0, var0 = fock_moments(spec.meter)
 
-    # conditioned photon-number statistics f(n, g), mixture-resolved
-    comps = [
-        (wgt, coherent_coeffs(alpha, spec.meter.n_max))
-        for wgt, alpha in spec.meter.components
-    ]
-    eigvals, eigvecs = PROJ_ONE.eig()
-    u = np.array(
-        [
-            np.vdot(post.amplitudes, eigvecs[:, k])
-            * np.vdot(eigvecs[:, k], pre.amplitudes)
-            for k in range(2)
-        ]
-    )
-
-    def conditioned(g: float) -> tuple[np.ndarray, float]:
-        kernel = u @ np.exp(-1j * np.outer(eigvals, n) * g)
-        out = np.zeros(n.size)
-        for wgt, coeffs in comps:
-            out += wgt * np.abs(kernel * coeffs) ** 2
-        p = float(out.sum())
-        return out / p, p
-
-    f_n, p_f = conditioned(spec.g)
-    mean_f = float(np.sum(n * f_n))
-
-    def photon_probs(g: float) -> np.ndarray:
-        return conditioned(g)[0]
-
-    photon_family = ParamDistribution("discrete", photon_probs, labels=n)
-
-    def selection_probs(g: float) -> np.ndarray:
-        p = conditioned(g)[1]
-        return np.array([p, 1.0 - p])
-
-    selection_family = ParamDistribution(
-        "discrete", selection_probs, labels=np.array([1.0, 0.0])
-    )
-
-    # failure-arm photon statistics (nothing is silently discarded)
-    post_r = post.orthogonal_qubit()
-    u_r = np.array(
-        [
-            np.vdot(post_r.amplitudes, eigvecs[:, k])
-            * np.vdot(eigvecs[:, k], pre.amplitudes)
-            for k in range(2)
-        ]
-    )
-
-    def conditioned_failure(g: float) -> np.ndarray:
-        kernel = u_r @ np.exp(-1j * np.outer(eigvals, n) * g)
-        out = np.zeros(n.size)
-        for wgt, coeffs in comps:
-            out += wgt * np.abs(kernel * coeffs) ** 2
-        return out / out.sum()
-
-    failure_family = ParamDistribution("discrete", conditioned_failure, labels=n)
+    # conditioned photon-number statistics of both arms (nothing is silently
+    # discarded) and of the selection itself
+    success = Conditioning.of_meter(pre, post, cfg, spec.meter)
+    photon_family = success.family()
+    selection_family = success.selection_family()
+    failure_family = Conditioning.of_meter(
+        pre, post.orthogonal_qubit(), cfg, spec.meter
+    ).family()
+    kern = success.kernels(spec.g)
+    f_n, p_f = kern.density(), kern.p_f()
+    mean_f = float(np.sum(success.values * f_n))
 
     f_photon = classical_fisher(photon_family, spec.g).fi
     f_photon_failure = classical_fisher(failure_family, spec.g).fi
@@ -945,27 +874,15 @@ def entangled_scheme(spec: EntangledSpec) -> EntangledResult:
     |w| = N cot(N eps) ~ 1/eps, the max_weak_value one p_f = sin^2(sqrt(N)
     eps) ~ N eps^2 with |w| ~ sqrt(N)/eps."""
     d = spec.detuning
-    pre = np.array([1.0, 1.0]) / math.sqrt(2)
-    post = np.array([np.exp(-1j * d), -np.exp(1j * d)]) / math.sqrt(2)
-    u = np.array([np.vdot(post, [1, 0]) * pre[0], np.vdot(post, [0, 1]) * pre[1]])
-    a_vals = np.array([spec.n, -spec.n], dtype=float)
-
-    def outcome_probs(phi: float) -> np.ndarray:
-        # meter sigma_z eigenvalues m = +-1; branch phase e^{-i phi a m}
-        m_vals = np.array([1.0, -1.0])
-        amp = (u[:, None] * np.exp(-1j * np.outer(a_vals, m_vals) * phi)).sum(axis=0)
-        amp = amp / math.sqrt(2)
-        pr = np.abs(amp) ** 2
-        return pr / pr.sum()
-
-    def p_f_of(phi: float) -> float:
-        m_vals = np.array([1.0, -1.0])
-        amp = (u[:, None] * np.exp(-1j * np.outer(a_vals, m_vals) * phi)).sum(axis=0)
-        return float(np.sum(np.abs(amp) ** 2) / 2)
-
-    p_f = p_f_of(spec.phi)
-    probs = outcome_probs(spec.phi)
-    family = ParamDistribution("discrete", outcome_probs, labels=np.array([1.0, -1.0]))
+    pre = SystemState(np.array([1.0, 1.0]) / math.sqrt(2))
+    post = SystemState(np.array([np.exp(-1j * d), -np.exp(1j * d)]) / math.sqrt(2))
+    # the |+> meter's sigma_z eigenvalues m = +-1 have weights 1/2 each
+    cond = Conditioning.of(
+        pre, post, Observable(np.diag([spec.n, -spec.n])), [1.0, -1.0], [0.5, 0.5]
+    )
+    family = cond.family()
+    kern = cond.kernels(spec.phi)
+    p_f, probs = kern.p_f(), kern.density()
     f_f = classical_fisher(family, spec.phi).fi
 
     wv = spec.n / math.tan(d) if math.tan(d) != 0 else math.inf

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from wvlab.cli import ScenarioConfig, load_config, main
+from wvlab.cli import ScenarioConfig, _noise_rows, load_config, main
 from wvlab.errors import ConfigError
+from wvlab.noise import CorrelatedNoiseModel
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -114,6 +117,20 @@ class TestCommands:
         # CM average stays pinned near the offset-limited value
         table = {(r.split(",")[0], r.split(",")[1]): float(r.split(",")[3]) for r in rows[1:]}
         assert table[("slow_1", "I_WVA")] > 2 * table[("slow_1", "I_CM")]
+        # between the two limits F has no closed form: its analytic cell is NaN
+        slow_f = [r.split(",") for r in rows[5:] if r.split(",")[1].startswith("F_")]
+        assert len(slow_f) == 4 and all(r[2] == "nan" for r in slow_f)
+
+    @pytest.mark.parametrize("tau_over_dt", [1e-3, 1e9])
+    def test_noise_analytic_column_at_both_limits(self, tau_over_dt):
+        # white, C -> (a+c) I, and fully correlated, C -> a I + c 11': in both
+        # limits F = 1'C^-1 1 equals the averaging information of its I row
+        model = CorrelatedNoiseModel(1.0, 1.0, 1.0, tau_over_dt, 1000)
+        rows = _noise_rows("limit", model, 0.01, at_limit=True)
+        assert [r[1] for r in rows] == ["I_CM", "F_CM", "I_WVA", "F_WVA"]
+        assert rows[0][2] == rows[1][2] and rows[2][2] == rows[3][2]
+        for _, quantity, analytic, numeric in rows:
+            assert analytic == pytest.approx(numeric, rel=1e-5), quantity
 
     def test_scheme_standard(self, tmp_path):
         cfg = write_config(
@@ -233,3 +250,16 @@ class TestCommands:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["scheme", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert rc == 2
+
+
+def test_lean_import():
+    # the CLI's import stays free of the heavy scipy subpackages
+    heavy = ("scipy.optimize", "scipy.stats", "scipy.signal", "scipy.integrate")
+    code = (
+        "import sys, wvlab, wvlab.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

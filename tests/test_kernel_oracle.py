@@ -1,0 +1,248 @@
+"""The conditioning-kernel outcome families against the grid oracle.
+
+Every post-selected readout family in `schemes` comes from
+`infometrics.Conditioning`, with an analytic g-derivative. Here each one is
+pinned to an independent path: the FFT grid chain evolve_joint -> postselect
+-> quadrature_marginal for the Gaussian meter, the per-component Fock
+post-selection for (mixed) photon-number meters, and a matrix exponential of
+the 4x4 coupling for the entangled scheme. Densities agree to 1e-10 and
+derivatives to 1e-6 of their maxima (above the roundoff floor of the
+central difference), and every family takes the ANALYTIC branch of
+`classical_fisher`.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
+
+from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
+from wvlab.infometrics import (
+    Conditioning,
+    FisherMethod,
+    classical_fisher,
+    quadrature_family,
+)
+from wvlab.meter import FockMeter, GaussianMeter, quadrature_marginal, to_grid
+from wvlab.qsys import PROJ_ONE, SIGMA_Z, bloch_state
+from wvlab.schemes import (
+    EntangledSpec,
+    PhaseSpaceSpec,
+    StandardSpec,
+    entangled_scheme,
+    phase_space_scheme,
+    phase_space_selection_probability,
+    standard_scheme,
+)
+
+SWEEP = settings(max_examples=20, deadline=None, derandomize=True)
+DENSITY_TOL = 1e-10
+DERIVATIVE_TOL = 1e-6
+
+
+def max_rel(x, ref) -> float:
+    return float(np.max(np.abs(np.asarray(x) - ref)) / np.max(np.abs(ref)))
+
+
+def central(f, g, h):
+    """Central difference at steps h and h/2 with one Richardson step."""
+    d1 = (f(g + h) - f(g - h)) / (2 * h)
+    d2 = (f(g + h / 2) - f(g - h / 2)) / h
+    return (4 * d2 - d1) / 3
+
+
+def assert_matches_oracle(family, oracle, g, h):
+    p = family.probabilities(g)
+    assert max_rel(p, oracle(g)) <= DENSITY_TOL
+    # the central difference carries ~1e-13 max(p) / h of the oracle's
+    # roundoff, which sets the floor where the derivative itself vanishes
+    ref = central(oracle, g, h)
+    err = np.max(np.abs(family.derivative(g) - ref))
+    assert err <= DERIVATIVE_TOL * np.max(np.abs(ref)) + 1e-13 * np.max(p) / h
+    assert classical_fisher(family, g).method is FisherMethod.ANALYTIC
+
+
+# ---------------------------------------------------------------------------
+# standard scheme: +-Q and +-P readouts of the Gaussian meter
+
+
+@st.composite
+def standard_specs(draw):
+    sigma = draw(st.floats(0.5, 10.0))
+    g = sigma * 10 ** draw(st.floats(-4, -0.7))
+    angle = 10 ** draw(st.floats(-5, 0)) * draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        return StandardSpec(g=g, sigma=sigma, epsilon=angle)
+    return StandardSpec(g=g, sigma=sigma, phi=angle)
+
+
+@SWEEP
+@given(standard_specs())
+def test_standard_family_matches_grid_chain(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = standard_scheme(spec)
+    pre, post = spec.states()
+    base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * abs(spec.g), spec.points)
+
+    def marginal(g):
+        joint = evolve_joint(pre, base, CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z))
+        return quadrature_marginal(postselect(joint, post).success_meter, res.theta_opt)
+
+    assert np.array_equal(res.family.grid, marginal(spec.g).grid)
+    assert_matches_oracle(
+        res.family, lambda g: marginal(g).density, spec.g, 1e-6 * spec.sigma
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StandardSpec(g=1e-5, sigma=1.0, phi=1e-4),
+        StandardSpec(g=1e-3, sigma=5.0, phi=0.01),
+        StandardSpec(g=1e-3, sigma=10.0, phi=-1e-5),
+    ],
+)
+def test_standard_readout_is_an_exact_quarter_turn(spec):
+    # roundoff in w tilts the computed optimal angle by ~1e-15 sigma^2 / phi,
+    # which here exceeds 1e-12; the readout is still exactly -+P
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = standard_scheme(spec)
+    assert res.theta_opt == -math.copysign(math.pi / 2, spec.phi)
+    assert classical_fisher(res.family, spec.g).method is FisherMethod.ANALYTIC
+
+
+def test_standard_readouts_cover_all_four_quadratures():
+    # +-epsilon and +-phi give the readouts +Q, -Q, -P and +P
+    axes = set()
+    for key in ("epsilon", "phi"):
+        for sign in (1.0, -1.0):
+            theta = standard_scheme(StandardSpec(g=1e-3, sigma=1.0, **{key: sign * 0.1})).theta_opt
+            axes.add((round(math.cos(theta)), round(math.sin(theta))))
+    assert axes == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+def test_budget_sweep_readouts_match_grid_chain(theta):
+    # the (theta_i, -theta_i) and azimuth-detuned pairs of the budget p_f sweep
+    sigma, g = 1.0, 0.2
+    pre, post = (
+        (bloch_state(0.7, 0.0), bloch_state(-0.7, 0.0))
+        if theta == 0.0
+        else (bloch_state(np.pi / 2, 0.0), bloch_state(-np.pi / 2, 0.7))
+    )
+    meter = GaussianMeter(sigma)
+    base = to_grid(meter, 16 * sigma + 8 * g, 4096)
+    family = quadrature_family(pre, post, SIGMA_Z, meter, theta, base.q_grid)
+
+    def density(gp):
+        joint = evolve_joint(pre, base, CouplingConfig(gp, Generator.MOMENTUM_KICK, SIGMA_Z))
+        cm = postselect(joint, post).success_meter
+        return (cm.momentum() if theta else cm).density().density
+
+    assert_matches_oracle(family, density, g, 1e-6)
+
+
+def test_general_readout_angle_rejected():
+    meter = GaussianMeter(1.0)
+    q = to_grid(meter, 16.0, 256).q_grid
+    pre, post = bloch_state(np.pi / 2, 0.0), bloch_state(-np.pi / 2 + 0.1, 0.0)
+    with pytest.raises(ValueError):
+        quadrature_family(pre, post, SIGMA_Z, meter, math.pi / 4, q)
+
+
+# ---------------------------------------------------------------------------
+# phase-space scheme: photon, failure and selection families
+
+
+@st.composite
+def phase_space_specs(draw):
+    # g stays where the scheme's info_budget closes to its 1e-6 check
+    g = 10 ** draw(st.floats(-6, -3.5))
+    epsilon = draw(st.floats(0.02, 1.0)) * draw(st.sampled_from([1.0, -1.0]))
+    alpha = draw(st.floats(0.3, 3.0))
+    if draw(st.booleans()):
+        meter = FockMeter.coherent(alpha)
+    else:
+        w = draw(st.floats(0.1, 0.9))
+        meter = FockMeter.mixture([(w, alpha), (1 - w, draw(st.floats(0.0, 3.0)))])
+    return PhaseSpaceSpec(g=g, epsilon=epsilon, meter=meter)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=ValueError,
+    reason="info_budget omits the 4 Var(beta) arm-phase term of the budget split "
+    "(CHANGES.md FOUND: InfoBudget), so the identity check fails at finite g",
+)
+def test_phase_space_scheme_at_finite_coupling():
+    phase_space_scheme(PhaseSpaceSpec(g=0.01, epsilon=0.1, meter=FockMeter.coherent(1.0)))
+
+
+def fock_arms(spec, g):
+    """Per-component Fock post-selection: (p_f, unnormalized success and
+    failure photon distributions) summed over the coherent components."""
+    pre, post = spec.states()
+    cfg = CouplingConfig(g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+    p_f, success, failure = 0.0, 0.0, 0.0
+    for weight, alpha in spec.meter.components:
+        ps = postselect(evolve_joint(pre, FockMeter.coherent(alpha, spec.meter.n_max), cfg), post)
+        p_f += weight * ps.p_f
+        success = success + weight * ps.p_f * np.abs(ps.success_meter.coeffs) ** 2
+        failure = failure + weight * ps.p_r * np.abs(ps.failure_meter.coeffs) ** 2
+    return p_f, success / success.sum(), failure / failure.sum()
+
+
+@SWEEP
+@given(phase_space_specs())
+def test_phase_space_families_match_fock_postselection(spec):
+    res = phase_space_scheme(spec)
+    pre, post = spec.states()
+    cfg = CouplingConfig(spec.g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+    failure = Conditioning.of_meter(pre, post.orthogonal_qubit(), cfg, spec.meter).family()
+    assert res.report.extras["f_photon_failure"] == classical_fisher(failure, spec.g).fi
+
+    def selection(g):
+        p_f = fock_arms(spec, g)[0]
+        return np.array([p_f, 1 - p_f])
+
+    h = 1e-5
+    assert_matches_oracle(res.photon_family, lambda g: fock_arms(spec, g)[1], spec.g, h)
+    assert_matches_oracle(failure, lambda g: fock_arms(spec, g)[2], spec.g, h)
+    assert_matches_oracle(res.selection_family, selection, spec.g, h)
+    assert phase_space_selection_probability(spec, spec.g) == pytest.approx(
+        selection(spec.g)[0], rel=DENSITY_TOL
+    )
+
+
+# ---------------------------------------------------------------------------
+# entangled scheme: two-point meter spectrum
+
+
+@SWEEP
+@given(
+    st.floats(1e-4, 0.05),
+    st.floats(0.01, 0.3),
+    st.integers(1, 6),
+    st.sampled_from(["max_prob", "max_weak_value"]),
+)
+def test_entangled_family_matches_matrix_exponential(phi, epsilon, n, variant):
+    spec = EntangledSpec(phi=phi, epsilon=epsilon, n=n, variant=variant)
+    res = entangled_scheme(spec)
+    d = spec.detuning
+    pre = np.kron(np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, 1.0]) / math.sqrt(2))
+    post = np.array([np.exp(-1j * d), -np.exp(1j * d)]) / math.sqrt(2)
+    generator = np.kron(np.diag([n, -n]), np.diag([1.0, -1.0]))
+
+    def probs(p):
+        out = expm(-1j * p * generator) @ pre
+        amp = np.array([np.vdot(np.kron(post, e), out) for e in np.eye(2)])
+        return np.abs(amp) ** 2 / np.sum(np.abs(amp) ** 2)
+
+    assert np.array_equal(res.family.labels, [1.0, -1.0])
+    assert_matches_oracle(res.family, probs, phi, 1e-5)
