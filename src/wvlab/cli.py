@@ -10,103 +10,253 @@ failed checks exit 1, both with a machine-readable JSON error on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import estimate as est
 from . import schemes
-from .coupling import (
-    CouplingConfig,
-    Generator,
-    evolve_joint,
-    postselect,
-    trapped_ion_shift,
-)
+from .coupling import CouplingConfig, Generator, evolve_joint, postselect, trapped_ion_shift
 from .errors import ConfigError, WvlabError
-from .infometrics import (
-    classical_fisher,
-    info_budget,
-    qfi_joint,
-    quadrature_family,
-    selection_fisher,
-    selection_probability,
-)
+from .infometrics import classical_fisher, info_budget, quadrature_family, selection_probability
 from .meter import FockMeter, GaussianMeter, to_grid
-from .noise import (
-    CorrelatedNoiseModel,
-    amr_information,
-    amr_variance_exact,
-    cm_fisher_correlated,
-)
+from .noise import CorrelatedNoiseModel, amr_information, amr_variance_exact, cm_fisher_correlated
 from .qsys import SIGMA_X, SIGMA_Z, SystemState, bloch_state, optimal_postselection
 
-_BLOCK_KEYS = {
-    "scheme": {
-        "variant", "g", "sigma", "epsilon", "phi", "points", "theta_angle",
-        "phi_angle", "tau", "beta", "omega0", "delta_omega", "resolution",
-        "p_f", "loss", "mode", "mirror_r", "n_input", "alpha", "nbar",
-        "mixture", "theta_i", "n", "variant_post", "iterative", "gammas",
-        "gamma0_t", "theta", "grid_check", "g_over_2sigma", "pf_sweep",
-        "n_values", "wva_p_f", "phi_align", "eps_fluct", "omega_noise",
-    },
-    "noise": {"a", "c", "dt", "tau_c", "n"},
-    "experiment": {"nu", "trials", "seed", "estimator", "true_value"},
-    "output": {"directory", "formats", "dump_samples"},
-    "sweep": {"parameter", "values"},
+# ---------------------------------------------------------------------------
+# config schema: each block is a dataclass whose fields are its keys
+
+
+@dataclass(frozen=True)
+class Linspace:
+    start: float
+    stop: float
+    points: int
+
+    def __post_init__(self):
+        if self.points < 1:
+            raise ValueError("points must be >= 1")
+
+    def values(self) -> np.ndarray:
+        return np.linspace(self.start, self.stop, self.points)
+
+
+@dataclass(frozen=True)
+class TrappedIon:
+    """`shift`: <Q>_f / (gamma0 t) over theta for each coupling Gamma."""
+
+    gammas: list[float]
+    gamma0_t: float
+    theta: Linspace
+    grid_check: bool = False
+
+    def __post_init__(self):
+        if self.gamma0_t == 0:
+            raise ValueError("gamma0_t must be nonzero")
+
+
+@dataclass(frozen=True)
+class BudgetSweep:
+    """`budget`: the information budget over theta_i at fixed g / 2 sigma."""
+
+    g_over_2sigma: float
+    sigma: float
+    theta: Linspace = Linspace(0.05, 1.52, 40)
+    pf_sweep: bool = False
+
+    def __post_init__(self):
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
+
+
+@dataclass(frozen=True)
+class NoiseTable:
+    """`noise`: the correlated-noise table with real WVA at rate wva_p_f."""
+
+    wva_p_f: float = 0.01
+
+    def __post_init__(self):
+        if not 0 < self.wva_p_f <= 1:
+            raise ValueError("wva_p_f must lie in (0, 1]")
+
+
+@dataclass(frozen=True)
+class NoScheme:
+    """`estimate` on the noise model alone."""
+
+
+@dataclass(frozen=True)
+class Output:
+    dump_samples: bool = False
+
+
+@dataclass(frozen=True)
+class Sweep:
+    parameter: str
+    values: list[float]
+
+    def __post_init__(self):
+        if len(self.values) < 2 or min(self.values) <= 0:
+            raise ValueError("the log-log slope needs >= 2 positive values")
+
+
+VARIANTS = {
+    "standard": schemes.StandardSpec,
+    "inverse": schemes.InverseSpec,
+    "abwva": schemes.ABWVASpec,
+    "joint_wm": schemes.JointWMSpec,
+    "biased": schemes.BiasedSpec,
+    "recycle": schemes.RecycleSpec,
+    "phase_space": schemes.PhaseSpaceSpec,
+    "entangled": schemes.EntangledSpec,
+    "trapped_ion": TrappedIon,
+    "budget_sweep": BudgetSweep,
+    "noise_table": NoiseTable,
+    "none": NoScheme,
 }
+CATALOG = tuple(cls for cls in VARIANTS.values() if hasattr(cls, "run"))
+# sweepable spec -> (swept key, reported result attribute)
+SWEEPS = {schemes.PhaseSpaceSpec: ("nbar", "f_p"), schemes.EntangledSpec: ("n", "q_jt")}
+# the blocks each command reads
+BLOCKS = {"shift": ("scheme",), "budget": ("scheme",), "noise": ("scheme", "noise"),
+          "scheme": ("scheme", "sweep"), "estimate": ("scheme", "noise", "experiment", "output")}
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def build(cls, block, where: str, **given):
+    """`cls` from a JSON object whose keys are its fields, less those `given`.
+
+    Unknown or missing keys, a wrong JSON type and the ValueError of the
+    class's own checks all raise ConfigError. Any number fills a float field
+    as it is; an int field takes integral numbers only (1e4, not 100.7).
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{where}' must be an object")
+    fields = {
+        f.metadata.get("config", f.name): f
+        for f in dataclasses.fields(cls) if f.name not in given
+    }
+    unknown = sorted(set(block) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown keys in '{where}': {unknown}")
+    missing = [k for k, f in fields.items() if k not in block
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing keys in '{where}': {missing}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {f.name: _typed(block[k], hints[f.name], f"{where}.{k}")
+              for k, f in fields.items() if k in block}
+    try:
+        return cls(**kwargs, **given)
+    except ValueError as exc:
+        raise ConfigError(f"'{where}': {exc}") from exc
+
+
+def _typed(value, hint, where: str):
+    if dataclasses.is_dataclass(hint):
+        return build(hint, value, where)
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _typed(value, args[0], where)
+    if typing.get_origin(hint) is list and isinstance(value, list):
+        return [_typed(v, args[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is float and number:
+        return value
+    if hint is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if hint in (bool, str) and isinstance(value, hint):
+        return value
+    expected = _JSON_TYPES.get(hint, "an array")
+    raise ConfigError(f"'{where}' must be {expected}, got {json.dumps(value)}")
+
+
+def _phase_space(block: dict) -> schemes.PhaseSpaceSpec:
+    """The meter comes from one of alpha, nbar (n-bar = 1 if none is given)
+    or mixture, a list of [probability, alpha] pairs."""
+    meter_keys = [k for k in ("alpha", "nbar", "mixture") if k in block]
+    if len(meter_keys) > 1:
+        raise ConfigError(f"phase_space takes one of alpha, nbar, mixture; got {meter_keys}")
+    key = meter_keys[0] if meter_keys else "nbar"
+    hint = list[list[float]] if key == "mixture" else float
+    value = _typed(block.get(key, 1.0), hint, f"scheme.{key}")
+    try:
+        if key == "mixture":
+            if any(len(pair) != 2 for pair in value):
+                raise ValueError("expected [probability, alpha] pairs")
+            meter = FockMeter.mixture([tuple(pair) for pair in value])
+        else:
+            meter = FockMeter.coherent(value if key == "alpha" else math.sqrt(value))
+    except ValueError as exc:
+        raise ConfigError(f"'scheme.{key}': {exc}") from exc
+    rest = {k: v for k, v in block.items() if k not in meter_keys}
+    return build(schemes.PhaseSpaceSpec, rest, "scheme", meter=meter)
+
+
+def build_scheme(block):
+    """The spec of a scheme block, chosen by its variant."""
+    if not isinstance(block, dict):
+        raise ConfigError("'scheme' must be an object")
+    rest = dict(block)
+    variant = rest.pop("variant", None)
+    cls = VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown scheme variant {variant!r}")
+    if cls is schemes.PhaseSpaceSpec:
+        return _phase_space(rest)
+    return build(cls, rest, "scheme")
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario: one scheme block plus optional noise, experiment,
-    output and sweep blocks. Unknown keys anywhere are rejected."""
+    """A scenario with every block built, and `raw`, the JSON as read, which
+    config_echo.json repeats."""
 
-    scheme: dict
-    noise: dict | None = None
-    experiment: dict | None = None
-    output: dict | None = None
-    sweep: dict | None = None
+    raw: dict
+    scheme: object
+    noise: CorrelatedNoiseModel | None = None
+    experiment: est.ExperimentPlan | None = None
+    output: Output = Output()
+    sweep: list | None = None  # (value, spec) per swept value
 
     @classmethod
-    def parse(cls, raw: dict) -> "ScenarioConfig":
+    def parse(cls, raw, command: str | None = None) -> "ScenarioConfig":
+        """With a command, only the blocks that command reads are allowed."""
         if not isinstance(raw, dict):
             raise ConfigError("top-level config must be a JSON object")
-        unknown = set(raw) - set(_BLOCK_KEYS)
+        unknown = sorted(set(raw) - set(BLOCKS.get(command) or set().union(*BLOCKS.values())))
         if unknown:
-            raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown top-level keys for {command or 'any command'}: {unknown}")
         if "scheme" not in raw:
             raise ConfigError("config needs a 'scheme' block")
-        for block, keys in _BLOCK_KEYS.items():
-            if block in raw:
-                if not isinstance(raw[block], dict):
-                    raise ConfigError(f"'{block}' block must be an object")
-                bad = set(raw[block]) - keys
-                if bad:
-                    raise ConfigError(f"unknown keys in '{block}': {sorted(bad)}")
-        return cls(
-            scheme=raw["scheme"],
-            noise=raw.get("noise"),
-            experiment=raw.get("experiment"),
-            output=raw.get("output"),
-            sweep=raw.get("sweep"),
-        )
+        cfg = cls(raw, build_scheme(raw["scheme"]))
+        if "noise" in raw:
+            cfg.noise = build(CorrelatedNoiseModel, raw["noise"], "noise")
+        if "experiment" in raw:
+            scheme = None if isinstance(cfg.scheme, NoScheme) else cfg.scheme
+            cfg.experiment = build(est.ExperimentPlan, raw["experiment"], "experiment",
+                                   scheme=scheme, noise=cfg.noise)
+        cfg.output = build(Output, raw.get("output", {}), "output")
+        if "sweep" in raw:
+            sweep = build(Sweep, raw["sweep"], "sweep")
+            if sweep.parameter != SWEEPS.get(type(cfg.scheme), (None,))[0]:
+                raise ConfigError(f"this variant has no sweep over {sweep.parameter!r}")
+            base = {k: v for k, v in raw["scheme"].items() if k != "alpha"}
+            cfg.sweep = [(v, build_scheme({**base, sweep.parameter: v})) for v in sweep.values]
+        return cfg
 
     def to_dict(self) -> dict:
-        out = {"scheme": self.scheme}
-        for name in ("noise", "experiment", "output", "sweep"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
+        return self.raw
 
 
-def load_config(path: str) -> ScenarioConfig:
+def load_config(path: str, command: str | None = None) -> ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -114,79 +264,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return ScenarioConfig.parse(raw)
-
-
-def _require(block: dict, *names):
-    missing = [n for n in names if n not in block]
-    if missing:
-        raise ConfigError(f"missing keys: {missing}")
-    return [block[n] for n in names]
-
-
-def build_scheme_spec(block: dict):
-    """Map a scheme block onto the matching spec object."""
-    variant = block.get("variant")
-    if variant == "standard":
-        g, sigma = _require(block, "g", "sigma")
-        return schemes.StandardSpec(
-            g=g, sigma=sigma, epsilon=block.get("epsilon"), phi=block.get("phi"),
-            points=block.get("points", 4096),
-        )
-    if variant == "inverse":
-        g, sigma = _require(block, "g", "sigma")
-        return schemes.InverseSpec(
-            g=g, sigma=sigma, theta_angle=block.get("theta_angle", 0.0),
-            phi_angle=block.get("phi_angle", 0.0), points=block.get("points", 4096),
-        )
-    if variant == "abwva":
-        g, eps, sigma = _require(block, "g", "epsilon", "sigma")
-        return schemes.ABWVASpec(g=g, epsilon=eps, sigma=sigma,
-                                 points=block.get("points", 4096))
-    if variant == "joint_wm":
-        tau, phi, om0, dom = _require(block, "tau", "phi_align", "omega0", "delta_omega")
-        return schemes.JointWMSpec(
-            tau=tau, phi=phi, eps_fluct=block.get("eps_fluct", 0.0),
-            omega0=om0, delta_omega=dom, omega_noise=block.get("omega_noise", 0.0),
-        )
-    if variant == "biased":
-        tau, beta, eps, om0, dom = _require(
-            block, "tau", "beta", "epsilon", "omega0", "delta_omega"
-        )
-        return schemes.BiasedSpec(
-            tau=tau, beta=beta, epsilon=eps, omega0=om0, delta_omega=dom,
-            resolution=block.get("resolution"), points=block.get("points", 8192),
-        )
-    if variant == "recycle":
-        (p_f,) = _require(block, "p_f")
-        return schemes.RecycleSpec(
-            p_f=p_f, loss=block.get("loss", 0.0), mode=block.get("mode", "pulsed"),
-            mirror_r=block.get("mirror_r"), n_input=block.get("n_input", 1.0),
-        )
-    if variant == "phase_space":
-        g, eps = _require(block, "g", "epsilon")
-        if "mixture" in block:
-            meter = FockMeter.mixture([tuple(p) for p in block["mixture"]])
-        else:
-            alpha = block.get("alpha", math.sqrt(block.get("nbar", 1.0)))
-            meter = FockMeter.coherent(alpha)
-        return schemes.PhaseSpaceSpec(
-            g=g, epsilon=eps, meter=meter,
-            theta_i=block.get("theta_i", math.pi / 2),
-        )
-    if variant == "entangled":
-        phi, eps, n = _require(block, "phi", "epsilon", "n")
-        return schemes.EntangledSpec(
-            phi=phi, epsilon=eps, n=int(n),
-            variant=block.get("variant_post", "max_prob"),
-            iterative=bool(block.get("iterative", False)),
-        )
-    raise ConfigError(f"unknown scheme variant {variant!r}")
-
-
-def build_noise_model(block: dict) -> CorrelatedNoiseModel:
-    a, c, dt, tau_c, n = _require(block, "a", "c", "dt", "tau_c", "n")
-    return CorrelatedNoiseModel(a=a, c=c, dt=dt, tau_c=tau_c, n=int(n))
+    return ScenarioConfig.parse(raw, command)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +272,8 @@ def build_noise_model(block: dict) -> CorrelatedNoiseModel:
 
 
 class RunWriter:
-    def __init__(
-        self,
-        out_dir: Path,
-        command: str,
-        seed: int | None,
-        config: ScenarioConfig,
-        fmt: str = "csv",
-    ):
+    def __init__(self, out_dir: Path, command: str, seed: int | None,
+                 config: ScenarioConfig, fmt: str = "csv"):
         self.dir = out_dir
         self.dir.mkdir(parents=True, exist_ok=True)
         self.command = command
@@ -210,47 +282,29 @@ class RunWriter:
         self.fmt = fmt
         self.files: dict[str, str] = {}
 
-    def _register(self, path: Path) -> None:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.files[path.name] = digest
+    def _write(self, name: str, text: str) -> Path:
+        path, data = self.dir / name, text.encode("utf-8")
+        path.write_bytes(data)
+        self.files[name] = hashlib.sha256(data).hexdigest()
+        return path
 
     def write_table(self, name: str, header: list[str], rows) -> Path:
         if self.fmt == "json":
-            payload = {
-                "columns": list(header),
-                "rows": [
-                    [x if isinstance(x, str) else float(x) for x in row]
-                    for row in rows
-                ],
-            }
+            rows = [[x if isinstance(x, str) else float(x) for x in row] for row in rows]
+            payload = {"columns": list(header), "rows": rows}
             return self.write_json(Path(name).with_suffix(".json").name, payload)
-        path = self.dir / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(
-                    ",".join(
-                        x if isinstance(x, str) else format(float(x), ".17g")
-                        for x in row
-                    )
-                    + "\n"
-                )
-        self._register(path)
-        return path
+        lines = [",".join(header)] + [
+            ",".join(x if isinstance(x, str) else format(float(x), ".17g") for x in row)
+            for row in rows
+        ]
+        return self._write(name, "\n".join(lines) + "\n")
 
     def write_json(self, name: str, payload: dict) -> Path:
-        path = self.dir / name
-        path.write_text(json.dumps(payload, indent=2, default=float), encoding="utf-8")
-        self._register(path)
-        return path
+        return self._write(name, json.dumps(payload, indent=2, default=float))
 
     def finish(self) -> Path:
-        echo = self.write_json("config_echo.json", self.config.to_dict())
-        manifest = {
-            "command": self.command,
-            "seed": self.seed,
-            "files": self.files,
-        }
+        self.write_json("config_echo.json", self.config.to_dict())
+        manifest = {"command": self.command, "seed": self.seed, "files": self.files}
         path = self.dir / "manifest.json"
         path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
         return path
@@ -260,18 +314,19 @@ class RunWriter:
 # commands
 
 
-def cmd_shift(cfg: ScenarioConfig, writer: RunWriter) -> int:
-    block = cfg.scheme
-    if block.get("variant") != "trapped_ion":
-        raise ConfigError("shift expects scheme variant 'trapped_ion'")
-    gammas, g0t, theta = _require(block, "gammas", "gamma0_t", "theta")
-    thetas = np.linspace(theta["start"], theta["stop"], int(theta["points"]))
-    grid_check = bool(block.get("grid_check", False))
+def _expect(cfg: ScenarioConfig, command: str, *classes):
+    if not isinstance(cfg.scheme, classes):
+        names = " or ".join(repr(v) for v, cls in VARIANTS.items() if cls in classes)
+        raise ConfigError(f"{command} expects scheme variant {names}")
+    return cfg.scheme
 
-    rows = []
-    worst = 0.0
-    for gamma in gammas:
-        for th in thetas:
+
+def cmd_shift(cfg: ScenarioConfig, writer: RunWriter) -> int:
+    spec = _expect(cfg, "shift", TrappedIon)
+    g0t, grid_check = spec.gamma0_t, spec.grid_check
+    rows, worst = [], 0.0
+    for gamma in spec.gammas:
+        for th in spec.theta.values():
             ratio = trapped_ion_shift(gamma, th, g0t) / g0t
             row = [gamma, th, ratio]
             if grid_check:
@@ -299,35 +354,25 @@ def _trapped_ion_grid_ratio(gamma: float, theta: float, sigma: float = 1.0) -> f
 
 
 def cmd_budget(cfg: ScenarioConfig, writer: RunWriter) -> int:
-    block = cfg.scheme
-    if block.get("variant") != "budget_sweep":
-        raise ConfigError("budget expects scheme variant 'budget_sweep'")
-    g2s, sigma = _require(block, "g_over_2sigma", "sigma")
-    theta = block.get("theta", {"start": 0.05, "stop": 1.52, "points": 40})
-    thetas = np.linspace(theta["start"], theta["stop"], int(theta["points"]))
-    g = 2 * sigma * g2s
+    spec = _expect(cfg, "budget", BudgetSweep)
+    sigma = spec.sigma
+    g = 2 * sigma * spec.g_over_2sigma
     meter = GaussianMeter(sigma)
     coupling = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
 
     rows = []
     worst = 0.0
-    for th in thetas:
+    for th in spec.theta.values():
         pre = bloch_state(th, 0.0)
         post = optimal_postselection(pre, SIGMA_Z)
         budget = info_budget(pre, post, coupling, meter)
         q = budget.q_jt
         total = (budget.p_f_q_f + budget.p_r_q_r + budget.f_p) / q
         worst = max(worst, abs(total - 1.0))
-        rows.append(
-            [th, budget.q_jt, budget.p_f_q_f / q, budget.p_r_q_r / q,
-             budget.f_p / q, total]
-        )
-    writer.write_table(
-        "budget.csv",
-        ["theta_i", "q_jt", "q_wva_ratio", "pr_qr_ratio", "f_p_ratio", "sum_ratio"],
-        rows,
-    )
-    if bool(block.get("pf_sweep", False)):
+        rows.append([th, q, budget.p_f_q_f / q, budget.p_r_q_r / q, budget.f_p / q, total])
+    header = ["theta_i", "q_jt", "q_wva_ratio", "pr_qr_ratio", "f_p_ratio", "sum_ratio"]
+    writer.write_table("budget.csv", header, rows)
+    if spec.pf_sweep:
         _budget_pf_sweep(sigma, g, writer)
     if worst > 1e-6:
         raise WvlabError(f"budget identity violated by {worst:.3e} (> 1e-6)")
@@ -357,11 +402,8 @@ def _budget_pf_sweep(sigma: float, g: float, writer: RunWriter) -> None:
         post_im = bloch_state(-np.pi / 2, delta)
         p_im, f_im = readout_fisher(pre_im, post_im, np.pi / 2)
         rows.append([delta, p_re, p_re * f_re, p_im, p_im * f_im])
-    writer.write_table(
-        "budget_pf_sweep.csv",
-        ["delta", "p_f_real", "fi_real", "p_f_imag", "fi_imag"],
-        rows,
-    )
+    header = ["delta", "p_f_real", "fi_real", "p_f_imag", "fi_imag"]
+    writer.write_table("budget_pf_sweep.csv", header, rows)
 
 
 def cmd_noise(cfg: ScenarioConfig, writer: RunWriter) -> int:
@@ -373,27 +415,20 @@ def cmd_noise(cfg: ScenarioConfig, writer: RunWriter) -> int:
     (exchangeable, so uniform GLS weights). The slow regimes lie between the
     two, so their F rows print NaN in the analytic column.
     """
-    block = cfg.scheme
-    if block.get("variant") != "noise_table":
-        raise ConfigError("noise expects scheme variant 'noise_table'")
+    p_f = float(_expect(cfg, "noise", NoiseTable).wva_p_f)
     if cfg.noise is None:
         raise ConfigError("noise command needs a 'noise' block")
-    base = build_noise_model(cfg.noise)
-    p_f = float(block.get("wva_p_f", 0.01))
+    base = cfg.noise
 
     # slow_1: post-selection thins the kept samples below the correlation
     # time (p_f < dt/tau); slow_2: they stay correlated (p_f > dt/tau)
     regimes = {
         "white": CorrelatedNoiseModel(base.a, base.c, base.dt, base.dt * 1e-3, base.n),
-        "slow_1": CorrelatedNoiseModel(
-            base.a, base.c, base.dt, base.dt / (10 * p_f), base.n
-        ),
+        "slow_1": CorrelatedNoiseModel(base.a, base.c, base.dt, base.dt / (10 * p_f), base.n),
         "slow_2": CorrelatedNoiseModel(base.a, base.c, base.dt, base.dt * 1e3, base.n),
     }
     rows = [r for name, m in regimes.items() for r in _noise_rows(name, m, p_f, name == "white")]
-    writer.write_table(
-        "noise_table.csv", ["regime", "quantity", "analytic", "numeric"], rows
-    )
+    writer.write_table("noise_table.csv", ["regime", "quantity", "analytic", "numeric"], rows)
     return 0
 
 
@@ -414,62 +449,11 @@ def _noise_rows(name: str, model: CorrelatedNoiseModel, p_f: float, at_limit: bo
 
 
 def cmd_scheme(cfg: ScenarioConfig, writer: RunWriter) -> int:
-    spec = build_scheme_spec(cfg.scheme)
-    payload: dict = {}
-
-    if isinstance(spec, schemes.StandardSpec):
-        res = schemes.standard_scheme(spec)
-        payload = res.report.to_dict()
-        writer.write_table(
-            "distribution.csv", ["x", "density"],
-            np.column_stack([res.distribution.grid, res.distribution.density]),
-        )
-    elif isinstance(spec, schemes.InverseSpec):
-        res = schemes.inverse_scheme(spec)
-        payload = res.report.to_dict()
-        writer.write_table(
-            "distribution.csv", ["q", "density"],
-            np.column_stack([res.q_distribution.grid, res.q_distribution.density]),
-        )
-    elif isinstance(spec, schemes.ABWVASpec):
-        res = schemes.abwva_scheme(spec)
-        payload = res.report.to_dict()
-        writer.write_table(
-            "distribution.csv", ["p", "p0", "p1", "p2", "difference"],
-            np.column_stack([res.p_grid, res.p0, res.p1, res.p2, res.difference]),
-        )
-    elif isinstance(spec, schemes.JointWMSpec):
-        res = schemes.joint_wm_scheme(spec)
-        payload = res.report.to_dict()
-        writer.write_table(
-            "distribution.csv", ["omega", "detector_plus", "detector_minus"],
-            np.column_stack([res.omega_grid, res.dist_plus, res.dist_minus]),
-        )
-    elif isinstance(spec, schemes.BiasedSpec):
-        res = schemes.biased_scheme(spec)
-        payload = res.report.to_dict()
-        writer.write_table(
-            "distribution.csv", ["omega", "spectrum"],
-            np.column_stack([res.omega_grid, res.spectrum]),
-        )
-    elif isinstance(spec, schemes.RecycleSpec):
-        payload = schemes.recycle_scheme(spec).report.to_dict()
-    elif isinstance(spec, schemes.PhaseSpaceSpec):
-        res = schemes.phase_space_scheme(spec)
-        payload = res.report.to_dict()
-        n = np.arange(res.photon_distribution.size)
-        writer.write_table(
-            "distribution.csv", ["n", "probability"],
-            np.column_stack([n, res.photon_distribution]),
-        )
-    elif isinstance(spec, schemes.EntangledSpec):
-        res = schemes.entangled_scheme(spec)
-        payload = res.report.to_dict()
-        writer.write_table(
-            "distribution.csv", ["sigma_z", "probability"],
-            np.column_stack([np.array([1.0, -1.0]), res.outcome_probs]),
-        )
-
+    res = _expect(cfg, "scheme", *CATALOG).run()
+    payload = res.report.to_dict()
+    table = res.table()
+    if table is not None:
+        writer.write_table("distribution.csv", list(table), np.column_stack(list(table.values())))
     if cfg.sweep is not None:
         payload["sweep"] = _run_sweep(cfg, writer)
     writer.write_json("report.json", payload)
@@ -477,64 +461,38 @@ def cmd_scheme(cfg: ScenarioConfig, writer: RunWriter) -> int:
 
 
 def _run_sweep(cfg: ScenarioConfig, writer: RunWriter) -> dict:
-    param, values = _require(cfg.sweep, "parameter", "values")
-    variant = cfg.scheme.get("variant")
+    key, metric = SWEEPS[type(cfg.scheme)]
     rows = []
-    if variant == "phase_space" and param == "nbar":
-        for nbar in values:
-            block = dict(cfg.scheme)
-            block["nbar"] = nbar
-            block.pop("alpha", None)
-            res = schemes.phase_space_scheme(build_scheme_spec(block))
-            rows.append([nbar, res.f_p, res.report.p_f])
-        writer.write_table("sweep.csv", ["nbar", "f_p", "p_f"], rows)
-        logs = np.log10(np.array([[r[0], r[1]] for r in rows], dtype=float))
-        slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
-        return {"parameter": param, "fitted_slope": slope}
-    if variant == "entangled" and param == "n":
-        for n in values:
-            block = dict(cfg.scheme)
-            block["n"] = int(n)
-            res = schemes.entangled_scheme(build_scheme_spec(block))
-            rows.append([n, res.q_jt, res.report.p_f])
-        writer.write_table("sweep.csv", ["n", "q_jt", "p_f"], rows)
-        logs = np.log10(np.array([[r[0], r[1]] for r in rows], dtype=float))
-        slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
-        return {"parameter": param, "fitted_slope": slope}
-    raise ConfigError(f"unsupported sweep {param!r} for variant {variant!r}")
+    for value, spec in cfg.sweep:
+        res = spec.run()
+        rows.append([value, getattr(res, metric), res.report.p_f])
+    writer.write_table("sweep.csv", [key, metric, "p_f"], rows)
+    logs = np.log10(np.array([[r[0], r[1]] for r in rows], dtype=float))
+    slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
+    return {"parameter": key, "fitted_slope": slope}
 
 
-def cmd_estimate(cfg: ScenarioConfig, writer: RunWriter, seed_override: int | None) -> int:
-    if cfg.experiment is None:
+def cmd_estimate(cfg: ScenarioConfig, writer: RunWriter) -> int:
+    plan = cfg.experiment
+    if plan is None:
         raise ConfigError("estimate command needs an 'experiment' block")
-    exp = cfg.experiment
-    seed = int(seed_override if seed_override is not None else exp.get("seed", 0))
-    writer.seed = seed  # the manifest records the seed the run used
-    scheme_spec = None
-    if cfg.scheme.get("variant") != "none":
-        scheme_spec = build_scheme_spec(cfg.scheme)
-    noise_model = build_noise_model(cfg.noise) if cfg.noise else None
-    plan = est.ExperimentPlan(
-        scheme=scheme_spec,
-        nu=int(exp["nu"]),
-        trials=int(exp["trials"]),
-        seed=seed,
-        estimator=exp.get("estimator", "amr"),
-        noise=noise_model,
-        true_value=float(exp.get("true_value", 0.0)),
-    )
+    if writer.seed is not None:  # --seed overrides the config's seed
+        plan = dataclasses.replace(plan, seed=writer.seed)
+    writer.seed = plan.seed  # the manifest records the seed the run used
     report = est.run_experiment(plan)
     writer.write_json("estimate.json", report.to_dict())
-    if cfg.output and cfg.output.get("dump_samples"):
-        if noise_model is not None:
-            samples = plan.true_value + est.correlated_noise_samples(
-                noise_model, plan.seed, 0
-            )
+    if cfg.output.dump_samples:
+        if plan.noise is not None:
+            samples = plan.true_value + est.correlated_noise_samples(plan.noise, plan.seed, 0)
         else:
-            family, g_true = est._scheme_family(scheme_spec)
+            family, g_true = plan.scheme.outcome_family()
             samples = est.sample(family, plan.nu, plan.seed, 0, g_true)
         writer.write_table("samples.csv", ["x"], [[s] for s in samples])
     return 0
+
+
+COMMANDS = {"shift": cmd_shift, "budget": cmd_budget, "noise": cmd_noise,
+            "scheme": cmd_scheme, "estimate": cmd_estimate}
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +501,10 @@ def cmd_estimate(cfg: ScenarioConfig, writer: RunWriter, seed_override: int | No
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="wvlab",
-        description="Weak-value-amplification numerical laboratory",
+        prog="wvlab", description="Weak-value-amplification numerical laboratory"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("shift", "budget", "noise", "scheme", "estimate"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
@@ -556,28 +513,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.command)
         writer = RunWriter(Path(args.out), args.command, args.seed, cfg, args.format)
-        if args.command == "shift":
-            rc = cmd_shift(cfg, writer)
-        elif args.command == "budget":
-            rc = cmd_budget(cfg, writer)
-        elif args.command == "noise":
-            rc = cmd_noise(cfg, writer)
-        elif args.command == "scheme":
-            rc = cmd_scheme(cfg, writer)
-        else:
-            rc = cmd_estimate(cfg, writer, args.seed)
+        rc = COMMANDS[args.command](cfg, writer)
         writer.finish()
         return rc
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
     except WvlabError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
 
 

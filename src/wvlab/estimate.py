@@ -7,7 +7,6 @@ execution order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -15,6 +14,8 @@ import numpy as np
 from .errors import BoundaryMaximum, SingularCovariance
 from .infometrics import ParamDistribution, classical_fisher
 from .noise import CorrelatedNoiseModel, StateSpaceNoise, spd_cholesky
+from .qsys import SIGMA_Z, weak_value
+from .schemes import StandardSpec
 from scipy.linalg import cho_solve
 
 
@@ -160,15 +161,18 @@ class ExperimentPlan:
 
     scheme: a scheme spec from `wvlab.schemes` (or None for a bare
     noise-model experiment measuring `true_value` directly). noise: optional
-    CorrelatedNoiseModel applied per measurement sequence. For noise
-    experiments nu must equal the model's N.
+    CorrelatedNoiseModel applied per measurement sequence. Without noise the
+    plan samples the scheme's outcome family; with noise the scheme is None
+    or a real-weak-value StandardSpec, and nu must equal the number of
+    samples the (thinned) model keeps. These combinations are checked here,
+    not partway through a run.
     """
 
     scheme: object | None
     nu: int
     trials: int
-    seed: int
-    estimator: str  # "amr" | "mle_correlated" | "mle_grid"
+    seed: int = 0
+    estimator: str = "amr"  # "amr" | "mle_correlated" | "mle_grid"
     noise: CorrelatedNoiseModel | None = None
     true_value: float = 0.0
 
@@ -177,8 +181,18 @@ class ExperimentPlan:
             raise ValueError("nu and trials must be >= 1")
         if self.estimator not in ("amr", "mle_correlated", "mle_grid"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.noise is not None and self.scheme is None and self.noise.n != self.nu:
-            raise ValueError("noise model N must equal nu")
+        if self.noise is None:
+            if not hasattr(self.scheme, "outcome_family"):
+                what = "no scheme" if self.scheme is None else type(self.scheme).__name__
+                raise ValueError(f"{what}: no outcome family to sample without a noise model")
+            if self.estimator == "mle_correlated":
+                raise ValueError("mle_correlated needs a noise model")
+            return
+        if self.estimator == "mle_grid":
+            raise ValueError("mle_grid is not defined for noise plans")
+        kept = _noise_setup(self)[2].n
+        if kept != self.nu:
+            raise ValueError(f"the noise model keeps {kept} samples; nu must equal it")
 
 
 @dataclass(frozen=True)
@@ -208,9 +222,6 @@ class EstimateReport:
             "estimator": self.estimator,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _jackknife_ratio_se(estimates: np.ndarray, fisher_total: float) -> float:
     """Jackknife standard error of Var(estimates) * F over trials."""
@@ -225,17 +236,20 @@ def _jackknife_ratio_se(estimates: np.ndarray, fisher_total: float) -> float:
     return float(math.sqrt((n - 1) / n * np.sum((theta_i - theta_bar) ** 2)))
 
 
-def _scheme_family(scheme) -> tuple[ParamDistribution, float]:
-    """(outcome family, true parameter) for the supported scheme specs."""
-    from . import schemes as _s
-
-    if isinstance(scheme, _s.StandardSpec):
-        return _s.standard_scheme(scheme).family, scheme.g
-    if isinstance(scheme, _s.PhaseSpaceSpec):
-        return _s.phase_space_scheme(scheme).selection_family, scheme.g
-    if isinstance(scheme, _s.EntangledSpec):
-        return _s.entangled_scheme(scheme).family, scheme.phi
-    raise ValueError(f"run_experiment has no outcome family for {type(scheme).__name__}")
+def _noise_setup(plan: ExperimentPlan) -> tuple[float, float, CorrelatedNoiseModel]:
+    """(calibration, truth, model) of a noise plan: the results are s_k =
+    truth * calibration + x_k. A standard-WVA scheme amplifies by Re<A>_w
+    over the p_f-thinned noise sequence."""
+    if plan.scheme is None:
+        return 1.0, plan.true_value, plan.noise
+    if not isinstance(plan.scheme, StandardSpec):
+        raise ValueError("noise plans support scheme=None or StandardSpec")
+    pre, post = plan.scheme.states()
+    calibration = weak_value(pre, post, SIGMA_Z).real
+    if abs(calibration) < 1e-9:
+        raise ValueError("noise plans need a real-weak-value scheme")
+    p_f = abs(np.vdot(post.amplitudes, pre.amplitudes)) ** 2
+    return calibration, plan.scheme.g, plan.noise.thinned(p_f)
 
 
 def run_experiment(plan: ExperimentPlan) -> EstimateReport:
@@ -249,27 +263,7 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
     estimates = np.empty(plan.trials)
 
     if plan.noise is not None:
-        # measurement results s_k = g * calibration + x_k; a standard-WVA
-        # scheme amplifies by Re<A>_w over the p_f-thinned noise sequence
-        calibration, truth, model = 1.0, plan.true_value, plan.noise
-        from . import schemes as _s
-
-        if isinstance(plan.scheme, _s.StandardSpec):
-            pre, post = plan.scheme.states()
-            from .qsys import SIGMA_Z, weak_value as _wv
-
-            calibration = _wv(pre, post, SIGMA_Z).real
-            if abs(calibration) < 1e-9:
-                raise ValueError("noise plans need a real-weak-value scheme")
-            truth = plan.scheme.g
-            p_f = abs(np.vdot(post.amplitudes, pre.amplitudes)) ** 2
-            model = plan.noise.thinned(p_f)
-            if model.n != plan.nu:
-                raise ValueError(
-                    f"thinned noise keeps {model.n} samples; set nu accordingly"
-                )
-        elif plan.scheme is not None:
-            raise ValueError("noise plans support scheme=None or StandardSpec")
+        calibration, truth, model = _noise_setup(plan)
         engine = StateSpaceNoise(model)
         fisher_total = calibration**2 * engine.fisher()
         weights = engine.gls_weights() if plan.estimator == "mle_correlated" else None
@@ -278,32 +272,26 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
             s = truth * calibration + engine.sample(rng.standard_normal(2 * plan.nu))
             if plan.estimator == "amr":
                 estimates[t] = amr_estimate(s, calibration)
-            elif plan.estimator == "mle_correlated":
-                estimates[t] = float(weights @ s) / calibration
             else:
-                raise ValueError("mle_grid is not defined for noise plans")
+                estimates[t] = float(weights @ s) / calibration
     else:
-        family, g_true = _scheme_family(plan.scheme)
+        family, g_true = plan.scheme.outcome_family()
         fisher_single = classical_fisher(family, g_true).fi
         fisher_total = plan.nu * fisher_single
         if plan.estimator == "amr":
-            # calibration: local linear response of the outcome mean
-            h = max(1e-6, 1e-4 * abs(g_true))
-            m_plus = _family_mean(family, g_true + h)
-            m_minus = _family_mean(family, g_true - h)
-            slope = (m_plus - m_minus) / (2 * h)
-            m0 = _family_mean(family, g_true)
+            # calibration: linear response of the outcome mean, sum_x x dp/dg
+            values, dp = family.outcome_values(), family.derivative(g_true)
+            slope = float(np.sum(values * dp)) * family.spacing
+            m0 = family.mean_std(g_true)[0]
             for t in range(plan.trials):
                 s = sample(family, plan.nu, plan.seed, t, g_true)
                 estimates[t] = g_true + (float(np.mean(s)) - m0) / slope
-        elif plan.estimator == "mle_grid":
+        else:
             sd = 1.0 / math.sqrt(max(fisher_total, 1e-300))
             g_grid = np.linspace(g_true - 8 * sd, g_true + 8 * sd, 101)
             for t in range(plan.trials):
                 s = sample(family, plan.nu, plan.seed, t, g_true)
                 estimates[t] = mle_grid(s, family, g_grid)
-        else:
-            raise ValueError("mle_correlated needs a noise model")
 
     emp_var = float(np.var(estimates, ddof=1))
     crb = 1.0 / fisher_total
@@ -321,7 +309,3 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
         seed=plan.seed,
         estimator=plan.estimator,
     )
-
-
-def _family_mean(family: ParamDistribution, g: float) -> float:
-    return family.mean_std(g)[0]

@@ -10,7 +10,6 @@ estimation module.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -87,9 +86,6 @@ class SchemeReport:
         out.update(self.extras)
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), default=float)
-
 
 # ---------------------------------------------------------------------------
 # standard real / imaginary WVA
@@ -120,6 +116,12 @@ class StandardSpec:
             post = bloch_state(-np.pi / 2, self.phi)
         return pre, post
 
+    def run(self) -> "StandardResult":
+        return standard_scheme(self)
+
+    def outcome_family(self) -> tuple[ParamDistribution, float]:
+        return standard_scheme(self).family, self.g
+
 
 @dataclass
 class StandardResult:
@@ -129,6 +131,9 @@ class StandardResult:
     weak_value: complex
     theta_opt: float
     budget: InfoBudget
+
+    def table(self) -> dict:
+        return {"x": self.distribution.grid, "density": self.distribution.density}
 
 
 def _fixed_grid_meter(sigma: float, g: float, a_max: float, points: int) -> GridMeter:
@@ -219,6 +224,9 @@ class InverseSpec:
         s = math.sin(np.pi / 4 - theta / 2)
         return SystemState(np.array([c, -s * np.exp(1j * phi)]))
 
+    def run(self) -> "InverseResult":
+        return inverse_scheme(self)
+
 
 @dataclass
 class InverseResult:
@@ -228,6 +236,9 @@ class InverseResult:
     family: ParamDistribution
     mean_q: float
     mean_p: float
+
+    def table(self) -> dict:
+        return {"q": self.q_distribution.grid, "density": self.q_distribution.density}
 
 
 def inverse_scheme(spec: InverseSpec) -> InverseResult:
@@ -317,6 +328,9 @@ class ABWVASpec:
         if self.sigma <= 0 or not 0 < self.epsilon < np.pi / 2:
             raise ValueError("need sigma > 0 and epsilon in (0, pi/2)")
 
+    def run(self) -> "ABWVAResult":
+        return abwva_scheme(self)
+
 
 @dataclass
 class ABWVAResult:
@@ -329,6 +343,10 @@ class ABWVAResult:
     difference: np.ndarray
     centroid: float
     predicted_centroid: float
+
+    def table(self) -> dict:
+        return {"p": self.p_grid, "p0": self.p0, "p1": self.p1, "p2": self.p2,
+                "difference": self.difference}
 
 
 def _split_exact(p0: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,22 +422,27 @@ def abwva_scheme(spec: ABWVASpec) -> ABWVAResult:
 # joint weak measurement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class JointWMSpec:
     """Two-detector spectral estimation of a time delay tau with alignment
-    fluctuation eps_fluct and frequency-detection noise omega_noise."""
+    fluctuation eps_fluct and frequency-detection noise omega_noise. Configs
+    name the alignment phase `phi_align`."""
 
     tau: float
-    phi: float
-    eps_fluct: float
+    phi: float = field(metadata={"config": "phi_align"})
+    eps_fluct: float = 0.0
     omega0: float
     delta_omega: float
     omega_noise: float = 0.0
-    points: int = 2048
 
     def __post_init__(self):
-        if self.delta_omega < 0:
-            raise ValueError("delta_omega must be nonnegative")
+        if self.delta_omega < 0 or self.omega_noise < 0:
+            raise ValueError("delta_omega and omega_noise must be nonnegative")
+        if math.sin(self.phi) == 0:
+            raise ValueError("sin(phi) must be nonzero")
+
+    def run(self) -> "JointWMResult":
+        return joint_wm_scheme(self)
 
 
 @dataclass
@@ -431,6 +454,10 @@ class JointWMResult:
     tau_est: float
     phi_est: float
     bias_prediction: float
+
+    def table(self) -> dict:
+        return {"omega": self.omega_grid, "detector_plus": self.dist_plus,
+                "detector_minus": self.dist_minus}
 
 
 def _jwm_probs(spec: JointWMSpec, omega: np.ndarray, tau: float, phi: float, damping: float):
@@ -521,7 +548,7 @@ def joint_wm_scheme(spec: JointWMSpec, nu: int = 20000, seed: int = 7) -> JointW
     grid = np.linspace(
         spec.omega0 - 8 * spec.delta_omega,
         spec.omega0 + 8 * spec.delta_omega,
-        spec.points,
+        2048,  # spectral points of the reported detector distributions
     )
     damping = math.exp(-(spec.eps_fluct**2) / 2)
     d_plus, d_minus = _jwm_probs(spec, grid, spec.tau, spec.phi, damping)
@@ -571,6 +598,13 @@ class BiasedSpec:
     resolution: float | None = None
     points: int = 8192
 
+    def __post_init__(self):
+        if self.delta_omega <= 0 or self.epsilon == 0 or self.omega0 == 0:
+            raise ValueError("need delta_omega > 0, epsilon != 0 and omega0 != 0")
+
+    def run(self) -> "BiasedResult":
+        return biased_scheme(self)
+
 
 @dataclass
 class BiasedResult:
@@ -580,6 +614,9 @@ class BiasedResult:
     centroid_shift: float
     p_f_grid: float
     p_f_closed: float
+
+    def table(self) -> dict:
+        return {"omega": self.omega_grid, "spectrum": self.spectrum}
 
 
 def biased_beta_s(epsilon: float, omega0: float) -> float:
@@ -681,6 +718,11 @@ class RecycleSpec:
             raise ValueError("mode must be 'pulsed' or 'cavity'")
         if self.mode == "cavity" and self.mirror_r is None:
             raise ValueError("cavity mode needs mirror_r")
+        if self.n_input <= 0 or not 0 <= (self.mirror_r or 0.0) < 1:
+            raise ValueError("need n_input > 0 and mirror_r in [0, 1)")
+
+    def run(self) -> "RecycleResult":
+        return recycle_scheme(self)
 
 
 @dataclass
@@ -689,6 +731,9 @@ class RecycleResult:
     total_detected: float
     snr_gain: float
     cavity_gain: float | None
+
+    def table(self) -> None:
+        return None  # one operating point: the report holds it all
 
 
 def cavity_gain(r: float, loss: float) -> float:
@@ -750,6 +795,12 @@ class PhaseSpaceSpec:
         )
         return pre, post
 
+    def run(self) -> "PhaseSpaceResult":
+        return phase_space_scheme(self)
+
+    def outcome_family(self) -> tuple[ParamDistribution, float]:
+        return phase_space_scheme(self).selection_family, self.g
+
 
 @dataclass
 class PhaseSpaceResult:
@@ -762,6 +813,10 @@ class PhaseSpaceResult:
     predicted_mean_shift: float
     f_p: float
     f_photon: float
+
+    def table(self) -> dict:
+        n = np.arange(self.photon_distribution.size)
+        return {"n": n, "probability": self.photon_distribution}
 
 
 def phase_space_selection_probability(spec: PhaseSpaceSpec, g: float) -> float:
@@ -844,7 +899,8 @@ class EntangledSpec:
     phi: float
     epsilon: float
     n: int
-    variant: str = "max_prob"  # or "max_weak_value"
+    # "max_prob" or "max_weak_value"; configs call it `variant_post`
+    variant: str = field(default="max_prob", metadata={"config": "variant_post"})
     iterative: bool = False
 
     def __post_init__(self):
@@ -858,6 +914,12 @@ class EntangledSpec:
         scale = self.n if self.variant == "max_prob" else math.sqrt(self.n)
         return scale * self.epsilon
 
+    def run(self) -> "EntangledResult":
+        return entangled_scheme(self)
+
+    def outcome_family(self) -> tuple[ParamDistribution, float]:
+        return entangled_scheme(self).family, self.phi
+
 
 @dataclass
 class EntangledResult:
@@ -865,6 +927,9 @@ class EntangledResult:
     q_jt: float
     outcome_probs: np.ndarray
     family: ParamDistribution
+
+    def table(self) -> dict:
+        return {"sigma_z": np.array([1.0, -1.0]), "probability": self.outcome_probs}
 
 
 def entangled_scheme(spec: EntangledSpec) -> EntangledResult:

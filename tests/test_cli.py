@@ -1,10 +1,15 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wvlab.cli import ScenarioConfig, _noise_rows, load_config, main
 from wvlab.errors import ConfigError
@@ -263,3 +268,259 @@ def test_lean_import():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the config schema: one minimal config per variant, the keys each accepts,
+# and malformed configs that must all exit 2 with one JSON error on stderr
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = {"shift": "shift", "budget": "budget", "noise": "noise",
+             "scheme": "phase_space", "estimate": "estimate"}
+NOISE = {"a": 1.0, "c": 1.0, "dt": 1.0, "tau_c": 10.0, "n": 100}
+THETA = {"start": 0.1, "stop": 1.5, "points": 3}
+STANDARD = {"variant": "standard", "g": 0.0025, "sigma": 1.0, "epsilon": 0.05}
+PHASE = {"variant": "phase_space", "g": 1e-6, "epsilon": 0.1}
+ENTANGLED = {"variant": "entangled", "phi": 0.01, "epsilon": 0.05, "n": 2}
+EXPERIMENT = {"nu": 200, "trials": 5, "seed": 1}
+
+# variant -> (command, a config holding only the required keys)
+MINIMAL = {
+    "standard": ("scheme", {"scheme": STANDARD}),
+    "inverse": ("scheme", {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0}}),
+    "abwva": ("scheme", {"scheme": {"variant": "abwva", "g": 1e-4, "epsilon": 0.1, "sigma": 1.0}}),
+    "joint_wm": ("scheme", {"scheme": {"variant": "joint_wm", "tau": 0.05, "phi_align": 1.5,
+                                       "omega0": 20.0, "delta_omega": 2.0}}),
+    "biased": ("scheme", {"scheme": {"variant": "biased", "tau": 0.0, "beta": 0.01,
+                                     "epsilon": 0.1, "omega0": 10.0, "delta_omega": 1.0}}),
+    "recycle": ("scheme", {"scheme": {"variant": "recycle", "p_f": 0.03}}),
+    "phase_space": ("scheme", {"scheme": PHASE}),
+    "entangled": ("scheme", {"scheme": ENTANGLED}),
+    "trapped_ion": ("shift", {"scheme": {"variant": "trapped_ion", "gammas": [1.0],
+                                         "gamma0_t": 0.05, "theta": THETA}}),
+    "budget_sweep": ("budget", {"scheme": {"variant": "budget_sweep", "g_over_2sigma": 0.1,
+                                           "sigma": 1.0}}),
+    "noise_table": ("noise", {"scheme": {"variant": "noise_table"}, "noise": NOISE}),
+    "none": ("estimate", {"scheme": {"variant": "none"}, "noise": NOISE,
+                          "experiment": {"nu": 100, "trials": 3}}),
+}
+# every key each scheme variant accepts; no other key of the old 36-key union
+ACCEPTED = {
+    "standard": {"g", "sigma", "epsilon", "phi", "points"},
+    "inverse": {"g", "sigma", "theta_angle", "phi_angle", "points"},
+    "abwva": {"g", "epsilon", "sigma", "points"},
+    "joint_wm": {"tau", "phi_align", "eps_fluct", "omega0", "delta_omega", "omega_noise"},
+    "biased": {"tau", "beta", "epsilon", "omega0", "delta_omega", "resolution", "points"},
+    "recycle": {"p_f", "loss", "mode", "mirror_r", "n_input"},
+    "phase_space": {"g", "epsilon", "alpha", "nbar", "mixture", "theta_i"},
+    "entangled": {"phi", "epsilon", "n", "variant_post", "iterative"},
+    "trapped_ion": {"gammas", "gamma0_t", "theta", "grid_check"},
+    "budget_sweep": {"g_over_2sigma", "sigma", "theta", "pf_sweep"},
+    "noise_table": {"wva_p_f"},
+    "none": set(),
+}
+BLOCK_KEYS = {
+    "noise": set(NOISE),
+    "experiment": {"nu", "trials", "seed", "estimator", "true_value"},
+    "output": {"dump_samples"},
+    "sweep": {"parameter", "values"},
+    "theta": {"start", "stop", "points"},
+}
+COMMAND_BLOCKS = {"shift": {"scheme"}, "budget": {"scheme"}, "noise": {"scheme", "noise"},
+                  "scheme": {"scheme", "sweep"},
+                  "estimate": {"scheme", "noise", "experiment", "output"}}
+DEAD_KEYS = {"n_values", "directory", "formats"}
+ALL_KEYS = set().union(*ACCEPTED.values(), *BLOCK_KEYS.values(), DEAD_KEYS)
+REQUIRED = {
+    **{v: {"variant"} | set(config["scheme"]) for v, (_, config) in MINIMAL.items()},
+    "noise": set(NOISE), "experiment": {"nu", "trials"}, "output": set(),
+    "sweep": {"parameter", "values"}, "theta": {"start", "stop", "points"},
+}
+INT_KEYS = {"n", "points", "nu", "trials", "seed"}
+# block -> (key, a value the block's own checks reject)
+OUT_OF_RANGE = {
+    "standard": ("sigma", -1.0), "inverse": ("sigma", 0.0), "abwva": ("epsilon", 2.0),
+    "joint_wm": ("delta_omega", -1.0), "biased": ("delta_omega", 0.0),
+    "recycle": ("p_f", 1.5), "phase_space": ("nbar", -1.0), "entangled": ("n", 0),
+    "trapped_ion": ("gamma0_t", 0.0), "budget_sweep": ("sigma", 0.0),
+    "noise_table": ("wva_p_f", 0.0), "noise": ("tau_c", 0.0), "experiment": ("trials", 0),
+    "sweep": ("values", [100.0]), "theta": ("points", 0),
+}
+
+# the malformed-config probes: before, 8 of them exited 0 with a value
+# silently ignored and 16 exited 1 with a traceback
+PROBES = [
+    ("recycle_foreign_keys", "scheme",
+     {"scheme": {"variant": "recycle", "p_f": 0.1, "sigma": 1.0, "omega0": 3}}, 2),
+    ("standard_nbar", "scheme", {"scheme": {**STANDARD, "nbar": 7}}, 2),
+    ("phase_space_alpha_and_nbar", "scheme", {"scheme": {**PHASE, "alpha": 2.0, "nbar": 9.0}}, 2),
+    ("nu_non_integral", "estimate", {"scheme": STANDARD, "experiment": {**EXPERIMENT, "nu": 100.7}}, 2),
+    ("entangled_n_non_integral", "scheme", {"scheme": {**ENTANGLED, "n": 2.5}}, 2),
+    ("phase_space_mixture_and_alpha", "scheme",
+     {"scheme": {**PHASE, "mixture": [[0.5, 1.0], [0.5, 2.0]], "alpha": 1.0}}, 2),
+    ("dead_key_n_values", "scheme", {"scheme": {**STANDARD, "n_values": [1, 2]}}, 2),
+    ("iterative_string", "scheme", {"scheme": {**ENTANGLED, "iterative": "no"}}, 2),
+    ("sigma_string", "scheme", {"scheme": {**STANDARD, "sigma": "1"}}, 2),
+    ("sigma_negative", "scheme", {"scheme": {**STANDARD, "sigma": -1.0}}, 2),
+    ("standard_epsilon_and_phi", "scheme", {"scheme": {**STANDARD, "phi": 0.1}}, 2),
+    ("abwva_epsilon_range", "scheme",
+     {"scheme": {"variant": "abwva", "g": 1e-4, "epsilon": 2.0, "sigma": 1.0}}, 2),
+    ("recycle_mode", "scheme", {"scheme": {"variant": "recycle", "p_f": 0.1, "mode": "cw"}}, 2),
+    ("entangled_variant_post", "scheme", {"scheme": {**ENTANGLED, "variant_post": "bogus"}}, 2),
+    ("phase_space_nbar_negative", "scheme", {"scheme": {**PHASE, "nbar": -1.0}}, 2),
+    ("noise_a_negative", "noise",
+     {"scheme": {"variant": "noise_table"}, "noise": {**NOISE, "a": -1.0}}, 2),
+    ("experiment_missing_nu", "estimate", {"scheme": STANDARD, "experiment": {"trials": 5}}, 2),
+    ("estimator_unknown", "estimate",
+     {"scheme": STANDARD, "experiment": {**EXPERIMENT, "estimator": "bayes"}}, 2),
+    ("estimate_inverse", "estimate",
+     {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0}, "experiment": EXPERIMENT}, 2),
+    ("mle_correlated_without_noise", "estimate",
+     {"scheme": STANDARD, "experiment": {**EXPERIMENT, "estimator": "mle_correlated"}}, 2),
+    ("none_without_noise", "estimate", {"scheme": {"variant": "none"}, "experiment": EXPERIMENT}, 2),
+    ("noise_with_phase_space", "estimate",
+     {"scheme": {**PHASE, "nbar": 4.0}, "noise": NOISE, "experiment": {**EXPERIMENT, "nu": 100}}, 2),
+    ("shift_theta_missing_points", "shift",
+     {"scheme": {"variant": "trapped_ion", "gammas": [1.0], "gamma0_t": 0.05,
+                 "theta": {"start": 0.1, "stop": 1.5}}}, 2),
+    ("budget_sigma_string", "budget",
+     {"scheme": {"variant": "budget_sweep", "g_over_2sigma": 0.1, "sigma": "1"}}, 2),
+    ("unknown_variant", "scheme", {"scheme": {"variant": "squeezed"}}, 2),
+    ("standard_missing_sigma", "scheme",
+     {"scheme": {"variant": "standard", "g": 0.0025, "epsilon": 0.05}}, 2),
+    # a valid config whose validity ordering fails: a failed check, exit 1
+    ("inverse_validity", "scheme",
+     {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0, "theta_angle": 0.5}}, 1),
+]
+
+
+def run_cli(command, config, directory):
+    """(exit status, stderr) of one in-process CLI run."""
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(path), "--out", str(directory / "out")])
+    return rc, err.getvalue()
+
+
+def assert_rejected(command, config, directory, rc=2):
+    status, err = run_cli(command, config, directory)
+    assert status == rc, (config, err)
+    assert "Traceback" not in err
+    payload = json.loads(err)  # exactly one JSON object
+    assert set(payload) == {"error", "message"}
+    assert (payload["error"] == "config") == (rc == 2)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@pytest.mark.parametrize(
+    "variant, header",
+    [("inverse", "q,density"), ("abwva", "p,p0,p1,p2,difference"),
+     ("joint_wm", "omega,detector_plus,detector_minus"), ("biased", "omega,spectrum"),
+     ("recycle", None)],
+)
+def test_scheme_command_runs_each_catalog_variant(tmp_path, variant, header):
+    command, config = MINIMAL[variant]
+    assert run_cli(command, config, tmp_path) == (0, "")
+    out = tmp_path / "out"
+    assert isinstance(json.loads((out / "report.json").read_text())["p_f"], float)
+    table = out / "distribution.csv"
+    assert (table.read_text().splitlines()[0] if table.exists() else None) == header
+
+
+@pytest.mark.parametrize("command, scenario", sorted(SCENARIOS.items()))
+def test_shipped_scenarios_parse(command, scenario):
+    cfg = load_config(str(ROOT / "scenarios" / f"{scenario}.json"), command)
+    assert cfg.to_dict() == json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
+
+
+@pytest.mark.parametrize("variant", sorted(MINIMAL))
+def test_each_variant_accepts_exactly_its_keys(variant):
+    command, config = MINIMAL[variant]
+    ScenarioConfig.parse(config, command)  # the minimal config itself is valid
+    for key in sorted(ALL_KEYS - {"variant"}):
+        try:
+            ScenarioConfig.parse({**config, "scheme": {**config["scheme"], key: None}}, command)
+            unknown = False
+        except ConfigError as exc:
+            unknown = str(exc).startswith("unknown keys in 'scheme'")
+        assert unknown == (key not in ACCEPTED[variant]), key
+
+
+@pytest.mark.parametrize("name, command, config, rc", PROBES, ids=[p[0] for p in PROBES])
+def test_malformed_config_probe(tmp_path, name, command, config, rc):
+    assert_rejected(command, config, tmp_path, rc)
+
+
+def _blocks(config):
+    """(path, name) of every JSON object in a config; the scheme block is
+    named by its variant."""
+    for name, block in config.items():
+        if not isinstance(block, dict):
+            continue
+        yield (name,), block["variant"] if name == "scheme" else name
+        if isinstance(block.get("theta"), dict):
+            yield (name, "theta"), "theta"
+
+
+def _wrong_type(value):
+    kinds = {"str": st.text(max_size=3), "bool": st.booleans(),
+             "number": st.floats(-5, 5) | st.integers(-5, 5),
+             "list": st.just([1.0]), "dict": st.just({"x": 1})}
+    own = ("bool" if isinstance(value, bool) else "number" if isinstance(value, (int, float))
+           else {str: "str", list: "list", dict: "dict"}[type(value)])
+    return st.one_of(*(s for k, s in kinds.items() if k != own))
+
+
+def _mutations(command, config):
+    """(label, path, key, strategy or None to drop) for every malformed
+    change of one key: drop a required key, add a foreign key, change a JSON
+    type, leave the valid range, make an int non-integral."""
+    needed = {"scheme"}
+    if command == "noise" or config["scheme"]["variant"] == "none":
+        needed.add("noise")
+    if command == "estimate":
+        needed.add("experiment")
+    out = [("drop", (), b, None) for b in sorted(needed)]
+    unread = set().union(*COMMAND_BLOCKS.values()) - COMMAND_BLOCKS[command]
+    out += [("foreign", (), b, st.just({})) for b in sorted(unread)]
+    out += [("type", (), b, _wrong_type(v)) for b, v in sorted(config.items())]
+    for path, name in _blocks(config):
+        block = config[path[0]] if len(path) == 1 else config[path[0]][path[1]]
+        accepted = ACCEPTED.get(name, BLOCK_KEYS.get(name, set()))
+        out += [("drop", path, k, None) for k in sorted(REQUIRED[name] & set(block))]
+        out += [("foreign", path, k, st.just(1.0)) for k in sorted(ALL_KEYS - accepted - {"variant"})]
+        out += [("type", path, k, _wrong_type(v)) for k, v in sorted(block.items())]
+        if name in OUT_OF_RANGE:
+            key, value = OUT_OF_RANGE[name]
+            out.append(("range", path, key, st.just(value)))
+        out += [("int", path, k, st.floats(0.01, 0.99).map(lambda f, v=v: v + f))
+                for k, v in sorted(block.items()) if k in INT_KEYS]
+    return out
+
+
+BASES = [(cmd, json.loads((ROOT / "scenarios" / f"{sc}.json").read_text()))
+         for cmd, sc in sorted(SCENARIOS.items())] + list(MINIMAL.values())
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_fuzzed_configs_exit_2(workdir, data):
+    command, base = data.draw(st.sampled_from(BASES))
+    mutations = _mutations(command, base)
+    label = data.draw(st.sampled_from(sorted({m[0] for m in mutations})))
+    _, path, key, value = data.draw(st.sampled_from([m for m in mutations if m[0] == label]))
+    config = copy.deepcopy(base)
+    block = config
+    for name in path:
+        block = block[name]
+    if value is None:
+        del block[key]
+    else:
+        block[key] = data.draw(value)
+    assert_rejected(command, config, workdir)

@@ -238,6 +238,23 @@ class TestRunExperiment:
         gain = rep_cm.empirical_variance / rep_wva.empirical_variance
         assert gain > 0.2 / p_f
 
+    def test_amr_slope_is_the_analytic_mean_derivative(self):
+        # the phase-space plan of the crb_plans benchmark: amr calibrates by
+        # sum_x x dp/dg from the family's analytic derivative (a central
+        # difference at h = 1e-6 read this slope 1.7e-5 low)
+        from wvlab.schemes import phase_space_scheme
+
+        spec = PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(100.0))
+        plan = ExperimentPlan(spec, 10_000, 3, 11, "amr")
+        family, g = phase_space_scheme(spec).selection_family, spec.g
+        slope = float(np.sum(family.outcome_values() * family.derivative(g)))
+        assert slope == pytest.approx(548.896, abs=1e-3)
+        m0 = family.mean_std(g)[0]
+        shift = np.mean([np.mean(sample(family, plan.nu, plan.seed, t, g)) - m0
+                         for t in range(plan.trials)])
+        implied = shift / (run_experiment(plan).mean_estimate - g)
+        assert implied == pytest.approx(slope, rel=1e-12)
+
     def test_phase_space_selection_statistics_reach_heisenberg_crb(self):
         # estimating g from the binary selection record alone: the empirical
         # variance tracks 1/(nu F_p) with F_p ~ N^2

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
@@ -40,7 +40,6 @@ from wvlab.schemes import (
     standard_scheme,
 )
 
-SWEEP = settings(max_examples=20, deadline=None, derandomize=True)
 DENSITY_TOL = 1e-10
 DERIVATIVE_TOL = 1e-6
 
@@ -81,7 +80,6 @@ def standard_specs(draw):
     return StandardSpec(g=g, sigma=sigma, phi=angle)
 
 
-@SWEEP
 @given(standard_specs())
 def test_standard_family_matches_grid_chain(spec):
     with warnings.catch_warnings():
@@ -198,7 +196,6 @@ def fock_arms(spec, g):
     return p_f, success / success.sum(), failure / failure.sum()
 
 
-@SWEEP
 @given(phase_space_specs())
 def test_phase_space_families_match_fock_postselection(spec):
     res = phase_space_scheme(spec)
@@ -224,7 +221,6 @@ def test_phase_space_families_match_fock_postselection(spec):
 # entangled scheme: two-point meter spectrum
 
 
-@SWEEP
 @given(
     st.floats(1e-4, 0.05),
     st.floats(0.01, 0.3),

@@ -15,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 mp = pytest.importorskip("mpmath")
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from wvlab.estimate import (
     ExperimentPlan,
@@ -32,8 +32,6 @@ from wvlab.noise import (
     readout_distribution,
     saturating_response,
 )
-
-SWEEP = settings(max_examples=20, deadline=None, derandomize=True)
 
 
 @st.composite
@@ -78,13 +76,11 @@ def dense_condition_bound(model: CorrelatedNoiseModel) -> float:
 
 
 class TestAgainstDense:
-    @SWEEP
     @given(noise_models())
     def test_fisher_matches_lu(self, model):
         lu = float(np.linalg.solve(covariance(model), np.ones(model.n)).sum())
         assert StateSpaceNoise(model).fisher() == pytest.approx(lu, rel=1e-12)
 
-    @SWEEP
     @given(noise_models())
     def test_gls_weights(self, model):
         w = StateSpaceNoise(model).gls_weights()
@@ -111,7 +107,6 @@ class TestAgainstDense:
 
 
 class TestSampler:
-    @SWEEP
     @given(noise_models(max_n=40))
     def test_linear_map_reproduces_covariance(self, model):
         engine = StateSpaceNoise(model)

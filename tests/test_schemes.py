@@ -167,7 +167,9 @@ class TestJointWM:
     def test_balanced_phase_minimizes_fluctuation_bias(self):
         biases = [
             joint_wm_scheme(
-                JointWMSpec(0.05, phi, 0.3, 20.0, 2.0), nu=100, seed=1
+                JointWMSpec(tau=0.05, phi=phi, eps_fluct=0.3, omega0=20.0, delta_omega=2.0),
+                nu=100,
+                seed=1,
             ).bias_prediction
             for phi in (0.3, np.pi / 2, 2.8)
         ]
@@ -197,7 +199,7 @@ class TestJointWM:
         assert bias_full == pytest.approx(4 * bias_half, rel=0.15)
 
     def test_flat_likelihood(self):
-        spec = JointWMSpec(0.05, np.pi / 2, 0.0, 20.0, 0.0)
+        spec = JointWMSpec(tau=0.05, phi=np.pi / 2, omega0=20.0, delta_omega=0.0)
         with pytest.raises(FlatLikelihood):
             joint_wm_mle(spec, np.array([20.0]), np.array([1]))
 
