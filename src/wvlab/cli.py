@@ -25,7 +25,9 @@ from . import estimate as est
 from . import schemes
 from .coupling import CouplingConfig, Generator, evolve_joint, postselect, trapped_ion_shift
 from .errors import ConfigError, WvlabError
-from .infometrics import classical_fisher, info_budget, quadrature_family, selection_probability
+from .infometrics import (
+    classical_fisher, info_budget, quadrature_family, readout_axis, selection_probability,
+)
 from .meter import FockMeter, GaussianMeter, to_grid
 from .noise import CorrelatedNoiseModel, amr_information, amr_variance_exact, cm_fisher_correlated
 from .qsys import SIGMA_X, SIGMA_Z, SystemState, bloch_state, optimal_postselection
@@ -383,7 +385,7 @@ def _budget_pf_sweep(sigma: float, g: float, writer: RunWriter) -> None:
     """Classical readout FI of real (Q readout) vs imaginary (P readout) WVA
     against the post-selection probability, Fig.-5(c,d) style."""
     meter = GaussianMeter(sigma)
-    q_grid = to_grid(meter, 16 * sigma + 8 * g, 4096).q_grid
+    q_grid = readout_axis(sigma, g, 4096)
     coupling = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
 
     def readout_fisher(pre, post, theta: float) -> tuple[float, float]:

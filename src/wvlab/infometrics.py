@@ -9,13 +9,12 @@ u_k = <f|v_k><v_k|i>. Its g-derivative kernel is J(m) = sum_k u_k a_k m
 e^{-i a_k g m}, so p_f, dp_f/dg and the conditioned-state QFI are all plain
 quadratures -- no weak-coupling approximation anywhere. The same kernels
 (`Conditioning`) give every post-selected outcome family its density and its
-analytic g-derivative.
+analytic derivative, in g or (inverse WVA) in the post-selection angle.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,14 +22,10 @@ from typing import Callable
 import numpy as np
 
 from .coupling import CouplingConfig, Generator
-from .errors import EmptyPostselection, StepTooLarge, UnsupportedDimension, ZeroVariance
-from .meter import (
-    FockMeter,
-    FockState,
-    GaussianMeter,
-    GridMeter,
-    gaussian_density,
+from .errors import (
+    EmptyPostselection, InsufficientSpan, StepTooLarge, UnsupportedDimension, ZeroVariance,
 )
+from .meter import FockMeter, FockState, GaussianMeter, gaussian_density
 from .qsys import Observable, SystemState
 
 PROBABILITY_FLOOR = 1e-14  # outcomes below this are excluded from FI sums
@@ -129,9 +124,6 @@ class FisherReport:
     def to_dict(self) -> dict:
         return {"fi": self.fi, "method": self.method.value, "step": self.step}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def default_step(g: float) -> float:
     """Central-difference step balancing truncation against roundoff."""
@@ -186,14 +178,9 @@ def snr(dist: ParamDistribution, g: float, nu: int, x0: float) -> float:
 
 
 def _family_vector(state) -> np.ndarray:
-    """Flatten a state into a Euclidean-normalized complex vector."""
-    if isinstance(state, GridMeter):
-        return state.amplitudes * math.sqrt(state.spacing)
-    if isinstance(state, FockState):
-        return state.coeffs
-    if isinstance(state, SystemState):
-        return state.amplitudes
-    return np.asarray(state, dtype=complex).reshape(-1)
+    """Flatten a state into a complex vector (`qfi_pure` normalizes it)."""
+    vec = state.coeffs if isinstance(state, FockState) else getattr(state, "amplitudes", state)
+    return np.asarray(vec, dtype=complex).reshape(-1)
 
 
 def qfi_pure(family: Callable[[float], object], g: float, h: float = 1e-6) -> float:
@@ -249,11 +236,7 @@ def _generator_weights(meter, cfg: CouplingConfig, points: int = 4096):
             )
             w = w / (w.sum())
             return p, w
-        if isinstance(meter, GridMeter):
-            mom = meter.momentum()
-            w = np.abs(mom.amplitudes) ** 2
-            return mom.q_grid, w / w.sum()
-        raise UnsupportedDimension("momentum generator needs Gaussian or grid meter")
+        raise UnsupportedDimension("momentum generator needs a Gaussian meter")
     if isinstance(meter, FockMeter):
         w = meter.number_probabilities()
     elif isinstance(meter, FockState):
@@ -324,7 +307,8 @@ class Conditioning:
     readout is the spectrum m of M with probability weights w(m). With
     `position` set, the readout is the position q of that Gaussian meter
     under a momentum kick, with the grid spacing as weight: K(q) = sum_k u_k
-    psi(q - a_k g) is the conditioned amplitude and J = i dK/dg.
+    psi(q - a_k g) is the conditioned amplitude and J = i dK/dg. K is linear
+    in <f|, so `post` may also be a bare amplitude vector such as d<f|/dangle.
     """
 
     u: np.ndarray
@@ -335,12 +319,12 @@ class Conditioning:
 
     @classmethod
     def of(
-        cls, pre: SystemState, post: SystemState, a: Observable, values, weights,
+        cls, pre: SystemState, post: SystemState | np.ndarray, a: Observable, values, weights,
         position: GaussianMeter | None = None,
     ) -> "Conditioning":
         eigvals, eigvecs = a.eig()
         v_dag = eigvecs.conj().T
-        u = np.conj(v_dag @ post.amplitudes) * (v_dag @ pre.amplitudes)
+        u = np.conj(v_dag @ getattr(post, "amplitudes", post)) * (v_dag @ pre.amplitudes)
         values, weights = np.asarray(values, float), np.asarray(weights, float)
         return cls(u, eigvals, values, weights, position)
 
@@ -371,13 +355,7 @@ class Conditioning:
         """Outcome family g -> conditioned distribution over `values`, with
         its analytic g-derivative: discrete with the values as labels, or a
         density on `grid`, the uniform readout axis with one point per value."""
-        scale = 1.0 if grid is None else 1.0 / float(grid[1] - grid[0])
-        return ParamDistribution(
-            "discrete" if grid is None else "continuous",
-            lambda g: scale * self.kernels(g).density(),
-            grid=grid, labels=self.values if grid is None else None,
-            derivative=lambda g: scale * self.kernels(g).density_dg(),
-        )
+        return _kernel_family(self.kernels, grid, self.values)
 
     def selection_family(self) -> ParamDistribution:
         """The {p_f, 1 - p_f} statistics of the selection (labels 1 and 0),
@@ -389,19 +367,34 @@ class Conditioning:
         )
 
 
-def quadrature_family(
-    pre: SystemState, post: SystemState, a: Observable, meter: GaussianMeter,
-    theta: float, q_grid: np.ndarray,
-) -> ParamDistribution:
-    """Family g -> density of S_theta = Q cos(theta) + P sin(theta) of the
-    Gaussian meter conditioned on `post` after the kick exp(-i g A x P).
+def _kernel_family(kernels_of, grid, values) -> ParamDistribution:
+    """Family x -> `kernels_of(x).density()` with the derivative `density_dg`:
+    discrete over `values`, or a density on `grid` when it is given."""
+    scale = 1.0 if grid is None else 1.0 / float(grid[1] - grid[0])
+    return ParamDistribution(
+        "discrete" if grid is None else "continuous",
+        lambda x: scale * kernels_of(x).density(),
+        grid=grid, labels=values if grid is None else None,
+        derivative=lambda x: scale * kernels_of(x).density_dg(),
+    )
 
-    theta must be a multiple of pi/2 (to 1e-6), and the readout is the
-    nearest quarter turn: Q on `q_grid`, P on its FFT momentum grid, each
-    axis reversed where cos(theta) or sin(theta) is -1. These are the grids
-    `quadrature_marginal` gives for a meter sampled on `q_grid`; that grid
-    path is this family's oracle.
-    """
+
+def readout_axis(sigma: float, g: float, points: int) -> np.ndarray:
+    """Position axis [-span, span), span = 16 sigma + 8 |g|, of a meter of width
+    sigma kicked by g: wide enough for every branch displacement and for
+    near-orthogonal conditioning (bimodal states up to ~sqrt(3) sigma wide)."""
+    if points < 256:
+        raise InsufficientSpan(f"points = {points} < 256")
+    span = 16.0 * sigma + 8.0 * abs(g)
+    return np.linspace(-span, span, points, endpoint=False)
+
+
+def _quarter_turn(meter: GaussianMeter, theta: float, q_grid: np.ndarray):
+    """(values, weights, position, grid) of the readout S_theta = Q cos(theta)
+    + P sin(theta), theta a multiple of pi/2 (to 1e-6): Q on `q_grid` or P on
+    its FFT momentum grid, each axis reversed where cos(theta) or sin(theta)
+    is -1. These are the grids `quadrature_marginal` gives for a meter sampled
+    on `q_grid`; that grid path is the oracle of every family read out here."""
     q_grid = np.asarray(q_grid, dtype=float)
     turns, dq = round(2 * theta / math.pi), q_grid[1] - q_grid[0]
     if abs(theta - turns * math.pi / 2) > 1e-6:
@@ -417,8 +410,38 @@ def quadrature_family(
         weights = gaussian_density(momentum, axis) * (axis[1] - axis[0])
     if sign < 0:
         axis, weights = axis[::-1], weights[::-1]
-    cond = Conditioning.of(pre, post, a, axis, weights, position)
-    return cond.family(grid=sign * axis)
+    return axis, weights, position, sign * axis
+
+
+def quadrature_family(
+    pre: SystemState, post: SystemState, a: Observable, meter: GaussianMeter,
+    theta: float, q_grid: np.ndarray,
+) -> ParamDistribution:
+    """Family g -> density of S_theta = Q cos(theta) + P sin(theta) of the
+    Gaussian meter conditioned on `post` after the kick exp(-i g A x P), read
+    out at a quarter turn (see `_quarter_turn`)."""
+    values, weights, position, grid = _quarter_turn(meter, theta, q_grid)
+    return Conditioning.of(pre, post, a, values, weights, position).family(grid)
+
+
+def selection_angle_family(
+    pre: SystemState, post_of: Callable[[float], tuple], a: Observable, g: float,
+    meter: GaussianMeter, theta: float, q_grid: np.ndarray,
+) -> ParamDistribution:
+    """Family angle -> density of the quarter-turn readout S_theta at a fixed
+    kick g, conditioned on post_of(angle) = (<f|, d<f|/dangle). K is linear in
+    <f|, so dK/dangle is the kernel of d<f|/dangle, and with J = i dK/dangle
+    `_Kernels.density_dg` is the analytic angle derivative."""
+    values, weights, position, grid = _quarter_turn(meter, theta, q_grid)
+
+    def kernels(angle: float) -> _Kernels:
+        k, dk = (
+            Conditioning.of(pre, f, a, values, weights, position).kernels(g).k
+            for f in post_of(angle)
+        )
+        return _Kernels(weights, k, 1j * dk)
+
+    return _kernel_family(kernels, grid, values)
 
 
 def qfi_postselected(
@@ -487,9 +510,6 @@ class InfoBudget:
             "pr_qr": self.p_r_q_r,
             "f_p": self.f_p,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def info_budget(

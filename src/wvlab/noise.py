@@ -385,22 +385,29 @@ def pixelate(dist: SampledDistribution, det: PixelatedDetector) -> DiscreteDistr
     return DiscreteDistribution(labels, masses / total_grid)
 
 
-def _pixelated_family(
-    density_of_g, det: PixelatedDetector, grid: np.ndarray, g0: float
-) -> ParamDistribution:
-    # pixel edges frozen once so every g (and every scheme compared against
-    # this one) sees the identical misalignment h
-    frozen_edges = det.edges(grid[0], grid[-1])
+def _gaussian_pixels(det: PixelatedDetector, rate: float, width: float) -> ParamDistribution:
+    """Family g -> pixel masses Phi(b_j) - Phi(a_j) of N(rate g, width^2), with
+    a_j = (e_j - rate g) / width, and their derivative (phi(a_j) - phi(b_j))
+    rate / width. The edges e_j of `det` over +-10 width are frozen once, so
+    every g and every family compared with this one sees the same
+    misalignment h; the outermost pixels are open-ended, and each tail is
+    taken from its own side, so far pixels keep their relative precision."""
+    edges = det.edges(-10 * width, 10 * width)
+    edges[[0, -1]] = -np.inf, np.inf
 
-    def evaluate(g: float) -> np.ndarray:
-        dens = density_of_g(g)
-        inc = 0.5 * (dens[1:] + dens[:-1]) * (grid[1] - grid[0])
-        cdf = np.concatenate([[0.0], np.cumsum(inc)])
-        cdf_at = np.interp(frozen_edges, grid, cdf)
-        masses = np.diff(cdf_at)
-        return masses / masses.sum()
+    def bounds(g: float) -> tuple[np.ndarray, np.ndarray]:
+        z = (edges - rate * g) / width
+        return z[:-1], z[1:]
 
-    return ParamDistribution("discrete", evaluate)
+    def masses(g: float) -> np.ndarray:
+        a, b = bounds(g)
+        return np.where(a > 0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+
+    def derivative(g: float) -> np.ndarray:
+        a, b = bounds(g)
+        return (np.exp(-a * a / 2) - np.exp(-b * b / 2)) * rate / (width * math.sqrt(2 * math.pi))
+
+    return ParamDistribution("discrete", masses, derivative=derivative)
 
 
 def pixelated_fisher_ratio(
@@ -433,36 +440,14 @@ def pixelated_fisher_ratio(
     else:
         raise ValueError("scheme must be 'real_wva' or 'imaginary_wva'")
 
-    def gauss_family(nu: float, wd: float):
-        grid = np.linspace(-10 * wd, 10 * wd, 8192)
-
-        def density(x: float) -> np.ndarray:
-            return np.exp(-((grid - nu * x) ** 2) / (2 * wd**2)) / math.sqrt(
-                2 * math.pi * wd**2
-            )
-
-        return _pixelated_family(density, det, grid, g), grid
-
-    fam_wva, _ = gauss_family(nu_wva, width)
-    fam_cm, _ = gauss_family(lam_max, sigma)
-    f_wva = classical_fisher(fam_wva, g).fi
-    f_cm = classical_fisher(fam_cm, g).fi
+    f_wva = classical_fisher(_gaussian_pixels(det, nu_wva, width), g).fi
+    f_cm = classical_fisher(_gaussian_pixels(det, lam_max, sigma), g).fi
     return p_f * f_wva / f_cm
 
 
-def pixelation_info_ratio(
-    sigma: float, det: PixelatedDetector, g: float = 0.0, points: int = 8192
-) -> float:
+def pixelation_info_ratio(sigma: float, det: PixelatedDetector, g: float = 0.0) -> float:
     """alpha = F(pixelated) / F(ideal) for a Gaussian location family."""
-    grid = np.linspace(-10 * sigma, 10 * sigma, points)
-
-    def density(x: float) -> np.ndarray:
-        return np.exp(-((grid - x) ** 2) / (2 * sigma**2)) / math.sqrt(
-            2 * math.pi * sigma**2
-        )
-
-    fam = _pixelated_family(density, det, grid, g)
-    return classical_fisher(fam, g).fi * sigma**2
+    return classical_fisher(_gaussian_pixels(det, 1.0, sigma), g).fi * sigma**2
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from .coupling import (
     RegimeLabel,
     aav_condition_margin,
     classify_regime,
-    evolve_joint,
-    postselect,
 )
 from .errors import FlatLikelihood, RegimeViolationWarning, ValidityViolation
 from .infometrics import (
@@ -32,18 +30,17 @@ from .infometrics import (
     ParamDistribution,
     classical_fisher,
     info_budget,
-    qfi_joint,
     quadrature_family,
+    readout_axis,
+    selection_angle_family,
     selection_probability,
 )
 from .meter import (
     FockMeter,
     GaussianMeter,
-    GridMeter,
     SampledDistribution,
     fock_moments,
     optimal_quadrature_angle,
-    to_grid,
 )
 from .qsys import (
     PROJ_ONE,
@@ -136,14 +133,6 @@ class StandardResult:
         return {"x": self.distribution.grid, "density": self.distribution.density}
 
 
-def _fixed_grid_meter(sigma: float, g: float, a_max: float, points: int) -> GridMeter:
-    """Meter sampled on a grid wide enough for every branch displacement AND
-    for near-orthogonal conditioning (derivative-like bimodal states have an
-    effective width up to ~sqrt(3) sigma), so families over g share one grid."""
-    span = 16.0 * sigma + 8.0 * abs(g) * max(a_max, 1.0)
-    return to_grid(GaussianMeter(sigma), span, points)
-
-
 def standard_scheme(spec: StandardSpec) -> StandardResult:
     """Standard WVA measured along its optimal quadrature.
 
@@ -166,7 +155,7 @@ def standard_scheme(spec: StandardSpec) -> StandardResult:
     # optimal angle is a quarter turn: 0 or pi reads +-Q, -+pi/2 reads -+P.
     # Roundoff in w tilts the computed angle by ~1e-15 sigma^2 / phi; snap it.
     theta = math.pi / 2 * round(2 * optimal_quadrature_angle(w, spec.sigma) / math.pi)
-    q_grid = _fixed_grid_meter(spec.sigma, spec.g, 1.0, spec.points).q_grid
+    q_grid = readout_axis(spec.sigma, spec.g, spec.points)
     family = quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid)
     dist = SampledDistribution(family.grid, family.probabilities(spec.g))
 
@@ -245,9 +234,9 @@ def inverse_scheme(spec: InverseSpec) -> InverseResult:
     """Dark-port estimation of a small selection angle.
 
     Valid when |<f|i>| << g/sigma << 1; raises ValidityViolation otherwise.
-    Both quadrature means of the bimodal conditioned meter are computed from
-    the grid and reported; the imaginary variant's -phi_I/g shift shows up in
-    the momentum-like quadrature.
+    Both quadrature means of the bimodal conditioned meter come from the exact
+    Q and P readout densities; the imaginary variant's -phi_I/g shift shows up
+    in the momentum-like quadrature, the Fisher family's readout over the angle.
     """
     imaginary = spec.phi_angle != 0.0
     pre = bloch_state(np.pi / 2, 0.0)
@@ -259,28 +248,27 @@ def inverse_scheme(spec: InverseSpec) -> InverseResult:
             f"need |<f|i>| ({overlap:.3g}) < g/sigma ({g_over_sigma:.3g}) < 1"
         )
 
-    base = _fixed_grid_meter(spec.sigma, spec.g, 1.0, spec.points)
-    cfg = CouplingConfig(spec.g, Generator.MOMENTUM_KICK, SIGMA_Z)
-    joint = evolve_joint(pre, base, cfg)
-    ps = postselect(joint, post)
-    q_dist = ps.success_meter.density()
-    p_meter = ps.success_meter.momentum()
-    p_dist = p_meter.density()
-    mean_q = ps.success_meter.mean_q()
-    mean_p = p_meter.mean_q()
+    def post_of(angle: float) -> tuple[SystemState, np.ndarray]:
+        # <f| at the unknown angle and its derivative in that angle
+        f = spec.post_state(0.0, angle) if imaginary else spec.post_state(angle, 0.0)
+        c, b = f.amplitudes
+        return f, np.array([0.0, 1j * b]) if imaginary else np.array([-b, c]) / 2
 
-    readout_grid = p_dist.grid if imaginary else q_dist.grid
-
-    def density(angle: float) -> np.ndarray:
-        po = (
-            spec.post_state(0.0, angle) if imaginary else spec.post_state(angle, 0.0)
-        )
-        cm = postselect(joint, po).success_meter
-        return (cm.momentum() if imaginary else cm).density().density
-
+    meter = GaussianMeter(spec.sigma)
+    q_grid = readout_axis(spec.sigma, spec.g, spec.points)
     angle0 = spec.phi_angle if imaginary else spec.theta_angle
-    family = ParamDistribution("continuous", density, grid=readout_grid)
+    q_family, p_family = (
+        selection_angle_family(pre, post_of, SIGMA_Z, spec.g, meter, theta, q_grid)
+        for theta in (0.0, math.pi / 2)
+    )
+    q_dist, p_dist = (
+        SampledDistribution(fam.grid, fam.probabilities(angle0)) for fam in (q_family, p_family)
+    )
+    mean_q, mean_p = q_dist.mean(), p_dist.mean()
+    family = p_family if imaginary else q_family
     fi = classical_fisher(family, angle0).fi
+    cfg = CouplingConfig(spec.g, Generator.MOMENTUM_KICK, SIGMA_Z)
+    p_f, _ = selection_probability(pre, post, cfg, meter)
 
     if imaginary:
         predicted = -spec.phi_angle / spec.g
@@ -292,8 +280,8 @@ def inverse_scheme(spec: InverseSpec) -> InverseResult:
     w = weak_value(pre, post, SIGMA_Z) if overlap > 1e-12 else complex(np.inf)
     report = SchemeReport(
         amplification=1.0 / spec.g,
-        p_f=ps.p_f,
-        fisher=ps.p_f * fi,
+        p_f=p_f,
+        fisher=p_f * fi,
         snr_per_root_nu=abs(mean_p if imaginary else mean_q)
         / math.sqrt((p_dist if imaginary else q_dist).var()),
         regime=classify_regime(spec.g, spec.sigma, w)
@@ -716,8 +704,8 @@ class RecycleSpec:
             raise ValueError("loss must lie in [0, 1)")
         if self.mode not in ("pulsed", "cavity"):
             raise ValueError("mode must be 'pulsed' or 'cavity'")
-        if self.mode == "cavity" and self.mirror_r is None:
-            raise ValueError("cavity mode needs mirror_r")
+        if (self.mode == "cavity") != (self.mirror_r is not None):
+            raise ValueError("mirror_r is needed in cavity mode and only there")
         if self.n_input <= 0 or not 0 <= (self.mirror_r or 0.0) < 1:
             raise ValueError("need n_input > 0 and mirror_r in [0, 1)")
 
@@ -892,16 +880,15 @@ def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
 
 @dataclass(frozen=True)
 class EntangledSpec:
-    """N quantum-correlated probes (or N iterative passes) in the effective
-    two-dimensional subspace {|0...0>, |1...1>}, qubit meter, post-selection
-    maximizing either the success probability or the weak-value modulus."""
+    """N quantum-correlated probes or, in the same model, N iterative passes in
+    the effective two-dimensional subspace {|0...0>, |1...1>}, qubit meter,
+    post-selection maximizing the success probability or the weak-value modulus."""
 
     phi: float
     epsilon: float
     n: int
     # "max_prob" or "max_weak_value"; configs call it `variant_post`
     variant: str = field(default="max_prob", metadata={"config": "variant_post"})
-    iterative: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -966,7 +953,6 @@ def entangled_scheme(spec: EntangledSpec) -> EntangledResult:
             "weak_value_modulus": abs(wv),
             "sql_baseline": 4.0 * spec.n,
             "variant": spec.variant,
-            "iterative": spec.iterative,
         },
     )
     return EntangledResult(report, q_jt, probs, family)

@@ -313,7 +313,7 @@ ACCEPTED = {
     "biased": {"tau", "beta", "epsilon", "omega0", "delta_omega", "resolution", "points"},
     "recycle": {"p_f", "loss", "mode", "mirror_r", "n_input"},
     "phase_space": {"g", "epsilon", "alpha", "nbar", "mixture", "theta_i"},
-    "entangled": {"phi", "epsilon", "n", "variant_post", "iterative"},
+    "entangled": {"phi", "epsilon", "n", "variant_post"},
     "trapped_ion": {"gammas", "gamma0_t", "theta", "grid_check"},
     "budget_sweep": {"g_over_2sigma", "sigma", "theta", "pf_sweep"},
     "noise_table": {"wva_p_f"},
@@ -329,7 +329,7 @@ BLOCK_KEYS = {
 COMMAND_BLOCKS = {"shift": {"scheme"}, "budget": {"scheme"}, "noise": {"scheme", "noise"},
                   "scheme": {"scheme", "sweep"},
                   "estimate": {"scheme", "noise", "experiment", "output"}}
-DEAD_KEYS = {"n_values", "directory", "formats"}
+DEAD_KEYS = {"n_values", "directory", "formats", "iterative"}
 ALL_KEYS = set().union(*ACCEPTED.values(), *BLOCK_KEYS.values(), DEAD_KEYS)
 REQUIRED = {
     **{v: {"variant"} | set(config["scheme"]) for v, (_, config) in MINIMAL.items()},
@@ -360,6 +360,9 @@ PROBES = [
      {"scheme": {**PHASE, "mixture": [[0.5, 1.0], [0.5, 2.0]], "alpha": 1.0}}, 2),
     ("dead_key_n_values", "scheme", {"scheme": {**STANDARD, "n_values": [1, 2]}}, 2),
     ("iterative_string", "scheme", {"scheme": {**ENTANGLED, "iterative": "no"}}, 2),
+    ("entangled_iterative", "scheme", {"scheme": {**ENTANGLED, "iterative": True}}, 2),
+    ("pulsed_recycle_mirror_r", "scheme",
+     {"scheme": {"variant": "recycle", "p_f": 0.1, "mirror_r": 0.5}}, 2),
     ("sigma_string", "scheme", {"scheme": {**STANDARD, "sigma": "1"}}, 2),
     ("sigma_negative", "scheme", {"scheme": {**STANDARD, "sigma": -1.0}}, 2),
     ("standard_epsilon_and_phi", "scheme", {"scheme": {**STANDARD, "phi": 0.1}}, 2),
@@ -431,6 +434,14 @@ def test_scheme_command_runs_each_catalog_variant(tmp_path, variant, header):
     assert isinstance(json.loads((out / "report.json").read_text())["p_f"], float)
     table = out / "distribution.csv"
     assert (table.read_text().splitlines()[0] if table.exists() else None) == header
+
+
+def test_inverse_scheme_with_a_wide_meter(tmp_path):
+    # p_f = 2.5e-15: this config used to exit 1 with a traceback
+    config = {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1e6}}
+    assert run_cli("scheme", config, tmp_path) == (0, "")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["p_f"] == pytest.approx(report["p_f_closed_form"], rel=1e-6)
 
 
 @pytest.mark.parametrize("command, scenario", sorted(SCENARIOS.items()))

@@ -384,12 +384,12 @@ class TestSnr:
 class TestSerialization:
     def test_fisher_report_json_keys(self):
         rep = classical_fisher(gaussian_location_family(), 0.1)
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(rep.to_dict()))
         assert set(payload) == {"fi", "method", "step"}
 
     def test_info_budget_json_keys(self):
         budget = InfoBudget(q_jt=1.0, p_f_q_f=0.6, p_r_q_r=0.3, f_p=0.1)
-        payload = json.loads(budget.to_json())
+        payload = json.loads(json.dumps(budget.to_dict()))
         assert set(payload) == {"q_jt", "pf_qf", "pr_qr", "f_p"}
         assert payload["q_jt"] == 1.0
 

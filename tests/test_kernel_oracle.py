@@ -1,14 +1,17 @@
 """The conditioning-kernel outcome families against the grid oracle.
 
 Every post-selected readout family in `schemes` comes from
-`infometrics.Conditioning`, with an analytic g-derivative. Here each one is
-pinned to an independent path: the FFT grid chain evolve_joint -> postselect
--> quadrature_marginal for the Gaussian meter, the per-component Fock
-post-selection for (mixed) photon-number meters, and a matrix exponential of
-the 4x4 coupling for the entangled scheme. Densities agree to 1e-10 and
-derivatives to 1e-6 of their maxima (above the roundoff floor of the
-central difference), and every family takes the ANALYTIC branch of
-`classical_fisher`.
+`infometrics.Conditioning`, with an analytic derivative: in g, or for
+inverse WVA in the post-selection angle. Here each one is pinned to an
+independent path: the FFT grid chain evolve_joint -> postselect ->
+quadrature_marginal for the Gaussian meter (for inverse WVA, postselect on
+the varied post-selection, with .momentum() for the phi variant), the
+per-component Fock post-selection for (mixed) photon-number meters, and a
+matrix exponential of the 4x4 coupling for the entangled scheme. Densities
+agree to 1e-10 and derivatives to 1e-6 of their maxima (above the roundoff
+floor of the central difference), and every family takes the ANALYTIC
+branch of `classical_fisher`. The grid chain itself is bound by neither
+`schemes` nor `infometrics`.
 """
 
 import math
@@ -21,20 +24,25 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
+import wvlab
+from wvlab import infometrics, schemes
 from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
 from wvlab.infometrics import (
     Conditioning,
     FisherMethod,
     classical_fisher,
     quadrature_family,
+    readout_axis,
 )
 from wvlab.meter import FockMeter, GaussianMeter, quadrature_marginal, to_grid
 from wvlab.qsys import PROJ_ONE, SIGMA_Z, bloch_state
 from wvlab.schemes import (
     EntangledSpec,
+    InverseSpec,
     PhaseSpaceSpec,
     StandardSpec,
     entangled_scheme,
+    inverse_scheme,
     phase_space_scheme,
     phase_space_selection_probability,
     standard_scheme,
@@ -153,6 +161,66 @@ def test_general_readout_angle_rejected():
     pre, post = bloch_state(np.pi / 2, 0.0), bloch_state(-np.pi / 2 + 0.1, 0.0)
     with pytest.raises(ValueError):
         quadrature_family(pre, post, SIGMA_Z, meter, math.pi / 4, q)
+
+
+def test_readout_axis_is_the_grid_chain_axis():
+    for sigma, g, points in [(1.0, 0.2, 4096), (0.7, -0.05, 2048), (3.0, 1e-4, 256)]:
+        base = to_grid(GaussianMeter(sigma), 16 * sigma + 8 * abs(g), points)
+        assert np.array_equal(readout_axis(sigma, g, points), base.q_grid)
+
+
+GRID_CHAIN = ("evolve_joint", "postselect", "JointState", "PostSelectedMeter", "GridMeter",
+              "to_grid", "fourier_pair", "quadrature_marginal", "wigner")
+
+
+def test_engine_modules_bind_no_grid_chain_name():
+    for module in (schemes, infometrics):
+        assert not set(GRID_CHAIN) & set(vars(module)), module.__name__
+    # the chain stays public: fourier_pair from wvlab.meter, the rest from wvlab
+    assert all(hasattr(wvlab, name) for name in GRID_CHAIN if name != "fourier_pair")
+    assert hasattr(wvlab.meter, "fourier_pair")
+
+
+# ---------------------------------------------------------------------------
+# inverse WVA: Q and P readouts over the post-selection angle
+
+
+@st.composite
+def inverse_specs(draw):
+    # inside the validity window |<f|i>| = |sin(angle/2)| < g/sigma < 1
+    sigma = draw(st.floats(0.5, 10.0))
+    g = sigma * draw(st.floats(1e-3, 0.5))
+    overlap = draw(st.floats(1e-3, 0.9)) * draw(st.sampled_from([1.0, -1.0])) * g / sigma
+    angle = 2 * math.asin(overlap)
+    if draw(st.booleans()):
+        return InverseSpec(g=g, sigma=sigma, theta_angle=angle)
+    return InverseSpec(g=g, sigma=sigma, phi_angle=angle)
+
+
+@given(inverse_specs())
+def test_inverse_family_matches_grid_chain(spec):
+    res = inverse_scheme(spec)
+    imaginary = spec.phi_angle != 0.0
+    pre = bloch_state(np.pi / 2, 0.0)
+    base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * spec.g, spec.points)
+    joint = evolve_joint(pre, base, CouplingConfig(spec.g, Generator.MOMENTUM_KICK, SIGMA_Z))
+
+    def meters(angle):
+        post = spec.post_state(0.0, angle) if imaginary else spec.post_state(angle, 0.0)
+        cm = postselect(joint, post).success_meter
+        return cm, cm.momentum()
+
+    angle = spec.phi_angle if imaginary else spec.theta_angle
+    q_meter, p_meter = meters(angle)
+    assert np.array_equal(res.q_distribution.grid, q_meter.q_grid)
+    assert np.array_equal(res.p_distribution.grid, p_meter.q_grid)
+    assert max_rel(res.q_distribution.density, q_meter.density().density) <= DENSITY_TOL
+    assert max_rel(res.p_distribution.density, p_meter.density().density) <= DENSITY_TOL
+    assert np.array_equal(res.family.grid, (p_meter if imaginary else q_meter).q_grid)
+    assert_matches_oracle(
+        res.family, lambda a: meters(a)[imaginary].density().density, angle,
+        1e-2 * spec.g / spec.sigma,
+    )
 
 
 # ---------------------------------------------------------------------------

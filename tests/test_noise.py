@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wvlab.errors import ResolutionTooCoarse, UnsupportedCombination
+from wvlab.infometrics import FisherMethod, ParamDistribution, classical_fisher
 from wvlab.meter import SampledDistribution
 from wvlab.noise import (
     AmrRegime,
@@ -21,6 +22,7 @@ from wvlab.noise import (
     load_response_csv,
     pixelate,
     pixelated_fisher_ratio,
+    _gaussian_pixels,
     pixelation_info_ratio,
     readout_distribution,
     saturated_fisher,
@@ -256,6 +258,63 @@ class TestPixelate:
         det = PixelatedDetector(r=0.8, h=0.3)
         alpha = pixelation_info_ratio(1.0, det)
         assert alpha <= 1.0 + 1e-6
+
+
+# (r, h) from fine pixels to a split detector with its boundary on the centre
+PIXELS = [(0.05, 0.02), (0.2, 0.1), (0.8, 0.3), (4.0, 1.3), (1000.0, 500.0)]
+
+
+def precise_pixels(det, rate, width, g, floor=1e-14):
+    """(masses, derivatives, F) of the Gaussian pixel family at 40 digits on
+    the edges `_gaussian_pixels` freezes, F summed over masses above `floor`
+    as `classical_fisher` does."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    edges = [mp.mpf(float(e)) for e in det.edges(-10 * width, 10 * width)]
+    z = [-mp.inf] + [(e - mp.mpf(rate) * g) / width for e in edges[1:-1]] + [mp.inf]
+    density = [mp.npdf(x) if mp.isfinite(x) else mp.mpf(0) for x in z]
+    masses = [mp.ncdf(b) - mp.ncdf(a) for a, b in zip(z[:-1], z[1:])]
+    dp = [(pa - pb) * rate / width for pa, pb in zip(density[:-1], density[1:])]
+    fisher = sum(d**2 / m for d, m in zip(dp, masses) if m > floor)
+    return np.array(masses, dtype=float), np.array(dp, dtype=float), float(fisher)
+
+
+class TestGaussianPixels:
+    @pytest.mark.parametrize("r, h", PIXELS)
+    @pytest.mark.parametrize("rate, width, g", [(1.0, 1.0, 0.0), (3.0, 0.5, 0.1)])
+    def test_matches_40_digit_evaluation(self, r, h, rate, width, g):
+        det = PixelatedDetector(r=r, h=h)
+        family = _gaussian_pixels(det, rate, width)
+        masses, dp, fisher = precise_pixels(det, rate, width, g)
+        # every pixel, the far tails included, to 1e-12 relative
+        np.testing.assert_allclose(family.probabilities(g), masses, rtol=1e-12, atol=0)
+        # phi(a) - phi(b) cancels on a pixel centred on the beam
+        np.testing.assert_allclose(
+            family.derivative(g), dp, rtol=1e-12, atol=1e-15 * np.max(np.abs(dp))
+        )
+        report = classical_fisher(family, g)
+        assert report.method is FisherMethod.ANALYTIC
+        assert report.fi == pytest.approx(fisher, rel=1e-12)
+        if (rate, width, g) == (1.0, 1.0, 0.0):
+            assert pixelation_info_ratio(1.0, det) == pytest.approx(fisher, rel=1e-12)
+
+    @pytest.mark.parametrize("r, h", PIXELS[:4])
+    def test_matches_grid_oracle(self, r, h):
+        # the cumulative trapezoid of `pixelate` on a sampled density reads
+        # about 2e-6 low; the closed form stays within 5e-6 of it
+        det, sigma, g = PixelatedDetector(r=r, h=h), 1.0, 0.05
+        grid = np.linspace(-10 * sigma, 10 * sigma, 8192)
+
+        def binned(x):
+            dens = np.exp(-((grid - x) ** 2) / (2 * sigma**2)) / math.sqrt(2 * math.pi * sigma**2)
+            return pixelate(SampledDistribution(grid, dens), det).probs
+
+        family = _gaussian_pixels(det, 1.0, sigma)
+        assert np.max(np.abs(family.probabilities(g) - binned(g))) <= 5e-6
+        oracle = classical_fisher(ParamDistribution("discrete", binned), g)
+        assert oracle.method is FisherMethod.CENTRAL_DIFFERENCE
+        assert classical_fisher(family, g).fi == pytest.approx(oracle.fi, rel=5e-6)
 
 
 class TestPixelatedRatio:

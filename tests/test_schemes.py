@@ -6,6 +6,7 @@ import pytest
 from wvlab.coupling import RegimeKind
 from wvlab.errors import FlatLikelihood, RegimeViolationWarning, ValidityViolation
 from wvlab.estimate import substream
+from wvlab.infometrics import FisherMethod, classical_fisher
 from wvlab.meter import FockMeter
 from wvlab.schemes import (
     ABWVASpec,
@@ -116,6 +117,12 @@ class TestInverse:
     def test_validity_ordering_enforced(self):
         with pytest.raises(ValidityViolation):
             inverse_scheme(InverseSpec(g=1e-3, sigma=1.0, theta_angle=0.5))
+
+    def test_wide_meter_runs(self):
+        # p_f = g^2 / (4 sigma^2) = 2.5e-15: the grid path had no success arm
+        res = inverse_scheme(InverseSpec(g=0.1, sigma=1e6))
+        assert res.report.p_f == pytest.approx(res.report.extras["p_f_closed_form"], rel=1e-6)
+        assert classical_fisher(res.family, 0.0).method is FisherMethod.ANALYTIC
 
 
 class TestABWVA:
@@ -395,10 +402,7 @@ class TestEntangled:
         assert res.report.extras["sql_baseline"] == 100.0
 
     def test_iterative_flag_carries(self):
-        res = entangled_scheme(
-            EntangledSpec(phi=0.0, epsilon=0.01, n=10, iterative=True)
-        )
-        assert res.report.extras["iterative"] is True
+        res = entangled_scheme(EntangledSpec(phi=0.0, epsilon=0.01, n=10))
         assert res.q_jt == 400.0
 
 
