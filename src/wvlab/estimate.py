@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import BoundaryMaximum, SingularCovariance
+from .errors import BoundaryMaximum, SingularCovariance, UnsupportedCombination
 from .infometrics import ParamDistribution, classical_fisher
 from .noise import CorrelatedNoiseModel, StateSpaceNoise, spd_cholesky
 from .qsys import SIGMA_Z, weak_value
@@ -125,30 +125,57 @@ def mle_correlated(samples: np.ndarray, c: np.ndarray) -> float:
 def mle_grid(
     samples: np.ndarray, dist: ParamDistribution, g_grid: np.ndarray
 ) -> float:
-    """Grid maximum-likelihood with three-point parabolic refinement."""
-    g_grid = np.asarray(g_grid, dtype=float)
+    """Maximum likelihood in the window [g_grid[0], g_grid[-1]].
+
+    Each sample's probability is its outcome's entry, or the linear
+    interpolation of the density between its two grid points, floored at
+    1e-300. The maximiser is the down-crossing of the analytic score
+    S(g) = sum p'/p: Fisher scoring (step S / sum (p'/p)^2) kept by bisection
+    in a bracket with S(lo) > 0 > S(hi), stopped when a step falls below 1e-6
+    of the window's sd, (hi - lo) / 16.
+    """
+    if dist.derivative is None:
+        raise UnsupportedCombination("mle_grid needs the family's analytic derivative")
     if dist.kind == "discrete":
         # each sample's outcome index, whatever order the labels are in
         labels = dist.outcome_values()
         order = np.argsort(labels, kind="stable")
-        pos = np.searchsorted(labels[order], samples)
-        idx = order[np.clip(pos, 0, labels.size - 1)]
-    loglik = np.empty(g_grid.size)
-    for i, g in enumerate(g_grid):
-        p = dist.probabilities(g)
-        if dist.kind == "continuous":
-            vals = np.interp(samples, dist.grid, p)
-        else:
-            vals = p[idx]
-        loglik[i] = np.sum(np.log(np.clip(vals, 1e-300, None)))
-    k = int(np.argmax(loglik))
-    if k == 0 or k == g_grid.size - 1:
-        raise BoundaryMaximum("likelihood maximum on the grid edge")
-    y0, y1, y2 = loglik[k - 1], loglik[k], loglik[k + 1]
-    denom = y0 - 2 * y1 + y2
-    offset = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-    step = g_grid[k] - g_grid[k - 1]
-    return float(g_grid[k] + offset * step)
+        idx = order[np.clip(np.searchsorted(labels[order], samples), 0, labels.size - 1)]
+
+        def read(v):
+            return v[idx]
+    else:
+        grid = dist.grid
+        x = np.clip(samples, grid[0], grid[-1])
+        i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+        w = (x - grid[i]) / (grid[i + 1] - grid[i])
+
+        def read(v):
+            return (1.0 - w) * v[i] + w * v[i + 1]
+
+    def score(g: float) -> tuple[float, float]:
+        p, dp = read(dist.probabilities(g)), read(dist.derivative(g))
+        r = np.divide(dp, p, out=np.zeros_like(p), where=p > 1e-300)
+        return float(r.sum()), float(r @ r)
+
+    lo, hi = float(g_grid[0]), float(g_grid[-1])
+    tol = 1e-6 * (hi - lo) / 16
+    if not (score(lo)[0] > 0 > score(hi)[0]):
+        raise BoundaryMaximum("the score has no down-crossing inside the window")
+    g, last = 0.5 * (lo + hi), hi - lo
+    while True:
+        s, info = score(g)
+        if s == 0:
+            return g
+        lo, hi = (g, hi) if s > 0 else (lo, g)
+        step = s / info
+        # bisect when scoring would leave the bracket or not halve the last
+        # step, so the bracket keeps shrinking
+        if not (lo < g + step < hi) or abs(step) > 0.5 * last:
+            step = 0.5 * (lo + hi) - g
+        last, g = abs(step), g + step
+        if last < tol:
+            return g
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,8 @@ class StandardSpec:
             raise ValueError("give exactly one of epsilon (real) or phi (imaginary)")
         if self.sigma <= 0 or self.g == 0:
             raise ValueError("need sigma > 0 and g != 0")
+        if self.points < 256:
+            raise ValueError("need points >= 256")
 
     def states(self) -> tuple[SystemState, SystemState]:
         pre = bloch_state(np.pi / 2, 0.0)
@@ -207,6 +209,8 @@ class InverseSpec:
             raise ValueError("need sigma > 0 and g > 0")
         if self.theta_angle != 0.0 and self.phi_angle != 0.0:
             raise ValueError("set only one of theta_angle, phi_angle")
+        if self.points < 256:
+            raise ValueError("need points >= 256")
 
     def post_state(self, theta: float, phi: float) -> SystemState:
         c = math.cos(np.pi / 4 - theta / 2)
@@ -272,10 +276,11 @@ def inverse_scheme(spec: InverseSpec) -> InverseResult:
 
     if imaginary:
         predicted = -spec.phi_angle / spec.g
-        p_f_closed = spec.phi_angle**2 / 4
     else:
         predicted = 2 * spec.theta_angle * spec.sigma**2 / spec.g
-        p_f_closed = spec.g**2 / (4 * spec.sigma**2)
+    # (1 - cos(angle) exp(-g^2 / (2 sigma^2))) / 2, free of cancellation
+    decay = math.expm1(-g_over_sigma**2 / 2)
+    p_f_closed = math.sin(angle0 / 2) ** 2 - math.cos(angle0) * decay / 2
 
     w = weak_value(pre, post, SIGMA_Z) if overlap > 1e-12 else complex(np.inf)
     report = SchemeReport(

@@ -391,6 +391,9 @@ PROBES = [
     ("unknown_variant", "scheme", {"scheme": {"variant": "squeezed"}}, 2),
     ("standard_missing_sigma", "scheme",
      {"scheme": {"variant": "standard", "g": 0.0025, "epsilon": 0.05}}, 2),
+    ("standard_points_below_256", "scheme", {"scheme": {**STANDARD, "points": 100}}, 2),
+    ("inverse_points_below_256", "scheme",
+     {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0, "points": 100}}, 2),
     # a valid config whose validity ordering fails: a failed check, exit 1
     ("inverse_validity", "scheme",
      {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0, "theta_angle": 0.5}}, 1),

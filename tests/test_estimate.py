@@ -1,9 +1,12 @@
 import math
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wvlab.errors import BoundaryMaximum
+from wvlab.errors import BoundaryMaximum, UnsupportedCombination
 from wvlab.estimate import (
     AliasSampler,
     ExperimentPlan,
@@ -16,7 +19,7 @@ from wvlab.estimate import (
     sample,
     substream,
 )
-from wvlab.infometrics import ParamDistribution
+from wvlab.infometrics import ParamDistribution, classical_fisher
 from wvlab.noise import CorrelatedNoiseModel, cm_fisher_correlated, covariance
 from wvlab.meter import FockMeter
 from wvlab.schemes import EntangledSpec, PhaseSpaceSpec, StandardSpec
@@ -30,7 +33,56 @@ def gaussian_family(sigma=1.0):
             2 * np.pi * sigma**2
         )
 
-    return ParamDistribution("continuous", density, grid=grid)
+    def derivative(g):
+        return (grid - g) / sigma**2 * density(g)
+
+    return ParamDistribution("continuous", density, grid=grid, derivative=derivative)
+
+
+def _scan_mle(samples, dist, g_grid):
+    """Oracle for `mle_grid`: grid maximum-likelihood with three-point
+    parabolic refinement, one family evaluation per grid point."""
+    g_grid = np.asarray(g_grid, dtype=float)
+    if dist.kind == "discrete":
+        # each sample's outcome index, whatever order the labels are in
+        labels = dist.outcome_values()
+        order = np.argsort(labels, kind="stable")
+        pos = np.searchsorted(labels[order], samples)
+        idx = order[np.clip(pos, 0, labels.size - 1)]
+    loglik = np.empty(g_grid.size)
+    for i, g in enumerate(g_grid):
+        p = dist.probabilities(g)
+        if dist.kind == "continuous":
+            vals = np.interp(samples, dist.grid, p)
+        else:
+            vals = p[idx]
+        loglik[i] = np.sum(np.log(np.clip(vals, 1e-300, None)))
+    k = int(np.argmax(loglik))
+    if k == 0 or k == g_grid.size - 1:
+        raise BoundaryMaximum("likelihood maximum on the grid edge")
+    y0, y1, y2 = loglik[k - 1], loglik[k], loglik[k + 1]
+    denom = y0 - 2 * y1 + y2
+    offset = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
+    step = g_grid[k] - g_grid[k - 1]
+    return float(g_grid[k] + offset * step)
+
+
+# (spec, nu) of the oracle sweep: a continuous family and two discrete ones
+# with descending labels, [1, 0] and [1, -1]
+ORACLE_CASES = {
+    "standard": (StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05, points=256), 2000),
+    "phase_space": (PhaseSpaceSpec(g=1e-3, epsilon=0.1, meter=FockMeter.coherent(10)), 10_000),
+    "entangled": (EntangledSpec(phi=0.01, epsilon=0.05, n=4), 10_000),
+}
+
+
+@lru_cache(maxsize=None)
+def _oracle_case(name):
+    """(family, truth, nu, sd) with sd the CRB standard deviation at nu,
+    whose +-8 sd window `run_experiment` hands to `mle_grid`."""
+    spec, nu = ORACLE_CASES[name]
+    family, g = spec.outcome_family()
+    return family, g, nu, 1.0 / math.sqrt(nu * classical_fisher(family, g).fi)
 
 
 class TestSampling:
@@ -134,6 +186,43 @@ class TestEstimators:
         draws = sample(fam, 100, seed=3, g=0.0)
         with pytest.raises(BoundaryMaximum):
             mle_grid(draws, fam, np.linspace(1.0, 2.0, 11))
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 10**4))
+    def test_mle_grid_is_the_limit_of_the_scan(self, name, seed, trial):
+        # the scan's parabolic error is O(step^2): 2.2e-4 sd at 101 points on
+        # the phase-space family, 100x less at 1001
+        family, g, nu, sd = _oracle_case(name)
+        draws = sample(family, nu, seed, trial, g)
+        window = np.linspace(g - 8 * sd, g + 8 * sd, 101)
+        est = mle_grid(draws, family, window)
+        fine = _scan_mle(draws, family, np.linspace(g - 8 * sd, g + 8 * sd, 1001))
+        assert abs(est - fine) <= 1e-5 * sd
+        assert abs(est - _scan_mle(draws, family, window)) <= 1e-3 * sd
+
+    def test_mle_grid_evaluation_count(self):
+        family, g = StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05).outcome_family()
+        sd = 1.0 / math.sqrt(10**4 * classical_fisher(family, g).fi)
+        window = np.linspace(g - 8 * sd, g + 8 * sd, 101)
+        calls = Counter()
+        for name in ("probabilities", "derivative"):
+            def counted(x, fn=getattr(family, name), name=name):
+                calls[name] += 1
+                return fn(x)
+            setattr(family, name, counted)
+        for trial in range(3):
+            draws = sample(family, 10**4, 101, trial, g)
+            calls.clear()
+            mle_grid(draws, family, window)
+            assert 0 < calls["probabilities"] <= 12
+            assert 0 < calls["derivative"] <= 12
+
+    def test_mle_grid_needs_the_derivative(self):
+        fam = gaussian_family()
+        bare = ParamDistribution("continuous", fam.evaluator, grid=fam.grid)
+        with pytest.raises(UnsupportedCombination):
+            mle_grid(sample(bare, 100, seed=3), bare, np.linspace(-1.0, 1.0, 11))
 
 
 class TestRunExperiment:

@@ -114,6 +114,16 @@ class TestInverse:
         res = inverse_scheme(InverseSpec(g=g, sigma=sigma, phi_angle=g / 20))
         assert res.report.fisher == pytest.approx(1.0, rel=0.02)
 
+    @pytest.mark.parametrize(
+        "angle", [{"theta_angle": 1e-3}, {"theta_angle": 5e-4}, {"phi_angle": 1e-3},
+                  {"phi_angle": -2e-3}], ids=["theta", "theta_half", "phi", "phi_negative"],
+    )
+    def test_p_f_is_the_closed_form(self, angle):
+        # (1 - cos(angle) exp(-g^2 / (2 sigma^2))) / 2: the overlap term
+        # phi^2 / 4 alone read 100x low at phi = 1e-3
+        res = inverse_scheme(InverseSpec(g=0.01, sigma=1.0, **angle))
+        assert res.report.p_f == pytest.approx(res.report.extras["p_f_closed_form"], rel=1e-9)
+
     def test_validity_ordering_enforced(self):
         with pytest.raises(ValidityViolation):
             inverse_scheme(InverseSpec(g=1e-3, sigma=1.0, theta_angle=0.5))
