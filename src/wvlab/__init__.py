@@ -10,6 +10,9 @@ noise        correlated noise, beam jitter, pixelation, saturating detectors
 schemes      the catalog of complete WVA measurement protocols
 estimate     seeded sampling, AMR/MLE estimators, Cramér-Rao experiments
 cli          scenario-driven command line emitting CSV/JSON artifacts
+
+scipy is imported inside the functions that use it, so `import wvlab` loads
+numpy alone and each CLI command pays for scipy only if it needs it.
 """
 
 from . import coupling, estimate, infometrics, meter, noise, qsys, schemes

@@ -16,7 +16,6 @@ from .infometrics import ParamDistribution, classical_fisher
 from .noise import CorrelatedNoiseModel, StateSpaceNoise, spd_cholesky
 from .qsys import SIGMA_Z, weak_value
 from .schemes import StandardSpec
-from scipy.linalg import cho_solve
 
 
 def substream(seed: int, trial: int = 0) -> np.random.Generator:
@@ -102,6 +101,8 @@ def mle_weights(c: np.ndarray) -> np.ndarray:
     """Generalized-least-squares weights f = C^{-1} 1 / (1' C^{-1} 1) of a
     dense covariance; `StateSpaceNoise.gls_weights` is the O(N) path for the
     correlated-noise model."""
+    from scipy.linalg import cho_solve
+
     y = cho_solve(spd_cholesky(c), np.ones(c.shape[0]))
     total = y.sum()
     if total <= 0:

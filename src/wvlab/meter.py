@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InsufficientSpan, TruncationTooTight
 
@@ -457,7 +456,8 @@ def coherent_coeffs(alpha: complex, n_max: int) -> np.ndarray:
         out = np.zeros(n_max + 1, dtype=complex)
         out[0] = 1.0
         return out
-    log_mag = -mag2 / 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+    log_factorial = np.fromiter(map(math.lgamma, range(1, n_max + 2)), float, n_max + 1)
+    log_mag = -mag2 / 2 + n * math.log(abs(alpha)) - 0.5 * log_factorial
     return np.exp(log_mag + 1j * n * np.angle(alpha))
 
 
@@ -546,10 +546,10 @@ def fock_moments(meter: FockMeter) -> tuple[float, float]:
     Raises TruncationTooTight when the truncated tail mass reaches 1e-8
     (also enforced at construction).
     """
-    tail = meter.tail_mass()
+    p = meter.number_probabilities()
+    tail = float(abs(1.0 - p.sum()))
     if tail >= 1e-8:
         raise TruncationTooTight(f"truncated tail mass {tail:.3e} >= 1e-8")
-    p = meter.number_probabilities()
     n = np.arange(p.size)
     mean = float(np.sum(n * p))
     var = float(np.sum(n**2 * p) - mean**2)

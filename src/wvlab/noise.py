@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, toeplitz
-from scipy.linalg.lapack import dtbtrs
-from scipy.special import gammaln, ndtr, xlogy
 
 from .errors import ResolutionTooCoarse, SingularCovariance, UnsupportedCombination
 from .infometrics import ParamDistribution, classical_fisher
@@ -61,6 +58,8 @@ class CorrelatedNoiseModel:
 
 def covariance(model: CorrelatedNoiseModel) -> np.ndarray:
     """Dense N x N covariance matrix; symmetric positive definite."""
+    from scipy.linalg import toeplitz
+
     lags = np.arange(model.n)
     row = model.c * np.exp(-lags * model.ratio)
     mat = toeplitz(row)
@@ -71,6 +70,8 @@ def covariance(model: CorrelatedNoiseModel) -> np.ndarray:
 def spd_cholesky(mat: np.ndarray):
     """Cholesky factor of a symmetric positive-definite matrix, retrying once
     with a trace-scaled jitter before declaring the matrix singular."""
+    from scipy.linalg import cho_factor
+
     try:
         return cho_factor(mat)
     except np.linalg.LinAlgError:
@@ -93,6 +94,8 @@ def _recursion_band(coef: np.ndarray) -> np.ndarray:
 
 def _run_recursion(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The recursion of `band` driven by `rhs`, which it overwrites."""
+    from scipy.linalg.lapack import dtbtrs
+
     z, info = dtbtrs(band, rhs, uplo="L", overwrite_b=1)
     if info != 0:
         raise SingularCovariance(f"bidiagonal solve failed (info={info})")
@@ -392,6 +395,8 @@ def _gaussian_pixels(det: PixelatedDetector, rate: float, width: float) -> Param
     every g and every family compared with this one sees the same
     misalignment h; the outermost pixels are open-ended, and each tail is
     taken from its own side, so far pixels keep their relative precision."""
+    from scipy.special import ndtr
+
     edges = det.edges(-10 * width, 10 * width)
     edges[[0, -1]] = -np.inf, np.inf
 
@@ -486,6 +491,8 @@ def saturating_response(det: SaturatingDetector, n_in: int) -> DiscreteDistribut
     Gaussian readout centered at N, quantized to the detector ladder, with
     all mass at or above k_s accumulated at k_s (hard clip).
     """
+    from scipy.special import ndtr
+
     levels = det.readout_levels()
     if det.readout_sigma == 0:
         if n_in >= det.k_s:
@@ -506,6 +513,8 @@ def saturating_response(det: SaturatingDetector, n_in: int) -> DiscreteDistribut
 
 def _response_matrix(det: SaturatingDetector, n_values: np.ndarray) -> np.ndarray:
     """Stack of R(k|N) rows for each N in n_values; shape (len(N), len(levels))."""
+    from scipy.special import ndtr
+
     levels = det.readout_levels()
     if det.readout_sigma == 0:
         out = np.zeros((n_values.size, levels.size))
@@ -532,6 +541,8 @@ def readout_distribution(
     `response` optionally supplies a measured matrix with row N holding
     R(.|N); rows beyond the matrix reuse its last row (deep saturation).
     """
+    from scipy.special import gammaln, xlogy
+
     mu = det.eta * nbar
     lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
     hi = int(mu + 10 * math.sqrt(mu) + 10)

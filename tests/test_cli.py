@@ -257,17 +257,21 @@ class TestCommands:
         assert rc == 2
 
 
+def fresh_interpreter(code):
+    """A fresh interpreter running `code`, then printing its loaded modules."""
+    code += "; import json, sys; print(json.dumps(list(sys.modules)))"
+    return subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True)
+
+
+def scipy_loaded(proc):
+    out, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    return [m for m in json.loads(out.splitlines()[-1]) if m.split(".")[0] == "scipy"]
+
+
 def test_lean_import():
-    # the CLI's import stays free of the heavy scipy subpackages
-    heavy = ("scipy.optimize", "scipy.stats", "scipy.signal", "scipy.integrate")
-    code = (
-        "import sys, wvlab, wvlab.cli; "
-        f"print([m for m in {heavy!r} if m in sys.modules])"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    # the package and its CLI import without any scipy module
+    assert scipy_loaded(fresh_interpreter("import wvlab, wvlab.cli")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +455,23 @@ def test_inverse_scheme_with_a_wide_meter(tmp_path):
 def test_shipped_scenarios_parse(command, scenario):
     cfg = load_config(str(ROOT / "scenarios" / f"{scenario}.json"), command)
     assert cfg.to_dict() == json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
+
+
+def test_shipped_commands_load_scipy_only_for_noise(tmp_path):
+    # shift, budget, scheme (phase space) and estimate never need scipy; the
+    # noise table loads scipy.linalg for its banded solve and nothing heavier
+    def start(*commands):
+        runs = [[c, "--config", str(ROOT / "scenarios" / f"{SCENARIOS[c]}.json"),
+                 "--out", str(tmp_path / c)] for c in commands]
+        return fresh_interpreter(
+            f"from wvlab.cli import main; assert [main(a) for a in {runs!r}] == {[0] * len(runs)}"
+        )
+
+    lean, noise = start("shift", "budget", "scheme", "estimate"), start("noise")
+    assert scipy_loaded(lean) == []
+    loaded = scipy_loaded(noise)
+    assert "scipy.linalg" in loaded
+    assert not {"scipy.special", "scipy.optimize"} & set(loaded)
 
 
 @pytest.mark.parametrize("variant", sorted(MINIMAL))

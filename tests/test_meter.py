@@ -9,7 +9,9 @@ from wvlab.meter import (
     GaussianMeter,
     GridMeter,
     SampledDistribution,
+    coherent_coeffs,
     fock_moments,
+    fock_truncation,
     fourier_pair,
     gaussian_density,
     optimal_quadrature_angle,
@@ -218,6 +220,31 @@ class TestFock:
     def test_probabilities_sum(self):
         m = FockMeter.mixture([(0.3, 1.0), (0.7, 2.5)])
         assert m.number_probabilities().sum() == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("nbar", [0.01, 1.0, 100.0, 1e4])
+    def test_coherent_coeffs_against_mpmath(self, nbar):
+        # c_n = e^{-|a|^2/2} a^n / sqrt(n!) by its recurrence in 40 digits; the
+        # complex relative error bounds magnitude and phase together, at
+        # 4 eps per unit of log-space magnitude the float path accumulates
+        mpmath = pytest.importorskip("mpmath")
+        alpha = math.sqrt(nbar) * complex(math.cos(0.7), math.sin(0.7))
+        n_max = fock_truncation(nbar)
+        coeffs = coherent_coeffs(alpha, n_max)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            a = mpmath.mpc(alpha)
+            exact = mpmath.exp(-abs(a) ** 2 / 2)
+            checked = 0
+            for n, c in enumerate(coeffs):
+                if n:
+                    exact *= a / mpmath.sqrt(n)
+                if abs(exact) <= 1e-300:
+                    continue
+                err = float(abs(mpmath.mpc(c) - exact) / abs(exact))
+                log_c = float(mpmath.log(abs(exact)))
+                assert err <= 4 * eps * (1 + n * abs(math.log(abs(alpha))) + abs(log_c)), n
+                checked += 1
+        assert checked > n_max // 2
 
 
 class TestSerialization:
