@@ -328,11 +328,12 @@ def cmd_shift(cfg: ScenarioConfig, writer: RunWriter) -> int:
     g0t, grid_check = spec.gamma0_t, spec.grid_check
     rows, worst = [], 0.0
     for gamma in spec.gammas:
+        joint = _trapped_ion_joint(gamma) if grid_check else None
         for th in spec.theta.values():
             ratio = trapped_ion_shift(gamma, th, g0t) / g0t
             row = [gamma, th, ratio]
             if grid_check:
-                grid_ratio = _trapped_ion_grid_ratio(gamma, th)
+                grid_ratio = _trapped_ion_grid_ratio(joint, gamma, th)
                 worst = max(worst, abs(grid_ratio - ratio) / max(abs(ratio), 1e-12))
                 row.append(grid_ratio)
             rows.append(row)
@@ -345,14 +346,18 @@ def cmd_shift(cfg: ScenarioConfig, writer: RunWriter) -> int:
     return 0
 
 
-def _trapped_ion_grid_ratio(gamma: float, theta: float, sigma: float = 1.0) -> float:
+def _trapped_ion_joint(gamma: float):
+    """|1> and a unit-width Gaussian meter on a 4096-point grid after
+    exp(-i gamma sigma_x p): one joint state for every post-selection angle."""
+    base = to_grid(GaussianMeter(1.0), 16.0 + 8 * gamma, 4096)
     pre = SystemState(np.array([0.0, 1.0]))
+    return evolve_joint(pre, base, CouplingConfig(gamma, Generator.MOMENTUM_KICK, SIGMA_X))
+
+
+def _trapped_ion_grid_ratio(joint, gamma: float, theta: float) -> float:
+    """Meter shift over gamma on the grid, post-selected at angle theta."""
     post = SystemState(np.array([math.cos(theta), -math.sin(theta)]))
-    g = gamma * sigma
-    base = to_grid(GaussianMeter(sigma), 16 * sigma + 8 * g, 4096)
-    joint = evolve_joint(pre, base, CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_X))
-    ps = postselect(joint, post)
-    return ps.success_meter.mean_q() / g
+    return postselect(joint, post).success_meter.mean_q() / gamma
 
 
 def cmd_budget(cfg: ScenarioConfig, writer: RunWriter) -> int:

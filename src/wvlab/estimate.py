@@ -54,27 +54,45 @@ class AliasSampler:
         return np.where(take_alias, self.alias[idx], idx)
 
 
+class OutcomeSampler:
+    """Draws from one outcome distribution, evaluated once at g: the alias
+    table of a discrete family, or the inverse CDF (trapezoid-integrated
+    density) of a continuous one."""
+
+    def __init__(self, dist: ParamDistribution, g: float):
+        probs = dist.probabilities(g)
+        if dist.kind == "discrete":
+            self.alias, self.cdf, self.values = AliasSampler(probs), None, dist.outcome_values()
+        else:
+            inc = 0.5 * (probs[1:] + probs[:-1]) * dist.spacing
+            cdf = np.concatenate([[0.0], np.cumsum(inc)])
+            self.alias, self.cdf, self.values = None, cdf / cdf[-1], dist.grid
+
+    def draw(self, rng: np.random.Generator, nu: int) -> np.ndarray:
+        if self.cdf is None:
+            return self.values[self.alias.draw(rng, nu)]
+        u = rng.random(nu)
+        # np.interp finds each point's bracket from the last one, so sorted
+        # points are much faster; each output depends on its point alone, so
+        # the draws are bitwise those of np.interp(u, cdf, values)
+        order = np.argsort(u)
+        u[order] = np.interp(u[order], self.cdf, self.values)
+        return u
+
+
 def sample(
-    dist: ParamDistribution, nu: int, seed: int, trial: int = 0, g: float = 0.0
+    dist: ParamDistribution | OutcomeSampler, nu: int, seed: int, trial: int = 0,
+    g: float = 0.0,
 ) -> np.ndarray:
-    """nu i.i.d. draws from the distribution at parameter g.
+    """nu i.i.d. draws from the distribution at parameter g, or from an
+    `OutcomeSampler` already built (g is then unused).
 
     Continuous: inverse-CDF on the grid; discrete: alias method. Identical
     (seed, trial) pairs reproduce identical sequences.
     """
     rng = substream(seed, trial)
-    probs = dist.probabilities(g)
-    if dist.kind == "discrete":
-        idx = AliasSampler(probs).draw(rng, nu)
-        values = dist.outcome_values()
-        return values[idx]
-    grid = dist.grid
-    dq = dist.spacing
-    inc = 0.5 * (probs[1:] + probs[:-1]) * dq
-    cdf = np.concatenate([[0.0], np.cumsum(inc)])
-    cdf = cdf / cdf[-1]
-    u = rng.random(nu)
-    return np.interp(u, cdf, grid)
+    sampler = dist if isinstance(dist, OutcomeSampler) else OutcomeSampler(dist, g)
+    return sampler.draw(rng, nu)
 
 
 def correlated_noise_samples(
@@ -306,19 +324,20 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
         family, g_true = plan.scheme.outcome_family()
         fisher_single = classical_fisher(family, g_true).fi
         fisher_total = plan.nu * fisher_single
+        sampler = OutcomeSampler(family, g_true)  # one evaluation for every trial
         if plan.estimator == "amr":
             # calibration: linear response of the outcome mean, sum_x x dp/dg
             values, dp = family.outcome_values(), family.derivative(g_true)
             slope = float(np.sum(values * dp)) * family.spacing
             m0 = family.mean_std(g_true)[0]
             for t in range(plan.trials):
-                s = sample(family, plan.nu, plan.seed, t, g_true)
+                s = sample(sampler, plan.nu, plan.seed, t)
                 estimates[t] = g_true + (float(np.mean(s)) - m0) / slope
         else:
             sd = 1.0 / math.sqrt(max(fisher_total, 1e-300))
             g_grid = np.linspace(g_true - 8 * sd, g_true + 8 * sd, 101)
             for t in range(plan.trials):
-                s = sample(family, plan.nu, plan.seed, t, g_true)
+                s = sample(sampler, plan.nu, plan.seed, t)
                 estimates[t] = mle_grid(s, family, g_grid)
 
     emp_var = float(np.var(estimates, ddof=1))

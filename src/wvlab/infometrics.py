@@ -369,13 +369,25 @@ class Conditioning:
 
 def _kernel_family(kernels_of, grid, values) -> ParamDistribution:
     """Family x -> `kernels_of(x).density()` with the derivative `density_dg`:
-    discrete over `values`, or a density on `grid` when it is given."""
+    discrete over `values`, or a density on `grid` when it is given.
+    `probabilities(x)` hands its kernels on to the next `derivative` call,
+    which reuses them if it asks for the same x."""
     scale = 1.0 if grid is None else 1.0 / float(grid[1] - grid[0])
+    handoff = {}  # {x: kernels_of(x)} of the last probabilities(x)
+
+    def evaluate(x) -> np.ndarray:
+        handoff.clear()
+        handoff[x] = kern = kernels_of(x)
+        return scale * kern.density()
+
+    def derivative(x) -> np.ndarray:
+        kern = handoff.pop(x, None)
+        handoff.clear()
+        return scale * (kernels_of(x) if kern is None else kern).density_dg()
+
     return ParamDistribution(
-        "discrete" if grid is None else "continuous",
-        lambda x: scale * kernels_of(x).density(),
-        grid=grid, labels=values if grid is None else None,
-        derivative=lambda x: scale * kernels_of(x).density_dg(),
+        "discrete" if grid is None else "continuous", evaluate,
+        grid=grid, labels=values if grid is None else None, derivative=derivative,
     )
 
 

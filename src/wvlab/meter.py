@@ -16,7 +16,7 @@ Fourier transform), and photon-number moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -473,11 +473,13 @@ class FockMeter:
     `components` holds (probability, alpha) pairs; alternatively `density` is
     an explicit truncated density matrix in the number basis. Probabilities
     must sum to 1 within 1e-10 and the truncated tail mass must stay < 1e-8.
+    The number distribution is computed once, at construction.
     """
 
     components: tuple = ()
     density: np.ndarray | None = None
     n_max: int = 0
+    _number: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (len(self.components) == 0) == (self.density is None):
@@ -494,6 +496,9 @@ class FockMeter:
                 fock_truncation(abs(a) ** 2) for _, a in comp
             )
             object.__setattr__(self, "n_max", int(n_max))
+            number = np.zeros(self.n_max + 1)
+            for p, a in comp:
+                number += p * np.abs(coherent_coeffs(a, self.n_max)) ** 2
         else:
             rho = np.asarray(self.density, dtype=complex)
             if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -501,6 +506,9 @@ class FockMeter:
             rho.setflags(write=False)
             object.__setattr__(self, "density", rho)
             object.__setattr__(self, "n_max", rho.shape[0] - 1)
+            number = np.real(np.diag(rho))
+        number.setflags(write=False)
+        object.__setattr__(self, "_number", number)
         tail = self.tail_mass()
         if tail >= 1e-8:
             raise TruncationTooTight(f"truncated tail mass {tail:.3e} >= 1e-8")
@@ -529,15 +537,11 @@ class FockMeter:
         ]
 
     def number_probabilities(self) -> np.ndarray:
-        if self.components:
-            out = np.zeros(self.n_max + 1)
-            for p, a in self.components:
-                out += p * np.abs(coherent_coeffs(a, self.n_max)) ** 2
-            return out
-        return np.real(np.diag(self.density))
+        """The photon-number distribution on 0..n_max (read-only)."""
+        return self._number
 
     def tail_mass(self) -> float:
-        return float(abs(1.0 - self.number_probabilities().sum()))
+        return float(abs(1.0 - self._number.sum()))
 
 
 def fock_moments(meter: FockMeter) -> tuple[float, float]:

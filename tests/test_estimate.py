@@ -10,6 +10,7 @@ from wvlab.errors import BoundaryMaximum, UnsupportedCombination
 from wvlab.estimate import (
     AliasSampler,
     ExperimentPlan,
+    OutcomeSampler,
     amr_estimate,
     correlated_noise_samples,
     mle_correlated,
@@ -85,7 +86,63 @@ def _oracle_case(name):
     return family, g, nu, 1.0 / math.sqrt(nu * classical_fisher(family, g).fi)
 
 
+def _per_call_sample(dist, nu, seed, trial, g):
+    """Oracle for `sample`: the family evaluated and its table built on every
+    call, drawn by np.interp on the unsorted uniforms."""
+    rng = substream(seed, trial)
+    probs = dist.probabilities(g)
+    if dist.kind == "discrete":
+        return dist.outcome_values()[AliasSampler(probs).draw(rng, nu)]
+    inc = 0.5 * (probs[1:] + probs[:-1]) * dist.spacing
+    cdf = np.concatenate([[0.0], np.cumsum(inc)])
+    return np.interp(rng.random(nu), cdf / cdf[-1], dist.grid)
+
+
+class _Uniforms:
+    """Stands in for a generator whose `random` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, nu):
+        assert nu == self.u.size
+        return self.u.copy()
+
+
 class TestSampling:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), points=st.integers(16, 600),
+           nu=st.integers(1, 3000))
+    def test_sorted_draw_is_the_unsorted_interp(self, seed, points, nu):
+        # zero runs of the density at both ends and in the middle, with mass
+        # on either side of the middle one, give the CDF flat stretches at 0,
+        # at 1 and between; a fifth of the uniforms sit exactly on CDF values
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(-1.0, 1.0, points)
+        p = rng.exponential(size=points)
+        head, tail, run = rng.integers(2, points // 4 + 1, size=3)
+        start = rng.integers(head + 1, points - tail - run)
+        p[:head] = p[points - tail:] = p[start:start + run] = 0.0
+        p /= p.sum() * (grid[1] - grid[0])
+        sampler = OutcomeSampler(ParamDistribution("continuous", lambda g: p, grid=grid), 0.0)
+        cdf = sampler.cdf
+        assert cdf[0] == cdf[1] == 0.0 and cdf[-2] == cdf[-1] == 1.0
+        u = rng.random(nu)
+        hit = rng.integers(0, nu, size=nu // 5 + 1)
+        u[hit] = cdf[rng.integers(0, cdf.size, size=hit.size)]
+        expected = np.interp(u, cdf, sampler.values)
+        assert sampler.draw(_Uniforms(u), nu).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_sample_is_the_built_sampler_and_the_per_call_formula(self, name):
+        family, g, nu, _ = _oracle_case(name)
+        sampler = OutcomeSampler(family, g)
+        for trial in (0, 7):
+            draws = sample(family, nu, 5, trial, g).tobytes()
+            assert draws == sample(sampler, nu, 5, trial).tobytes()
+            assert draws == sampler.draw(substream(5, trial), nu).tobytes()
+            assert draws == _per_call_sample(family, nu, 5, trial, g).tobytes()
+
     def test_gaussian_law_of_large_numbers(self):
         fam = gaussian_family()
         draws = sample(fam, 10**5, seed=1, g=0.4)
@@ -226,6 +283,40 @@ class TestEstimators:
 
 
 class TestRunExperiment:
+    def test_one_family_evaluation_for_every_trial(self, monkeypatch):
+        # the outcome table is built once per plan; each trial still goes
+        # through `sample` once, which `perfbench/tracer.py` times per trial
+        import wvlab.estimate as estimate_mod
+
+        class Counted:
+            evaluations = 0
+
+            def outcome_family(self):
+                family = gaussian_family()
+
+                def evaluator(g, density=family.evaluator):
+                    self.evaluations += 1
+                    return density(g)
+
+                family.evaluator = evaluator
+                return family, 0.3
+
+        samples = Counter()
+
+        def counted_sample(dist, *args, fn=estimate_mod.sample):
+            samples[type(dist).__name__] += 1
+            return fn(dist, *args)
+
+        monkeypatch.setattr(estimate_mod, "sample", counted_sample)
+        evaluations = []
+        for trials in (5, 50):
+            scheme = Counted()
+            samples.clear()
+            run_experiment(ExperimentPlan(scheme, 1000, trials, seed=2))
+            evaluations.append(scheme.evaluations)
+            assert samples == {"OutcomeSampler": trials}
+        assert evaluations[0] == evaluations[1]
+
     def test_reproducible(self):
         plan = ExperimentPlan(
             scheme=StandardSpec(g=2e-3, sigma=1.0, epsilon=0.05),

@@ -7,6 +7,8 @@ import pytest
 from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
 from wvlab.errors import StepTooLarge, ZeroVariance
 from wvlab.infometrics import (
+    Conditioning,
+    _kernel_family,
     FisherMethod,
     InfoBudget,
     ParamDistribution,
@@ -102,6 +104,43 @@ class TestClassicalFisher:
         f1 = classical_fisher(ParamDistribution("discrete", single), 0.1).fi
         f2 = classical_fisher(ParamDistribution("discrete", product), 0.1).fi
         assert f2 == pytest.approx(2 * f1, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "discrete"])
+def test_kernel_family_memo_is_bitwise_neutral(kind):
+    # derivative(g) right after probabilities(g) reuses the kernels of g; the
+    # oracle builds them again for every call
+    pre = bloch_state(1.2, 0.0)
+    post = optimal_postselection(pre, SIGMA_Z)
+    if kind == "continuous":
+        q = np.linspace(-16.0, 16.0, 256, endpoint=False)
+        cond = Conditioning.of(pre, post, SIGMA_Z, q, np.full(q.size, q[1] - q[0]), GaussianMeter(1.0))
+        grid, scale = q, 1.0 / float(q[1] - q[0])
+    else:
+        cfg = CouplingConfig(0.0, Generator.PHOTON_NUMBER_PHASE, SIGMA_Z)
+        cond = Conditioning.of_meter(pre, post, cfg, FockMeter.coherent(3.0))
+        grid, scale = None, 1.0
+    built = []
+
+    def kernels(g):
+        built.append(g)
+        return cond.kernels(g)
+
+    family = _kernel_family(kernels, grid, cond.values)
+
+    def oracle(name, g):
+        kern = cond.kernels(g)
+        return (scale * (kern.density() if name == "probabilities" else kern.density_dg())).tobytes()
+
+    # (call, g, whether it builds the kernels)
+    calls = [("probabilities", 0.01, True), ("derivative", 0.01, False),
+             ("derivative", 0.01, True), ("probabilities", 0.01, True),
+             ("probabilities", 0.02, True), ("derivative", 0.01, True),
+             ("derivative", 0.02, True)]
+    for name, g, builds in calls:
+        before = len(built)
+        assert getattr(family, name)(g).tobytes() == oracle(name, g)
+        assert len(built) - before == builds, (name, g)
 
 
 class TestQfiPure:

@@ -221,6 +221,29 @@ class TestFock:
         m = FockMeter.mixture([(0.3, 1.0), (0.7, 2.5)])
         assert m.number_probabilities().sum() == pytest.approx(1.0, abs=1e-8)
 
+    def test_number_distribution_is_built_once(self, monkeypatch):
+        import wvlab.meter as meter_mod
+
+        calls = []
+
+        def counted(alpha, n_max):
+            calls.append(alpha)
+            return coherent_coeffs(alpha, n_max)
+
+        monkeypatch.setattr(meter_mod, "coherent_coeffs", counted)
+        pairs = [(0.3, 1.0), (0.7, 2.5j)]
+        m = FockMeter.mixture(pairs)
+        p = m.number_probabilities()
+        m.number_probabilities(), m.tail_mass(), fock_moments(m)
+        assert calls == [1.0, 2.5j]
+        assert not p.flags.writeable
+        # oracle: the mixture summed from the amplitudes on each call
+        expected = np.zeros(m.n_max + 1)
+        for w, a in pairs:
+            expected += w * np.abs(coherent_coeffs(a, m.n_max)) ** 2
+        assert p.tobytes() == expected.tobytes()
+        assert m == FockMeter.mixture(pairs)
+
     @pytest.mark.parametrize("nbar", [0.01, 1.0, 100.0, 1e4])
     def test_coherent_coeffs_against_mpmath(self, nbar):
         # c_n = e^{-|a|^2/2} a^n / sqrt(n!) by its recurrence in 40 digits; the
