@@ -35,9 +35,7 @@ from .infometrics import (
     classical_fisher,
     info_budget,
     qfi_joint,
-    qfi_mixed,
     qfi_postselected,
-    qfi_pure,
     scaling_bounds,
     snr,
 )

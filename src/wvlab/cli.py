@@ -368,21 +368,17 @@ def cmd_budget(cfg: ScenarioConfig, writer: RunWriter) -> int:
     coupling = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
 
     rows = []
-    worst = 0.0
     for th in spec.theta.values():
         pre = bloch_state(th, 0.0)
         post = optimal_postselection(pre, SIGMA_Z)
         budget = info_budget(pre, post, coupling, meter)
         q = budget.q_jt
-        total = (budget.p_f_q_f + budget.p_r_q_r + budget.f_p) / q
-        worst = max(worst, abs(total - 1.0))
-        rows.append([th, q, budget.p_f_q_f / q, budget.p_r_q_r / q, budget.f_p / q, total])
+        parts = [budget.p_f_q_f, budget.p_r_q_r, budget.f_p, budget.parts]
+        rows.append([th, q] + [x / q for x in parts])
     header = ["theta_i", "q_jt", "q_wva_ratio", "pr_qr_ratio", "f_p_ratio", "sum_ratio"]
     writer.write_table("budget.csv", header, rows)
     if spec.pf_sweep:
         _budget_pf_sweep(sigma, g, writer)
-    if worst > 1e-6:
-        raise WvlabError(f"budget identity violated by {worst:.3e} (> 1e-6)")
     return 0
 
 
@@ -396,7 +392,7 @@ def _budget_pf_sweep(sigma: float, g: float, writer: RunWriter) -> None:
     def readout_fisher(pre, post, theta: float) -> tuple[float, float]:
         fam = quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid)
         p_f, _ = selection_probability(pre, post, coupling, meter)
-        return p_f, classical_fisher(fam, g).fi
+        return p_f, classical_fisher(fam, g)
 
     rows = []
     for delta in np.linspace(0.1, 1.45, 28):

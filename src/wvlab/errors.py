@@ -37,10 +37,6 @@ class EmptyPostselection(WvlabError):
     """Post-selection succeeded with (numerically) zero probability."""
 
 
-class StepTooLarge(WvlabError):
-    """A finite-difference probe left the valid parameter domain."""
-
-
 class ZeroVariance(WvlabError):
     """SNR undefined for a zero-variance outcome distribution."""
 
@@ -55,6 +51,10 @@ class UnsupportedCombination(WvlabError):
 
 class ResolutionTooCoarse(WvlabError):
     """Sample grid too coarse relative to the pixel size."""
+
+
+class LadderTooLong(WvlabError):
+    """Detector readout ladder has more levels than can be held in memory."""
 
 
 class FlatLikelihood(WvlabError):

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import BoundaryMaximum, SingularCovariance, UnsupportedCombination
+from .errors import BoundaryMaximum, SingularCovariance
 from .infometrics import ParamDistribution, classical_fisher
 from .noise import CorrelatedNoiseModel, StateSpaceNoise, spd_cholesky
 from .qsys import SIGMA_Z, weak_value
@@ -153,8 +153,6 @@ def mle_grid(
     in a bracket with S(lo) > 0 > S(hi), stopped when a step falls below 1e-6
     of the window's sd, (hi - lo) / 16.
     """
-    if dist.derivative is None:
-        raise UnsupportedCombination("mle_grid needs the family's analytic derivative")
     if dist.kind == "discrete":
         # each sample's outcome index, whatever order the labels are in
         labels = dist.outcome_values()
@@ -322,7 +320,7 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
                 estimates[t] = float(weights @ s) / calibration
     else:
         family, g_true = plan.scheme.outcome_family()
-        fisher_single = classical_fisher(family, g_true).fi
+        fisher_single = classical_fisher(family, g_true)
         fisher_total = plan.nu * fisher_single
         sampler = OutcomeSampler(family, g_true)  # one evaluation for every trial
         if plan.estimator == "amr":

@@ -14,22 +14,18 @@ analytic derivative, in g or (inverse WVA) in the post-selection angle.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .coupling import CouplingConfig, Generator
-from .errors import (
-    EmptyPostselection, InsufficientSpan, StepTooLarge, UnsupportedDimension, ZeroVariance,
-)
+from .errors import EmptyPostselection, InsufficientSpan, UnsupportedDimension, ZeroVariance
 from .meter import FockMeter, FockState, GaussianMeter, gaussian_density
 from .qsys import Observable, SystemState
 
 PROBABILITY_FLOOR = 1e-14  # outcomes below this are excluded from FI sums
-SLD_EIGENVALUE_CUTOFF = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -42,15 +38,15 @@ class ParamDistribution:
 
     Discrete: `evaluator(g)` returns a probability vector over `labels`.
     Continuous: `evaluator(g)` returns density samples on the fixed uniform
-    `grid`. An optional analytic `derivative(g)` short-circuits the
-    finite-difference machinery in `classical_fisher`.
+    `grid`. `derivative(g)` is the analytic g-derivative of the same array;
+    every Fisher number and score is taken from it.
     """
 
     kind: str  # "discrete" | "continuous"
     evaluator: Callable[[float], np.ndarray]
     grid: np.ndarray | None = None
     labels: np.ndarray | None = None
-    derivative: Callable[[float], np.ndarray] | None = None
+    derivative: Callable[[float], np.ndarray] = field(kw_only=True)
 
     def __post_init__(self):
         if self.kind not in ("discrete", "continuous"):
@@ -91,76 +87,17 @@ class ParamDistribution:
         return m, math.sqrt(max(v, 0.0))
 
 
-def binary_selection_distribution(p_of_g: Callable[[float], float]) -> ParamDistribution:
-    """The {p_f, 1 - p_f} statistics of post-selection as a distribution."""
-
-    def evaluate(g: float) -> np.ndarray:
-        p = float(p_of_g(g))
-        return np.array([p, 1.0 - p])
-
-    return ParamDistribution("discrete", evaluate, labels=np.array([1.0, 0.0]))
-
-
 # ---------------------------------------------------------------------------
 # classical Fisher information
 
 
-class FisherMethod(enum.Enum):
-    ANALYTIC = "analytic"
-    CENTRAL_DIFFERENCE = "central_difference"
-
-
-@dataclass(frozen=True)
-class FisherReport:
-    fi: float
-    method: FisherMethod
-    step: float
-
-    def __post_init__(self):
-        if self.fi < -1e-9:
-            raise ValueError(f"Fisher information {self.fi!r} < -1e-9")
-        object.__setattr__(self, "fi", max(self.fi, 0.0))
-
-    def to_dict(self) -> dict:
-        return {"fi": self.fi, "method": self.method.value, "step": self.step}
-
-
-def default_step(g: float) -> float:
-    """Central-difference step balancing truncation against roundoff."""
-    return max(1e-6, 1e-4 * abs(g))
-
-
-def classical_fisher(
-    dist: ParamDistribution, g: float, h: float | None = None
-) -> FisherReport:
-    """F_g = sum_x (d_g P)^2 / P (integral for densities).
-
-    Uses the supplied analytic derivative when available; otherwise central
-    differences at steps h and h/2 combined by one Richardson extrapolation.
-    Outcomes with P < 1e-14 are excluded.
-    """
+def classical_fisher(dist: ParamDistribution, g: float) -> float:
+    """F_g = sum_x (d_g P)^2 / P (integral for densities), from the family's
+    analytic derivative. Outcomes with P < 1e-14 are excluded."""
     p0 = dist.probabilities(g)
-    if dist.derivative is not None:
-        dp = np.asarray(dist.derivative(g), dtype=float)
-        method, step = FisherMethod.ANALYTIC, 0.0
-    else:
-        step = h if h is not None else default_step(g)
-        try:
-            d1 = (dist.probabilities(g + step) - dist.probabilities(g - step)) / (
-                2 * step
-            )
-            d2 = (
-                dist.probabilities(g + step / 2) - dist.probabilities(g - step / 2)
-            ) / step
-        except ValueError as exc:
-            raise StepTooLarge(
-                f"two-sided probe at step {step!r} left the valid domain"
-            ) from exc
-        dp = (4 * d2 - d1) / 3
-        method = FisherMethod.CENTRAL_DIFFERENCE
+    dp = np.asarray(dist.derivative(g), dtype=float)
     mask = p0 > PROBABILITY_FLOOR
-    fi = float(np.sum(dp[mask] ** 2 / p0[mask]) * dist.spacing)
-    return FisherReport(fi, method, step)
+    return float(np.sum(dp[mask] ** 2 / p0[mask]) * dist.spacing)
 
 
 def snr(dist: ParamDistribution, g: float, nu: int, x0: float) -> float:
@@ -171,52 +108,6 @@ def snr(dist: ParamDistribution, g: float, nu: int, x0: float) -> float:
     if std <= 0:
         raise ZeroVariance("outcome distribution has zero variance")
     return math.sqrt(nu) * abs(mean - x0) / std
-
-
-# ---------------------------------------------------------------------------
-# quantum Fisher information
-
-
-def _family_vector(state) -> np.ndarray:
-    """Flatten a state into a complex vector (`qfi_pure` normalizes it)."""
-    vec = state.coeffs if isinstance(state, FockState) else getattr(state, "amplitudes", state)
-    return np.asarray(vec, dtype=complex).reshape(-1)
-
-
-def qfi_pure(family: Callable[[float], object], g: float, h: float = 1e-6) -> float:
-    """4 [ <d psi|d psi> - |<d psi|psi>|^2 ] with a central-difference derivative.
-
-    The family must return normalized states (vectors, SystemState, GridMeter
-    or FockState); each evaluation is re-normalized defensively.
-    """
-
-    def vec(x: float) -> np.ndarray:
-        v = _family_vector(family(x))
-        return v / np.linalg.norm(v)
-
-    psi = vec(g)
-    dpsi = (vec(g + h) - vec(g - h)) / (2 * h)
-    term1 = float(np.real(np.vdot(dpsi, dpsi)))
-    term2 = abs(np.vdot(dpsi, psi)) ** 2
-    return 4.0 * (term1 - term2)
-
-
-def qfi_mixed(family: Callable[[float], np.ndarray], g: float, h: float = 1e-6) -> float:
-    """QFI of a density-matrix family via the symmetric logarithmic derivative.
-
-    Builds L = sum_{jk} 2 (d rho)_{jk} / (lambda_j + lambda_k) |j><k| over
-    eigenvalue pairs with lambda_j + lambda_k > 1e-12 and returns Tr(L rho L).
-    """
-    rho = np.asarray(family(g), dtype=complex)
-    drho = (np.asarray(family(g + h), dtype=complex) - np.asarray(family(g - h), dtype=complex)) / (2 * h)
-    lam, vecs = np.linalg.eigh(rho)
-    d_eig = vecs.conj().T @ drho @ vecs
-    denom = lam[:, None] + lam[None, :]
-    sld = np.zeros_like(d_eig)
-    ok = denom > SLD_EIGENVALUE_CUTOFF
-    sld[ok] = 2.0 * d_eig[ok] / denom[ok]
-    rho_eig = np.diag(lam.astype(complex))
-    return float(np.real(np.trace(sld @ rho_eig @ sld)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +179,18 @@ class _Kernels:
         p = self.p_f()
         k2 = np.abs(self.k) ** 2
         return (2.0 * np.imag(np.conj(self.k) * self.j) - k2 * self.dp_dg() / p) * self.weights / p
+
+    def selection_fisher(self) -> float:
+        """F_p = p_f'^2 / (p_f (1 - p_f)), the FI of the selection statistics."""
+        p, dp = self.p_f(), self.dp_dg()
+        if p <= PROBABILITY_FLOOR or p >= 1.0 - PROBABILITY_FLOOR:
+            return 0.0
+        return dp**2 / (p * (1.0 - p))
+
+    def phase(self) -> float:
+        """beta = Im<phi|d_g phi> of the normalized conditioned meter, which
+        for dK/dg = -i J is -Re<K|J> / p_f."""
+        return -float(np.real(np.sum(np.conj(self.k) * self.j * self.weights))) / self.p_f()
 
     def qfi_conditioned(self) -> float:
         p = self.p_f()
@@ -466,10 +369,7 @@ def qfi_postselected(
     meter family (the p_f variation cancels exactly).
     """
     kern = Conditioning.of_meter(pre, post, cfg, meter).kernels(cfg.g)
-    p = kern.p_f()
-    if p <= PROBABILITY_FLOOR:
-        raise EmptyPostselection(f"p_f = {p:.3e}")
-    return p, kern.qfi_conditioned()
+    return kern.p_f(), kern.qfi_conditioned()
 
 
 def selection_probability(
@@ -484,10 +384,7 @@ def selection_fisher(
     pre: SystemState, post: SystemState, cfg: CouplingConfig, meter
 ) -> float:
     """F_p = (dp_f/dg)^2 / (p_f (1 - p_f)): FI of the selection statistics."""
-    p, dp = selection_probability(pre, post, cfg, meter)
-    if p <= PROBABILITY_FLOOR or p >= 1.0 - PROBABILITY_FLOOR:
-        return 0.0
-    return dp**2 / (p * (1.0 - p))
+    return Conditioning.of_meter(pre, post, cfg, meter).kernels(cfg.g).selection_fisher()
 
 
 # ---------------------------------------------------------------------------
@@ -497,23 +394,32 @@ def selection_fisher(
 @dataclass(frozen=True)
 class InfoBudget:
     """Split of the joint-state QFI across the post-selection POVM:
-    q_jt = p_f q_f + p_r q_r + f_p within 1e-6 relative."""
+    q_jt = p_f q_f + p_r q_r + f_p + arm_phase within 1e-6 relative.
+
+    arm_phase = 4 Var_a(beta_a) over the two arms, with beta_a =
+    Im<phi_a|d_g phi_a> the phase each normalized arm state picks up. It
+    vanishes for the momentum kick of a Gaussian meter, but not for the
+    photon-number coupling at finite g."""
 
     q_jt: float
     p_f_q_f: float
     p_r_q_r: float
     f_p: float
+    arm_phase: float
 
     def __post_init__(self):
-        parts = self.p_f_q_f + self.p_r_q_r + self.f_p
-        if abs(parts - self.q_jt) > 1e-6 * max(abs(self.q_jt), 1e-30):
+        if abs(self.parts - self.q_jt) > 1e-6 * max(abs(self.q_jt), 1e-30):
             raise ValueError(
-                f"budget identity violated: {parts!r} vs q_jt = {self.q_jt!r}"
+                f"budget identity violated: {self.parts!r} vs q_jt = {self.q_jt!r}"
             )
 
     @property
+    def parts(self) -> float:
+        return self.p_f_q_f + self.p_r_q_r + self.f_p + self.arm_phase
+
+    @property
     def residual(self) -> float:
-        return abs(self.p_f_q_f + self.p_r_q_r + self.f_p - self.q_jt) / abs(self.q_jt)
+        return abs(self.parts - self.q_jt) / abs(self.q_jt)
 
     def to_dict(self) -> dict:
         return {
@@ -521,28 +427,34 @@ class InfoBudget:
             "pf_qf": self.p_f_q_f,
             "pr_qr": self.p_r_q_r,
             "f_p": self.f_p,
+            "arm_phase": self.arm_phase,
         }
 
 
 def info_budget(
     pre: SystemState, post: SystemState, cfg: CouplingConfig, meter
 ) -> InfoBudget:
-    """Assemble {Q_jt, p_f Q_f, p_r Q_r, F_p} for a qubit selection.
+    """Assemble {Q_jt, p_f Q_f, p_r Q_r, F_p, 4 Var(beta)} for a qubit selection.
 
     The failure arm uses the unique state orthogonal to `post`, so the POVM is
-    the rank-1 pair of the two-arm post-selection.
+    the rank-1 pair of the two-arm post-selection. With p_f + p_r = 1 the arm
+    variance is p_f p_r (beta_f - beta_r)^2; an empty failure arm contributes
+    nothing.
     """
     if pre.dim != 2:
         raise UnsupportedDimension("info_budget requires a qubit system")
     q_jt = qfi_joint(pre, meter, cfg)
-    p_f, q_f = qfi_postselected(pre, post, cfg, meter)
-    post_r = post.orthogonal_qubit()
-    try:
-        p_r, q_r = qfi_postselected(pre, post_r, cfg, meter)
-    except EmptyPostselection:
-        p_r, q_r = 0.0, 0.0
-    f_p = selection_fisher(pre, post, cfg, meter)
-    return InfoBudget(q_jt, p_f * q_f, p_r * q_r, f_p)
+    success, failure = (
+        Conditioning.of_meter(pre, arm, cfg, meter).kernels(cfg.g)
+        for arm in (post, post.orthogonal_qubit())
+    )
+    p_f, q_f = success.p_f(), success.qfi_conditioned()
+    p_r = failure.p_f()
+    p_r_q_r, arm_phase = 0.0, 0.0
+    if p_r > PROBABILITY_FLOOR:
+        p_r_q_r = p_r * failure.qfi_conditioned()
+        arm_phase = 4.0 * p_f * p_r * (success.phase() - failure.phase()) ** 2
+    return InfoBudget(q_jt, p_f * q_f, p_r_q_r, success.selection_fisher(), arm_phase)
 
 
 # ---------------------------------------------------------------------------

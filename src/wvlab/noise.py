@@ -14,8 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ResolutionTooCoarse, SingularCovariance, UnsupportedCombination
-from .infometrics import ParamDistribution, classical_fisher
+from .errors import (
+    LadderTooLong, ResolutionTooCoarse, SingularCovariance, UnsupportedCombination,
+)
+from .infometrics import PROBABILITY_FLOOR, ParamDistribution, classical_fisher
 from .meter import SampledDistribution
 
 
@@ -445,24 +447,28 @@ def pixelated_fisher_ratio(
     else:
         raise ValueError("scheme must be 'real_wva' or 'imaginary_wva'")
 
-    f_wva = classical_fisher(_gaussian_pixels(det, nu_wva, width), g).fi
-    f_cm = classical_fisher(_gaussian_pixels(det, lam_max, sigma), g).fi
+    f_wva = classical_fisher(_gaussian_pixels(det, nu_wva, width), g)
+    f_cm = classical_fisher(_gaussian_pixels(det, lam_max, sigma), g)
     return p_f * f_wva / f_cm
 
 
 def pixelation_info_ratio(sigma: float, det: PixelatedDetector, g: float = 0.0) -> float:
     """alpha = F(pixelated) / F(ideal) for a Gaussian location family."""
-    return classical_fisher(_gaussian_pixels(det, 1.0, sigma), g).fi * sigma**2
+    return classical_fisher(_gaussian_pixels(det, 1.0, sigma), g) * sigma**2
 
 
 # ---------------------------------------------------------------------------
 # saturating detectors
 
 
+MAX_LADDER_LEVELS = 10**7  # 80 MB for each array over the readout ladder
+
+
 @dataclass(frozen=True)
 class SaturatingDetector:
     """Clipping photodetector: readout Gaussian of width readout_sigma around
-    the photon number, quantized, clipped to [0, k_s]."""
+    the photon number, quantized, clipped to [0, k_s]. Its ladder of
+    ceil(k_s / Q) + 1 levels may hold at most MAX_LADDER_LEVELS."""
 
     k_s: int
     eta: float = 1.0
@@ -476,13 +482,36 @@ class SaturatingDetector:
             raise ValueError("detection efficiency must lie in (0, 1]")
         if self.readout_sigma < 0:
             raise ValueError("readout noise must be nonnegative")
-        if self.quantization <= 0:
+        if not self.quantization > 0:
             raise ValueError("quantization step must be positive")
+        size = self.k_s / self.quantization + 1  # ceil(size) levels
+        if size > MAX_LADDER_LEVELS:
+            raise LadderTooLong(f"{size:.3e} readout levels > {MAX_LADDER_LEVELS}")
 
     def readout_levels(self) -> np.ndarray:
         """The digitized ladder 0, Q, 2Q, ..., capped at k_s."""
         ks = np.arange(0.0, self.k_s, self.quantization)
         return np.append(ks, float(self.k_s))
+
+
+def _ladder_index(det: SaturatingDetector, n_in: np.ndarray, top: int) -> np.ndarray:
+    """Ladder level of the noiseless readout of n_in photons: n_in / Q
+    rounded half to even, clipped at the top level k_s (index `top`), which
+    every n_in >= k_s reads."""
+    idx = np.minimum(np.round(n_in / det.quantization), top).astype(np.intp)
+    return np.where(n_in >= det.k_s, top, idx)
+
+
+def _response_matrix(det: SaturatingDetector, n_values: np.ndarray) -> np.ndarray:
+    """Rows R(k|N) of the Gaussian readout (readout_sigma > 0) for each N in
+    n_values; shape (len(N), len(levels)). Bin edges lie halfway between
+    ladder points, and +-inf at the ends clip at 0 and saturate at k_s."""
+    from scipy.special import ndtr
+
+    levels = det.readout_levels()
+    edges = np.concatenate([[-np.inf], 0.5 * (levels[1:] + levels[:-1]), [np.inf]])
+    cdf = ndtr((edges[None, :] - n_values[:, None]) / det.readout_sigma)
+    return np.diff(cdf, axis=1)
 
 
 def saturating_response(det: SaturatingDetector, n_in: int) -> DiscreteDistribution:
@@ -491,39 +520,36 @@ def saturating_response(det: SaturatingDetector, n_in: int) -> DiscreteDistribut
     Gaussian readout centered at N, quantized to the detector ladder, with
     all mass at or above k_s accumulated at k_s (hard clip).
     """
-    from scipy.special import ndtr
-
     levels = det.readout_levels()
     if det.readout_sigma == 0:
-        if n_in >= det.k_s:
-            k = float(det.k_s)
-        else:
-            k = min(round(n_in / det.quantization) * det.quantization, float(det.k_s))
-        idx = int(np.argmin(np.abs(levels - k)))
         probs = np.zeros(levels.size)
-        probs[idx] = 1.0
-        return DiscreteDistribution(levels, probs)
-    # bin edges halfway between ladder points; +-inf at the ends implement
-    # clipping at 0 and saturation at k_s
-    edges = np.concatenate([[-np.inf], 0.5 * (levels[1:] + levels[:-1]), [np.inf]])
-    cdf = ndtr((edges - n_in) / det.readout_sigma)
-    probs = np.diff(cdf)
+        probs[_ladder_index(det, np.asarray(n_in), levels.size - 1)] = 1.0
+    else:
+        probs = _response_matrix(det, np.array([float(n_in)]))[0]
     return DiscreteDistribution(levels, probs)
 
 
-def _response_matrix(det: SaturatingDetector, n_values: np.ndarray) -> np.ndarray:
-    """Stack of R(k|N) rows for each N in n_values; shape (len(N), len(levels))."""
-    from scipy.special import ndtr
+def _readout(det: SaturatingDetector, mu: float, response: np.ndarray | None):
+    """(N, Pois(N; mu), fold) over the photon numbers N within mu +- 10
+    sqrt(mu), where fold is the linear map m -> sum_N R(k|N) m_N onto the
+    ladder. Without readout noise R is the quantize-and-clip rule, so fold
+    adds each m_N to its level in O(len(N)); a tabulated `response` reuses
+    its last row beyond its length (deep saturation)."""
+    from scipy.special import gammaln, xlogy
 
-    levels = det.readout_levels()
-    if det.readout_sigma == 0:
-        out = np.zeros((n_values.size, levels.size))
-        for i, n in enumerate(n_values):
-            out[i] = saturating_response(det, int(n)).probs
-        return out
-    edges = np.concatenate([[-np.inf], 0.5 * (levels[1:] + levels[:-1]), [np.inf]])
-    cdf = ndtr((edges[None, :] - n_values[:, None]) / det.readout_sigma)
-    return np.diff(cdf, axis=1)
+    lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
+    hi = int(mu + 10 * math.sqrt(mu) + 10)
+    ns = np.arange(lo, hi + 1)
+    pois = np.exp(xlogy(ns, mu) - gammaln(ns + 1) - mu)
+    if response is not None:
+        rows = response[np.clip(ns, 0, response.shape[0] - 1)]
+    elif det.readout_sigma == 0:
+        size = det.readout_levels().size
+        idx = _ladder_index(det, ns, size - 1)
+        return ns, pois, lambda m: np.bincount(idx, weights=m, minlength=size)
+    else:
+        rows = _response_matrix(det, ns.astype(float))
+    return ns, pois, lambda m: m @ rows
 
 
 @dataclass(frozen=True)
@@ -541,52 +567,38 @@ def readout_distribution(
     `response` optionally supplies a measured matrix with row N holding
     R(.|N); rows beyond the matrix reuse its last row (deep saturation).
     """
-    from scipy.special import gammaln, xlogy
-
-    mu = det.eta * nbar
-    lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
-    hi = int(mu + 10 * math.sqrt(mu) + 10)
-    ns = np.arange(lo, hi + 1)
-    pois = np.exp(xlogy(ns, mu) - gammaln(ns + 1) - mu)
-    if response is not None:
-        rows = np.clip(ns, 0, response.shape[0] - 1)
-        return pois @ response[rows]
-    return pois @ _response_matrix(det, ns.astype(float))
+    _, pois, fold = _readout(det, det.eta * nbar, response)
+    return fold(pois)
 
 
 def saturated_fisher(
-    nbar_of_g,
-    det: SaturatingDetector,
-    g: float,
-    h: float | None = None,
-    response: np.ndarray | None = None,
+    nbar, dnbar, det: SaturatingDetector, response: np.ndarray | None = None
 ) -> SaturatedFisherResult:
     """FI about g of the per-pixel readouts, F = sum_j FI[P(k_j | g)].
 
-    `nbar_of_g` maps g to the array of mean photon numbers per pixel. Each
-    per-pixel Gamma is the ratio of the pixel's FI to the shot-noise-limited
-    value (eta / nbar_j)(d nbar_j / d g)^2; Gamma -> 1 for an ideal detector
-    and -> 0 for strongly saturated pixels. A calibrated response matrix
-    (e.g. from `load_response_csv`) overrides the parametric model.
+    `nbar` and `dnbar` hold each pixel's mean photon number and its
+    g-derivative at the working point. With mu = eta nbar_j, the readout
+    derivative is exact: d_mu Pois(N; mu) = Pois(N - 1; mu) - Pois(N; mu)
+    = Pois(N; mu) (N - mu) / mu, folded onto the ladder like P(k) itself.
+    Each per-pixel Gamma is the ratio of the pixel's FI to the
+    shot-noise-limited value (eta / nbar_j)(d nbar_j / d g)^2; Gamma -> 1 for
+    an ideal detector and -> 0 for strongly saturated pixels. A calibrated
+    response matrix (e.g. from `load_response_csv`) overrides the parametric
+    model.
     """
-    step = h if h is not None else max(1e-6, 1e-4 * abs(g))
-    nbar0 = np.asarray(nbar_of_g(g), dtype=float)
-    nplus = np.asarray(nbar_of_g(g + step), dtype=float)
-    nminus = np.asarray(nbar_of_g(g - step), dtype=float)
-    dnbar = (nplus - nminus) / (2 * step)
-
-    per_pixel = np.zeros(nbar0.size)
-    gammas = np.zeros(nbar0.size)
-    for j in range(nbar0.size):
-        if nbar0[j] <= 0:
-            continue
-        pk0 = readout_distribution(det, nbar0[j], response)
-        pkp = readout_distribution(det, nplus[j], response)
-        pkm = readout_distribution(det, nminus[j], response)
-        dpk = (pkp - pkm) / (2 * step)
-        mask = pk0 > 1e-14
-        per_pixel[j] = float(np.sum(dpk[mask] ** 2 / pk0[mask]))
-        ideal = det.eta / nbar0[j] * dnbar[j] ** 2
+    nbar, dnbar = np.asarray(nbar, dtype=float), np.asarray(dnbar, dtype=float)
+    if nbar.shape != dnbar.shape:
+        raise ValueError("nbar and dnbar must have the same shape")
+    per_pixel = np.zeros(nbar.size)
+    gammas = np.zeros(nbar.size)
+    for j in np.flatnonzero(nbar > 0):
+        mu = det.eta * nbar[j]
+        ns, pois, fold = _readout(det, mu, response)
+        pk = fold(pois)
+        dpk = det.eta * dnbar[j] * fold(pois * (ns - mu) / mu)
+        mask = pk > PROBABILITY_FLOOR
+        per_pixel[j] = float(np.sum(dpk[mask] ** 2 / pk[mask]))
+        ideal = det.eta / nbar[j] * dnbar[j] ** 2
         gammas[j] = per_pixel[j] / ideal if ideal > 0 else 0.0
     return SaturatedFisherResult(float(per_pixel.sum()), gammas, per_pixel)
 

@@ -163,7 +163,7 @@ def standard_scheme(spec: StandardSpec) -> StandardResult:
 
     budget = info_budget(pre, post, cfg, meter)
     p_f, _ = selection_probability(pre, post, cfg, meter)
-    fi_cond = classical_fisher(family, spec.g).fi
+    fi_cond = classical_fisher(family, spec.g)
     x0 = SampledDistribution(family.grid, family.probabilities(0.0)).mean()
     std = math.sqrt(dist.var())
     snr1 = abs(dist.mean() - x0) / std if std > 0 else 0.0
@@ -270,7 +270,7 @@ def inverse_scheme(spec: InverseSpec) -> InverseResult:
     )
     mean_q, mean_p = q_dist.mean(), p_dist.mean()
     family = p_family if imaginary else q_family
-    fi = classical_fisher(family, angle0).fi
+    fi = classical_fisher(family, angle0)
     cfg = CouplingConfig(spec.g, Generator.MOMENTUM_KICK, SIGMA_Z)
     p_f, _ = selection_probability(pre, post, cfg, meter)
 
@@ -390,7 +390,7 @@ def abwva_scheme(spec: ABWVASpec) -> ABWVAResult:
         grid=np.concatenate([p, p + (p[-1] - p[0]) + dp]),
         derivative=joint_deriv,
     )
-    fisher = classical_fisher(family, spec.g).fi
+    fisher = classical_fisher(family, spec.g)
 
     # signal strengths for the user-formed comparison against standard WVA:
     # the difference signal is ~ sin(eps), the standard post-selected
@@ -838,9 +838,9 @@ def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
     f_n, p_f = kern.density(), kern.p_f()
     mean_f = float(np.sum(success.values * f_n))
 
-    f_photon = classical_fisher(photon_family, spec.g).fi
-    f_photon_failure = classical_fisher(failure_family, spec.g).fi
-    f_p = classical_fisher(selection_family, spec.g).fi
+    f_photon = classical_fisher(photon_family, spec.g)
+    f_photon_failure = classical_fisher(failure_family, spec.g)
+    f_p = classical_fisher(selection_family, spec.g)
 
     budget = None
     if len(spec.meter.components) == 1:
@@ -926,10 +926,11 @@ class EntangledResult:
 
 def entangled_scheme(spec: EntangledSpec) -> EntangledResult:
     """Exact 2x2 evolution: branch a = +-N drags the |+> meter by the phase
-    e^{-i phi a sigma_z}. Q_jt = 4 N^2 exactly (Heisenberg scaling); the
-    max_prob post-selection gives p_f = sin^2(N eps) ~ N^2 eps^2 with
-    |w| = N cot(N eps) ~ 1/eps, the max_weak_value one p_f = sin^2(sqrt(N)
-    eps) ~ N eps^2 with |w| ~ sqrt(N)/eps."""
+    e^{-i phi a sigma_z}. Q_jt = 4 N^2 exactly (Heisenberg scaling). With
+    the detuning d, p_f = [sin^2(d + N phi) + sin^2(d - N phi)] / 2, which is
+    sin^2(d) at phi = 0: the max_prob post-selection (d = N eps) gives
+    p_f ~ N^2 eps^2 with |w| = N cot(N eps) ~ 1/eps, the max_weak_value one
+    (d = sqrt(N) eps) p_f ~ N eps^2 with |w| ~ sqrt(N)/eps."""
     d = spec.detuning
     pre = SystemState(np.array([1.0, 1.0]) / math.sqrt(2))
     post = SystemState(np.array([np.exp(-1j * d), -np.exp(1j * d)]) / math.sqrt(2))
@@ -940,7 +941,7 @@ def entangled_scheme(spec: EntangledSpec) -> EntangledResult:
     family = cond.family()
     kern = cond.kernels(spec.phi)
     p_f, probs = kern.p_f(), kern.density()
-    f_f = classical_fisher(family, spec.phi).fi
+    f_f = classical_fisher(family, spec.phi)
 
     wv = spec.n / math.tan(d) if math.tan(d) != 0 else math.inf
     q_jt = 4.0 * spec.n**2
@@ -951,7 +952,8 @@ def entangled_scheme(spec: EntangledSpec) -> EntangledResult:
         snr_per_root_nu=0.0,
         extras={
             "q_jt": q_jt,
-            "p_f_closed_form": math.sin(d) ** 2,
+            "p_f_closed_form": (math.sin(d + spec.n * spec.phi) ** 2
+                                + math.sin(d - spec.n * spec.phi) ** 2) / 2,
             "p_f_small_eps": (spec.n * spec.epsilon) ** 2
             if spec.variant == "max_prob"
             else spec.n * spec.epsilon**2,

@@ -255,18 +255,12 @@ class TestAcceptance:
         dx = centers[1] - centers[0]
 
         def profile(total, rate):
-            def nbar(gv):
-                return (
-                    total
-                    * dx
-                    * np.exp(-((centers - rate * gv) ** 2) / 2)
-                    / math.sqrt(2 * math.pi)
-                )
+            """(nbar, d nbar / dg) at g = 0 of the beam shifted by rate * g."""
+            nbar = total * dx * np.exp(-(centers**2) / 2) / math.sqrt(2 * math.pi)
+            return nbar, nbar * centers * rate
 
-            return nbar
-
-        f_cm = saturated_fisher(profile(3000.0, 1.0), det, 0.0).total
-        f_wva = saturated_fisher(profile(30.0, 10.0), det, 0.0).total  # p_f w^2 = 1
+        f_cm = saturated_fisher(*profile(3000.0, 1.0), det).total
+        f_wva = saturated_fisher(*profile(30.0, 10.0), det).total  # p_f w^2 = 1
         sat_ok = f_wva > 1.2 * f_cm
 
         ok = slope_ok and q_ok and rec_ok and sat_ok

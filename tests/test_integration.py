@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
-from wvlab.infometrics import ParamDistribution, classical_fisher, qfi_postselected
+from wvlab.infometrics import qfi_postselected
 from wvlab.meter import (
     GaussianMeter,
     optimal_quadrature_angle,
@@ -84,8 +85,8 @@ class TestOptimalReadout:
             cm = postselect(joint, post).success_meter
             return quadrature_marginal(cm, theta).density
 
-        fam = ParamDistribution("continuous", density, grid=ref_grid)
-        return classical_fisher(fam, g).fi
+        fam = oracles.numeric_family("continuous", density, grid=ref_grid)
+        return oracles.classical_fisher(fam, g).fi
 
     def test_shift_optimal_angle_extracts_qfi_at_matched_width(self):
         # at sigma = sqrt(2)/2 the maximal-shift quadrature is also the

@@ -9,13 +9,17 @@ the varied post-selection, with .momentum() for the phi variant), the
 per-component Fock post-selection for (mixed) photon-number meters, and a
 matrix exponential of the 4x4 coupling for the entangled scheme. Densities
 agree to 1e-10 and derivatives to 1e-6 of their maxima (above the roundoff
-floor of the central difference), and every family takes the ANALYTIC
-branch of `classical_fisher`. The grid chain itself is bound by neither
-`schemes` nor `infometrics`.
+floor of the central difference). The grid chain itself is bound by neither
+`schemes` nor `infometrics`, and no module of the package binds a
+finite-difference helper: those live in `tests/oracles.py`.
 """
 
+import inspect
 import math
+import pkgutil
 import warnings
+from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from wvlab import infometrics, schemes
 from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
 from wvlab.infometrics import (
     Conditioning,
-    FisherMethod,
+    ParamDistribution,
     classical_fisher,
     quadrature_family,
     readout_axis,
@@ -71,7 +75,6 @@ def assert_matches_oracle(family, oracle, g, h):
     ref = central(oracle, g, h)
     err = np.max(np.abs(family.derivative(g) - ref))
     assert err <= DERIVATIVE_TOL * np.max(np.abs(ref)) + 1e-13 * np.max(p) / h
-    assert classical_fisher(family, g).method is FisherMethod.ANALYTIC
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,6 @@ def test_standard_readout_is_an_exact_quarter_turn(spec):
         warnings.simplefilter("ignore")
         res = standard_scheme(spec)
     assert res.theta_opt == -math.copysign(math.pi / 2, spec.phi)
-    assert classical_fisher(res.family, spec.g).method is FisherMethod.ANALYTIC
 
 
 def test_standard_readouts_cover_all_four_quadratures():
@@ -171,6 +173,9 @@ def test_readout_axis_is_the_grid_chain_axis():
 
 GRID_CHAIN = ("evolve_joint", "postselect", "JointState", "PostSelectedMeter", "GridMeter",
               "to_grid", "fourier_pair", "quadrature_marginal", "wigner")
+STEP_ORACLES = ("CENTRAL_DIFFERENCE", "default_step", "StepTooLarge", "FisherMethod",
+                "FisherReport", "qfi_pure", "qfi_mixed", "_family_vector",
+                "SLD_EIGENVALUE_CUTOFF", "binary_selection_distribution")
 
 
 def test_engine_modules_bind_no_grid_chain_name():
@@ -179,6 +184,18 @@ def test_engine_modules_bind_no_grid_chain_name():
     # the chain stays public: fourier_pair from wvlab.meter, the rest from wvlab
     assert all(hasattr(wvlab, name) for name in GRID_CHAIN if name != "fourier_pair")
     assert hasattr(wvlab.meter, "fourier_pair")
+    # every Fisher number is analytic: the step references stay in the tests
+    names = [m.name for m in pkgutil.iter_modules(wvlab.__path__)]
+    modules = [wvlab] + [import_module(f"wvlab.{name}") for name in names]
+    assert len(modules) == 10
+    for module in modules:
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        assert not [name for name in STEP_ORACLES if name in source], module.__name__
+    with pytest.raises(TypeError):
+        ParamDistribution("discrete", lambda g: np.array([1.0]))
+    assert list(inspect.signature(wvlab.noise.saturated_fisher).parameters) == [
+        "nbar", "dnbar", "det", "response"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +246,7 @@ def test_inverse_family_matches_grid_chain(spec):
 
 @st.composite
 def phase_space_specs(draw):
-    # g stays where the scheme's info_budget closes to its 1e-6 check
-    g = 10 ** draw(st.floats(-6, -3.5))
+    g = 10 ** draw(st.floats(-6, -1))
     epsilon = draw(st.floats(0.02, 1.0)) * draw(st.sampled_from([1.0, -1.0]))
     alpha = draw(st.floats(0.3, 3.0))
     if draw(st.booleans()):
@@ -241,13 +257,17 @@ def phase_space_specs(draw):
     return PhaseSpaceSpec(g=g, epsilon=epsilon, meter=meter)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=ValueError,
-    reason="info_budget omits the 4 Var(beta) arm-phase term of the budget split "
-    "(CHANGES.md FOUND: InfoBudget), so the identity check fails at finite g",
-)
 def test_phase_space_scheme_at_finite_coupling():
-    phase_space_scheme(PhaseSpaceSpec(g=0.01, epsilon=0.1, meter=FockMeter.coherent(1.0)))
+    # the arm phases beta_a = Im<phi_a|d_g phi_a> differ at finite g, and
+    # 4 Var(beta) closes the budget: without it the split read 2.99989 of
+    # Q_jt = 3 at g = 0.01 and 2.98765 at g = 0.1 (coherent nbar = 1)
+    for g in (1e-4, 1e-2, 0.1):
+        for nbar in (1.0, 100.0):
+            meter = FockMeter.coherent(math.sqrt(nbar))
+            budget = phase_space_scheme(PhaseSpaceSpec(g=g, epsilon=0.1, meter=meter)).budget
+            assert budget.residual <= 5e-15
+            assert budget.q_jt == pytest.approx(2 * nbar + nbar**2, rel=1e-7)
+    assert budget.arm_phase > 1.0
 
 
 def fock_arms(spec, g):
@@ -270,7 +290,7 @@ def test_phase_space_families_match_fock_postselection(spec):
     pre, post = spec.states()
     cfg = CouplingConfig(spec.g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
     failure = Conditioning.of_meter(pre, post.orthogonal_qubit(), cfg, spec.meter).family()
-    assert res.report.extras["f_photon_failure"] == classical_fisher(failure, spec.g).fi
+    assert res.report.extras["f_photon_failure"] == classical_fisher(failure, spec.g)
 
     def selection(g):
         p_f = fock_arms(spec, g)[0]

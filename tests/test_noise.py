@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from wvlab.errors import ResolutionTooCoarse, UnsupportedCombination
-from wvlab.infometrics import FisherMethod, ParamDistribution, classical_fisher
+import oracles
+from wvlab.errors import LadderTooLong, ResolutionTooCoarse, UnsupportedCombination
+from wvlab.infometrics import classical_fisher
 from wvlab.meter import SampledDistribution
 from wvlab.noise import (
+    MAX_LADDER_LEVELS,
     AmrRegime,
     BeamGeometry,
     CorrelatedNoiseModel,
@@ -293,9 +297,7 @@ class TestGaussianPixels:
         np.testing.assert_allclose(
             family.derivative(g), dp, rtol=1e-12, atol=1e-15 * np.max(np.abs(dp))
         )
-        report = classical_fisher(family, g)
-        assert report.method is FisherMethod.ANALYTIC
-        assert report.fi == pytest.approx(fisher, rel=1e-12)
+        assert classical_fisher(family, g) == pytest.approx(fisher, rel=1e-12)
         if (rate, width, g) == (1.0, 1.0, 0.0):
             assert pixelation_info_ratio(1.0, det) == pytest.approx(fisher, rel=1e-12)
 
@@ -312,9 +314,9 @@ class TestGaussianPixels:
 
         family = _gaussian_pixels(det, 1.0, sigma)
         assert np.max(np.abs(family.probabilities(g) - binned(g))) <= 5e-6
-        oracle = classical_fisher(ParamDistribution("discrete", binned), g)
-        assert oracle.method is FisherMethod.CENTRAL_DIFFERENCE
-        assert classical_fisher(family, g).fi == pytest.approx(oracle.fi, rel=5e-6)
+        oracle = oracles.classical_fisher(oracles.numeric_family("discrete", binned), g)
+        assert oracle.method is oracles.FisherMethod.CENTRAL_DIFFERENCE
+        assert classical_fisher(family, g) == pytest.approx(oracle.fi, rel=5e-6)
 
 
 class TestPixelatedRatio:
@@ -380,53 +382,120 @@ class TestSaturatingDetector:
         pk = readout_distribution(det, 50.0)
         assert pk.sum() == pytest.approx(1.0, abs=1e-8)
 
+    def test_ladder_too_long_is_refused_before_allocation(self):
+        # k_s = 10^8 would ask for an 800 MB ladder and a far larger
+        # response; the check reads k_s / Q alone
+        tracemalloc.start()
+        try:
+            for k_s, q in ((10**8, 1.0), (10**6, 0.01), (1, 1e-300)):
+                with pytest.raises(LadderTooLong):
+                    SaturatingDetector(k_s=k_s, quantization=q)
+            with pytest.raises(ValueError):
+                SaturatingDetector(k_s=10, quantization=math.nan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        # ceil(k_s / Q) + 1 levels: the longest ladder held is exactly the cap
+        SaturatingDetector(k_s=MAX_LADDER_LEVELS - 1)
+        with pytest.raises(LadderTooLong):
+            SaturatingDetector(k_s=MAX_LADDER_LEVELS)
+
+
+@st.composite
+def saturating_cases(draw):
+    det = SaturatingDetector(
+        k_s=draw(st.integers(1, 400)),
+        eta=draw(st.floats(0.1, 1.0)),
+        readout_sigma=draw(st.sampled_from([0.0, 0.0, 0.3, 1.0, 4.0])),
+        quantization=draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 7.0])),
+    )
+    nbar = 10 ** draw(st.floats(-2.0, 3.5))
+    response = None
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 80))
+        response = np.array([saturating_response(det, n).probs for n in range(rows)])
+    return det, nbar, response
+
+
+@given(saturating_cases())
+# k_s = 10 is no multiple of Q = 3: 10 and 11 photons round to the level 9
+# but read the clipped top level 10
+@example((SaturatingDetector(k_s=10, quantization=3.0), 10.0, None))
+def test_saturated_fisher_is_the_step_oracle_without_the_step(case):
+    # three pixels at nbar/10, nbar and 10 nbar, each growing as e^g; the
+    # oracle takes central differences at h = 1e-6 around g = 0. Each of its
+    # P(k) carries some ulps of roundoff, so each difference is off by
+    # ~ c eps / h and its F by ~ 2 c (eps / h) sqrt(F) (Cauchy-Schwarz), or by
+    # (c eps / h)^2 in deep saturation, where the exact F vanishes. Both
+    # floors matter only for pixels with Gamma below ~1e-3
+    det, nbar, response = case
+    levels = nbar * np.array([0.1, 1.0, 10.0])
+    exact = saturated_fisher(levels, levels, det, response)
+    oracle = oracles.saturated_fisher(lambda g: levels * np.exp(g), det, 0.0, response=response)
+    floor = 32 * np.finfo(float).eps / 1e-6 * np.sqrt(oracle.per_pixel) + 1e-12 * det.eta * levels
+    assert np.all(np.abs(exact.per_pixel - oracle.per_pixel) <= 1e-7 * oracle.per_pixel + floor)
+    # the readout never beats shot noise
+    assert np.all(exact.gammas <= 1.0 + 1e-9)
+    assert exact.total == pytest.approx(float(np.sum(exact.per_pixel)), rel=1e-15)
+    for n in levels:
+        pk = readout_distribution(det, n, response)
+        # the Poisson log-pmf at mean mu carries about eps mu ln(mu) of
+        # roundoff, below 1e-10 for the mu <= 3.2e4 drawn here
+        assert abs(pk.sum() - 1.0) <= 1e-9
+        # the fold against the matrix of per-row nearest-level responses:
+        # the same positive terms, summed in another order where several
+        # photon numbers share a level
+        np.testing.assert_allclose(
+            pk, oracles.readout_distribution_matrix(det, n, response), rtol=1e-13, atol=0
+        )
+
 
 class TestSaturatedFisher:
     @staticmethod
     def beam_profile(total, shift_rate, sigma=1.0, pixels=41, width=8.0):
+        """(nbar, d nbar / dg) at g = 0 of a Gaussian beam on `pixels`
+        pixels, shifted by shift_rate * g."""
         centers = np.linspace(-width / 2, width / 2, pixels)
         dx = centers[1] - centers[0]
-
-        def nbar(g):
-            return (
-                total
-                * dx
-                * np.exp(-((centers - shift_rate * g) ** 2) / (2 * sigma**2))
-                / math.sqrt(2 * math.pi * sigma**2)
-            )
-
-        return nbar
+        nbar = (
+            total
+            * dx
+            * np.exp(-(centers**2) / (2 * sigma**2))
+            / math.sqrt(2 * math.pi * sigma**2)
+        )
+        return nbar, nbar * centers * shift_rate / sigma**2
 
     def test_poisson_limit(self):
         det = SaturatingDetector(k_s=100000, readout_sigma=0.0)
-        nbar = self.beam_profile(200.0, 1.0)
-        res = saturated_fisher(nbar, det, 0.0)
-        n0 = nbar(0.0)
-        h = 1e-5
-        dn = (nbar(h) - nbar(-h)) / (2 * h)
+        n0, dn = self.beam_profile(200.0, 1.0)
+        res = saturated_fisher(n0, dn, det)
         ideal = np.sum(dn**2 / n0)
-        assert res.total == pytest.approx(ideal, rel=1e-4)
+        # measured: -8.5e-13 and, per pixel, at most 1.1e-11 (the dimmest
+        # edge pixels, whose last Poisson terms fall under the 1e-14 floor)
+        assert res.total == pytest.approx(ideal, rel=1e-11)
         # Gamma -> 1 wherever the pixel actually responds to g (the exactly
         # centered pixel has zero derivative and reports Gamma = 0)
         responsive = np.abs(dn) > 1e-9
-        assert np.all(np.abs(res.gammas[responsive] - 1.0) < 1e-3)
+        assert np.all(np.abs(res.gammas[responsive] - 1.0) < 1e-10)
+        assert res.gammas[~responsive].tolist() == [0.0]
 
     def test_saturated_pixels_contribute_nothing(self):
         det = SaturatingDetector(k_s=5, readout_sigma=0.0)
-        nbar = self.beam_profile(2000.0, 1.0)
-        res = saturated_fisher(nbar, det, 0.0)
-        hot = nbar(0.0) > 50
+        n0, dn = self.beam_profile(2000.0, 1.0)
+        res = saturated_fisher(n0, dn, det)
+        hot = n0 > 50
         assert np.all(res.gammas[hot] < 1e-3)
 
     def test_monotone_in_readout_noise_and_threshold(self):
-        nbar = self.beam_profile(300.0, 1.0)
+        profile = self.beam_profile(300.0, 1.0)
         totals_sigma = [
-            saturated_fisher(nbar, SaturatingDetector(k_s=40, readout_sigma=s), 0.0).total
+            saturated_fisher(*profile, SaturatingDetector(k_s=40, readout_sigma=s)).total
             for s in (0.0, 2.0, 6.0)
         ]
         assert totals_sigma[0] >= totals_sigma[1] >= totals_sigma[2]
         totals_ks = [
-            saturated_fisher(nbar, SaturatingDetector(k_s=k, readout_sigma=1.0), 0.0).total
+            saturated_fisher(*profile, SaturatingDetector(k_s=k, readout_sigma=1.0)).total
             for k in (10, 40, 160)
         ]
         assert totals_ks[0] <= totals_ks[1] <= totals_ks[2]
@@ -436,8 +505,8 @@ class TestSaturatedFisher:
         det = SaturatingDetector(k_s=30, readout_sigma=0.0)
         n_total = 3000.0
         p_f, w = 0.01, 10.0  # trade-off p_f w^2 = 1
-        f_cm = saturated_fisher(self.beam_profile(n_total, 1.0), det, 0.0).total
-        f_wva = saturated_fisher(self.beam_profile(p_f * n_total, w), det, 0.0).total
+        f_cm = saturated_fisher(*self.beam_profile(n_total, 1.0), det).total
+        f_wva = saturated_fisher(*self.beam_profile(p_f * n_total, w), det).total
         assert f_wva > 1.2 * f_cm
 
     def test_response_csv_roundtrip(self, tmp_path):
@@ -456,7 +525,7 @@ class TestSaturatedFisher:
         # feeding the tabulated parametric response back in changes nothing
         det = SaturatingDetector(k_s=15, readout_sigma=1.0)
         matrix = np.array([saturating_response(det, n).probs for n in range(60)])
-        nbar = self.beam_profile(120.0, 1.0, pixels=15, width=6.0)
-        direct = saturated_fisher(nbar, det, 0.0)
-        loaded = saturated_fisher(nbar, det, 0.0, response=matrix)
+        profile = self.beam_profile(120.0, 1.0, pixels=15, width=6.0)
+        direct = saturated_fisher(*profile, det)
+        loaded = saturated_fisher(*profile, det, response=matrix)
         assert loaded.total == pytest.approx(direct.total, rel=1e-10)
