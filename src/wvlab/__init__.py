@@ -12,7 +12,8 @@ estimate     seeded sampling, AMR/MLE estimators, Cramér-Rao experiments
 cli          scenario-driven command line emitting CSV/JSON artifacts
 
 scipy is imported inside the functions that use it, so `import wvlab` loads
-numpy alone and each CLI command pays for scipy only if it needs it.
+numpy alone, and none of the five CLI commands loads scipy on the shipped
+scenarios.
 """
 
 from . import coupling, estimate, infometrics, meter, noise, qsys, schemes

@@ -264,33 +264,42 @@ class Conditioning:
         """The {p_f, 1 - p_f} statistics of the selection (labels 1 and 0),
         with the analytic derivative {p_f', -p_f'}."""
         step = np.array([1.0, -1.0])
+        first, then = _handoff(self.kernels)
         return ParamDistribution(
-            "discrete", lambda g: np.array([0.0, 1.0]) + self.kernels(g).p_f() * step,
-            labels=np.array([1.0, 0.0]), derivative=lambda g: self.kernels(g).dp_dg() * step,
+            "discrete", lambda g: np.array([0.0, 1.0]) + first(g).p_f() * step,
+            labels=np.array([1.0, 0.0]), derivative=lambda g: then(g).dp_dg() * step,
         )
+
+
+def _handoff(kernels_of):
+    """(first, then): `first(x)` builds `kernels_of(x)` and hands them on to
+    the next `then` call, which reuses them if it asks for the same x. A
+    family's `probabilities` and `derivative` at one x so share one build."""
+    last = {}  # {x: kernels_of(x)} of the last first(x)
+
+    def first(x) -> _Kernels:
+        last.clear()
+        last[x] = kern = kernels_of(x)
+        return kern
+
+    def then(x) -> _Kernels:
+        kern = last.pop(x, None)
+        last.clear()
+        return kernels_of(x) if kern is None else kern
+
+    return first, then
 
 
 def _kernel_family(kernels_of, grid, values) -> ParamDistribution:
     """Family x -> `kernels_of(x).density()` with the derivative `density_dg`:
-    discrete over `values`, or a density on `grid` when it is given.
-    `probabilities(x)` hands its kernels on to the next `derivative` call,
-    which reuses them if it asks for the same x."""
+    discrete over `values`, or a density on `grid` when it is given. Its
+    `probabilities` and `derivative` share kernels through `_handoff`."""
     scale = 1.0 if grid is None else 1.0 / float(grid[1] - grid[0])
-    handoff = {}  # {x: kernels_of(x)} of the last probabilities(x)
-
-    def evaluate(x) -> np.ndarray:
-        handoff.clear()
-        handoff[x] = kern = kernels_of(x)
-        return scale * kern.density()
-
-    def derivative(x) -> np.ndarray:
-        kern = handoff.pop(x, None)
-        handoff.clear()
-        return scale * (kernels_of(x) if kern is None else kern).density_dg()
-
+    first, then = _handoff(kernels_of)
     return ParamDistribution(
-        "discrete" if grid is None else "continuous", evaluate,
-        grid=grid, labels=values if grid is None else None, derivative=derivative,
+        "discrete" if grid is None else "continuous", lambda x: scale * first(x).density(),
+        grid=grid, labels=values if grid is None else None,
+        derivative=lambda x: scale * then(x).density_dg(),
     )
 
 

@@ -84,23 +84,26 @@ def spd_cholesky(mat: np.ndarray):
             raise SingularCovariance("covariance not positive definite") from exc
 
 
-def _recursion_band(coef: np.ndarray) -> np.ndarray:
-    """LAPACK lower band storage of the unit bidiagonal matrix whose solve
-    runs z_k = coef_k z_{k-1} + rhs_k (coef_0 unused)."""
-    band = np.empty((2, coef.size))
-    band[0] = 1.0
-    band[1, :-1] = -coef[1:]
-    band[1, -1] = 0.0
-    return band
-
-
-def _run_recursion(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The recursion of `band` driven by `rhs`, which it overwrites."""
-    from scipy.linalg.lapack import dtbtrs
-
-    z, info = dtbtrs(band, rhs, uplo="L", overwrite_b=1)
-    if info != 0:
-        raise SingularCovariance(f"bidiagonal solve failed (info={info})")
+def _run_recursion(coef, rhs: np.ndarray) -> np.ndarray:
+    """z_k = coef_k z_{k-1} + rhs_k with z_0 = rhs_0, by recursive doubling
+    (Kogge & Stone 1973). The step at distance d = 1, 2, 4, ... composes
+    each affine map with the one d places back: z_k then sums the 2d terms
+    up to k, and coef_k becomes the product of the 2d coefficients that
+    carry z_{k-2d} to z_k. So log2 N vectorised steps solve the recursion.
+    A scalar coef is one constant for every k; its power coef^d is taken by
+    `**` at each step, one rounding rather than log2 d compounded squarings.
+    `rhs` becomes z, an array `coef` is overwritten, and coef_0 is never
+    read."""
+    z, n, d = rhs, rhs.size, 1
+    scalar = np.ndim(coef) == 0
+    while d < n:
+        if scalar:
+            z[d:] += coef**d * z[:-d]
+        else:
+            z[d:] += coef[d:] * z[:-d]
+            # the products below 2d are never used again
+            coef[2 * d:] *= coef[d : n - d]
+        d *= 2
     return z
 
 
@@ -109,12 +112,16 @@ class StateSpaceNoise:
     state-space model x_k = rho x_{k-1} + sqrt(c (1 - rho^2)) xi_k,
     y_k = x_k + sqrt(a) eta_k, with x_1 ~ N(0, c).
 
-    Every quantity costs O(N) time and memory. The Kalman filter of this model
+    Every quantity costs O(N) memory. The Kalman filter of this model
     factors C^{-1} = (I - B)' D^{-1} (I - B): D holds the innovation variances
     S_k and I - B maps a sequence to its innovations. The predicted state
     variances P_k follow a scalar Riccati recursion, a Moebius map with fixed
     points P_inf > 0 > P_-, so (P_k - P_inf)/(P_k - P_-) decays geometrically
-    and P_k has a closed form (Kalman 1960; Kac, Murdock & Szegoe 1953).
+    and P_k has a closed form (Kalman 1960; Kac, Murdock & Szegoe 1953). The
+    three first-order recursions left, the innovations of the all-ones
+    sequence, the backward pass of the GLS weights and the AR(1) draw, run
+    as numpy doubling scans (`_run_recursion`) in O(N log N) flops with no
+    LAPACK call.
     """
 
     def __init__(self, model: CorrelatedNoiseModel):
@@ -157,7 +164,7 @@ class StateSpaceNoise:
         coef[1:] = rho * keep[:-1]
         rhs = np.full(n, self._one_minus_rho)
         rhs[0] = 1.0
-        return s, p / s, keep, _run_recursion(_recursion_band(coef), rhs)
+        return s, p / s, keep, _run_recursion(coef, rhs)
 
     def fisher(self) -> float:
         """1' C^{-1} 1 = sum_k e_k^2 / S_k."""
@@ -177,24 +184,23 @@ class StateSpaceNoise:
         rhs = np.empty(n)
         rhs[0] = 0.0
         rhs[1:] = u[:0:-1]
-        r = _run_recursion(_recursion_band(coef), rhs)[::-1]
+        r = _run_recursion(coef, rhs)[::-1]
         v = u - self.rho * gain * r
         return v / v.sum()
 
     @cached_property
-    def _ar1(self) -> tuple[np.ndarray, np.ndarray]:
-        """(recursion band, innovation scales) of the AR(1) state."""
+    def _scale(self) -> np.ndarray:
+        """Innovation scales of the AR(1) state."""
         n, c = self.model.n, self.model.c
         scale = np.full(n, math.sqrt(c * self._one_minus_rho2))
         scale[0] = math.sqrt(c)
-        return _recursion_band(np.full(n, self.rho)), scale
+        return scale
 
     def sample(self, normals: np.ndarray) -> np.ndarray:
         """The noise sequence made from 2N standard normals: the first N
         drive the AR(1) state, the last N are the white floor."""
         n = self.model.n
-        band, scale = self._ar1
-        state = _run_recursion(band, scale * normals[:n])
+        state = _run_recursion(self.rho, self._scale * normals[:n])
         state += math.sqrt(self.model.a) * normals[n:]
         return state
 
@@ -502,16 +508,28 @@ def _ladder_index(det: SaturatingDetector, n_in: np.ndarray, top: int) -> np.nda
     return np.where(n_in >= det.k_s, top, idx)
 
 
-def _response_matrix(det: SaturatingDetector, n_values: np.ndarray) -> np.ndarray:
-    """Rows R(k|N) of the Gaussian readout (readout_sigma > 0) for each N in
-    n_values; shape (len(N), len(levels)). Bin edges lie halfway between
-    ladder points, and +-inf at the ends clip at 0 and saturate at k_s."""
+def _response_band(det: SaturatingDetector, n_values: np.ndarray) -> tuple[slice, np.ndarray]:
+    """(cols, band): the rows R(k|N) of the Gaussian readout (readout_sigma
+    > 0) for each N in n_values are zero outside the ladder columns `cols`,
+    which `band` holds. Bin edges lie halfway between ladder points, and
+    +-inf at the ends clip at 0 and saturate at k_s. A bin whose upper edge
+    lies 40 sigma below every N has ndtr = 0 at both edges, and one whose
+    lower edge lies 9 sigma above every N has ndtr = 1 at both, so every
+    dropped entry is exactly 0. A band of more than MAX_LADDER_LEVELS cells
+    raises LadderTooLong before it is built."""
     from scipy.special import ndtr
 
     levels = det.readout_levels()
     edges = np.concatenate([[-np.inf], 0.5 * (levels[1:] + levels[:-1]), [np.inf]])
-    cdf = ndtr((edges[None, :] - n_values[:, None]) / det.readout_sigma)
-    return np.diff(cdf, axis=1)
+    sigma = det.readout_sigma
+    first = int(np.searchsorted(edges, n_values.min() - 40 * sigma, side="right")) - 1
+    stop = int(np.searchsorted(edges, n_values.max() + 9 * sigma, side="left"))
+    if n_values.size * (stop - first) > MAX_LADDER_LEVELS:
+        raise LadderTooLong(
+            f"readout band of {n_values.size} x {stop - first} cells > {MAX_LADDER_LEVELS}"
+        )
+    cdf = ndtr((edges[None, first : stop + 1] - n_values[:, None]) / sigma)
+    return slice(first, stop), np.diff(cdf, axis=1)
 
 
 def saturating_response(det: SaturatingDetector, n_in: int) -> DiscreteDistribution:
@@ -521,11 +539,12 @@ def saturating_response(det: SaturatingDetector, n_in: int) -> DiscreteDistribut
     all mass at or above k_s accumulated at k_s (hard clip).
     """
     levels = det.readout_levels()
+    probs = np.zeros(levels.size)
     if det.readout_sigma == 0:
-        probs = np.zeros(levels.size)
         probs[_ladder_index(det, np.asarray(n_in), levels.size - 1)] = 1.0
     else:
-        probs = _response_matrix(det, np.array([float(n_in)]))[0]
+        cols, band = _response_band(det, np.array([float(n_in)]))
+        probs[cols] = band[0]
     return DiscreteDistribution(levels, probs)
 
 
@@ -533,8 +552,9 @@ def _readout(det: SaturatingDetector, mu: float, response: np.ndarray | None):
     """(N, Pois(N; mu), fold) over the photon numbers N within mu +- 10
     sqrt(mu), where fold is the linear map m -> sum_N R(k|N) m_N onto the
     ladder. Without readout noise R is the quantize-and-clip rule, so fold
-    adds each m_N to its level in O(len(N)); a tabulated `response` reuses
-    its last row beyond its length (deep saturation)."""
+    adds each m_N to its level in O(len(N)); with it, fold multiplies by the
+    nonzero band of R alone. A tabulated `response` reuses its last row
+    beyond its length (deep saturation)."""
     from scipy.special import gammaln, xlogy
 
     lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
@@ -543,13 +563,19 @@ def _readout(det: SaturatingDetector, mu: float, response: np.ndarray | None):
     pois = np.exp(xlogy(ns, mu) - gammaln(ns + 1) - mu)
     if response is not None:
         rows = response[np.clip(ns, 0, response.shape[0] - 1)]
-    elif det.readout_sigma == 0:
-        size = det.readout_levels().size
+        return ns, pois, lambda m: m @ rows
+    size = det.readout_levels().size
+    if det.readout_sigma == 0:
         idx = _ladder_index(det, ns, size - 1)
         return ns, pois, lambda m: np.bincount(idx, weights=m, minlength=size)
-    else:
-        rows = _response_matrix(det, ns.astype(float))
-    return ns, pois, lambda m: m @ rows
+    cols, band = _response_band(det, ns.astype(float))
+
+    def fold(m: np.ndarray) -> np.ndarray:
+        out = np.zeros(size)
+        out[cols] = m @ band
+        return out
+
+    return ns, pois, fold
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Step-based references for the tests: finite-difference Fisher numbers,
-QFIs and saturating-detector information.
+"""Independent references for the tests: finite-difference Fisher numbers,
+QFIs and saturating-detector information, and the LAPACK solve of a
+first-order recursion.
 
 Every Fisher number in `wvlab` is analytic. The references here take
 derivatives by central differences instead, so they share no derivative
-code with the package and pin it from outside. Nothing in `src/` imports
-this module.
+code with the package and pin it from outside. Likewise the recursions of
+the correlated-noise engine run as numpy doubling scans, and the reference
+here is LAPACK's banded triangular solve. Nothing in `src/` imports this
+module.
 """
 
 from __future__ import annotations
@@ -153,6 +156,27 @@ def qfi_mixed(family: Callable[[float], np.ndarray], g: float, h: float = 1e-6) 
 
 
 # ---------------------------------------------------------------------------
+# first-order recursions
+
+
+def bidiagonal_solve(coef, rhs: np.ndarray) -> np.ndarray:
+    """z_k = coef_k z_{k-1} + rhs_k with z_0 = rhs_0, as the LAPACK `dtbtrs`
+    solve of the unit lower bidiagonal system with -coef_k below the
+    diagonal. A scalar coef stands for every k; coef_0 is unused."""
+    from scipy.linalg.lapack import dtbtrs
+
+    rhs = np.array(rhs, dtype=float)
+    coef = np.broadcast_to(np.asarray(coef, dtype=float), rhs.shape)
+    band = np.empty((2, rhs.size))
+    band[0] = 1.0
+    band[1, :-1] = -coef[1:]
+    band[1, -1] = 0.0
+    z, info = dtbtrs(band, rhs, uplo="L")
+    assert info == 0, f"dtbtrs info={info}"
+    return z
+
+
+# ---------------------------------------------------------------------------
 # saturating detectors
 
 
@@ -169,12 +193,23 @@ def saturating_response(det: SaturatingDetector, n_in: int) -> np.ndarray:
     return probs
 
 
+def response_matrix(det: SaturatingDetector, n_values: np.ndarray) -> np.ndarray:
+    """The dense (photons x ladder) Gaussian readout matrix R(k|N) of a
+    detector with readout_sigma > 0, every column computed."""
+    from scipy.special import ndtr
+
+    levels = det.readout_levels()
+    edges = np.concatenate([[-np.inf], 0.5 * (levels[1:] + levels[:-1]), [np.inf]])
+    cdf = ndtr((edges[None, :] - n_values[:, None]) / det.readout_sigma)
+    return np.diff(cdf, axis=1)
+
+
 def readout_distribution_matrix(
     det: SaturatingDetector, nbar: float, response: np.ndarray | None = None
 ) -> np.ndarray:
     """P(k) as Poisson weights times a (photons x ladder) response matrix, one
     row per photon number, built row by row when readout_sigma = 0."""
-    from scipy.special import gammaln, ndtr, xlogy
+    from scipy.special import gammaln, xlogy
 
     mu = det.eta * nbar
     lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
@@ -185,10 +220,7 @@ def readout_distribution_matrix(
         return pois @ response[np.clip(ns, 0, response.shape[0] - 1)]
     if det.readout_sigma == 0:
         return pois @ np.array([saturating_response(det, int(n)) for n in ns])
-    levels = det.readout_levels()
-    edges = np.concatenate([[-np.inf], 0.5 * (levels[1:] + levels[:-1]), [np.inf]])
-    cdf = ndtr((edges[None, :] - ns[:, None]) / det.readout_sigma)
-    return pois @ np.diff(cdf, axis=1)
+    return pois @ response_matrix(det, ns.astype(float))
 
 
 def saturated_fisher(

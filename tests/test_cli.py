@@ -483,21 +483,27 @@ def test_shipped_scenarios_parse(command, scenario):
     assert cfg.to_dict() == json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
 
 
-def test_shipped_commands_load_scipy_only_for_noise(tmp_path):
-    # shift, budget, scheme (phase space) and estimate never need scipy; the
-    # noise table loads scipy.linalg for its banded solve and nothing heavier
-    def start(*commands):
-        runs = [[c, "--config", str(ROOT / "scenarios" / f"{SCENARIOS[c]}.json"),
-                 "--out", str(tmp_path / c)] for c in commands]
-        return fresh_interpreter(
-            f"from wvlab.cli import main; assert [main(a) for a in {runs!r}] == {[0] * len(runs)}"
-        )
+def test_shipped_commands_load_no_scipy(tmp_path):
+    # shift, budget, noise, scheme (phase space) and estimate run on numpy
+    # alone: the noise table's recursions are numpy scans, not LAPACK
+    runs = [[c, "--config", str(ROOT / "scenarios" / f"{SCENARIOS[c]}.json"),
+             "--out", str(tmp_path / c)] for c in ("shift", "budget", "noise", "scheme", "estimate")]
+    assert scipy_loaded(fresh_interpreter(
+        f"from wvlab.cli import main; assert [main(a) for a in {runs!r}] == {[0] * len(runs)}"
+    )) == []
 
-    lean, noise = start("shift", "budget", "scheme", "estimate"), start("noise")
-    assert scipy_loaded(lean) == []
-    loaded = scipy_loaded(noise)
-    assert "scipy.linalg" in loaded
-    assert not {"scipy.special", "scipy.optimize"} & set(loaded)
+
+def test_noise_engine_loads_no_scipy():
+    # F_CM and both estimators of a noise plan; only the dense oracles
+    # (covariance, spd_cholesky, mle_weights) need scipy.linalg
+    assert scipy_loaded(fresh_interpreter(
+        "from wvlab.estimate import ExperimentPlan, run_experiment; "
+        "from wvlab.noise import CorrelatedNoiseModel, cm_fisher_correlated; "
+        "m = CorrelatedNoiseModel(a=0.05, c=1.0, dt=1.0, tau_c=100.0, n=1000); "
+        "assert cm_fisher_correlated(m) > 0; "
+        "assert [run_experiment(ExperimentPlan(None, m.n, 5, 3, e, noise=m, true_value=0.2)).trials "
+        "for e in ('amr', 'mle_correlated')] == [5, 5]"
+    )) == []
 
 
 @pytest.mark.parametrize("variant", sorted(MINIMAL))

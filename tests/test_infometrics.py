@@ -10,7 +10,6 @@ from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
 from wvlab.errors import ZeroVariance
 from wvlab.infometrics import (
     Conditioning,
-    _kernel_family,
     InfoBudget,
     ParamDistribution,
     classical_fisher,
@@ -102,8 +101,8 @@ class TestClassicalFisher:
         assert f2 == pytest.approx(2 * f1, abs=1e-9)
 
 
-@pytest.mark.parametrize("kind", ["continuous", "discrete"])
-def test_kernel_family_memo_is_bitwise_neutral(kind):
+@pytest.mark.parametrize("kind", ["continuous", "discrete", "selection"])
+def test_kernel_family_memo_is_bitwise_neutral(kind, monkeypatch):
     # derivative(g) right after probabilities(g) reuses the kernels of g; the
     # oracle builds them again for every call
     pre = bloch_state(1.2, 0.0)
@@ -116,16 +115,20 @@ def test_kernel_family_memo_is_bitwise_neutral(kind):
         cfg = CouplingConfig(0.0, Generator.PHOTON_NUMBER_PHASE, SIGMA_Z)
         cond = Conditioning.of_meter(pre, post, cfg, FockMeter.coherent(3.0))
         grid, scale = None, 1.0
-    built = []
+    build, built = Conditioning.kernels, []
 
-    def kernels(g):
+    def kernels(self, g):
         built.append(g)
-        return cond.kernels(g)
+        return build(self, g)
 
-    family = _kernel_family(kernels, grid, cond.values)
+    monkeypatch.setattr(Conditioning, "kernels", kernels)
+    family = cond.selection_family() if kind == "selection" else cond.family(grid)
 
     def oracle(name, g):
-        kern = cond.kernels(g)
+        kern = build(cond, g)
+        if kind == "selection":
+            p, dp = kern.p_f(), kern.dp_dg()
+            return np.array([p, 1.0 - p] if name == "probabilities" else [dp, -dp]).tobytes()
         return (scale * (kern.density() if name == "probabilities" else kern.density_dg())).tobytes()
 
     # (call, g, whether it builds the kernels)

@@ -1,10 +1,12 @@
 """The O(N) state-space noise engine against independent slower paths.
 
-F_CM is pinned to a dense LU solve; the GLS weights to a 40-digit
-tridiagonal solve of C^{-1} 1 = (cI + aT)^{-1} T 1 (T = K^{-1}, Kac, Murdock
-& Szegoe 1953) over the whole sweep, and to the dense Cholesky `mle_weights`
-wherever that oracle is itself accurate to better than the tolerance; the
-sampler's linear map is pinned exactly to the dense covariance.
+Its doubling scan is pinned to the LAPACK bidiagonal solve; F_CM to a dense
+LU solve; the GLS weights to a 40-digit tridiagonal solve of
+C^{-1} 1 = (cI + aT)^{-1} T 1 (T = K^{-1}, Kac, Murdock & Szegoe 1953) over
+the whole sweep, and to the dense Cholesky `mle_weights` wherever that
+oracle is itself accurate to better than the tolerance; the sampler's
+linear map is pinned exactly to the dense covariance. The saturating
+detector's readout band is pinned bitwise to the dense readout matrix.
 """
 
 import math
@@ -15,21 +17,25 @@ import pytest
 
 pytest.importorskip("hypothesis")
 mp = pytest.importorskip("mpmath")
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import oracles
 from wvlab.estimate import (
     ExperimentPlan,
     correlated_noise_samples,
     mle_weights,
     run_experiment,
 )
+from wvlab.errors import LadderTooLong
 from wvlab.noise import (
     CorrelatedNoiseModel,
     SaturatingDetector,
     StateSpaceNoise,
-    _response_matrix,
+    _response_band,
+    _run_recursion,
     covariance,
     readout_distribution,
+    saturated_fisher,
     saturating_response,
 )
 
@@ -73,6 +79,30 @@ def dense_condition_bound(model: CorrelatedNoiseModel) -> float:
     """lambda_max / lambda_min of C <= 1 + (c/a) min(N, coth(dt / 2 tau_c))."""
     coth = 1.0 / math.tanh(model.ratio / 2)
     return 1.0 + model.c / model.a * min(model.n, coth)
+
+
+# lengths at and around every power of two up to 4096, where the doubling
+# steps begin and end
+SCAN_SIZES = sorted({1, 2, 3} | {2**k + s for k in range(2, 13) for s in (-1, 0, 1)} - {4097})
+# coefficients in [0, 1], down to 1 - 1e-12 of a barely decaying memory
+COEFFICIENTS = st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 12.0).map(lambda k: 1.0 - 10**-k))
+
+
+@given(
+    n=st.one_of(st.sampled_from(SCAN_SIZES), st.integers(1, 4096)),
+    bounds=st.tuples(COEFFICIENTS, COEFFICIENTS).map(sorted),
+    scalar=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4096, bounds=[1.0, 1.0], scalar=False, seed=0)
+@example(n=4096, bounds=[1.0 - 1e-9, 1.0 - 1e-9], scalar=True, seed=0)
+def test_run_recursion_is_the_bidiagonal_solve(n, bounds, scalar, seed):
+    rng = np.random.default_rng(seed)
+    coef = bounds[0] if scalar else rng.uniform(*bounds, n)
+    rhs = rng.standard_normal(n) * 10 ** rng.uniform(-3, 3, n)  # signed
+    reference = oracles.bidiagonal_solve(coef, rhs)
+    z = _run_recursion(coef if scalar else coef.copy(), rhs.copy())
+    assert np.max(np.abs(z - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 class TestAgainstDense:
@@ -163,5 +193,61 @@ class TestReadoutOracle:
             mu = det.eta * nbar
             lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
             ns = np.arange(lo, int(mu + 10 * math.sqrt(mu) + 10) + 1)
-            expected = stats.poisson.pmf(ns, mu) @ _response_matrix(det, ns.astype(float))
+            cols, band = _response_band(det, ns.astype(float))
+            expected = np.zeros(det.readout_levels().size)
+            expected[cols] = stats.poisson.pmf(ns, mu) @ band
             assert np.array_equal(readout_distribution(det, nbar), expected)
+
+
+# the Gaussian-readout detectors of the detector tests
+READOUT_DETECTORS = [
+    SaturatingDetector(k_s=40, eta=0.8, readout_sigma=1.3, quantization=0.5),
+    SaturatingDetector(k_s=80, eta=0.9, readout_sigma=1.5),
+    SaturatingDetector(k_s=40, readout_sigma=2.0),
+    SaturatingDetector(k_s=40, readout_sigma=6.0),
+    SaturatingDetector(k_s=10, readout_sigma=1.0),
+    SaturatingDetector(k_s=160, readout_sigma=1.0),
+    SaturatingDetector(k_s=12, readout_sigma=1.0),
+    SaturatingDetector(k_s=400, readout_sigma=0.3, quantization=0.1),
+    SaturatingDetector(k_s=400, readout_sigma=4.0, quantization=7.0),
+]
+
+
+class TestReadoutBand:
+    @pytest.mark.parametrize("det", READOUT_DETECTORS)
+    def test_band_is_the_dense_matrix_bitwise(self, det):
+        for mu in (0.0, 0.3, 7.0, 55.5, 180.0, 2000.0):
+            lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
+            ns = np.arange(lo, int(mu + 10 * math.sqrt(mu) + 10) + 1).astype(float)
+            cols, band = _response_band(det, ns)
+            embedded = np.zeros((ns.size, det.readout_levels().size))
+            embedded[:, cols] = band
+            assert np.array_equal(embedded, oracles.response_matrix(det, ns))
+        for n_in in (0, 7, 55, 1000):
+            dense = oracles.response_matrix(det, np.array([float(n_in)]))[0]
+            assert np.array_equal(saturating_response(det, n_in).probs, dense)
+
+    def test_long_ladder_costs_only_its_band(self):
+        # the dense (photons x ladder) matrix would be 650 x 10^6 cells, 5.2 GB
+        det = SaturatingDetector(k_s=10**6, readout_sigma=1.0)
+        tracemalloc.start()
+        try:
+            res = saturated_fisher([1000.0], [1000.0], det)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+        # far below saturation, readout noise of 1 photon keeps almost all
+        # of the shot-noise information (d nbar / dg)^2 / nbar = 1000
+        assert 0.99 * 1000 < res.total <= 1000 * (1 + 1e-9)
+
+    def test_band_too_large_is_refused_before_allocation(self):
+        det = SaturatingDetector(k_s=10**6, readout_sigma=1e4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LadderTooLong):
+                readout_distribution(det, 1e4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
