@@ -36,7 +36,6 @@ from .infometrics import (
     classical_fisher,
     info_budget,
     qfi_joint,
-    qfi_postselected,
     scaling_bounds,
     snr,
 )

@@ -26,7 +26,7 @@ from . import schemes
 from .coupling import CouplingConfig, Generator, evolve_joint, postselect, trapped_ion_shift
 from .errors import ConfigError, WvlabError
 from .infometrics import (
-    classical_fisher, info_budget, quadrature_family, readout_axis, selection_probability,
+    Conditioning, classical_fisher, info_budget, quadrature_family, readout_axis,
 )
 from .meter import FockMeter, GaussianMeter, to_grid
 from .noise import CorrelatedNoiseModel, amr_information, amr_variance_exact, cm_fisher_correlated
@@ -391,7 +391,7 @@ def _budget_pf_sweep(sigma: float, g: float, writer: RunWriter) -> None:
 
     def readout_fisher(pre, post, theta: float) -> tuple[float, float]:
         fam = quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid)
-        p_f, _ = selection_probability(pre, post, coupling, meter)
+        p_f = Conditioning.of_meter(pre, post, coupling, meter).kernels(g).p_f()
         return p_f, classical_fisher(fam, g)
 
     rows = []

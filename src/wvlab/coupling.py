@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDenominator,
-    EmptyPostselection,
     IncompatibleMeter,
-    UnsupportedDimension,
 )
 from .meter import (
     DEFAULT_GRID_POINTS,
@@ -27,7 +25,6 @@ from .meter import (
     FockState,
     GaussianMeter,
     GridMeter,
-    fourier_pair,
 )
 from .qsys import Observable, SystemState
 
@@ -80,11 +77,7 @@ class JointState:
 
 
 def _meter_norm(m) -> float:
-    if isinstance(m, GaussianMeter):
-        return 1.0
-    if isinstance(m, GridMeter):
-        return m.norm()
-    return m.norm()
+    return 1.0 if isinstance(m, GaussianMeter) else m.norm()
 
 
 class RegimeKind(enum.Enum):

@@ -8,7 +8,7 @@ execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BoundaryMaximum, SingularCovariance
@@ -253,18 +253,7 @@ class EstimateReport:
     estimator: str
 
     def to_dict(self) -> dict:
-        return {
-            "mean_estimate": self.mean_estimate,
-            "empirical_variance": self.empirical_variance,
-            "crb": self.crb,
-            "crb_ratio": self.crb_ratio,
-            "crb_ratio_se": self.crb_ratio_se,
-            "fisher_total": self.fisher_total,
-            "trials": self.trials,
-            "nu": self.nu,
-            "seed": self.seed,
-            "estimator": self.estimator,
-        }
+        return asdict(self)
 
 
 def _jackknife_ratio_se(estimates: np.ndarray, fisher_total: float) -> float:

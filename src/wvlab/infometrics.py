@@ -6,9 +6,11 @@ for U = exp(-i g A x M) and selection states (i, f), the conditioned meter is
 K(m) = sum_k u_k e^{-i a_k g m} acting multiplicatively in the eigenbasis of
 the meter generator M (momentum p or photon number n), with
 u_k = <f|v_k><v_k|i>. Its g-derivative kernel is J(m) = sum_k u_k a_k m
-e^{-i a_k g m}, so p_f, dp_f/dg and the conditioned-state QFI are all plain
-quadratures -- no weak-coupling approximation anywhere. The same kernels
-(`Conditioning`) give every post-selected outcome family its density and its
+e^{-i a_k g m}, so p_f, dp_f/dg, the conditioned-state QFI Q_f and the
+selection FI F_p are all plain quadratures -- no weak-coupling approximation
+anywhere: `Conditioning.of_meter(pre, post, cfg, meter).kernels(g)` reads
+them as `.p_f()`, `.dp_dg()`, `.qfi_conditioned()` and `.selection_fisher()`.
+The same kernels give every post-selected outcome family its density and its
 analytic derivative, in g or (inverse WVA) in the post-selection angle.
 """
 
@@ -128,12 +130,9 @@ def _generator_weights(meter, cfg: CouplingConfig, points: int = 4096):
             w = w / (w.sum())
             return p, w
         raise UnsupportedDimension("momentum generator needs a Gaussian meter")
-    if isinstance(meter, FockMeter):
-        w = meter.number_probabilities()
-    elif isinstance(meter, FockState):
-        w = meter.number_probabilities()
-    else:
+    if not isinstance(meter, (FockMeter, FockState)):
         raise UnsupportedDimension("photon-number generator needs a Fock meter")
+    w = meter.number_probabilities()
     n = np.arange(w.size, dtype=float)
     return n, w / w.sum()
 
@@ -193,6 +192,8 @@ class _Kernels:
         return -float(np.real(np.sum(np.conj(self.k) * self.j * self.weights))) / self.p_f()
 
     def qfi_conditioned(self) -> float:
+        """Q_f = 4 [<J|J>/p_f - |<J|K>|^2/p_f^2], the QFI of the normalized
+        conditioned meter (the p_f variation cancels exactly)."""
         p = self.p_f()
         if p <= PROBABILITY_FLOOR:
             raise EmptyPostselection(f"p_f = {p:.3e}")
@@ -366,34 +367,6 @@ def selection_angle_family(
         return _Kernels(weights, k, 1j * dk)
 
     return _kernel_family(kernels, grid, values)
-
-
-def qfi_postselected(
-    pre: SystemState, post: SystemState, cfg: CouplingConfig, meter
-) -> tuple[float, float]:
-    """(p_f, Q_f): success probability and QFI of the conditioned meter.
-
-    Q_f = 4 [ <J'J> - |<J'K>|^2 ] with J and K the exact conditioning kernels
-    scaled by 1/sqrt(p_f); identical to the QFI of the normalized conditioned
-    meter family (the p_f variation cancels exactly).
-    """
-    kern = Conditioning.of_meter(pre, post, cfg, meter).kernels(cfg.g)
-    return kern.p_f(), kern.qfi_conditioned()
-
-
-def selection_probability(
-    pre: SystemState, post: SystemState, cfg: CouplingConfig, meter
-) -> tuple[float, float]:
-    """(p_f, dp_f/dg) with the derivative evaluated analytically."""
-    kern = Conditioning.of_meter(pre, post, cfg, meter).kernels(cfg.g)
-    return kern.p_f(), kern.dp_dg()
-
-
-def selection_fisher(
-    pre: SystemState, post: SystemState, cfg: CouplingConfig, meter
-) -> float:
-    """F_p = (dp_f/dg)^2 / (p_f (1 - p_f)): FI of the selection statistics."""
-    return Conditioning.of_meter(pre, post, cfg, meter).kernels(cfg.g).selection_fisher()
 
 
 # ---------------------------------------------------------------------------

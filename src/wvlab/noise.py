@@ -508,20 +508,22 @@ def _ladder_index(det: SaturatingDetector, n_in: np.ndarray, top: int) -> np.nda
     return np.where(n_in >= det.k_s, top, idx)
 
 
-def _response_band(det: SaturatingDetector, n_values: np.ndarray) -> tuple[slice, np.ndarray]:
-    """(cols, band): the rows R(k|N) of the Gaussian readout (readout_sigma
-    > 0) for each N in n_values are zero outside the ladder columns `cols`,
-    which `band` holds. Bin edges lie halfway between ladder points, and
-    +-inf at the ends clip at 0 and saturate at k_s. A bin whose upper edge
+def _bin_edges(levels: np.ndarray) -> np.ndarray:
+    """Readout bin edges of a ladder: halfway between its levels, and +-inf
+    at the ends, which clip at 0 and saturate at k_s."""
+    return np.concatenate([[-np.inf], 0.5 * (levels[1:] + levels[:-1]), [np.inf]])
+
+
+def _response_band(edges: np.ndarray, sigma: float, n_values: np.ndarray):
+    """(cols, band): the rows R(k|N) of the Gaussian readout of width sigma
+    > 0 into the bins `edges` for each N in n_values are zero outside the
+    ladder columns `cols`, which `band` holds. A bin whose upper edge
     lies 40 sigma below every N has ndtr = 0 at both edges, and one whose
     lower edge lies 9 sigma above every N has ndtr = 1 at both, so every
     dropped entry is exactly 0. A band of more than MAX_LADDER_LEVELS cells
     raises LadderTooLong before it is built."""
     from scipy.special import ndtr
 
-    levels = det.readout_levels()
-    edges = np.concatenate([[-np.inf], 0.5 * (levels[1:] + levels[:-1]), [np.inf]])
-    sigma = det.readout_sigma
     first = int(np.searchsorted(edges, n_values.min() - 40 * sigma, side="right")) - 1
     stop = int(np.searchsorted(edges, n_values.max() + 9 * sigma, side="left"))
     if n_values.size * (stop - first) > MAX_LADDER_LEVELS:
@@ -543,39 +545,47 @@ def saturating_response(det: SaturatingDetector, n_in: int) -> DiscreteDistribut
     if det.readout_sigma == 0:
         probs[_ladder_index(det, np.asarray(n_in), levels.size - 1)] = 1.0
     else:
-        cols, band = _response_band(det, np.array([float(n_in)]))
+        edges, n = _bin_edges(levels), np.array([float(n_in)])
+        cols, band = _response_band(edges, det.readout_sigma, n)
         probs[cols] = band[0]
     return DiscreteDistribution(levels, probs)
 
 
-def _readout(det: SaturatingDetector, mu: float, response: np.ndarray | None):
-    """(N, Pois(N; mu), fold) over the photon numbers N within mu +- 10
+def _readout(det: SaturatingDetector, response: np.ndarray | None):
+    """mu -> (N, Pois(N; mu), fold) over the photon numbers N within mu +- 10
     sqrt(mu), where fold is the linear map m -> sum_N R(k|N) m_N onto the
     ladder. Without readout noise R is the quantize-and-clip rule, so fold
     adds each m_N to its level in O(len(N)); with it, fold multiplies by the
     nonzero band of R alone. A tabulated `response` reuses its last row
-    beyond its length (deep saturation)."""
+    beyond its length (deep saturation). The ladder and its bin edges are
+    built once, here, for every mu."""
     from scipy.special import gammaln, xlogy
 
-    lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
-    hi = int(mu + 10 * math.sqrt(mu) + 10)
-    ns = np.arange(lo, hi + 1)
-    pois = np.exp(xlogy(ns, mu) - gammaln(ns + 1) - mu)
-    if response is not None:
-        rows = response[np.clip(ns, 0, response.shape[0] - 1)]
-        return ns, pois, lambda m: m @ rows
-    size = det.readout_levels().size
-    if det.readout_sigma == 0:
-        idx = _ladder_index(det, ns, size - 1)
-        return ns, pois, lambda m: np.bincount(idx, weights=m, minlength=size)
-    cols, band = _response_band(det, ns.astype(float))
+    if response is None:
+        levels = det.readout_levels()
+        size, edges = levels.size, _bin_edges(levels) if det.readout_sigma > 0 else None
 
-    def fold(m: np.ndarray) -> np.ndarray:
-        out = np.zeros(size)
-        out[cols] = m @ band
-        return out
+    def read(mu: float):
+        lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
+        hi = int(mu + 10 * math.sqrt(mu) + 10)
+        ns = np.arange(lo, hi + 1)
+        pois = np.exp(xlogy(ns, mu) - gammaln(ns + 1) - mu)
+        if response is not None:
+            rows = response[np.clip(ns, 0, response.shape[0] - 1)]
+            return ns, pois, lambda m: m @ rows
+        if edges is None:
+            idx = _ladder_index(det, ns, size - 1)
+            return ns, pois, lambda m: np.bincount(idx, weights=m, minlength=size)
+        cols, band = _response_band(edges, det.readout_sigma, ns.astype(float))
 
-    return ns, pois, fold
+        def fold(m: np.ndarray) -> np.ndarray:
+            out = np.zeros(size)
+            out[cols] = m @ band
+            return out
+
+        return ns, pois, fold
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -593,7 +603,7 @@ def readout_distribution(
     `response` optionally supplies a measured matrix with row N holding
     R(.|N); rows beyond the matrix reuse its last row (deep saturation).
     """
-    _, pois, fold = _readout(det, det.eta * nbar, response)
+    _, pois, fold = _readout(det, response)(det.eta * nbar)
     return fold(pois)
 
 
@@ -617,9 +627,10 @@ def saturated_fisher(
         raise ValueError("nbar and dnbar must have the same shape")
     per_pixel = np.zeros(nbar.size)
     gammas = np.zeros(nbar.size)
+    read = _readout(det, response)
     for j in np.flatnonzero(nbar > 0):
         mu = det.eta * nbar[j]
-        ns, pois, fold = _readout(det, mu, response)
+        ns, pois, fold = read(mu)
         pk = fold(pois)
         dpk = det.eta * dnbar[j] * fold(pois * (ns - mu) / mu)
         mask = pk > PROBABILITY_FLOOR

@@ -33,7 +33,6 @@ from .infometrics import (
     quadrature_family,
     readout_axis,
     selection_angle_family,
-    selection_probability,
 )
 from .meter import (
     FockMeter,
@@ -119,7 +118,28 @@ class StandardSpec:
         return standard_scheme(self)
 
     def outcome_family(self) -> tuple[ParamDistribution, float]:
-        return standard_scheme(self).family, self.g
+        return self.readout()[0], self.g
+
+    def readout(self) -> tuple[ParamDistribution, float, float, list[str]]:
+        """(family, theta, margin, notes): the density of the quadrature
+        S_theta at the optimal angle theta, read out of the post-selected
+        meter, and the linear-response (Eq.-(5)-style AAV) margin. A margin of
+        1 or more warns with a RegimeViolationWarning, whose message `notes`
+        holds; the family stays exact."""
+        pre, post = self.states()
+        margin = aav_condition_margin(pre, post, SIGMA_Z, self.g, self.sigma)
+        notes = []
+        if margin >= 1.0:
+            notes.append(f"AAV margin {margin:.3g} >= 1: outside the standard-WVA regime")
+            warnings.warn(notes[0], RegimeViolationWarning, stacklevel=3)
+        # the weak value is real (epsilon) or imaginary (phi), so the optimal
+        # angle is a quarter turn: 0 or pi reads +-Q, -+pi/2 reads -+P.
+        # Roundoff in w tilts the computed angle by ~1e-15 sigma^2 / phi; snap it.
+        w = weak_value(pre, post, SIGMA_Z)
+        theta = math.pi / 2 * round(2 * optimal_quadrature_angle(w, self.sigma) / math.pi)
+        q_grid = readout_axis(self.sigma, self.g, self.points)
+        meter = GaussianMeter(self.sigma)
+        return quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid), theta, margin, notes
 
 
 @dataclass
@@ -136,33 +156,17 @@ class StandardResult:
 
 
 def standard_scheme(spec: StandardSpec) -> StandardResult:
-    """Standard WVA measured along its optimal quadrature.
-
-    Attaches a RegimeViolationWarning when the linear-response margin
-    (Eq.-(5)-style condition) reaches 1; everything is still computed exactly.
-    """
+    """Standard WVA measured along its optimal quadrature (`StandardSpec.readout`,
+    which warns when the AAV margin reaches 1; everything is still exact)."""
     pre, post = spec.states()
     w = weak_value(pre, post, SIGMA_Z)
     cfg = CouplingConfig(spec.g, Generator.MOMENTUM_KICK, SIGMA_Z)
     meter = GaussianMeter(spec.sigma)
-
-    margin = aav_condition_margin(pre, post, SIGMA_Z, spec.g, spec.sigma)
-    notes = []
-    if margin >= 1.0:
-        msg = f"AAV margin {margin:.3g} >= 1: outside the standard-WVA regime"
-        warnings.warn(msg, RegimeViolationWarning, stacklevel=2)
-        notes.append(msg)
-
-    # StandardSpec's weak value is real (epsilon) or imaginary (phi), so the
-    # optimal angle is a quarter turn: 0 or pi reads +-Q, -+pi/2 reads -+P.
-    # Roundoff in w tilts the computed angle by ~1e-15 sigma^2 / phi; snap it.
-    theta = math.pi / 2 * round(2 * optimal_quadrature_angle(w, spec.sigma) / math.pi)
-    q_grid = readout_axis(spec.sigma, spec.g, spec.points)
-    family = quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid)
+    family, theta, margin, notes = spec.readout()
     dist = SampledDistribution(family.grid, family.probabilities(spec.g))
 
     budget = info_budget(pre, post, cfg, meter)
-    p_f, _ = selection_probability(pre, post, cfg, meter)
+    p_f = Conditioning.of_meter(pre, post, cfg, meter).kernels(spec.g).p_f()
     fi_cond = classical_fisher(family, spec.g)
     x0 = SampledDistribution(family.grid, family.probabilities(0.0)).mean()
     std = math.sqrt(dist.var())
@@ -272,7 +276,7 @@ def inverse_scheme(spec: InverseSpec) -> InverseResult:
     family = p_family if imaginary else q_family
     fi = classical_fisher(family, angle0)
     cfg = CouplingConfig(spec.g, Generator.MOMENTUM_KICK, SIGMA_Z)
-    p_f, _ = selection_probability(pre, post, cfg, meter)
+    p_f = Conditioning.of_meter(pre, post, cfg, meter).kernels(spec.g).p_f()
 
     if imaginary:
         predicted = -spec.phi_angle / spec.g
@@ -617,23 +621,11 @@ def biased_beta_s(epsilon: float, omega0: float) -> float:
     return epsilon / omega0
 
 
-def _biased_spectrum(spec: BiasedSpec, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    w = np.linspace(
-        spec.omega0 - 8 * spec.delta_omega,
-        spec.omega0 + 8 * spec.delta_omega,
-        spec.points,
-    )
-    f2 = np.exp(-((w - spec.omega0) ** 2) / (2 * spec.delta_omega**2))
-    f2 /= f2.sum() * (w[1] - w[0])
-    return w, np.sin(w * (spec.beta + tau) - spec.epsilon) ** 2 * f2
-
-
-def biased_p_f_closed(spec: BiasedSpec, tau: float | None = None) -> float:
+def biased_p_f_closed(spec: BiasedSpec) -> float:
     """Exact selection probability for the Gaussian |f(omega)|^2 = N(omega0,
     delta_omega^2): [1 - e^{-2 d^2 (beta+tau)^2} cos(2(omega0 (beta+tau) -
     eps))]/2."""
-    t = spec.tau if tau is None else tau
-    b = spec.beta + t
+    b = spec.beta + spec.tau
     return 0.5 * (
         1.0
         - math.exp(-2 * spec.delta_omega**2 * b**2)
@@ -641,24 +633,26 @@ def biased_p_f_closed(spec: BiasedSpec, tau: float | None = None) -> float:
     )
 
 
-def biased_centroid_shift(spec: BiasedSpec, tau: float) -> float:
-    w, s = _biased_spectrum(spec, tau)
-    return float(np.sum(w * s) / np.sum(s)) - spec.omega0
-
-
 def biased_scheme(spec: BiasedSpec) -> BiasedResult:
-    w, s = _biased_spectrum(spec, spec.tau)
-    dw = w[1] - w[0]
-    p_f_grid = float(np.sum(s) * dw)
+    """The spectrum sin^2(omega b - eps) |f(omega)|^2, b = beta + tau, on a
+    `points`-point omega grid: the success arm of pre |+> and post
+    (-i e^{-i eps}, i e^{i eps})/sqrt(2) after exp(-i b sigma_z omega), read out
+    by the conditioning kernels at g = b. The slope d(shift)/d(tau) is the
+    exact sum_omega omega d(density)/db."""
+    w = np.linspace(
+        spec.omega0 - 8 * spec.delta_omega,
+        spec.omega0 + 8 * spec.delta_omega,
+        spec.points,
+    )
+    f2 = np.exp(-((w - spec.omega0) ** 2) / (2 * spec.delta_omega**2))
+    pre = SystemState(np.array([1.0, 1.0]) / math.sqrt(2))
+    post = SystemState(np.array([-1j * np.exp(-1j * spec.epsilon), 1j * np.exp(1j * spec.epsilon)])
+                       / math.sqrt(2))
+    kern = Conditioning.of(pre, post, SIGMA_Z, w, f2 / f2.sum()).kernels(spec.beta + spec.tau)
+    p_f_grid = kern.p_f()
     p_f_closed = biased_p_f_closed(spec)
-    shift = float(np.sum(w * s) / np.sum(s)) - spec.omega0
-
-    # numeric slope d(centroid)/d(tau) around the operating point
-    step = 1e-3 * spec.epsilon / spec.omega0**2
-    slope = (
-        biased_centroid_shift(spec, spec.tau + step)
-        - biased_centroid_shift(spec, spec.tau - step)
-    ) / (2 * step)
+    shift = float(np.sum(w * kern.density())) - spec.omega0
+    slope = float(np.sum(w * kern.density_dg()))
     slope_closed = 2 * spec.omega0**2 / spec.epsilon
 
     extras = {
@@ -685,7 +679,8 @@ def biased_scheme(spec: BiasedSpec) -> BiasedResult:
         snr_per_root_nu=0.0,
         extras=extras,
     )
-    return BiasedResult(report, w, s, shift, p_f_grid, p_f_closed)
+    spectrum = np.abs(kern.k) ** 2 * kern.weights / (w[1] - w[0])
+    return BiasedResult(report, w, spectrum, shift, p_f_grid, p_f_closed)
 
 
 # ---------------------------------------------------------------------------
@@ -791,8 +786,15 @@ class PhaseSpaceSpec:
     def run(self) -> "PhaseSpaceResult":
         return phase_space_scheme(self)
 
+    def selection(self) -> Conditioning:
+        """The success arm: `pre` selected on `post` after the photon-number
+        phase at g, read out on the meter's number distribution."""
+        pre, post = self.states()
+        cfg = CouplingConfig(self.g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+        return Conditioning.of_meter(pre, post, cfg, self.meter)
+
     def outcome_family(self) -> tuple[ParamDistribution, float]:
-        return phase_space_scheme(self).selection_family, self.g
+        return self.selection().selection_family(), self.g
 
 
 @dataclass
@@ -812,14 +814,6 @@ class PhaseSpaceResult:
         return {"n": n, "probability": self.photon_distribution}
 
 
-def phase_space_selection_probability(spec: PhaseSpaceSpec, g: float) -> float:
-    """Exact p_f(g) = sum_n |K(n)|^2 P(n) over the meter's number distribution,
-    mixed or not."""
-    pre, post = spec.states()
-    cfg = CouplingConfig(g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
-    return selection_probability(pre, post, cfg, spec.meter)[0]
-
-
 def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
     pre, post = spec.states()
     cfg = CouplingConfig(spec.g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
@@ -828,11 +822,11 @@ def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
 
     # conditioned photon-number statistics of both arms (nothing is silently
     # discarded) and of the selection itself
-    success = Conditioning.of_meter(pre, post, cfg, spec.meter)
+    success = spec.selection()
     photon_family = success.family()
     selection_family = success.selection_family()
-    failure_family = Conditioning.of_meter(
-        pre, post.orthogonal_qubit(), cfg, spec.meter
+    failure_family = Conditioning.of(
+        pre, post.orthogonal_qubit(), PROJ_ONE, success.values, success.weights
     ).family()
     kern = success.kernels(spec.g)
     f_n, p_f = kern.density(), kern.p_f()
@@ -909,8 +903,18 @@ class EntangledSpec:
     def run(self) -> "EntangledResult":
         return entangled_scheme(self)
 
+    def selection(self) -> Conditioning:
+        """Pre |+>, post (e^{-id}, -e^{id})/sqrt(2) with the detuning d, after
+        exp(-i phi diag(N, -N) x sigma_z) on the |+> meter, whose sigma_z
+        eigenvalues m = +-1 have weights 1/2 each."""
+        d = self.detuning
+        pre = SystemState(np.array([1.0, 1.0]) / math.sqrt(2))
+        post = SystemState(np.array([np.exp(-1j * d), -np.exp(1j * d)]) / math.sqrt(2))
+        a = Observable(np.diag([self.n, -self.n]))
+        return Conditioning.of(pre, post, a, [1.0, -1.0], [0.5, 0.5])
+
     def outcome_family(self) -> tuple[ParamDistribution, float]:
-        return entangled_scheme(self).family, self.phi
+        return self.selection().family(), self.phi
 
 
 @dataclass
@@ -932,12 +936,7 @@ def entangled_scheme(spec: EntangledSpec) -> EntangledResult:
     p_f ~ N^2 eps^2 with |w| = N cot(N eps) ~ 1/eps, the max_weak_value one
     (d = sqrt(N) eps) p_f ~ N eps^2 with |w| ~ sqrt(N)/eps."""
     d = spec.detuning
-    pre = SystemState(np.array([1.0, 1.0]) / math.sqrt(2))
-    post = SystemState(np.array([np.exp(-1j * d), -np.exp(1j * d)]) / math.sqrt(2))
-    # the |+> meter's sigma_z eigenvalues m = +-1 have weights 1/2 each
-    cond = Conditioning.of(
-        pre, post, Observable(np.diag([spec.n, -spec.n])), [1.0, -1.0], [0.5, 0.5]
-    )
+    cond = spec.selection()
     family = cond.family()
     kern = cond.kernels(spec.phi)
     p_f, probs = kern.p_f(), kern.density()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import numeric_family
-from wvlab.errors import BoundaryMaximum
+from wvlab.errors import BoundaryMaximum, RegimeViolationWarning
 from wvlab.estimate import (
     AliasSampler,
     ExperimentPlan,
@@ -447,3 +447,66 @@ class TestRunExperiment:
         assert abs(rep.crb_ratio - 1.0) <= 4 * rep.crb_ratio_se
         # the per-draw information indeed scales like N^2
         assert rep.fisher_total / plan.nu == pytest.approx(nbar**2, rel=0.25)
+
+
+# each spec with a pure selection, and where its scheme result holds the same family
+SPEC_FAMILIES = {
+    "standard": (StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05), "family"),
+    "phase_space": (PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(10.0)),
+                    "selection_family"),
+    "entangled": (EntangledSpec(phi=0.01, epsilon=0.05, n=4), "family"),
+}
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """The g of every `Conditioning.kernels` call made after it is set up."""
+    from wvlab.infometrics import Conditioning
+
+    build, built = Conditioning.kernels, []
+
+    def kernels(self, g):
+        built.append(g)
+        return build(self, g)
+
+    monkeypatch.setattr(Conditioning, "kernels", kernels)
+    return built
+
+
+class TestSpecFamilies:
+    @pytest.mark.parametrize("name", SPEC_FAMILIES)
+    def test_family_is_the_scheme_family_bitwise(self, name):
+        spec, attr = SPEC_FAMILIES[name]
+        family, g = spec.outcome_family()
+        reported = getattr(spec.run(), attr)
+        for method in ("probabilities", "derivative"):
+            assert getattr(family, method)(g).tobytes() == getattr(reported, method)(g).tobytes()
+
+    @pytest.mark.parametrize("name", SPEC_FAMILIES)
+    def test_family_builds_no_kernels_and_no_report(self, name, kernel_builds, monkeypatch):
+        import wvlab.schemes as schemes_mod
+
+        def refuse(*args):
+            raise AssertionError("a report quantity was computed")
+
+        monkeypatch.setattr(schemes_mod, "info_budget", refuse)
+        monkeypatch.setattr(schemes_mod, "classical_fisher", refuse)
+        SPEC_FAMILIES[name][0].outcome_family()
+        assert kernel_builds == []
+
+    def test_phase_space_plan_builds_kernels_at_most_three_times(self, kernel_builds):
+        # the amr phase-space plan of perfbench's crb_plans: nbar = 10^4,
+        # nu = 10^4, 200 trials: the Fisher number, the sampler and the mean
+        spec = PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(100.0))
+        run_experiment(ExperimentPlan(spec, 10_000, 200, 5, "amr"))
+        assert 0 < len(kernel_builds) <= 3
+
+    def test_plan_warns_outside_the_regime_like_the_scheme(self):
+        # an AAV margin >= 1 warns from StandardSpec.readout, which both the
+        # scheme and the Monte Carlo plan's family go through
+        spec = StandardSpec(g=0.3, sigma=1.0, epsilon=0.005, points=256)
+        with pytest.warns(RegimeViolationWarning) as scheme_warnings:
+            spec.run()
+        with pytest.warns(RegimeViolationWarning) as plan_warnings:
+            run_experiment(ExperimentPlan(spec, 100, 3, 1, "amr"))
+        assert [str(w.message) for w in plan_warnings] == [str(w.message) for w in scheme_warnings]

@@ -15,9 +15,7 @@ from wvlab.infometrics import (
     classical_fisher,
     info_budget,
     qfi_joint,
-    qfi_postselected,
     scaling_bounds,
-    selection_fisher,
     snr,
     tmsv_phase_variance,
 )
@@ -242,7 +240,8 @@ class TestQfiPostselected:
         pre, post = bloch_state(0.7, 0.3), bloch_state(2.2, -0.5)
         sigma, g = 1.0, 0.08
         cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
-        p_f, q_f = qfi_postselected(pre, post, cfg, GaussianMeter(sigma))
+        kern = Conditioning.of_meter(pre, post, cfg, GaussianMeter(sigma)).kernels(cfg.g)
+        p_f, q_f = kern.p_f(), kern.qfi_conditioned()
         base = to_grid(GaussianMeter(sigma), 18.0, 4096)
 
         def family(gp):
@@ -258,7 +257,8 @@ class TestQfiPostselected:
         pre = bloch_state(0.9, 0.0)
         post = optimal_postselection(pre, SIGMA_Z)
         cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
-        p_f, q_f = qfi_postselected(pre, post, cfg, GaussianMeter(sigma))
+        kern = Conditioning.of_meter(pre, post, cfg, GaussianMeter(sigma)).kernels(cfg.g)
+        p_f, q_f = kern.p_f(), kern.qfi_conditioned()
         assert p_f * q_f / qfi_joint(pre, GaussianMeter(sigma), cfg) > 0.99
 
     def test_deep_regime_selection_share_vs_coupling(self):
@@ -284,8 +284,9 @@ class TestQfiPostselected:
         post = optimal_postselection(pre, SIGMA_Z)  # orthogonal here
         cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
         meter = GaussianMeter(sigma)
-        p_f, q_f = qfi_postselected(pre, post, cfg, meter)
-        f_p = selection_fisher(pre, post, cfg, meter)
+        kern = Conditioning.of_meter(pre, post, cfg, meter).kernels(cfg.g)
+        p_f, q_f = kern.p_f(), kern.qfi_conditioned()
+        f_p = kern.selection_fisher()
         q_jt = qfi_joint(pre, meter, cfg)
         assert p_f * q_f / q_jt < 0.01
         assert f_p / q_jt > 0.95
@@ -298,7 +299,8 @@ class TestQfiPostselected:
         from wvlab.qsys import weak_value
 
         w = weak_value(pre, post, SIGMA_Z)
-        _, q_f = qfi_postselected(pre, post, cfg, GaussianMeter(sigma))
+        kern = Conditioning.of_meter(pre, post, cfg, GaussianMeter(sigma)).kernels(cfg.g)
+        q_f = kern.qfi_conditioned()
         assert q_f == pytest.approx(4 * (1 / (4 * sigma**2)) * abs(w) ** 2, rel=1e-10)
 
 
@@ -347,13 +349,15 @@ class TestInfoBudget:
 
         pre = bloch_state(0.8, 0.0)
         post = optimal_postselection(pre, SIGMA_Z)
-        p_f, q_f = qfi_postselected(pre, post, cfg, GaussianMeter(sigma))
+        kern = Conditioning.of_meter(pre, post, cfg, GaussianMeter(sigma)).kernels(cfg.g)
+        p_f, q_f = kern.p_f(), kern.qfi_conditioned()
         f_q = readout_fisher(pre, post, momentum=False)
         assert p_f * f_q == pytest.approx(p_f * q_f, rel=1e-4)
 
         pre_i = bloch_state(np.pi / 2, 0.0)
         post_i = bloch_state(-np.pi / 2, 0.05)  # imaginary weak value -2i/phi
-        p_fi, q_fi = qfi_postselected(pre_i, post_i, cfg, GaussianMeter(sigma))
+        kern = Conditioning.of_meter(pre_i, post_i, cfg, GaussianMeter(sigma)).kernels(cfg.g)
+        p_fi, q_fi = kern.p_f(), kern.qfi_conditioned()
         f_p = readout_fisher(pre_i, post_i, momentum=True)
         assert p_fi * f_p == pytest.approx(p_fi * q_fi, rel=1e-4)
         # the two maximal-FI values coincide through Var(Q) Var(P) = 1/4

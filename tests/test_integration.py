@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
-from wvlab.infometrics import qfi_postselected
+from wvlab.infometrics import Conditioning
 from wvlab.meter import (
     GaussianMeter,
     optimal_quadrature_angle,
@@ -99,7 +99,8 @@ class TestOptimalReadout:
         assert abs(w.real) > 1 and abs(w.imag) > 1
         theta = optimal_quadrature_angle(w, sigma)
         cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
-        _, q_f = qfi_postselected(pre, post, cfg, GaussianMeter(sigma))
+        kern = Conditioning.of_meter(pre, post, cfg, GaussianMeter(sigma)).kernels(cfg.g)
+        q_f = kern.qfi_conditioned()
         f_theta = self._readout_fisher(pre, post, sigma, g, theta)
         assert f_theta == pytest.approx(q_f, rel=1e-6)
 
@@ -112,7 +113,8 @@ class TestOptimalReadout:
         post = bloch_state(-np.pi / 2 + 0.08, 0.08)
         w = weak_value(pre, post, SIGMA_Z)
         cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
-        _, q_f = qfi_postselected(pre, post, cfg, GaussianMeter(sigma))
+        kern = Conditioning.of_meter(pre, post, cfg, GaussianMeter(sigma)).kernels(cfg.g)
+        q_f = kern.qfi_conditioned()
 
         theta_info = float(np.arctan2(2 * sigma**2 * w.imag, w.real))
         f_info = self._readout_fisher(pre, post, sigma, g, theta_info)

@@ -466,6 +466,21 @@ class TestSaturatedFisher:
         )
         return nbar, nbar * centers * shift_rate / sigma**2
 
+    @pytest.mark.parametrize("sigma_r", [0.0, 1.0])
+    def test_ladder_is_built_once_per_call(self, sigma_r, monkeypatch):
+        levels_of, calls = SaturatingDetector.readout_levels, []
+
+        def counted(det):
+            calls.append(det)
+            return levels_of(det)
+
+        monkeypatch.setattr(SaturatingDetector, "readout_levels", counted)
+        det = SaturatingDetector(k_s=1000, readout_sigma=sigma_r)
+        saturated_fisher(*self.beam_profile(1e4, 1.0), det)
+        assert len(calls) == 1
+        readout_distribution(det, 500.0)
+        assert len(calls) == 2
+
     def test_poisson_limit(self):
         det = SaturatingDetector(k_s=100000, readout_sigma=0.0)
         n0, dn = self.beam_profile(200.0, 1.0)

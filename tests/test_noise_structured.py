@@ -31,6 +31,7 @@ from wvlab.noise import (
     CorrelatedNoiseModel,
     SaturatingDetector,
     StateSpaceNoise,
+    _bin_edges,
     _response_band,
     _run_recursion,
     covariance,
@@ -193,7 +194,7 @@ class TestReadoutOracle:
             mu = det.eta * nbar
             lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
             ns = np.arange(lo, int(mu + 10 * math.sqrt(mu) + 10) + 1)
-            cols, band = _response_band(det, ns.astype(float))
+            cols, band = _response_band(edges, det.readout_sigma, ns.astype(float))
             expected = np.zeros(det.readout_levels().size)
             expected[cols] = stats.poisson.pmf(ns, mu) @ band
             assert np.array_equal(readout_distribution(det, nbar), expected)
@@ -219,7 +220,7 @@ class TestReadoutBand:
         for mu in (0.0, 0.3, 7.0, 55.5, 180.0, 2000.0):
             lo = max(0, int(mu - 10 * math.sqrt(mu) - 2))
             ns = np.arange(lo, int(mu + 10 * math.sqrt(mu) + 10) + 1).astype(float)
-            cols, band = _response_band(det, ns)
+            cols, band = _response_band(_bin_edges(det.readout_levels()), det.readout_sigma, ns)
             embedded = np.zeros((ns.size, det.readout_levels().size))
             embedded[:, cols] = band
             assert np.array_equal(embedded, oracles.response_matrix(det, ns))

@@ -20,7 +20,6 @@ from wvlab.schemes import (
     StandardSpec,
     abwva_scheme,
     biased_beta_s,
-    biased_centroid_shift,
     biased_scheme,
     cavity_gain,
     entangled_scheme,
@@ -29,7 +28,6 @@ from wvlab.schemes import (
     joint_wm_sample,
     joint_wm_scheme,
     phase_space_scheme,
-    phase_space_selection_probability,
     recycle_scheme,
     standard_scheme,
 )
@@ -236,7 +234,7 @@ class TestBiased:
 
     def test_zero_delay_zero_shift(self):
         spec = BiasedSpec(tau=0.0, beta=0.01, epsilon=0.1, omega0=10.0, delta_omega=1.0)
-        assert abs(biased_centroid_shift(spec, 0.0)) < 1e-9
+        assert abs(biased_scheme(spec).centroid_shift) < 1e-9
 
     def test_p_f_grid_matches_closed_form(self):
         spec = BiasedSpec(tau=1e-5, beta=0.012, epsilon=0.1, omega0=10.0, delta_omega=1.0)
@@ -264,6 +262,45 @@ class TestBiased:
         )
         assert res.report.extras["tau_resolution_biased"] == pytest.approx(
             0.1 * 0.05 / 200.0
+        )
+
+    @given(
+        st.floats(0.0, 1.7), st.floats(-2.0, -0.5), st.floats(-2.3, -0.3),
+        st.floats(0.0, 2.0), st.floats(-5.0, -1.0), st.sampled_from([1.0, -1.0]),
+    )
+    def test_matches_40_digit_closed_form(self, log_om0, log_width, log_eps, r, log_tau, sign):
+        """Centroid shift, its tau-slope and p_f against the Gaussian closed
+        forms at 40 digits: p_f = (1 - E cos(th)) / 2 as in `biased_p_f_closed`
+        and shift = 2 b dw^2 E sin(th) / (1 - E cos(th)), with E = exp(-2 b^2
+        dw^2), th = 2 (om0 b - eps), b = beta + tau. The shift sum_w w P(w) -
+        om0 cancels om0, and the slope's sum cancels om0 times sum |dP/db| ~
+        om0 / sqrt(p_f): below those roundoff floors no relative bound
+        applies."""
+        mp = pytest.importorskip("mpmath")
+        om0 = 10**log_om0
+        eps = 10**log_eps
+        spec = BiasedSpec(
+            tau=sign * eps / om0 * 10**log_tau, beta=r * eps / om0, epsilon=eps,
+            omega0=om0, delta_omega=om0 * 10**log_width,
+        )
+        res = biased_scheme(spec)
+        with mp.workdps(40):
+            dw, b = mp.mpf(spec.delta_omega), mp.mpf(spec.beta) + mp.mpf(spec.tau)
+
+            def e_th(x):
+                return mp.exp(-2 * x**2 * dw**2), 2 * (om0 * x - mp.mpf(eps))
+
+            def shift(x):
+                e, th = e_th(x)
+                return 2 * x * dw**2 * e * mp.sin(th) / (1 - e * mp.cos(th))
+
+            e, th = e_th(b)
+            p_f = float((1 - e * mp.cos(th)) / 2)
+            exact_shift, exact_slope = float(shift(b)), float(mp.diff(shift, b))
+        assert res.p_f_grid == pytest.approx(p_f, rel=1e-10, abs=0)
+        assert abs(res.centroid_shift - exact_shift) <= 1e-10 * abs(exact_shift) + 1e-14 * om0
+        assert abs(res.report.extras["slope"] - exact_slope) <= (
+            1e-10 * abs(exact_slope) + 1e-14 * om0**2 / math.sqrt(p_f)
         )
 
 
@@ -373,9 +410,12 @@ class TestPhaseSpace:
         meter = FockMeter.mixture([(0.4, 2.0), (0.6, 5.0)])
         spec = PhaseSpaceSpec(g=1e-4, epsilon=0.1, meter=meter)
         res = phase_space_scheme(spec)
-        assert phase_space_selection_probability(spec, spec.g) == pytest.approx(
-            res.report.p_f, rel=1e-12
-        )
+        p_f = [
+            PhaseSpaceSpec(g=1e-4, epsilon=0.1, meter=FockMeter.coherent(alpha))
+            .selection().kernels(spec.g).p_f()
+            for alpha in (2.0, 5.0)
+        ]
+        assert res.report.p_f == pytest.approx(0.4 * p_f[0] + 0.6 * p_f[1], rel=1e-12)
 
 
 class TestEntangled:
