@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 import numpy as np
 
 from .errors import BoundaryMaximum, SingularCovariance
@@ -55,21 +56,33 @@ class AliasSampler:
 
 
 class OutcomeSampler:
-    """Draws from one outcome distribution, evaluated once at g: the alias
-    table of a discrete family, or the inverse CDF (trapezoid-integrated
-    density) of a continuous one."""
+    """Draws from one outcome distribution, evaluated once at g: the
+    normalised table of a discrete family, or the inverse CDF
+    (trapezoid-integrated density) of a continuous one. A discrete family's
+    alias table is built on the first `draw`, so a plan that only draws
+    `counts` never builds it."""
 
     def __init__(self, dist: ParamDistribution, g: float):
         probs = dist.probabilities(g)
-        if dist.kind == "discrete":
-            self.alias, self.cdf, self.values = AliasSampler(probs), None, dist.outcome_values()
+        self.discrete = dist.kind == "discrete"
+        if self.discrete:
+            self.probs, self.cdf, self.values = probs, None, dist.outcome_values()
         else:
             inc = 0.5 * (probs[1:] + probs[:-1]) * dist.spacing
             cdf = np.concatenate([[0.0], np.cumsum(inc)])
-            self.alias, self.cdf, self.values = None, cdf / cdf[-1], dist.grid
+            self.probs, self.cdf, self.values = None, cdf / cdf[-1], dist.grid
+
+    @cached_property
+    def alias(self) -> AliasSampler:
+        return AliasSampler(self.probs)
+
+    def counts(self, rng: np.random.Generator, nu: int) -> np.ndarray:
+        """How often each outcome of a discrete family occurs in nu draws:
+        one multinomial, the sufficient statistic of the nu outcomes."""
+        return rng.multinomial(nu, self.probs / self.probs.sum())
 
     def draw(self, rng: np.random.Generator, nu: int) -> np.ndarray:
-        if self.cdf is None:
+        if self.discrete:
             return self.values[self.alias.draw(rng, nu)]
         u = rng.random(nu)
         # np.interp finds each point's bracket from the last one, so sorted
@@ -151,30 +164,51 @@ def mle_grid(
     1e-300. The maximiser is the down-crossing of the analytic score
     S(g) = sum p'/p: Fisher scoring (step S / sum (p'/p)^2) kept by bisection
     in a bracket with S(lo) > 0 > S(hi), stopped when a step falls below 1e-6
-    of the window's sd, (hi - lo) / 16.
+    of the window's sd, (hi - lo) / 16. A discrete family's samples enter
+    through their outcome counts alone (see `mle_counts`).
     """
     if dist.kind == "discrete":
         # each sample's outcome index, whatever order the labels are in
         labels = dist.outcome_values()
         order = np.argsort(labels, kind="stable")
         idx = order[np.clip(np.searchsorted(labels[order], samples), 0, labels.size - 1)]
+        return mle_counts(np.bincount(idx, minlength=labels.size), dist, g_grid)
 
-        def read(v):
-            return v[idx]
-    else:
-        grid = dist.grid
-        x = np.clip(samples, grid[0], grid[-1])
-        i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
-        w = (x - grid[i]) / (grid[i + 1] - grid[i])
+    grid = dist.grid
+    x = np.clip(samples, grid[0], grid[-1])
+    i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+    w = (x - grid[i]) / (grid[i + 1] - grid[i])
 
-        def read(v):
-            return (1.0 - w) * v[i] + w * v[i + 1]
+    def read(v):
+        return (1.0 - w) * v[i] + w * v[i + 1]
 
     def score(g: float) -> tuple[float, float]:
-        p, dp = read(dist.probabilities(g)), read(dist.derivative(g))
-        r = np.divide(dp, p, out=np.zeros_like(p), where=p > 1e-300)
+        r = _ratio(read(dist.probabilities(g)), read(dist.derivative(g)))
         return float(r.sum()), float(r @ r)
 
+    return _score_root(score, g_grid)
+
+
+def mle_counts(counts: np.ndarray, dist: ParamDistribution, g_grid: np.ndarray) -> float:
+    """`mle_grid` of a discrete family from its outcome counts n_k: the score
+    is sum_k n_k p'_k / p_k and the information sum_k n_k (p'_k / p_k)^2, so
+    a trial costs O(K) in the K outcomes, not O(nu) in its draws."""
+
+    def score(g: float) -> tuple[float, float]:
+        r = _ratio(dist.probabilities(g), dist.derivative(g))
+        return float(counts @ r), float(counts @ (r * r))
+
+    return _score_root(score, g_grid)
+
+
+def _ratio(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """p'/p, and 0 where p is below the 1e-300 floor."""
+    return np.divide(dp, p, out=np.zeros_like(p), where=p > 1e-300)
+
+
+def _score_root(score, g_grid: np.ndarray) -> float:
+    """The down-crossing of score(g) = (S, sum (p'/p)^2) in the window, as
+    `mle_grid` describes it."""
     lo, hi = float(g_grid[0]), float(g_grid[-1])
     tol = 1e-6 * (hi - lo) / 16
     if not (score(lo)[0] > 0 > score(hi)[0]):
@@ -312,20 +346,30 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
         fisher_single = classical_fisher(family, g_true)
         fisher_total = plan.nu * fisher_single
         sampler = OutcomeSampler(family, g_true)  # one evaluation for every trial
+
+        def counts(t: int) -> np.ndarray:
+            # a discrete trial is its outcome counts: one draw, not nu
+            return sampler.counts(substream(plan.seed, t), plan.nu)
+
         if plan.estimator == "amr":
             # calibration: linear response of the outcome mean, sum_x x dp/dg
             values, dp = family.outcome_values(), family.derivative(g_true)
             slope = float(np.sum(values * dp)) * family.spacing
             m0 = family.mean_std(g_true)[0]
             for t in range(plan.trials):
-                s = sample(sampler, plan.nu, plan.seed, t)
-                estimates[t] = g_true + (float(np.mean(s)) - m0) / slope
+                if sampler.discrete:
+                    mean = float(counts(t) @ values) / plan.nu
+                else:
+                    mean = float(np.mean(sample(sampler, plan.nu, plan.seed, t)))
+                estimates[t] = g_true + (mean - m0) / slope
         else:
             sd = 1.0 / math.sqrt(max(fisher_total, 1e-300))
             g_grid = np.linspace(g_true - 8 * sd, g_true + 8 * sd, 101)
             for t in range(plan.trials):
-                s = sample(sampler, plan.nu, plan.seed, t)
-                estimates[t] = mle_grid(s, family, g_grid)
+                if sampler.discrete:
+                    estimates[t] = mle_counts(counts(t), family, g_grid)
+                else:
+                    estimates[t] = mle_grid(sample(sampler, plan.nu, plan.seed, t), family, g_grid)
 
     emp_var = float(np.var(estimates, ddof=1))
     crb = 1.0 / fisher_total

@@ -96,10 +96,14 @@ class ParamDistribution:
 def classical_fisher(dist: ParamDistribution, g: float) -> float:
     """F_g = sum_x (d_g P)^2 / P (integral for densities), from the family's
     analytic derivative. Outcomes with P < 1e-14 are excluded."""
-    p0 = dist.probabilities(g)
-    dp = np.asarray(dist.derivative(g), dtype=float)
-    mask = p0 > PROBABILITY_FLOOR
-    return float(np.sum(dp[mask] ** 2 / p0[mask]) * dist.spacing)
+    return _fisher(dist.probabilities(g), np.asarray(dist.derivative(g), dtype=float), dist.spacing)
+
+
+def _fisher(p: np.ndarray, dp: np.ndarray, spacing: float = 1.0) -> float:
+    """sum (dp)^2 / p over the outcomes with p > 1e-14, times `spacing`: what
+    `classical_fisher` takes of a family's arrays at one g."""
+    mask = p > PROBABILITY_FLOOR
+    return float(np.sum(dp[mask] ** 2 / p[mask]) * spacing)
 
 
 def snr(dist: ParamDistribution, g: float, nu: int, x0: float) -> float:
@@ -425,11 +429,16 @@ def info_budget(
     """
     if pre.dim != 2:
         raise UnsupportedDimension("info_budget requires a qubit system")
-    q_jt = qfi_joint(pre, meter, cfg)
     success, failure = (
         Conditioning.of_meter(pre, arm, cfg, meter).kernels(cfg.g)
         for arm in (post, post.orthogonal_qubit())
     )
+    return _arm_budget(qfi_joint(pre, meter, cfg), success, failure)
+
+
+def _arm_budget(q_jt: float, success: _Kernels, failure: _Kernels) -> InfoBudget:
+    """The budget of `info_budget` from the kernels of its two arms at g, for
+    a caller that holds them already."""
     p_f, q_f = success.p_f(), success.qfi_conditioned()
     p_r = failure.p_f()
     p_r_q_r, arm_phase = 0.0, 0.0

@@ -28,8 +28,11 @@ from .infometrics import (
     Conditioning,
     InfoBudget,
     ParamDistribution,
+    _arm_budget,
+    _fisher,
     classical_fisher,
     info_budget,
+    qfi_joint,
     quadrature_family,
     readout_axis,
     selection_angle_family,
@@ -623,14 +626,17 @@ def biased_beta_s(epsilon: float, omega0: float) -> float:
 
 def biased_p_f_closed(spec: BiasedSpec) -> float:
     """Exact selection probability for the Gaussian |f(omega)|^2 = N(omega0,
-    delta_omega^2): [1 - e^{-2 d^2 (beta+tau)^2} cos(2(omega0 (beta+tau) -
-    eps))]/2."""
-    b = spec.beta + spec.tau
-    return 0.5 * (
-        1.0
-        - math.exp(-2 * spec.delta_omega**2 * b**2)
-        * math.cos(2 * (spec.omega0 * b - spec.epsilon))
-    )
+    delta_omega^2): [1 - e^{-x} cos(theta)]/2 with x = 2 d^2 b^2, b = beta +
+    tau, and theta = 2(omega0 b - eps). It is summed as (1 - e^{-x})/2 +
+    e^{-x} sin^2(theta/2), so no digits cancel where p_f is small, and
+    theta/2 is formed in exact rationals and rounded once, because near the
+    bias point omega0 b - eps cancels too."""
+    from fractions import Fraction  # not at module level: it costs `import wvlab` ~4 ms
+
+    b = Fraction(spec.beta) + Fraction(spec.tau)
+    x = 2 * spec.delta_omega**2 * float(b) ** 2
+    half_theta = float(Fraction(spec.omega0) * b - Fraction(spec.epsilon))
+    return -0.5 * math.expm1(-x) + math.exp(-x) * math.sin(half_theta) ** 2
 
 
 def biased_scheme(spec: BiasedSpec) -> BiasedResult:
@@ -821,24 +827,21 @@ def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
     mean0, var0 = fock_moments(spec.meter)
 
     # conditioned photon-number statistics of both arms (nothing is silently
-    # discarded) and of the selection itself
+    # discarded) and of the selection itself, each Fisher number read off the
+    # arms' kernels at g as `classical_fisher` reads it off the arm's family
     success = spec.selection()
-    photon_family = success.family()
-    selection_family = success.selection_family()
-    failure_family = Conditioning.of(
-        pre, post.orthogonal_qubit(), PROJ_ONE, success.values, success.weights
-    ).family()
-    kern = success.kernels(spec.g)
-    f_n, p_f = kern.density(), kern.p_f()
+    failure = Conditioning.of(pre, post.orthogonal_qubit(), PROJ_ONE, success.values, success.weights)
+    kern, kern_r = success.kernels(spec.g), failure.kernels(spec.g)
+    f_n, p_f, dp_f = kern.density(), kern.p_f(), kern.dp_dg()
     mean_f = float(np.sum(success.values * f_n))
 
-    f_photon = classical_fisher(photon_family, spec.g)
-    f_photon_failure = classical_fisher(failure_family, spec.g)
-    f_p = classical_fisher(selection_family, spec.g)
+    f_photon = _fisher(f_n, kern.density_dg())
+    f_photon_failure = _fisher(kern_r.density(), kern_r.density_dg())
+    f_p = _fisher(np.array([p_f, 1.0 - p_f]), np.array([dp_f, -dp_f]))
 
     budget = None
     if len(spec.meter.components) == 1:
-        budget = info_budget(pre, post, cfg, spec.meter)
+        budget = _arm_budget(qfi_joint(pre, spec.meter, cfg), kern, kern_r)
 
     predicted_shift = 2 * spec.g * w.imag * var0
     report = SchemeReport(
@@ -864,8 +867,8 @@ def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
         report,
         budget,
         f_n,
-        photon_family,
-        selection_family,
+        success.family(),
+        success.selection_family(),
         mean_f - mean0,
         predicted_shift,
         f_p,

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 from functools import lru_cache
 
@@ -15,6 +16,7 @@ from wvlab.estimate import (
     amr_estimate,
     correlated_noise_samples,
     mle_correlated,
+    mle_counts,
     mle_grid,
     mle_weights,
     run_experiment,
@@ -177,6 +179,33 @@ class TestSampling:
         freq = np.bincount(draws, minlength=17) / 200000
         assert np.max(np.abs(freq - probs)) < 0.01
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 50), log_nu=st.floats(4.0, 9.0))
+    def test_counts_have_the_multinomial_mean_and_covariance(self, seed, k, log_nu):
+        # a random table with some exact zeros; over the trials, each outcome's
+        # total is binomial(trials nu, p_k), and each entry of the centred
+        # product (n - nu p)(n - nu p)^T averages to nu (diag p - p p^T) with
+        # the exact variance from the multinomial's fourth moments. Each
+        # nonzero nu p_k is about 10 or more, so these averages are close to
+        # Gaussian
+        rng = np.random.default_rng(seed)
+        p = (rng.exponential(size=k) + 0.05) * (rng.random(k) > 0.2)
+        p[rng.integers(k)] += 0.1
+        p /= p.sum()
+        nu, trials = int(10**log_nu), 400
+        sampler = OutcomeSampler(numeric_family("discrete", lambda g: p, labels=np.arange(k)), 0.0)
+        n = np.array([sampler.counts(substream(seed, t), nu) for t in range(trials)])
+        assert np.all(n.sum(axis=1) == nu) and np.all(n[:, p == 0] == 0)
+        mu = nu * p
+        assert np.all(np.abs(n.sum(axis=0) - trials * mu) <= 5 * np.sqrt(trials * mu * (1 - p)))
+        c = np.diag(p) - np.outer(p, p)  # covariance of one draw
+        y2 = (np.eye(k) - p) ** 2  # (delta_ij - p_j)^2 for the draw i
+        fourth = y2.T @ (p[:, None] * y2)  # E[Y_j^2 Y_k^2] of one centred draw
+        second = nu * fourth + nu * (nu - 1.0) * (np.outer(np.diag(c), np.diag(c)) + 2 * c**2)
+        var_z = np.maximum(second - (nu * c) ** 2, 0.0)
+        d = n - mu
+        assert np.all(np.abs(d.T @ d / trials - nu * c) <= 5 * np.sqrt(var_z / trials) + 1e-9 * nu)
+
 
 class TestEstimators:
     def test_amr(self):
@@ -259,6 +288,25 @@ class TestEstimators:
         assert abs(est - fine) <= 1e-5 * sd
         assert abs(est - _scan_mle(draws, family, window)) <= 1e-3 * sd
 
+    @pytest.mark.parametrize("name", ["phase_space", "entangled"])
+    def test_mle_grid_is_the_count_estimate_of_the_same_draws(self, name):
+        # sample() draws by the alias table; their outcome counts, tallied
+        # here by label, give the estimate the plan takes from counts; and the
+        # plan's own counts, spelt out as samples, give mle_grid the plan's
+        # estimates
+        family, g, nu, sd = _oracle_case(name)
+        window = np.linspace(g - 8 * sd, g + 8 * sd, 101)
+        labels = family.outcome_values()
+        for trial in range(4):
+            draws = sample(family, nu, 9, trial, g)
+            counts = (draws[:, None] == labels[None, :]).sum(axis=0)
+            assert abs(mle_grid(draws, family, window) - mle_counts(counts, family, window)) <= 1e-9 * sd
+        plan = ExperimentPlan(ORACLE_CASES[name][0], nu, 4, 9, "mle_grid")
+        sampler = OutcomeSampler(family, g)
+        spelt = [mle_grid(np.repeat(labels, sampler.counts(substream(9, t), nu)), family, window)
+                 for t in range(plan.trials)]
+        assert abs(run_experiment(plan).mean_estimate - np.mean(spelt)) <= 1e-9 * sd
+
     def test_mle_grid_evaluation_count(self):
         family, g = StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05).outcome_family()
         sd = 1.0 / math.sqrt(10**4 * classical_fisher(family, g))
@@ -311,6 +359,40 @@ class TestRunExperiment:
             evaluations.append(scheme.evaluations)
             assert samples == {"OutcomeSampler": trials}
         assert evaluations[0] == evaluations[1]
+
+    @pytest.mark.parametrize("estimator", ["amr", "mle_grid"])
+    def test_discrete_trial_is_one_count_draw(self, estimator, monkeypatch):
+        # each trial takes one substream and draws its counts from it: no
+        # sample() call, and no alias table is built
+        import wvlab.estimate as estimate_mod
+
+        streams = []
+
+        def counted_substream(seed, trial=0, fn=estimate_mod.substream):
+            streams.append((seed, trial))
+            return fn(seed, trial)
+
+        def refuse(*args):
+            raise AssertionError("a discrete plan drew single outcomes")
+
+        monkeypatch.setattr(estimate_mod, "substream", counted_substream)
+        monkeypatch.setattr(estimate_mod, "sample", refuse)
+        monkeypatch.setattr(estimate_mod, "AliasSampler", refuse)
+        spec, nu = ORACLE_CASES["entangled"]
+        run_experiment(ExperimentPlan(spec, nu, 6, 4, estimator))
+        assert streams == [(4, t) for t in range(6)]
+
+    @pytest.mark.parametrize("name", ["phase_space", "entangled"])
+    def test_discrete_amr_plan_at_a_billion_draws(self, name):
+        # counts cost O(K) per trial whatever nu is; single outcomes at
+        # nu = 10^9 would ask for gigabytes
+        spec = ORACLE_CASES[name][0]
+        plan = ExperimentPlan(spec, 10**9, 5, 12, "amr")
+        start = time.perf_counter()
+        rep = run_experiment(plan)
+        assert time.perf_counter() - start < 1.0
+        truth = spec.outcome_family()[1]
+        assert abs(rep.mean_estimate - truth) <= 4.5 * math.sqrt(rep.crb / plan.trials)
 
     def test_reproducible(self):
         plan = ExperimentPlan(
@@ -424,9 +506,11 @@ class TestRunExperiment:
         family, g = phase_space_scheme(spec).selection_family, spec.g
         slope = float(np.sum(family.outcome_values() * family.derivative(g)))
         assert slope == pytest.approx(548.896, abs=1e-3)
-        m0 = family.mean_std(g)[0]
-        shift = np.mean([np.mean(sample(family, plan.nu, plan.seed, t, g)) - m0
-                         for t in range(plan.trials)])
+        # the shift of each trial's mean, rebuilt from the outcome counts the
+        # plan draws from substream(seed, t)
+        m0, sampler = family.mean_std(g)[0], OutcomeSampler(family, g)
+        shift = np.mean([sampler.counts(substream(plan.seed, t), plan.nu) @ family.outcome_values()
+                         / plan.nu - m0 for t in range(plan.trials)])
         implied = shift / (run_experiment(plan).mean_estimate - g)
         assert implied == pytest.approx(slope, rel=1e-12)
 
@@ -489,10 +573,19 @@ class TestSpecFamilies:
         def refuse(*args):
             raise AssertionError("a report quantity was computed")
 
-        monkeypatch.setattr(schemes_mod, "info_budget", refuse)
-        monkeypatch.setattr(schemes_mod, "classical_fisher", refuse)
+        for report_fn in ("info_budget", "_arm_budget", "_fisher", "classical_fisher"):
+            monkeypatch.setattr(schemes_mod, report_fn, refuse)
         SPEC_FAMILIES[name][0].outcome_family()
         assert kernel_builds == []
+
+    def test_phase_space_scheme_builds_each_arm_once(self, kernel_builds):
+        # the report's Fisher numbers and budget come from the kernels of the
+        # two arms at g, which the scheme builds once each
+        from wvlab.schemes import phase_space_scheme
+
+        spec = PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(10.0))
+        phase_space_scheme(spec)
+        assert kernel_builds == [spec.g, spec.g]
 
     def test_phase_space_plan_builds_kernels_at_most_three_times(self, kernel_builds):
         # the amr phase-space plan of perfbench's crb_plans: nbar = 10^4,

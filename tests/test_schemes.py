@@ -264,6 +264,20 @@ class TestBiased:
             0.1 * 0.05 / 200.0
         )
 
+    def test_p_f_closed_form_keeps_its_digits_at_small_p_f(self):
+        # (1 - E cos th) / 2 in double precision read 2.5119391567e-09 here,
+        # 7.3e-9 relative off
+        mp = pytest.importorskip("mpmath")
+        eps = 10**-2.3
+        spec = BiasedSpec(tau=1e-5 * eps, beta=eps, epsilon=eps, omega0=1.0, delta_omega=0.01)
+        with mp.workdps(40):
+            b = mp.mpf(spec.beta) + mp.mpf(spec.tau)
+            e = mp.exp(-2 * b**2 * mp.mpf(spec.delta_omega) ** 2)
+            p_f = float((1 - e * mp.cos(2 * (b - mp.mpf(eps)))) / 2)
+        assert p_f == pytest.approx(2.5119391751e-09, rel=1e-10)
+        closed = biased_scheme(spec).report.extras["p_f_closed_form"]
+        assert closed == pytest.approx(p_f, rel=1e-14, abs=0)
+
     @given(
         st.floats(0.0, 1.7), st.floats(-2.0, -0.5), st.floats(-2.3, -0.3),
         st.floats(0.0, 2.0), st.floats(-5.0, -1.0), st.sampled_from([1.0, -1.0]),
@@ -298,6 +312,7 @@ class TestBiased:
             p_f = float((1 - e * mp.cos(th)) / 2)
             exact_shift, exact_slope = float(shift(b)), float(mp.diff(shift, b))
         assert res.p_f_grid == pytest.approx(p_f, rel=1e-10, abs=0)
+        assert res.report.extras["p_f_closed_form"] == pytest.approx(p_f, rel=1e-14, abs=0)
         assert abs(res.centroid_shift - exact_shift) <= 1e-10 * abs(exact_shift) + 1e-14 * om0
         assert abs(res.report.extras["slope"] - exact_slope) <= (
             1e-10 * abs(exact_slope) + 1e-14 * om0**2 / math.sqrt(p_f)
