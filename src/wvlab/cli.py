@@ -136,8 +136,8 @@ def build(cls, block, where: str, **given):
     """`cls` from a JSON object whose keys are its fields, less those `given`.
 
     Unknown or missing keys, a wrong JSON type and the ValueError of the
-    class's own checks all raise ConfigError. Any number fills a float field
-    as it is; an int field takes integral numbers only (1e4, not 100.7).
+    class's own checks all raise ConfigError. Any finite number fills a float
+    field as it is; an int field takes integral numbers only (1e4, not 100.7).
     """
     if not isinstance(block, dict):
         raise ConfigError(f"'{where}' must be an object")
@@ -171,6 +171,8 @@ def _typed(value, hint, where: str):
         return [_typed(v, args[0], f"{where}[{i}]") for i, v in enumerate(value)]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if hint is float and number:
+        if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, 1e400
+            raise ConfigError(f"'{where}' must be a finite number, got {json.dumps(value)}")
         return value
     if hint is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)

@@ -11,13 +11,18 @@ selection FI F_p are all plain quadratures -- no weak-coupling approximation
 anywhere: `Conditioning.of_meter(pre, post, cfg, meter).kernels(g)` reads
 them as `.p_f()`, `.dp_dg()`, `.qfi_conditioned()` and `.selection_fisher()`.
 The same kernels give every post-selected outcome family its density and its
-analytic derivative, in g or (inverse WVA) in the post-selection angle.
+analytic derivative, in g or (inverse WVA) in the post-selection angle; a
+family keeps the kernels of the last x it built, so its probabilities,
+derivative and mean at one x cost one build. The budget is read off the two
+arms of a qubit selection, `post` and its orthogonal state, built once each
+on one readout spectrum (`_arms`, then `_arm_budget`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -184,9 +189,11 @@ class _Kernels:
         return (2.0 * np.imag(np.conj(self.k) * self.j) - k2 * self.dp_dg() / p) * self.weights / p
 
     def selection_fisher(self) -> float:
-        """F_p = p_f'^2 / (p_f (1 - p_f)), the FI of the selection statistics."""
+        """F_p = p'^2 / (p (1 - p)), the FI of the selection statistics, from
+        this arm's p. It keeps a finite limit as p -> 0, so only p = 0 or 1
+        give 0."""
         p, dp = self.p_f(), self.dp_dg()
-        if p <= PROBABILITY_FLOOR or p >= 1.0 - PROBABILITY_FLOOR:
+        if not 0.0 < p < 1.0:
             return 0.0
         return dp**2 / (p * (1.0 - p))
 
@@ -269,42 +276,25 @@ class Conditioning:
         """The {p_f, 1 - p_f} statistics of the selection (labels 1 and 0),
         with the analytic derivative {p_f', -p_f'}."""
         step = np.array([1.0, -1.0])
-        first, then = _handoff(self.kernels)
+        kernels = lru_cache(maxsize=1)(self.kernels)  # see `_kernel_family`
         return ParamDistribution(
-            "discrete", lambda g: np.array([0.0, 1.0]) + first(g).p_f() * step,
-            labels=np.array([1.0, 0.0]), derivative=lambda g: then(g).dp_dg() * step,
+            "discrete", lambda g: np.array([0.0, 1.0]) + kernels(g).p_f() * step,
+            labels=np.array([1.0, 0.0]), derivative=lambda g: kernels(g).dp_dg() * step,
         )
-
-
-def _handoff(kernels_of):
-    """(first, then): `first(x)` builds `kernels_of(x)` and hands them on to
-    the next `then` call, which reuses them if it asks for the same x. A
-    family's `probabilities` and `derivative` at one x so share one build."""
-    last = {}  # {x: kernels_of(x)} of the last first(x)
-
-    def first(x) -> _Kernels:
-        last.clear()
-        last[x] = kern = kernels_of(x)
-        return kern
-
-    def then(x) -> _Kernels:
-        kern = last.pop(x, None)
-        last.clear()
-        return kernels_of(x) if kern is None else kern
-
-    return first, then
 
 
 def _kernel_family(kernels_of, grid, values) -> ParamDistribution:
     """Family x -> `kernels_of(x).density()` with the derivative `density_dg`:
-    discrete over `values`, or a density on `grid` when it is given. Its
-    `probabilities` and `derivative` share kernels through `_handoff`."""
+    discrete over `values`, or a density on `grid` when it is given. A
+    one-entry memo builds the kernels only when x differs from the last x
+    built, so `probabilities`, `derivative` and `mean_std` at one x share one
+    build, in any order."""
     scale = 1.0 if grid is None else 1.0 / float(grid[1] - grid[0])
-    first, then = _handoff(kernels_of)
+    kernels = lru_cache(maxsize=1)(kernels_of)
     return ParamDistribution(
-        "discrete" if grid is None else "continuous", lambda x: scale * first(x).density(),
+        "discrete" if grid is None else "continuous", lambda x: scale * kernels(x).density(),
         grid=grid, labels=values if grid is None else None,
-        derivative=lambda x: scale * then(x).density_dg(),
+        derivative=lambda x: scale * kernels(x).density_dg(),
     )
 
 
@@ -417,35 +407,37 @@ class InfoBudget:
         }
 
 
-def info_budget(
-    pre: SystemState, post: SystemState, cfg: CouplingConfig, meter
-) -> InfoBudget:
-    """Assemble {Q_jt, p_f Q_f, p_r Q_r, F_p, 4 Var(beta)} for a qubit selection.
+def info_budget(pre: SystemState, post: SystemState, cfg: CouplingConfig, meter) -> InfoBudget:
+    """{Q_jt, p_f Q_f, p_r Q_r, F_p, 4 Var(beta)} of a qubit selection, read
+    off its two arms on the spectrum of the coupling generator in `meter`."""
+    arms = _arms(pre, post, cfg, *_generator_weights(meter, cfg))
+    return _arm_budget(qfi_joint(pre, meter, cfg), *arms)
 
-    The failure arm uses the unique state orthogonal to `post`, so the POVM is
-    the rank-1 pair of the two-arm post-selection. With p_f + p_r = 1 the arm
-    variance is p_f p_r (beta_f - beta_r)^2; an empty failure arm contributes
-    nothing.
-    """
+
+def _arms(pre: SystemState, post: SystemState, cfg: CouplingConfig, values, weights):
+    """(success, failure): the kernels at g of the two arms of a qubit selection
+    on one readout spectrum, `post` and the state orthogonal to it."""
     if pre.dim != 2:
-        raise UnsupportedDimension("info_budget requires a qubit system")
-    success, failure = (
-        Conditioning.of_meter(pre, arm, cfg, meter).kernels(cfg.g)
+        raise UnsupportedDimension("the two-arm split requires a qubit system")
+    return tuple(
+        Conditioning.of(pre, arm, cfg.a, values, weights).kernels(cfg.g)
         for arm in (post, post.orthogonal_qubit())
     )
-    return _arm_budget(qfi_joint(pre, meter, cfg), success, failure)
 
 
 def _arm_budget(q_jt: float, success: _Kernels, failure: _Kernels) -> InfoBudget:
-    """The budget of `info_budget` from the kernels of its two arms at g, for
-    a caller that holds them already."""
+    """The budget from the kernels of the two arms at g. The arm variance is
+    p_f p_r (beta_f - beta_r)^2. F_p comes from the rarer arm, whose p keeps
+    the digits that 1 - p of the other loses; below 1e-14 a failure arm adds
+    nothing else, as p_r Q_r and its variance share are O(p_r)."""
     p_f, q_f = success.p_f(), success.qfi_conditioned()
     p_r = failure.p_f()
     p_r_q_r, arm_phase = 0.0, 0.0
     if p_r > PROBABILITY_FLOOR:
         p_r_q_r = p_r * failure.qfi_conditioned()
         arm_phase = 4.0 * p_f * p_r * (success.phase() - failure.phase()) ** 2
-    return InfoBudget(q_jt, p_f * q_f, p_r_q_r, success.selection_fisher(), arm_phase)
+    rare = success if p_f <= 0.5 else failure
+    return InfoBudget(q_jt, p_f * q_f, p_r_q_r, rare.selection_fisher(), arm_phase)
 
 
 # ---------------------------------------------------------------------------

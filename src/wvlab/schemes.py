@@ -29,9 +29,10 @@ from .infometrics import (
     InfoBudget,
     ParamDistribution,
     _arm_budget,
+    _arms,
     _fisher,
+    _generator_weights,
     classical_fisher,
-    info_budget,
     qfi_joint,
     quadrature_family,
     readout_axis,
@@ -168,8 +169,9 @@ def standard_scheme(spec: StandardSpec) -> StandardResult:
     family, theta, margin, notes = spec.readout()
     dist = SampledDistribution(family.grid, family.probabilities(spec.g))
 
-    budget = info_budget(pre, post, cfg, meter)
-    p_f = Conditioning.of_meter(pre, post, cfg, meter).kernels(spec.g).p_f()
+    success, failure = _arms(pre, post, cfg, *_generator_weights(meter, cfg))
+    budget = _arm_budget(qfi_joint(pre, meter, cfg), success, failure)
+    p_f = success.p_f()
     fi_cond = classical_fisher(family, spec.g)
     x0 = SampledDistribution(family.grid, family.probabilities(0.0)).mean()
     std = math.sqrt(dist.var())
@@ -601,6 +603,8 @@ class BiasedSpec:
     def __post_init__(self):
         if self.delta_omega <= 0 or self.epsilon == 0 or self.omega0 == 0:
             raise ValueError("need delta_omega > 0, epsilon != 0 and omega0 != 0")
+        if self.resolution is not None and self.resolution <= 0:
+            raise ValueError("resolution must be positive")
 
     def run(self) -> "BiasedResult":
         return biased_scheme(self)
@@ -830,8 +834,7 @@ def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
     # discarded) and of the selection itself, each Fisher number read off the
     # arms' kernels at g as `classical_fisher` reads it off the arm's family
     success = spec.selection()
-    failure = Conditioning.of(pre, post.orthogonal_qubit(), PROJ_ONE, success.values, success.weights)
-    kern, kern_r = success.kernels(spec.g), failure.kernels(spec.g)
+    kern, kern_r = _arms(pre, post, cfg, success.values, success.weights)
     f_n, p_f, dp_f = kern.density(), kern.p_f(), kern.dp_dg()
     mean_f = float(np.sum(success.values * f_n))
 
@@ -943,7 +946,7 @@ def entangled_scheme(spec: EntangledSpec) -> EntangledResult:
     family = cond.family()
     kern = cond.kernels(spec.phi)
     p_f, probs = kern.p_f(), kern.density()
-    f_f = classical_fisher(family, spec.phi)
+    f_f = _fisher(probs, kern.density_dg())
 
     wv = spec.n / math.tan(d) if math.tan(d) != 0 else math.inf
     q_jt = 4.0 * spec.n**2

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -424,6 +425,15 @@ PROBES = [
     ("standard_points_below_256", "scheme", {"scheme": {**STANDARD, "points": 100}}, 2),
     ("inverse_points_below_256", "scheme",
      {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0, "points": 100}}, 2),
+    # non-finite numbers, which Python's json reads: before, the first two
+    # exited 1 with a traceback and the third exited 0 with NaN in its report
+    ("standard_g_nan", "scheme", {"scheme": {**STANDARD, "g": math.nan}}, 2),
+    ("entangled_phi_infinity", "scheme", {"scheme": {**ENTANGLED, "phi": math.inf}}, 2),
+    ("abwva_g_nan", "scheme",
+     {"scheme": {"variant": "abwva", "g": math.nan, "epsilon": 0.1, "sigma": 1.0}}, 2),
+    # before, it exited 0 with a negative tau_resolution_standard
+    ("biased_resolution_negative", "scheme",
+     {"scheme": {**MINIMAL["biased"][1]["scheme"], "resolution": -1.0}}, 2),
     # a valid config whose validity ordering fails: a failed check, exit 1
     ("inverse_validity", "scheme",
      {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0, "theta_angle": 0.5}}, 1),
@@ -544,10 +554,25 @@ def _wrong_type(value):
     return st.one_of(*(s for k, s in kinds.items() if k != own))
 
 
+def _floats(value):
+    """Whether a value fills a float key: a number or a list of numbers."""
+    values = value if isinstance(value, list) and value else [value]
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+def _in_place(value, x):
+    """x in place of a number, or of a list's first number."""
+    return [x, *value[1:]] if isinstance(value, list) else x
+
+
 def _mutations(command, config):
     """(label, path, key, strategy or None to drop) for every malformed
     change of one key: drop a required key, add a foreign key, change a JSON
-    type, leave the valid range, make an int non-integral."""
+    type, leave the valid range, make an int non-integral, make a float (or
+    the first float of a list) NaN or infinite."""
     needed = {"scheme"}
     if command == "noise" or config["scheme"]["variant"] == "none":
         needed.add("noise")
@@ -568,11 +593,42 @@ def _mutations(command, config):
             out.append(("range", path, key, st.just(value)))
         out += [("int", path, k, st.floats(0.01, 0.99).map(lambda f, v=v: v + f))
                 for k, v in sorted(block.items()) if k in INT_KEYS]
+        out += [("nonfinite", path, k,
+                 st.sampled_from(NONFINITE).map(lambda x, v=v: _in_place(v, x)))
+                for k, v in sorted(block.items()) if k not in INT_KEYS and _floats(v)]
     return out
+
+
+def _block(config, path):
+    for name in path:
+        config = config[name]
+    return config
+
+
+def _mutated(base, path, key, value):
+    """A copy of `base` with `key` of the block at `path` set to `value`, or
+    dropped for None."""
+    config = copy.deepcopy(base)
+    block = _block(config, path)
+    if value is None:
+        del block[key]
+    else:
+        block[key] = value
+    return config
 
 
 BASES = [(cmd, json.loads((ROOT / "scenarios" / f"{sc}.json").read_text()))
          for cmd, sc in sorted(SCENARIOS.items())] + list(MINIMAL.values())
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+def test_every_float_key_refuses_nonfinite_numbers(value):
+    # each config's every float key, and the first number of a float list
+    for command, base in BASES:
+        for _, path, key, _ in [m for m in _mutations(command, base) if m[0] == "nonfinite"]:
+            config = _mutated(base, path, key, _in_place(_block(base, path)[key], value))
+            with pytest.raises(ConfigError, match="must be a finite number"):
+                ScenarioConfig.parse(config, command)
 
 
 @settings(max_examples=200)
@@ -582,12 +638,5 @@ def test_fuzzed_configs_exit_2(workdir, data):
     mutations = _mutations(command, base)
     label = data.draw(st.sampled_from(sorted({m[0] for m in mutations})))
     _, path, key, value = data.draw(st.sampled_from([m for m in mutations if m[0] == label]))
-    config = copy.deepcopy(base)
-    block = config
-    for name in path:
-        block = block[name]
-    if value is None:
-        del block[key]
-    else:
-        block[key] = data.draw(value)
+    config = _mutated(base, path, key, None if value is None else data.draw(value))
     assert_rejected(command, config, workdir)

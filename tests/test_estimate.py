@@ -26,7 +26,7 @@ from wvlab.estimate import (
 from wvlab.infometrics import ParamDistribution, classical_fisher
 from wvlab.noise import CorrelatedNoiseModel, cm_fisher_correlated, covariance
 from wvlab.meter import FockMeter
-from wvlab.schemes import EntangledSpec, PhaseSpaceSpec, StandardSpec
+from wvlab.schemes import BiasedSpec, EntangledSpec, InverseSpec, PhaseSpaceSpec, StandardSpec
 
 
 def gaussian_family(sigma=1.0):
@@ -542,6 +542,19 @@ SPEC_FAMILIES = {
 }
 
 
+# each scheme on the conditioning kernels and its kernel builds per run.
+# standard: the readout density at g, the two arms, the density at g = 0;
+# inverse: the Q and P readout densities at the angle, two kernels each (<f|
+# and d<f|/dangle), and the success arm; the others: their arms at g alone
+SCHEME_BUILDS = {
+    "standard": (StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05), 4),
+    "inverse": (InverseSpec(g=0.1, sigma=1.0, theta_angle=0.01), 5),
+    "phase_space": (PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(100.0)), 2),
+    "entangled": (EntangledSpec(phi=0.01, epsilon=0.05, n=4), 1),
+    "biased": (BiasedSpec(tau=1e-4, beta=0.0025, epsilon=0.05, omega0=20.0, delta_omega=2.0), 1),
+}
+
+
 @pytest.fixture
 def kernel_builds(monkeypatch):
     """The g of every `Conditioning.kernels` call made after it is set up."""
@@ -573,26 +586,26 @@ class TestSpecFamilies:
         def refuse(*args):
             raise AssertionError("a report quantity was computed")
 
-        for report_fn in ("info_budget", "_arm_budget", "_fisher", "classical_fisher"):
+        for report_fn in ("_arms", "_arm_budget", "qfi_joint", "_fisher", "classical_fisher"):
             monkeypatch.setattr(schemes_mod, report_fn, refuse)
         SPEC_FAMILIES[name][0].outcome_family()
         assert kernel_builds == []
 
-    def test_phase_space_scheme_builds_each_arm_once(self, kernel_builds):
-        # the report's Fisher numbers and budget come from the kernels of the
-        # two arms at g, which the scheme builds once each
-        from wvlab.schemes import phase_space_scheme
+    @pytest.mark.parametrize("name", SCHEME_BUILDS)
+    def test_scheme_builds_each_arm_once(self, name, kernel_builds):
+        # p_f, the budget and the Fisher numbers are read off the arms'
+        # kernels at g, each built once; the rest are readout densities
+        spec, builds = SCHEME_BUILDS[name]
+        spec.run()
+        assert len(kernel_builds) == builds
 
-        spec = PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(10.0))
-        phase_space_scheme(spec)
-        assert kernel_builds == [spec.g, spec.g]
-
-    def test_phase_space_plan_builds_kernels_at_most_three_times(self, kernel_builds):
-        # the amr phase-space plan of perfbench's crb_plans: nbar = 10^4,
-        # nu = 10^4, 200 trials: the Fisher number, the sampler and the mean
-        spec = PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(100.0))
+    @pytest.mark.parametrize("name", ["standard", "phase_space", "entangled"])
+    def test_amr_plan_builds_kernels_once(self, name, kernel_builds):
+        # the amr plans of perfbench's crb_plans, nu = 10^4, 200 trials: the
+        # Fisher number, the sampler, the slope and the mean read one build
+        spec = SCHEME_BUILDS[name][0]
         run_experiment(ExperimentPlan(spec, 10_000, 200, 5, "amr"))
-        assert 0 < len(kernel_builds) <= 3
+        assert len(kernel_builds) == 1
 
     def test_plan_warns_outside_the_regime_like_the_scheme(self):
         # an AAV margin >= 1 warns from StandardSpec.readout, which both the
