@@ -25,9 +25,7 @@ from . import estimate as est
 from . import schemes
 from .coupling import CouplingConfig, Generator, evolve_joint, postselect, trapped_ion_shift
 from .errors import ConfigError, WvlabError
-from .infometrics import (
-    Conditioning, classical_fisher, info_budget, quadrature_family, readout_axis,
-)
+from .infometrics import classical_fisher, info_budget, quadrature_family, readout_axis
 from .meter import FockMeter, GaussianMeter, to_grid
 from .noise import CorrelatedNoiseModel, amr_information, amr_variance_exact, cm_fisher_correlated
 from .qsys import SIGMA_X, SIGMA_Z, SystemState, bloch_state, optimal_postselection
@@ -389,12 +387,11 @@ def _budget_pf_sweep(sigma: float, g: float, writer: RunWriter) -> None:
     against the post-selection probability, Fig.-5(c,d) style."""
     meter = GaussianMeter(sigma)
     q_grid = readout_axis(sigma, g, 4096)
-    coupling = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
 
     def readout_fisher(pre, post, theta: float) -> tuple[float, float]:
+        # p_f and the Fisher number read one build of the readout's kernels
         fam = quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid)
-        p_f = Conditioning.of_meter(pre, post, coupling, meter).kernels(g).p_f()
-        return p_f, classical_fisher(fam, g)
+        return fam.kernels(g).p_f(), classical_fisher(fam, g)
 
     rows = []
     for delta in np.linspace(0.1, 1.45, 28):

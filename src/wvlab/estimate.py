@@ -55,12 +55,45 @@ class AliasSampler:
         return np.where(take_alias, self.alias[idx], idx)
 
 
+class Bracket:
+    """j = searchsorted(table, x, "right") - 1 of a finite nondecreasing table:
+    the index of the last entry <= x, or -1 below the table, exactly.
+
+    A guide table (Chen & Asau 1974; Devroye 1986, §III.2.4), built once, holds
+    the bracket of the lower edge of each of 2 (n - 1) equal buckets over
+    [table[0], table[-1]], so a bucket of an evenly spaced table holds at most
+    one entry. A key's candidate is its bucket's entry, stepped once past a
+    table entry inside the bucket; it is kept where table[j] <= x < table[j+1]
+    holds (or j is last), and only the other keys are searched, so rounding
+    in the bucket arithmetic can cost time but never a wrong j. Keys must not
+    be NaN.
+    """
+
+    def __init__(self, table):
+        t = np.asarray(table, dtype=float)
+        buckets, span = 2 * max(t.size - 1, 1), t[-1] - t[0]
+        self.table, self.upper = t, np.append(t[1:], np.inf)
+        self.origin, self.top = t[0], buckets - 1
+        self.scale = buckets / span if span > 0 else 0.0
+        edges = t[0] + np.arange(buckets) * (span / buckets)
+        self.guide = np.searchsorted(t, edges, side="right") - 1
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        j = self.guide.take(np.clip((x - self.origin) * self.scale, 0, self.top).astype(np.intp))
+        j += x >= self.upper.take(j)
+        wrong = self.table.take(j) > x
+        wrong |= x >= self.upper.take(j)
+        if wrong.any():
+            j[wrong] = np.searchsorted(self.table, x[wrong], side="right") - 1
+        return j
+
+
 class OutcomeSampler:
     """Draws from one outcome distribution, evaluated once at g: the
     normalised table of a discrete family, or the inverse CDF
-    (trapezoid-integrated density) of a continuous one. A discrete family's
-    alias table is built on the first `draw`, so a plan that only draws
-    `counts` never builds it."""
+    (trapezoid-integrated density) of a continuous one, with its `Bracket`
+    and np.interp's slopes. A discrete family's alias table is built on the
+    first `draw`, so a plan that only draws `counts` never builds it."""
 
     def __init__(self, dist: ParamDistribution, g: float):
         probs = dist.probabilities(g)
@@ -71,6 +104,11 @@ class OutcomeSampler:
             inc = 0.5 * (probs[1:] + probs[:-1]) * dist.spacing
             cdf = np.concatenate([[0.0], np.cumsum(inc)])
             self.probs, self.cdf, self.values = None, cdf / cdf[-1], dist.grid
+            self.bracket = Bracket(self.cdf)
+            # np.interp's slopes: inf on a flat stretch (never read) or past a
+            # subnormal CDF step
+            with np.errstate(divide="ignore", over="ignore"):
+                self.slope = np.append(np.diff(self.values) / np.diff(self.cdf), 0.0)
 
     @cached_property
     def alias(self) -> AliasSampler:
@@ -85,11 +123,19 @@ class OutcomeSampler:
         if self.discrete:
             return self.values[self.alias.draw(rng, nu)]
         u = rng.random(nu)
-        # np.interp finds each point's bracket from the last one, so sorted
-        # points are much faster; each output depends on its point alone, so
-        # the draws are bitwise those of np.interp(u, cdf, values)
-        order = np.argsort(u)
-        u[order] = np.interp(u[order], self.cdf, self.values)
+        # np.interp(u, cdf, values) term by term, so the draws are bitwise
+        # its own: u's bracket j, then slope[j] (u - cdf[j]) + values[j], or
+        # values[j] where u sits on cdf[j] (an infinite slope gives inf * 0
+        # there), as it does where j is last (u <= 1 = cdf[-1]); elsewhere the
+        # slope is not NaN, so np.interp's NaN retry never applies
+        j = self.bracket(u)
+        at, value = self.cdf.take(j), self.values.take(j)
+        on = u == at
+        with np.errstate(invalid="ignore", over="ignore"):
+            u -= at
+            u *= self.slope.take(j)
+            u += value
+        np.copyto(u, value, where=on)
         return u
 
 
@@ -154,10 +200,38 @@ def mle_correlated(samples: np.ndarray, c: np.ndarray) -> float:
     return float(f @ samples)
 
 
+class MLWindow:
+    """The window [g_grid[0], g_grid[-1]] of `mle_grid` and `mle_counts`, with
+    the family's (p, p') at the window's two ends and its midpoint, where
+    every search starts, evaluated once; and, for a density, the `Bracket` of
+    its grid. A plan builds one and hands it to every trial, as it does an
+    `OutcomeSampler`."""
+
+    def __init__(self, dist: ParamDistribution, g_grid: np.ndarray):
+        self.dist = dist
+        self.lo, self.hi = float(g_grid[0]), float(g_grid[-1])
+        self.mid = 0.5 * (self.lo + self.hi)
+        self.fixed = tuple(self.at(g) for g in (self.lo, self.hi, self.mid))
+        self.cells = Bracket(dist.grid) if dist.kind == "continuous" else None
+
+    def at(self, g: float) -> tuple[np.ndarray, np.ndarray]:
+        return self.dist.probabilities(g), self.dist.derivative(g)
+
+
+def _window(dist: ParamDistribution, g_grid: np.ndarray | MLWindow) -> MLWindow:
+    """The window a search takes: the plan's own, or one built from the array."""
+    if not isinstance(g_grid, MLWindow):
+        return MLWindow(dist, g_grid)
+    if g_grid.dist is not dist:
+        raise ValueError("the window was built for another family")
+    return g_grid
+
+
 def mle_grid(
-    samples: np.ndarray, dist: ParamDistribution, g_grid: np.ndarray
+    samples: np.ndarray, dist: ParamDistribution, g_grid: np.ndarray | MLWindow
 ) -> float:
-    """Maximum likelihood in the window [g_grid[0], g_grid[-1]].
+    """Maximum likelihood in the window [g_grid[0], g_grid[-1]], given as an
+    array or as the `MLWindow` a plan built once.
 
     Each sample's probability is its outcome's entry, or the linear
     interpolation of the density between its two grid points, floored at
@@ -167,38 +241,49 @@ def mle_grid(
     of the window's sd, (hi - lo) / 16. A discrete family's samples enter
     through their outcome counts alone (see `mle_counts`).
     """
+    window = _window(dist, g_grid)
     if dist.kind == "discrete":
         # each sample's outcome index, whatever order the labels are in
         labels = dist.outcome_values()
         order = np.argsort(labels, kind="stable")
         idx = order[np.clip(np.searchsorted(labels[order], samples), 0, labels.size - 1)]
-        return mle_counts(np.bincount(idx, minlength=labels.size), dist, g_grid)
+        return mle_counts(np.bincount(idx, minlength=labels.size), dist, window)
 
     grid = dist.grid
     x = np.clip(samples, grid[0], grid[-1])
-    i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
-    w = (x - grid[i]) / (grid[i + 1] - grid[i])
+    i = np.minimum(window.cells(x), grid.size - 2)
+    k = i + 1
+    left = grid.take(i)
+    w = x - left
+    w /= grid.take(k) - left
+    v = 1.0 - w
 
-    def read(v):
-        return (1.0 - w) * v[i] + w * v[i + 1]
+    def read(a):  # (1 - w) a[i] + w a[i + 1]
+        out, right = a.take(i), a.take(k)
+        out *= v
+        right *= w
+        out += right
+        return out
 
-    def score(g: float) -> tuple[float, float]:
-        r = _ratio(read(dist.probabilities(g)), read(dist.derivative(g)))
+    def score(p, dp) -> tuple[float, float]:
+        r = _ratio(read(p), read(dp))
         return float(r.sum()), float(r @ r)
 
-    return _score_root(score, g_grid)
+    return _score_root(score, window)
 
 
-def mle_counts(counts: np.ndarray, dist: ParamDistribution, g_grid: np.ndarray) -> float:
+def mle_counts(
+    counts: np.ndarray, dist: ParamDistribution, g_grid: np.ndarray | MLWindow
+) -> float:
     """`mle_grid` of a discrete family from its outcome counts n_k: the score
     is sum_k n_k p'_k / p_k and the information sum_k n_k (p'_k / p_k)^2, so
     a trial costs O(K) in the K outcomes, not O(nu) in its draws."""
 
-    def score(g: float) -> tuple[float, float]:
-        r = _ratio(dist.probabilities(g), dist.derivative(g))
+    def score(p, dp) -> tuple[float, float]:
+        r = _ratio(p, dp)
         return float(counts @ r), float(counts @ (r * r))
 
-    return _score_root(score, g_grid)
+    return _score_root(score, _window(dist, g_grid))
 
 
 def _ratio(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -206,16 +291,17 @@ def _ratio(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     return np.divide(dp, p, out=np.zeros_like(p), where=p > 1e-300)
 
 
-def _score_root(score, g_grid: np.ndarray) -> float:
-    """The down-crossing of score(g) = (S, sum (p'/p)^2) in the window, as
-    `mle_grid` describes it."""
-    lo, hi = float(g_grid[0]), float(g_grid[-1])
+def _score_root(score, window: MLWindow) -> float:
+    """The down-crossing of score(p, p') = (S, sum (p'/p)^2) in the window, as
+    `mle_grid` describes it; the family is evaluated only past the midpoint."""
+    lo, hi = window.lo, window.hi
     tol = 1e-6 * (hi - lo) / 16
-    if not (score(lo)[0] > 0 > score(hi)[0]):
+    at_lo, at_hi, at_mid = window.fixed
+    if not (score(*at_lo)[0] > 0 > score(*at_hi)[0]):
         raise BoundaryMaximum("the score has no down-crossing inside the window")
-    g, last = 0.5 * (lo + hi), hi - lo
+    g, last, arrays = window.mid, hi - lo, at_mid
     while True:
-        s, info = score(g)
+        s, info = score(*arrays)
         if s == 0:
             return g
         lo, hi = (g, hi) if s > 0 else (lo, g)
@@ -227,6 +313,7 @@ def _score_root(score, g_grid: np.ndarray) -> float:
         last, g = abs(step), g + step
         if last < tol:
             return g
+        arrays = window.at(g)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +451,12 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
                 estimates[t] = g_true + (mean - m0) / slope
         else:
             sd = 1.0 / math.sqrt(max(fisher_total, 1e-300))
-            g_grid = np.linspace(g_true - 8 * sd, g_true + 8 * sd, 101)
+            window = MLWindow(family, np.linspace(g_true - 8 * sd, g_true + 8 * sd, 101))
             for t in range(plan.trials):
                 if sampler.discrete:
-                    estimates[t] = mle_counts(counts(t), family, g_grid)
+                    estimates[t] = mle_counts(counts(t), family, window)
                 else:
-                    estimates[t] = mle_grid(sample(sampler, plan.nu, plan.seed, t), family, g_grid)
+                    estimates[t] = mle_grid(sample(sampler, plan.nu, plan.seed, t), family, window)
 
     emp_var = float(np.var(estimates, ddof=1))
     crb = 1.0 / fisher_total

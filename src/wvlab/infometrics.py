@@ -46,7 +46,8 @@ class ParamDistribution:
     Discrete: `evaluator(g)` returns a probability vector over `labels`.
     Continuous: `evaluator(g)` returns density samples on the fixed uniform
     `grid`. `derivative(g)` is the analytic g-derivative of the same array;
-    every Fisher number and score is taken from it.
+    every Fisher number and score is taken from it. A post-selected family
+    also keeps `kernels(g)`, the conditioning kernels both are read off.
     """
 
     kind: str  # "discrete" | "continuous"
@@ -54,6 +55,7 @@ class ParamDistribution:
     grid: np.ndarray | None = None
     labels: np.ndarray | None = None
     derivative: Callable[[float], np.ndarray] = field(kw_only=True)
+    kernels: Callable[[float], _Kernels] | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.kind not in ("discrete", "continuous"):
@@ -294,7 +296,7 @@ def _kernel_family(kernels_of, grid, values) -> ParamDistribution:
     return ParamDistribution(
         "discrete" if grid is None else "continuous", lambda x: scale * kernels(x).density(),
         grid=grid, labels=values if grid is None else None,
-        derivative=lambda x: scale * kernels(x).density_dg(),
+        derivative=lambda x: scale * kernels(x).density_dg(), kernels=kernels,
     )
 
 
@@ -427,17 +429,21 @@ def _arms(pre: SystemState, post: SystemState, cfg: CouplingConfig, values, weig
 
 def _arm_budget(q_jt: float, success: _Kernels, failure: _Kernels) -> InfoBudget:
     """The budget from the kernels of the two arms at g. The arm variance is
-    p_f p_r (beta_f - beta_r)^2. F_p comes from the rarer arm, whose p keeps
-    the digits that 1 - p of the other loses; below 1e-14 a failure arm adds
-    nothing else, as p_r Q_r and its variance share are O(p_r)."""
+    p_f p_r (beta_f - beta_r)^2. Below 1e-14 a failure arm adds nothing but
+    its share of F_p, as p_r Q_r and its variance share are O(p_r)."""
     p_f, q_f = success.p_f(), success.qfi_conditioned()
     p_r = failure.p_f()
     p_r_q_r, arm_phase = 0.0, 0.0
     if p_r > PROBABILITY_FLOOR:
         p_r_q_r = p_r * failure.qfi_conditioned()
         arm_phase = 4.0 * p_f * p_r * (success.phase() - failure.phase()) ** 2
-    rare = success if p_f <= 0.5 else failure
-    return InfoBudget(q_jt, p_f * q_f, p_r_q_r, rare.selection_fisher(), arm_phase)
+    return InfoBudget(q_jt, p_f * q_f, p_r_q_r, _selection_fisher(success, failure), arm_phase)
+
+
+def _selection_fisher(success: _Kernels, failure: _Kernels) -> float:
+    """F_p of a two-arm selection, from the rarer arm, whose p keeps the
+    digits that 1 - p of the other loses."""
+    return (success if success.p_f() <= 0.5 else failure).selection_fisher()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ Three meter families:
   with Var(Q) = sigma^2 and Var(P) = 1/(4 sigma^2) under [Q, P] = i.
 * `GridMeter` -- complex amplitudes sampled on a uniform position grid.
 * `FockMeter` -- truncated photon-number representation: a mixture of
-  coherent components and/or an explicit number-basis density matrix.
+  coherent components.
 
 Plus the Wigner transform, rotated-quadrature marginals (via the fractional
 Fourier transform), and photon-number moments.
@@ -468,45 +468,32 @@ def fock_truncation(nbar: float) -> int:
 
 @dataclass(frozen=True)
 class FockMeter:
-    """Photon-number meter: coherent mixture and/or explicit density matrix.
+    """Photon-number meter: a mixture of coherent components.
 
-    `components` holds (probability, alpha) pairs; alternatively `density` is
-    an explicit truncated density matrix in the number basis. Probabilities
-    must sum to 1 within 1e-10 and the truncated tail mass must stay < 1e-8.
-    The number distribution is computed once, at construction.
+    `components` holds (probability, alpha) pairs. Probabilities must sum to
+    1 within 1e-10 and the truncated tail mass must stay < 1e-8. The number
+    distribution is computed once, at construction.
     """
 
     components: tuple = ()
-    density: np.ndarray | None = None
     n_max: int = 0
     _number: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (len(self.components) == 0) == (self.density is None):
-            raise ValueError("provide either coherent components or a density matrix")
-        if self.components:
-            comp = tuple((float(p), complex(a)) for p, a in self.components)
-            object.__setattr__(self, "components", comp)
-            probs = np.array([p for p, _ in comp])
-            if probs.min() < 0:
-                raise ValueError("component probabilities must be nonnegative")
-            if abs(probs.sum() - 1.0) > 1e-10:
-                raise ValueError("component probabilities must sum to 1 within 1e-10")
-            n_max = self.n_max or max(
-                fock_truncation(abs(a) ** 2) for _, a in comp
-            )
-            object.__setattr__(self, "n_max", int(n_max))
-            number = np.zeros(self.n_max + 1)
-            for p, a in comp:
-                number += p * np.abs(coherent_coeffs(a, self.n_max)) ** 2
-        else:
-            rho = np.asarray(self.density, dtype=complex)
-            if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-                raise ValueError("density must be a square matrix")
-            rho.setflags(write=False)
-            object.__setattr__(self, "density", rho)
-            object.__setattr__(self, "n_max", rho.shape[0] - 1)
-            number = np.real(np.diag(rho))
+        if not self.components:
+            raise ValueError("provide coherent components")
+        comp = tuple((float(p), complex(a)) for p, a in self.components)
+        object.__setattr__(self, "components", comp)
+        probs = np.array([p for p, _ in comp])
+        if probs.min() < 0:
+            raise ValueError("component probabilities must be nonnegative")
+        if abs(probs.sum() - 1.0) > 1e-10:
+            raise ValueError("component probabilities must sum to 1 within 1e-10")
+        n_max = self.n_max or max(fock_truncation(abs(a) ** 2) for _, a in comp)
+        object.__setattr__(self, "n_max", int(n_max))
+        number = np.zeros(self.n_max + 1)
+        for p, a in comp:
+            number += p * np.abs(coherent_coeffs(a, self.n_max)) ** 2
         number.setflags(write=False)
         object.__setattr__(self, "_number", number)
         tail = self.tail_mass()
@@ -521,17 +508,11 @@ class FockMeter:
     def mixture(cls, pairs, n_max: int | None = None) -> "FockMeter":
         return cls(components=tuple(pairs), n_max=n_max or 0)
 
-    @classmethod
-    def from_density(cls, rho) -> "FockMeter":
-        return cls(density=rho)
-
     @property
     def is_mixture(self) -> bool:
-        return len(self.components) > 1 or self.density is not None
+        return len(self.components) > 1
 
     def component_states(self) -> list[tuple[float, FockState]]:
-        if not self.components:
-            raise ValueError("explicit-density meter has no pure components")
         return [
             (p, FockState(coherent_coeffs(a, self.n_max))) for p, a in self.components
         ]

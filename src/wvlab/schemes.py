@@ -32,6 +32,7 @@ from .infometrics import (
     _arms,
     _fisher,
     _generator_weights,
+    _selection_fisher,
     classical_fisher,
     qfi_joint,
     quadrature_family,
@@ -832,15 +833,16 @@ def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
 
     # conditioned photon-number statistics of both arms (nothing is silently
     # discarded) and of the selection itself, each Fisher number read off the
-    # arms' kernels at g as `classical_fisher` reads it off the arm's family
+    # arms' kernels at g as `classical_fisher` reads it off the arm's family;
+    # F_p is the budget's, from the rarer arm
     success = spec.selection()
     kern, kern_r = _arms(pre, post, cfg, success.values, success.weights)
-    f_n, p_f, dp_f = kern.density(), kern.p_f(), kern.dp_dg()
+    f_n, p_f = kern.density(), kern.p_f()
     mean_f = float(np.sum(success.values * f_n))
 
     f_photon = _fisher(f_n, kern.density_dg())
     f_photon_failure = _fisher(kern_r.density(), kern_r.density_dg())
-    f_p = _fisher(np.array([p_f, 1.0 - p_f]), np.array([dp_f, -dp_f]))
+    f_p = _selection_fisher(kern, kern_r)
 
     budget = None
     if len(spec.meter.components) == 1:

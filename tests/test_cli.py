@@ -127,6 +127,23 @@ class TestCommands:
         fi_imag = sweep[:, 4]
         assert np.any(np.diff(fi_imag[np.argsort(sweep[:, 3])]) < 0)
 
+    def test_budget_builds_each_readout_once(self, tmp_path, monkeypatch):
+        # the shipped scenario: 40 budget rows of two arms each, then 28 p_f
+        # sweep points of two readouts each, whose p_f and Fisher number are
+        # read off one build
+        from wvlab.infometrics import Conditioning
+
+        build, built = Conditioning.kernels, []
+
+        def kernels(self, g):
+            built.append(g)
+            return build(self, g)
+
+        monkeypatch.setattr(Conditioning, "kernels", kernels)
+        cfg = str(ROOT / "scenarios" / "budget.json")
+        assert main(["budget", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 40 * 2 + 28 * 2
+
     def test_noise_end_to_end(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -11,7 +11,9 @@ from oracles import numeric_family
 from wvlab.errors import BoundaryMaximum, RegimeViolationWarning
 from wvlab.estimate import (
     AliasSampler,
+    Bracket,
     ExperimentPlan,
+    MLWindow,
     OutcomeSampler,
     amr_estimate,
     correlated_noise_samples,
@@ -23,7 +25,7 @@ from wvlab.estimate import (
     sample,
     substream,
 )
-from wvlab.infometrics import ParamDistribution, classical_fisher
+from wvlab.infometrics import ParamDistribution, classical_fisher, readout_axis
 from wvlab.noise import CorrelatedNoiseModel, cm_fisher_correlated, covariance
 from wvlab.meter import FockMeter
 from wvlab.schemes import BiasedSpec, EntangledSpec, InverseSpec, PhaseSpaceSpec, StandardSpec
@@ -136,6 +138,23 @@ class TestSampling:
         expected = np.interp(u, cdf, sampler.values)
         assert sampler.draw(_Uniforms(u), nu).tobytes() == expected.tobytes()
 
+    def test_draw_past_a_subnormal_cdf_step_is_the_interp(self):
+        # a density rising through subnormal values makes CDF steps below
+        # 1e-308, so np.interp's slope dq / step overflows to inf: a uniform
+        # on the step's left end reads the grid value there (not inf * 0), and
+        # one inside the step reads inf, as np.interp does
+        grid = np.linspace(-1.0, 1.0, 64)
+        p = np.ones(grid.size)
+        p[:10], p[10:13] = 0.0, [1e-320, 1e-315, 1e-310]
+        p /= p.sum() * (grid[1] - grid[0])
+        sampler = OutcomeSampler(numeric_family("continuous", lambda g: p, grid=grid), 0.0)
+        cdf = sampler.cdf
+        assert 0.0 < cdf[10] < 1e-308 and np.isinf(sampler.slope[9])
+        u = np.concatenate([cdf, [5e-324, 0.5 * cdf[12], 0.5]])
+        expected = np.interp(u, cdf, sampler.values)
+        assert np.isinf(expected).any()
+        assert sampler.draw(_Uniforms(u), u.size).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("name", list(ORACLE_CASES))
     def test_sample_is_the_built_sampler_and_the_per_call_formula(self, name):
         family, g, nu, _ = _oracle_case(name)
@@ -205,6 +224,41 @@ class TestSampling:
         var_z = np.maximum(second - (nu * c) ** 2, 0.0)
         d = n - mu
         assert np.all(np.abs(d.T @ d / trials - nu * c) <= 5 * np.sqrt(var_z / trials) + 1e-9 * nu)
+
+
+def _keys(rng, table, m):
+    """Keys around a table: m of its own values, their floating-point
+    neighbours on both sides, and m uniforms over and past its range."""
+    on = rng.choice(table, size=m)
+    pad = 0.1 * max(table[-1] - table[0], 1.0)
+    return np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+                           rng.uniform(table[0] - pad, table[-1] + pad, size=m)])
+
+
+class TestBracket:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), m=st.integers(1, 300),
+           ties=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_is_searchsorted_on_monotone_tables(self, seed, n, m, ties):
+        # steps of 0 (ties and flat runs, or a constant table), of 1e-12 (many
+        # entries in one guide bucket), and of order 1 and 1e3
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([1e-12, 1.0, 1e3], size=n, p=[0.3, 0.6, 0.1])
+        steps = np.where(rng.random(n) < ties, 0.0, rng.exponential(size=n) * scale)
+        table = rng.normal(scale=10.0) + np.cumsum(steps)
+        x = _keys(rng, table, m)
+        assert np.array_equal(Bracket(table)(x), np.searchsorted(table, x, side="right") - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(1e-3, 1e3),
+           g_over_sigma=st.floats(-5.0, 5.0), points=st.integers(256, 8192))
+    def test_is_searchsorted_on_readout_axes(self, seed, sigma, g_over_sigma, points):
+        # linspace grids are not exactly uniform: their points and the guide's
+        # bucket edges disagree in the last bits
+        grid = readout_axis(sigma, g_over_sigma * sigma, points)
+        x = np.concatenate([_keys(np.random.default_rng(seed), grid, 2000),
+                            0.5 * (grid[1:] + grid[:-1])])
+        assert np.array_equal(Bracket(grid)(x), np.searchsorted(grid, x, side="right") - 1)
 
 
 class TestEstimators:
@@ -325,7 +379,67 @@ class TestEstimators:
             assert 0 < calls["derivative"] <= 12
 
 
+class TestMLWindow:
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_plan_window_is_the_array_window_bitwise(self, name):
+        # one window reused over trials gives each trial's estimate bitwise
+        # as a window built from the array for that trial alone
+        family, g, nu, sd = _oracle_case(name)
+        g_grid = np.linspace(g - 8 * sd, g + 8 * sd, 101)
+        window = MLWindow(family, g_grid)
+        sampler = OutcomeSampler(family, g)
+        for trial in range(4):
+            draws = sample(sampler, nu, 21, trial)
+            assert mle_grid(draws, family, window).hex() == mle_grid(draws, family, g_grid).hex()
+            if sampler.discrete:
+                counts = sampler.counts(substream(21, trial), nu)
+                by_window = mle_counts(counts, family, window)
+                assert by_window.hex() == mle_counts(counts, family, g_grid).hex()
+
+    def test_window_of_another_family_is_refused(self):
+        family = _oracle_case("standard")[0]
+        window = MLWindow(gaussian_family(), np.linspace(-1.0, 1.0, 11))
+        with pytest.raises(ValueError, match="another family"):
+            mle_grid(np.zeros(10), family, window)
+
+
 class TestRunExperiment:
+    @pytest.mark.parametrize("name, search", [("standard", "mle_grid"), ("entangled", "mle_counts")])
+    def test_ml_plan_evaluates_the_window_once(self, name, search, monkeypatch):
+        # the window's ends and midpoint, where every search starts, are
+        # evaluated once per plan, before its trials; a trial's search
+        # evaluates the family only past the midpoint
+        import wvlab.estimate as estimate_mod
+
+        windows, calls, searching = [], [], []
+
+        class Recorded(MLWindow):
+            def __init__(self, *args):
+                super().__init__(*args)
+                windows.append(self)
+
+        def searched(*args, fn=getattr(estimate_mod, search)):
+            searching.append(True)
+            try:
+                return fn(*args)
+            finally:
+                searching.pop()
+
+        def counted(self, g, fn=ParamDistribution.probabilities):
+            calls.append((g, bool(searching)))
+            return fn(self, g)
+
+        monkeypatch.setattr(estimate_mod, "MLWindow", Recorded)
+        monkeypatch.setattr(estimate_mod, search, searched)
+        monkeypatch.setattr(ParamDistribution, "probabilities", counted)
+        spec, nu = ORACLE_CASES[name]
+        run_experiment(ExperimentPlan(spec, nu, 6, 3, "mle_grid"))
+        (window,) = windows
+        fixed = (window.lo, window.hi, window.mid)
+        assert [g for g, inside in calls if inside and g in fixed] == []
+        assert [g for g, _ in calls if g in fixed[:2]] == [window.lo, window.hi]
+        assert any(inside for _, inside in calls)
+
     def test_one_family_evaluation_for_every_trial(self, monkeypatch):
         # the outcome table is built once per plan; each trial still goes
         # through `sample` once, which `perfbench/tracer.py` times per trial

@@ -366,6 +366,25 @@ class TestPhaseSpace:
         assert fps[0] == pytest.approx(100.0**2, rel=1e-2)
         assert fps[1] == pytest.approx(1000.0**2, rel=1e-2)
 
+    @pytest.mark.parametrize("eps", [math.pi - 1e-4, math.pi - 1e-3, 0.1])
+    def test_f_p_is_the_budget_f_p(self, eps):
+        # near eps = pi, p_f -> 1 and 1 - p_f loses the digits that p_r keeps;
+        # the reported F_p is the budget's, off the rarer arm. Reference: the
+        # 40-digit F_p = f'^2 / (1 - f^2) of p_f = (1 - f) / 2, f(g) =
+        # Re[e^{-i eps} exp(nbar (e^{-i g} - 1))] for a coherent meter
+        mp = pytest.importorskip("mpmath")
+        g, nbar = 1e-6, 100.0
+        res = phase_space_scheme(
+            PhaseSpaceSpec(g=g, epsilon=eps, meter=FockMeter.coherent(math.sqrt(nbar)))
+        )
+        assert res.report.extras["f_p"] == res.report.fisher == res.f_p == res.budget.f_p
+        with mp.workdps(40):
+            def f(x):
+                return mp.re(mp.exp(-1j * mp.mpf(eps)) * mp.exp(nbar * (mp.exp(-1j * x) - 1)))
+
+            exact = float(mp.diff(f, mp.mpf(g)) ** 2 / (1 - f(mp.mpf(g)) ** 2))
+        assert res.f_p == pytest.approx(exact, rel=1e-12)
+
     def test_zero_coupling_trivial(self):
         spec = PhaseSpaceSpec(g=0.0, epsilon=0.1, meter=FockMeter.coherent(3.0))
         res = phase_space_scheme(spec)
