@@ -122,7 +122,7 @@ VARIANTS = {
     "none": NoScheme,
 }
 CATALOG = tuple(cls for cls in VARIANTS.values() if hasattr(cls, "run"))
-# sweepable spec -> (swept key, reported result attribute)
+# sweepable spec -> (swept key, report key)
 SWEEPS = {schemes.PhaseSpaceSpec: ("nbar", "f_p"), schemes.EntangledSpec: ("n", "q_jt")}
 # the blocks each command reads
 BLOCKS = {"shift": ("scheme",), "budget": ("scheme",), "noise": ("scheme", "noise"),
@@ -451,9 +451,8 @@ def _noise_rows(name: str, model: CorrelatedNoiseModel, p_f: float, at_limit: bo
 
 
 def cmd_scheme(cfg: ScenarioConfig, writer: RunWriter) -> int:
-    res = _expect(cfg, "scheme", *CATALOG).run()
-    payload = res.report.to_dict()
-    table = res.table()
+    report = _expect(cfg, "scheme", *CATALOG).run()
+    payload, table = report.to_dict(), report.table
     if table is not None:
         writer.write_table("distribution.csv", list(table), np.column_stack(list(table.values())))
     if cfg.sweep is not None:
@@ -466,8 +465,8 @@ def _run_sweep(cfg: ScenarioConfig, writer: RunWriter) -> dict:
     key, metric = SWEEPS[type(cfg.scheme)]
     rows = []
     for value, spec in cfg.sweep:
-        res = spec.run()
-        rows.append([value, getattr(res, metric), res.report.p_f])
+        report = spec.run()
+        rows.append([value, report.extras[metric], report.p_f])
     writer.write_table("sweep.csv", [key, metric, "p_f"], rows)
     logs = np.log10(np.array([[r[0], r[1]] for r in rows], dtype=float))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])

@@ -57,10 +57,6 @@ class LadderTooLong(WvlabError):
     """Detector readout ladder has more levels than can be held in memory."""
 
 
-class FlatLikelihood(WvlabError):
-    """Likelihood carries no information about the parameter."""
-
-
 class BoundaryMaximum(WvlabError):
     """Likelihood maximum sits on the search-grid edge; widen the grid."""
 

@@ -127,13 +127,15 @@ def snr(dist: ParamDistribution, g: float, nu: int, x0: float) -> float:
 # meter-generator moments and conditioning kernels
 
 
-def _generator_weights(meter, cfg: CouplingConfig, points: int = 4096):
-    """(values m, probability weights w) of the meter generator's spectrum."""
+def _generator_weights(meter, cfg: CouplingConfig):
+    """(values m, probability weights w) of the meter generator's spectrum: a
+    Gaussian meter's momentum on 4096 points over +-8 sd, or a Fock meter's
+    number distribution."""
     if cfg.generator is Generator.MOMENTUM_KICK:
         if isinstance(meter, GaussianMeter):
             sp = 1.0 / (2 * meter.sigma)
             p = np.linspace(
-                meter.mean_p - 8 * sp, meter.mean_p + 8 * sp, points, endpoint=False
+                meter.mean_p - 8 * sp, meter.mean_p + 8 * sp, 4096, endpoint=False
             )
             w = np.exp(-((p - meter.mean_p) ** 2) / (2 * sp**2)) / math.sqrt(
                 2 * np.pi * sp**2

@@ -440,13 +440,6 @@ class FockState:
     def number_probabilities(self) -> np.ndarray:
         return np.abs(self.coeffs) ** 2
 
-    def moments(self) -> tuple[float, float]:
-        p = self.number_probabilities()
-        p = p / p.sum()
-        n = np.arange(p.size)
-        mean = float(np.sum(n * p))
-        return mean, float(np.sum(n**2 * p) - mean**2)
-
 
 def coherent_coeffs(alpha: complex, n_max: int) -> np.ndarray:
     """Number-basis coefficients of |alpha>, computed in log space."""

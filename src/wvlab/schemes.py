@@ -3,9 +3,11 @@
 Every scheme compiles to the same primitives -- states, impulsive coupling,
 post-selection, outcome distribution -- so the information metrics come from
 one engine (`infometrics`) rather than per-scheme re-derivations. Each
-function returns a result object carrying a `SchemeReport` plus the
-scheme-specific distributions and a parameterized outcome family for the
-estimation module.
+function, and its spec's `run()`, returns a `SchemeReport`: the headline
+numbers, the scheme's extras, and in `table` the columns of its outcome
+distribution. The outcome families for the estimation module come from the
+specs, which build each post-selection in one place (`StandardSpec.readout`,
+`InverseSpec.readouts`, and the phase-space and entangled `.selection()`).
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from .coupling import (
     aav_condition_margin,
     classify_regime,
 )
-from .errors import FlatLikelihood, RegimeViolationWarning, ValidityViolation
+from .errors import RegimeViolationWarning, ValidityViolation
 from .infometrics import (
     Conditioning,
-    InfoBudget,
     ParamDistribution,
     _arm_budget,
     _arms,
@@ -59,7 +60,9 @@ from .qsys import (
 @dataclass
 class SchemeReport:
     """Per-scheme summary: amplification factor, post-selection probability,
-    Fisher information per input trial, SNR per sqrt(trial), and regime."""
+    Fisher information per input trial, SNR per sqrt(trial), and regime.
+    `table` holds the columns of the outcome distribution (None where the
+    scheme has none); `to_dict` leaves it out."""
 
     amplification: float
     p_f: float
@@ -68,6 +71,7 @@ class SchemeReport:
     regime: RegimeLabel | None = None
     warnings: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    table: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p_f <= 1.0:
@@ -119,7 +123,7 @@ class StandardSpec:
             post = bloch_state(-np.pi / 2, self.phi)
         return pre, post
 
-    def run(self) -> "StandardResult":
+    def run(self) -> SchemeReport:
         return standard_scheme(self)
 
     def outcome_family(self) -> tuple[ParamDistribution, float]:
@@ -147,20 +151,7 @@ class StandardSpec:
         return quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid), theta, margin, notes
 
 
-@dataclass
-class StandardResult:
-    report: SchemeReport
-    distribution: SampledDistribution
-    family: ParamDistribution
-    weak_value: complex
-    theta_opt: float
-    budget: InfoBudget
-
-    def table(self) -> dict:
-        return {"x": self.distribution.grid, "density": self.distribution.density}
-
-
-def standard_scheme(spec: StandardSpec) -> StandardResult:
+def standard_scheme(spec: StandardSpec) -> SchemeReport:
     """Standard WVA measured along its optimal quadrature (`StandardSpec.readout`,
     which warns when the AAV margin reaches 1; everything is still exact)."""
     pre, post = spec.states()
@@ -178,7 +169,7 @@ def standard_scheme(spec: StandardSpec) -> StandardResult:
     std = math.sqrt(dist.var())
     snr1 = abs(dist.mean() - x0) / std if std > 0 else 0.0
 
-    report = SchemeReport(
+    return SchemeReport(
         amplification=abs(w),
         p_f=p_f,
         fisher=p_f * fi_cond,
@@ -194,8 +185,8 @@ def standard_scheme(spec: StandardSpec) -> StandardResult:
             "fisher_conditioned": fi_cond,
             "theta_opt": theta,
         },
+        table={"x": dist.grid, "density": dist.density},
     )
-    return StandardResult(report, dist, family, w, theta, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +218,31 @@ class InverseSpec:
         s = math.sin(np.pi / 4 - theta / 2)
         return SystemState(np.array([c, -s * np.exp(1j * phi)]))
 
-    def run(self) -> "InverseResult":
+    def run(self) -> SchemeReport:
         return inverse_scheme(self)
 
+    def readouts(self) -> tuple[ParamDistribution, ParamDistribution]:
+        """(Q, P): the families angle -> density of the Q and P readouts of the
+        meter selected on <f| at the unknown angle, at the fixed kick g. The
+        unknown angle is phi_angle in the imaginary variant, theta_angle else."""
+        imaginary = self.phi_angle != 0.0
 
-@dataclass
-class InverseResult:
-    report: SchemeReport
-    q_distribution: SampledDistribution
-    p_distribution: SampledDistribution
-    family: ParamDistribution
-    mean_q: float
-    mean_p: float
+        def post_of(angle: float) -> tuple[SystemState, np.ndarray]:
+            # <f| at the unknown angle and its derivative in that angle
+            f = self.post_state(0.0, angle) if imaginary else self.post_state(angle, 0.0)
+            c, b = f.amplitudes
+            return f, np.array([0.0, 1j * b]) if imaginary else np.array([-b, c]) / 2
 
-    def table(self) -> dict:
-        return {"q": self.q_distribution.grid, "density": self.q_distribution.density}
+        pre = bloch_state(np.pi / 2, 0.0)
+        meter = GaussianMeter(self.sigma)
+        q_grid = readout_axis(self.sigma, self.g, self.points)
+        return tuple(
+            selection_angle_family(pre, post_of, SIGMA_Z, self.g, meter, theta, q_grid)
+            for theta in (0.0, math.pi / 2)
+        )
 
 
-def inverse_scheme(spec: InverseSpec) -> InverseResult:
+def inverse_scheme(spec: InverseSpec) -> SchemeReport:
     """Dark-port estimation of a small selection angle.
 
     Valid when |<f|i>| << g/sigma << 1; raises ValidityViolation otherwise.
@@ -262,19 +260,8 @@ def inverse_scheme(spec: InverseSpec) -> InverseResult:
             f"need |<f|i>| ({overlap:.3g}) < g/sigma ({g_over_sigma:.3g}) < 1"
         )
 
-    def post_of(angle: float) -> tuple[SystemState, np.ndarray]:
-        # <f| at the unknown angle and its derivative in that angle
-        f = spec.post_state(0.0, angle) if imaginary else spec.post_state(angle, 0.0)
-        c, b = f.amplitudes
-        return f, np.array([0.0, 1j * b]) if imaginary else np.array([-b, c]) / 2
-
-    meter = GaussianMeter(spec.sigma)
-    q_grid = readout_axis(spec.sigma, spec.g, spec.points)
     angle0 = spec.phi_angle if imaginary else spec.theta_angle
-    q_family, p_family = (
-        selection_angle_family(pre, post_of, SIGMA_Z, spec.g, meter, theta, q_grid)
-        for theta in (0.0, math.pi / 2)
-    )
+    q_family, p_family = spec.readouts()
     q_dist, p_dist = (
         SampledDistribution(fam.grid, fam.probabilities(angle0)) for fam in (q_family, p_family)
     )
@@ -282,7 +269,7 @@ def inverse_scheme(spec: InverseSpec) -> InverseResult:
     family = p_family if imaginary else q_family
     fi = classical_fisher(family, angle0)
     cfg = CouplingConfig(spec.g, Generator.MOMENTUM_KICK, SIGMA_Z)
-    p_f = Conditioning.of_meter(pre, post, cfg, meter).kernels(spec.g).p_f()
+    p_f = Conditioning.of_meter(pre, post, cfg, GaussianMeter(spec.sigma)).kernels(spec.g).p_f()
 
     if imaginary:
         predicted = -spec.phi_angle / spec.g
@@ -293,7 +280,7 @@ def inverse_scheme(spec: InverseSpec) -> InverseResult:
     p_f_closed = math.sin(angle0 / 2) ** 2 - math.cos(angle0) * decay / 2
 
     w = weak_value(pre, post, SIGMA_Z) if overlap > 1e-12 else complex(np.inf)
-    report = SchemeReport(
+    return SchemeReport(
         amplification=1.0 / spec.g,
         p_f=p_f,
         fisher=p_f * fi,
@@ -312,8 +299,8 @@ def inverse_scheme(spec: InverseSpec) -> InverseResult:
             "g_over_sigma": g_over_sigma,
             "fisher_conditioned": fi,
         },
+        table={"q": q_dist.grid, "density": q_dist.density},
     )
-    return InverseResult(report, q_dist, p_dist, family, mean_q, mean_p)
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +317,11 @@ class ABWVASpec:
     def __post_init__(self):
         if self.sigma <= 0 or not 0 < self.epsilon < np.pi / 2:
             raise ValueError("need sigma > 0 and epsilon in (0, pi/2)")
+        if self.points < 256:
+            raise ValueError("need points >= 256")
 
-    def run(self) -> "ABWVAResult":
+    def run(self) -> SchemeReport:
         return abwva_scheme(self)
-
-
-@dataclass
-class ABWVAResult:
-    report: SchemeReport
-    p_grid: np.ndarray
-    p0: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    total: np.ndarray
-    difference: np.ndarray
-    centroid: float
-    predicted_centroid: float
-
-    def table(self) -> dict:
-        return {"p": self.p_grid, "p0": self.p0, "p1": self.p1, "p2": self.p2,
-                "difference": self.difference}
 
 
 def _split_exact(p0: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,7 +338,7 @@ def _split_exact(p0: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return p1, p2
 
 
-def abwva_scheme(spec: ABWVASpec) -> ABWVAResult:
+def abwva_scheme(spec: ABWVASpec) -> SchemeReport:
     """Two almost-balanced post-selections P_{1,2}(p) = [1 +- sin(eps + 2gp)]
     P0(p)/2; their sum recovers P0 exactly and their difference carries the
     amplified shift g cot(eps) / (2 sigma^2) at signal strength ~ sin(eps)."""
@@ -405,7 +377,7 @@ def abwva_scheme(spec: ABWVASpec) -> ABWVAResult:
     # signal strengths for the user-formed comparison against standard WVA:
     # the difference signal is ~ sin(eps), the standard post-selected
     # intensity is sin^2(eps/2)
-    report = SchemeReport(
+    return SchemeReport(
         amplification=1.0 / (2 * spec.sigma**2 * math.tan(spec.epsilon)),
         p_f=1.0,  # both arms detected: no photon discarded
         fisher=fisher,
@@ -417,8 +389,8 @@ def abwva_scheme(spec: ABWVASpec) -> ABWVAResult:
             "centroid": centroid,
             "predicted_centroid": predicted,
         },
+        table={"p": p, "p0": p0, "p1": p1, "p2": p2, "difference": diff},
     )
-    return ABWVAResult(report, p, p0, p1, p2, p1 + p2, diff, centroid, predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -439,28 +411,14 @@ class JointWMSpec:
     omega_noise: float = 0.0
 
     def __post_init__(self):
-        if self.delta_omega < 0 or self.omega_noise < 0:
-            raise ValueError("delta_omega and omega_noise must be nonnegative")
+        # a zero spectral spread leaves the likelihood flat in the delay
+        if self.delta_omega <= 0 or self.omega_noise < 0:
+            raise ValueError("need delta_omega > 0 and omega_noise >= 0")
         if math.sin(self.phi) == 0:
             raise ValueError("sin(phi) must be nonzero")
 
-    def run(self) -> "JointWMResult":
+    def run(self) -> SchemeReport:
         return joint_wm_scheme(self)
-
-
-@dataclass
-class JointWMResult:
-    report: SchemeReport
-    omega_grid: np.ndarray
-    dist_plus: np.ndarray
-    dist_minus: np.ndarray
-    tau_est: float
-    phi_est: float
-    bias_prediction: float
-
-    def table(self) -> dict:
-        return {"omega": self.omega_grid, "detector_plus": self.dist_plus,
-                "detector_minus": self.dist_minus}
 
 
 def _jwm_probs(spec: JointWMSpec, omega: np.ndarray, tau: float, phi: float, damping: float):
@@ -487,8 +445,6 @@ def joint_wm_mle(
 ) -> tuple[float, float]:
     """Maximize the fringe log-likelihood sum log[1 + q cos(phi - omega tau)]
     over (tau, phi); the spectrum factor is parameter-independent."""
-    if spec.delta_omega == 0:
-        raise FlatLikelihood("zero spectral spread carries no delay information")
     from scipy.optimize import minimize
 
     def nll(x) -> float:
@@ -514,8 +470,6 @@ def joint_wm_pseudo_true(spec: JointWMSpec) -> tuple[float, float]:
     log-likelihood computed here by quadrature. The noiseless case returns the
     true parameters.
     """
-    if spec.delta_omega == 0:
-        raise FlatLikelihood("zero spectral spread carries no delay information")
     from scipy.optimize import minimize
 
     var_obs = spec.delta_omega**2 + spec.omega_noise**2
@@ -545,7 +499,7 @@ def joint_wm_pseudo_true(spec: JointWMSpec) -> tuple[float, float]:
     return float(res.x[0]), float(res.x[1])
 
 
-def joint_wm_scheme(spec: JointWMSpec, nu: int = 20000, seed: int = 7) -> JointWMResult:
+def joint_wm_scheme(spec: JointWMSpec, nu: int = 20000, seed: int = 7) -> SchemeReport:
     """Single seeded demonstration run plus the predicted relative bias
     tau/tau0 = 1 + (eps/sin phi)^2/2 + (Omega/Delta omega)^2/2."""
     grid = np.linspace(
@@ -562,12 +516,11 @@ def joint_wm_scheme(spec: JointWMSpec, nu: int = 20000, seed: int = 7) -> JointW
 
     # source-literature approximation (sign disagrees with the exact
     # pseudo-true fit under recorded-frequency noise; both are reported)
-    bias = 1.0 + 0.5 * (spec.eps_fluct / math.sin(spec.phi)) ** 2
-    if spec.delta_omega > 0:
-        bias += 0.5 * (spec.omega_noise / spec.delta_omega) ** 2
+    bias = (1.0 + 0.5 * (spec.eps_fluct / math.sin(spec.phi)) ** 2
+            + 0.5 * (spec.omega_noise / spec.delta_omega) ** 2)
     tau_asym, phi_asym = joint_wm_pseudo_true(spec)
 
-    report = SchemeReport(
+    return SchemeReport(
         amplification=1.0,
         p_f=1.0,
         fisher=0.0,
@@ -579,8 +532,8 @@ def joint_wm_scheme(spec: JointWMSpec, nu: int = 20000, seed: int = 7) -> JointW
             "tau_pseudo_true": tau_asym,
             "damping": damping,
         },
+        table={"omega": grid, "detector_plus": d_plus, "detector_minus": d_minus},
     )
-    return JointWMResult(report, grid, d_plus, d_minus, tau_est, phi_est, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -606,22 +559,11 @@ class BiasedSpec:
             raise ValueError("need delta_omega > 0, epsilon != 0 and omega0 != 0")
         if self.resolution is not None and self.resolution <= 0:
             raise ValueError("resolution must be positive")
+        if self.points < 256:
+            raise ValueError("need points >= 256")
 
-    def run(self) -> "BiasedResult":
+    def run(self) -> SchemeReport:
         return biased_scheme(self)
-
-
-@dataclass
-class BiasedResult:
-    report: SchemeReport
-    omega_grid: np.ndarray
-    spectrum: np.ndarray
-    centroid_shift: float
-    p_f_grid: float
-    p_f_closed: float
-
-    def table(self) -> dict:
-        return {"omega": self.omega_grid, "spectrum": self.spectrum}
 
 
 def biased_beta_s(epsilon: float, omega0: float) -> float:
@@ -644,7 +586,7 @@ def biased_p_f_closed(spec: BiasedSpec) -> float:
     return -0.5 * math.expm1(-x) + math.exp(-x) * math.sin(half_theta) ** 2
 
 
-def biased_scheme(spec: BiasedSpec) -> BiasedResult:
+def biased_scheme(spec: BiasedSpec) -> SchemeReport:
     """The spectrum sin^2(omega b - eps) |f(omega)|^2, b = beta + tau, on a
     `points`-point omega grid: the success arm of pre |+> and post
     (-i e^{-i eps}, i e^{i eps})/sqrt(2) after exp(-i b sigma_z omega), read out
@@ -661,7 +603,6 @@ def biased_scheme(spec: BiasedSpec) -> BiasedResult:
                        / math.sqrt(2))
     kern = Conditioning.of(pre, post, SIGMA_Z, w, f2 / f2.sum()).kernels(spec.beta + spec.tau)
     p_f_grid = kern.p_f()
-    p_f_closed = biased_p_f_closed(spec)
     shift = float(np.sum(w * kern.density())) - spec.omega0
     slope = float(np.sum(w * kern.density_dg()))
     slope_closed = 2 * spec.omega0**2 / spec.epsilon
@@ -671,7 +612,7 @@ def biased_scheme(spec: BiasedSpec) -> BiasedResult:
         "slope": slope,
         "slope_closed_form": slope_closed,
         "p_f_grid": p_f_grid,
-        "p_f_closed_form": p_f_closed,
+        "p_f_closed_form": biased_p_f_closed(spec),
         "beta_s": biased_beta_s(spec.epsilon, spec.omega0),
         "standard_amplification": 2 * spec.delta_omega**2 / spec.epsilon,
     }
@@ -683,15 +624,14 @@ def biased_scheme(spec: BiasedSpec) -> BiasedResult:
             abs(spec.epsilon) * spec.resolution / (2 * spec.omega0**2)
         )
 
-    report = SchemeReport(
+    return SchemeReport(
         amplification=slope_closed,
         p_f=min(max(p_f_grid, 0.0), 1.0),
         fisher=0.0,
         snr_per_root_nu=0.0,
         extras=extras,
+        table={"omega": w, "spectrum": np.abs(kern.k) ** 2 * kern.weights / (w[1] - w[0])},
     )
-    spectrum = np.abs(kern.k) ** 2 * kern.weights / (w[1] - w[0])
-    return BiasedResult(report, w, spectrum, shift, p_f_grid, p_f_closed)
 
 
 # ---------------------------------------------------------------------------
@@ -720,19 +660,8 @@ class RecycleSpec:
         if self.n_input <= 0 or not 0 <= (self.mirror_r or 0.0) < 1:
             raise ValueError("need n_input > 0 and mirror_r in [0, 1)")
 
-    def run(self) -> "RecycleResult":
+    def run(self) -> SchemeReport:
         return recycle_scheme(self)
-
-
-@dataclass
-class RecycleResult:
-    report: SchemeReport
-    total_detected: float
-    snr_gain: float
-    cavity_gain: float | None
-
-    def table(self) -> None:
-        return None  # one operating point: the report holds it all
 
 
 def cavity_gain(r: float, loss: float) -> float:
@@ -740,11 +669,11 @@ def cavity_gain(r: float, loss: float) -> float:
     return (1.0 - r) / (1.0 + (1.0 - loss) * r - 2.0 * math.sqrt(r * (1.0 - loss)))
 
 
-def recycle_scheme(spec: RecycleSpec) -> RecycleResult:
+def recycle_scheme(spec: RecycleSpec) -> SchemeReport:
     """Pulsed: rounds j keep N_j = N [(1-p_f)(1-loss)]^j photons, every round
     detects the p_f fraction; lossless recycling re-detects all N photons for
     an SNR gain of exactly 1/sqrt(p_f). Cavity: gain G from the closed form
-    and SNR factor sqrt(G)."""
+    and SNR factor sqrt(G). One operating point: the report has no table."""
     if spec.mode == "pulsed":
         keep = (1.0 - spec.p_f) * (1.0 - spec.loss)
         total = spec.p_f * spec.n_input / (1.0 - keep)
@@ -756,7 +685,7 @@ def recycle_scheme(spec: RecycleSpec) -> RecycleResult:
         total = spec.p_f * spec.n_input * gain
         snr_gain = math.sqrt(gain)
 
-    report = SchemeReport(
+    return SchemeReport(
         amplification=1.0,
         p_f=spec.p_f,
         fisher=0.0,
@@ -768,7 +697,6 @@ def recycle_scheme(spec: RecycleSpec) -> RecycleResult:
             "lossless_gain": 1.0 / math.sqrt(spec.p_f),
         },
     )
-    return RecycleResult(report, total, snr_gain, gain)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +722,7 @@ class PhaseSpaceSpec:
         )
         return pre, post
 
-    def run(self) -> "PhaseSpaceResult":
+    def run(self) -> SchemeReport:
         return phase_space_scheme(self)
 
     def selection(self) -> Conditioning:
@@ -808,24 +736,7 @@ class PhaseSpaceSpec:
         return self.selection().selection_family(), self.g
 
 
-@dataclass
-class PhaseSpaceResult:
-    report: SchemeReport
-    budget: InfoBudget | None
-    photon_distribution: np.ndarray
-    photon_family: ParamDistribution
-    selection_family: ParamDistribution
-    mean_shift: float
-    predicted_mean_shift: float
-    f_p: float
-    f_photon: float
-
-    def table(self) -> dict:
-        n = np.arange(self.photon_distribution.size)
-        return {"n": n, "probability": self.photon_distribution}
-
-
-def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
+def phase_space_scheme(spec: PhaseSpaceSpec) -> SchemeReport:
     pre, post = spec.states()
     cfg = CouplingConfig(spec.g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
     w = weak_value(pre, post, PROJ_ONE)
@@ -848,8 +759,7 @@ def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
     if len(spec.meter.components) == 1:
         budget = _arm_budget(qfi_joint(pre, spec.meter, cfg), kern, kern_r)
 
-    predicted_shift = 2 * spec.g * w.imag * var0
-    report = SchemeReport(
+    return SchemeReport(
         amplification=abs(w),
         p_f=p_f,
         fisher=f_p,
@@ -861,23 +771,13 @@ def phase_space_scheme(spec: PhaseSpaceSpec) -> PhaseSpaceResult:
             "f_photon_failure": f_photon_failure,
             "f_wva_ps_closed": 4 * p_f * w.imag**2 * var0,
             "mean_shift": mean_f - mean0,
-            "predicted_mean_shift": predicted_shift,
+            "predicted_mean_shift": 2 * spec.g * w.imag * var0,
             "meter_mean_n": mean0,
             "meter_var_n": var0,
             "q_jt": budget.q_jt if budget else None,
             "budget": budget.to_dict() if budget else None,
         },
-    )
-    return PhaseSpaceResult(
-        report,
-        budget,
-        f_n,
-        success.family(),
-        success.selection_family(),
-        mean_f - mean0,
-        predicted_shift,
-        f_p,
-        f_photon,
+        table={"n": np.arange(f_n.size), "probability": f_n},
     )
 
 
@@ -908,7 +808,7 @@ class EntangledSpec:
         scale = self.n if self.variant == "max_prob" else math.sqrt(self.n)
         return scale * self.epsilon
 
-    def run(self) -> "EntangledResult":
+    def run(self) -> SchemeReport:
         return entangled_scheme(self)
 
     def selection(self) -> Conditioning:
@@ -925,18 +825,7 @@ class EntangledSpec:
         return self.selection().family(), self.phi
 
 
-@dataclass
-class EntangledResult:
-    report: SchemeReport
-    q_jt: float
-    outcome_probs: np.ndarray
-    family: ParamDistribution
-
-    def table(self) -> dict:
-        return {"sigma_z": np.array([1.0, -1.0]), "probability": self.outcome_probs}
-
-
-def entangled_scheme(spec: EntangledSpec) -> EntangledResult:
+def entangled_scheme(spec: EntangledSpec) -> SchemeReport:
     """Exact 2x2 evolution: branch a = +-N drags the |+> meter by the phase
     e^{-i phi a sigma_z}. Q_jt = 4 N^2 exactly (Heisenberg scaling). With
     the detuning d, p_f = [sin^2(d + N phi) + sin^2(d - N phi)] / 2, which is
@@ -944,21 +833,18 @@ def entangled_scheme(spec: EntangledSpec) -> EntangledResult:
     p_f ~ N^2 eps^2 with |w| = N cot(N eps) ~ 1/eps, the max_weak_value one
     (d = sqrt(N) eps) p_f ~ N eps^2 with |w| ~ sqrt(N)/eps."""
     d = spec.detuning
-    cond = spec.selection()
-    family = cond.family()
-    kern = cond.kernels(spec.phi)
+    kern = spec.selection().kernels(spec.phi)
     p_f, probs = kern.p_f(), kern.density()
     f_f = _fisher(probs, kern.density_dg())
 
     wv = spec.n / math.tan(d) if math.tan(d) != 0 else math.inf
-    q_jt = 4.0 * spec.n**2
-    report = SchemeReport(
+    return SchemeReport(
         amplification=abs(wv),
         p_f=p_f,
         fisher=p_f * f_f,
         snr_per_root_nu=0.0,
         extras={
-            "q_jt": q_jt,
+            "q_jt": 4.0 * spec.n**2,
             "p_f_closed_form": (math.sin(d + spec.n * spec.phi) ** 2
                                 + math.sin(d - spec.n * spec.phi) ** 2) / 2,
             "p_f_small_eps": (spec.n * spec.epsilon) ** 2
@@ -968,5 +854,5 @@ def entangled_scheme(spec: EntangledSpec) -> EntangledResult:
             "sql_baseline": 4.0 * spec.n,
             "variant": spec.variant,
         },
+        table={"sigma_z": np.array([1.0, -1.0]), "probability": probs},
     )
-    return EntangledResult(report, q_jt, probs, family)

@@ -442,6 +442,14 @@ PROBES = [
     ("standard_points_below_256", "scheme", {"scheme": {**STANDARD, "points": 100}}, 2),
     ("inverse_points_below_256", "scheme",
      {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0, "points": 100}}, 2),
+    # before, the first two exited 1 with an IndexError traceback and the
+    # third with "distribution sums to 0.0206"
+    ("abwva_points_1", "scheme", {"scheme": {**MINIMAL["abwva"][1]["scheme"], "points": 1}}, 2),
+    ("biased_points_1", "scheme", {"scheme": {**MINIMAL["biased"][1]["scheme"], "points": 1}}, 2),
+    ("abwva_points_3", "scheme", {"scheme": {**MINIMAL["abwva"][1]["scheme"], "points": 3}}, 2),
+    # before, numpy RuntimeWarnings went to stderr ahead of the JSON error
+    ("joint_wm_delta_omega_0", "scheme",
+     {"scheme": {**MINIMAL["joint_wm"][1]["scheme"], "delta_omega": 0.0}}, 2),
     # non-finite numbers, which Python's json reads: before, the first two
     # exited 1 with a traceback and the third exited 0 with NaN in its report
     ("standard_g_nan", "scheme", {"scheme": {**STANDARD, "g": math.nan}}, 2),
@@ -485,13 +493,17 @@ def workdir(tmp_path_factory):
     "variant, header",
     [("inverse", "q,density"), ("abwva", "p,p0,p1,p2,difference"),
      ("joint_wm", "omega,detector_plus,detector_minus"), ("biased", "omega,spectrum"),
-     ("recycle", None)],
+     ("recycle", None), ("standard", "x,density"), ("phase_space", "n,probability"),
+     ("entangled", "sigma_z,probability")],
 )
 def test_scheme_command_runs_each_catalog_variant(tmp_path, variant, header):
     command, config = MINIMAL[variant]
     assert run_cli(command, config, tmp_path) == (0, "")
     out = tmp_path / "out"
-    assert isinstance(json.loads((out / "report.json").read_text())["p_f"], float)
+    report = ScenarioConfig.parse(config, command).scheme.run()
+    assert json.loads((out / "report.json").read_text()) == json.loads(
+        json.dumps(report.to_dict(), default=float)
+    )
     table = out / "distribution.csv"
     assert (table.read_text().splitlines()[0] if table.exists() else None) == header
 

@@ -613,11 +613,9 @@ class TestRunExperiment:
         # the phase-space plan of the crb_plans benchmark: amr calibrates by
         # sum_x x dp/dg from the family's analytic derivative (a central
         # difference at h = 1e-6 read this slope 1.7e-5 low)
-        from wvlab.schemes import phase_space_scheme
-
         spec = PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(100.0))
         plan = ExperimentPlan(spec, 10_000, 3, 11, "amr")
-        family, g = phase_space_scheme(spec).selection_family, spec.g
+        family, g = spec.selection().selection_family(), spec.g
         slope = float(np.sum(family.outcome_values() * family.derivative(g)))
         assert slope == pytest.approx(548.896, abs=1e-3)
         # the shift of each trial's mean, rebuilt from the outcome counts the
@@ -647,12 +645,15 @@ class TestRunExperiment:
         assert rep.fisher_total / plan.nu == pytest.approx(nbar**2, rel=0.25)
 
 
-# each spec with a pure selection, and where its scheme result holds the same family
+# each spec with a pure selection, and what its scheme report reads off the
+# same family at the true value: (the probabilities, the family's Fisher number)
 SPEC_FAMILIES = {
-    "standard": (StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05), "family"),
+    "standard": (StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05),
+                 lambda r: (r.table["density"], r.extras["fisher_conditioned"])),
     "phase_space": (PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(10.0)),
-                    "selection_family"),
-    "entangled": (EntangledSpec(phi=0.01, epsilon=0.05, n=4), "family"),
+                    lambda r: (np.array([r.p_f, 1 - r.p_f]), r.fisher)),
+    "entangled": (EntangledSpec(phi=0.01, epsilon=0.05, n=4),
+                  lambda r: (r.table["probability"], r.fisher / r.p_f)),
 }
 
 
@@ -687,11 +688,12 @@ def kernel_builds(monkeypatch):
 class TestSpecFamilies:
     @pytest.mark.parametrize("name", SPEC_FAMILIES)
     def test_family_is_the_scheme_family_bitwise(self, name):
-        spec, attr = SPEC_FAMILIES[name]
+        spec, read = SPEC_FAMILIES[name]
         family, g = spec.outcome_family()
-        reported = getattr(spec.run(), attr)
-        for method in ("probabilities", "derivative"):
-            assert getattr(family, method)(g).tobytes() == getattr(reported, method)(g).tobytes()
+        probabilities, fisher = read(spec.run())
+        assert family.probabilities(g).tobytes() == probabilities.tobytes()
+        # the derivative, through the Fisher number (phase space: F_p off the rarer arm)
+        assert classical_fisher(family, g) == pytest.approx(fisher, rel=1e-12)
 
     @pytest.mark.parametrize("name", SPEC_FAMILIES)
     def test_family_builds_no_kernels_and_no_report(self, name, kernel_builds, monkeypatch):

@@ -36,6 +36,7 @@ from wvlab.infometrics import (
     Conditioning,
     ParamDistribution,
     classical_fisher,
+    info_budget,
     quadrature_family,
     readout_axis,
 )
@@ -46,8 +47,6 @@ from wvlab.schemes import (
     InverseSpec,
     PhaseSpaceSpec,
     StandardSpec,
-    entangled_scheme,
-    inverse_scheme,
     phase_space_scheme,
     standard_scheme,
 )
@@ -95,18 +94,17 @@ def standard_specs(draw):
 def test_standard_family_matches_grid_chain(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = standard_scheme(spec)
+        theta = standard_scheme(spec).extras["theta_opt"]
+        family = spec.readout()[0]
     pre, post = spec.states()
     base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * abs(spec.g), spec.points)
 
     def marginal(g):
         joint = evolve_joint(pre, base, CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z))
-        return quadrature_marginal(postselect(joint, post).success_meter, res.theta_opt)
+        return quadrature_marginal(postselect(joint, post).success_meter, theta)
 
-    assert np.array_equal(res.family.grid, marginal(spec.g).grid)
-    assert_matches_oracle(
-        res.family, lambda g: marginal(g).density, spec.g, 1e-6 * spec.sigma
-    )
+    assert np.array_equal(family.grid, marginal(spec.g).grid)
+    assert_matches_oracle(family, lambda g: marginal(g).density, spec.g, 1e-6 * spec.sigma)
 
 
 @pytest.mark.parametrize(
@@ -123,7 +121,7 @@ def test_standard_readout_is_an_exact_quarter_turn(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = standard_scheme(spec)
-    assert res.theta_opt == -math.copysign(math.pi / 2, spec.phi)
+    assert res.extras["theta_opt"] == -math.copysign(math.pi / 2, spec.phi)
 
 
 def test_standard_readouts_cover_all_four_quadratures():
@@ -131,7 +129,8 @@ def test_standard_readouts_cover_all_four_quadratures():
     axes = set()
     for key in ("epsilon", "phi"):
         for sign in (1.0, -1.0):
-            theta = standard_scheme(StandardSpec(g=1e-3, sigma=1.0, **{key: sign * 0.1})).theta_opt
+            spec = StandardSpec(g=1e-3, sigma=1.0, **{key: sign * 0.1})
+            theta = standard_scheme(spec).extras["theta_opt"]
             axes.add((round(math.cos(theta)), round(math.sin(theta))))
     assert axes == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
@@ -222,7 +221,7 @@ def inverse_specs(draw):
 
 @given(inverse_specs())
 def test_inverse_family_matches_grid_chain(spec):
-    res = inverse_scheme(spec)
+    families = spec.readouts()
     imaginary = spec.phi_angle != 0.0
     pre = bloch_state(np.pi / 2, 0.0)
     base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * spec.g, spec.points)
@@ -234,14 +233,11 @@ def test_inverse_family_matches_grid_chain(spec):
         return cm, cm.momentum()
 
     angle = spec.phi_angle if imaginary else spec.theta_angle
-    q_meter, p_meter = meters(angle)
-    assert np.array_equal(res.q_distribution.grid, q_meter.q_grid)
-    assert np.array_equal(res.p_distribution.grid, p_meter.q_grid)
-    assert max_rel(res.q_distribution.density, q_meter.density().density) <= DENSITY_TOL
-    assert max_rel(res.p_distribution.density, p_meter.density().density) <= DENSITY_TOL
-    assert np.array_equal(res.family.grid, (p_meter if imaginary else q_meter).q_grid)
+    for family, meter in zip(families, meters(angle)):
+        assert np.array_equal(family.grid, meter.q_grid)
+        assert max_rel(family.probabilities(angle), meter.density().density) <= DENSITY_TOL
     assert_matches_oracle(
-        res.family, lambda a: meters(a)[imaginary].density().density, angle,
+        families[imaginary], lambda a: meters(a)[imaginary].density().density, angle,
         1e-2 * spec.g / spec.sigma,
     )
 
@@ -269,8 +265,12 @@ def test_phase_space_scheme_at_finite_coupling():
     # Q_jt = 3 at g = 0.01 and 2.98765 at g = 0.1 (coherent nbar = 1)
     for g in (1e-4, 1e-2, 0.1):
         for nbar in (1.0, 100.0):
-            meter = FockMeter.coherent(math.sqrt(nbar))
-            budget = phase_space_scheme(PhaseSpaceSpec(g=g, epsilon=0.1, meter=meter)).budget
+            spec = PhaseSpaceSpec(g=g, epsilon=0.1, meter=FockMeter.coherent(math.sqrt(nbar)))
+            # the report's budget, as an InfoBudget off the same two arms
+            pre, post = spec.states()
+            cfg = CouplingConfig(g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+            budget = info_budget(pre, post, cfg, spec.meter)
+            assert phase_space_scheme(spec).extras["budget"] == budget.to_dict()
             assert budget.residual <= 5e-15
             assert budget.q_jt == pytest.approx(2 * nbar + nbar**2, rel=1e-7)
     assert budget.arm_phase > 1.0
@@ -296,16 +296,17 @@ def test_phase_space_families_match_fock_postselection(spec):
     pre, post = spec.states()
     cfg = CouplingConfig(spec.g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
     failure = Conditioning.of_meter(pre, post.orthogonal_qubit(), cfg, spec.meter).family()
-    assert res.report.extras["f_photon_failure"] == classical_fisher(failure, spec.g)
+    assert res.extras["f_photon_failure"] == classical_fisher(failure, spec.g)
 
     def selection(g):
         p_f = fock_arms(spec, g)[0]
         return np.array([p_f, 1 - p_f])
 
     h = 1e-5
-    assert_matches_oracle(res.photon_family, lambda g: fock_arms(spec, g)[1], spec.g, h)
+    success = spec.selection()
+    assert_matches_oracle(success.family(), lambda g: fock_arms(spec, g)[1], spec.g, h)
     assert_matches_oracle(failure, lambda g: fock_arms(spec, g)[2], spec.g, h)
-    assert_matches_oracle(res.selection_family, selection, spec.g, h)
+    assert_matches_oracle(success.selection_family(), selection, spec.g, h)
     assert spec.selection().kernels(spec.g).p_f() == pytest.approx(
         selection(spec.g)[0], rel=DENSITY_TOL
     )
@@ -323,7 +324,7 @@ def test_phase_space_families_match_fock_postselection(spec):
 )
 def test_entangled_family_matches_matrix_exponential(phi, epsilon, n, variant):
     spec = EntangledSpec(phi=phi, epsilon=epsilon, n=n, variant=variant)
-    res = entangled_scheme(spec)
+    family = spec.selection().family()
     d = spec.detuning
     pre = np.kron(np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, 1.0]) / math.sqrt(2))
     post = np.array([np.exp(-1j * d), -np.exp(1j * d)]) / math.sqrt(2)
@@ -334,5 +335,5 @@ def test_entangled_family_matches_matrix_exponential(phi, epsilon, n, variant):
         amp = np.array([np.vdot(np.kron(post, e), out) for e in np.eye(2)])
         return np.abs(amp) ** 2 / np.sum(np.abs(amp) ** 2)
 
-    assert np.array_equal(res.family.labels, [1.0, -1.0])
-    assert_matches_oracle(res.family, probs, phi, 1e-5)
+    assert np.array_equal(family.labels, [1.0, -1.0])
+    assert_matches_oracle(family, probs, phi, 1e-5)
