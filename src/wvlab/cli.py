@@ -478,17 +478,15 @@ def cmd_estimate(cfg: ScenarioConfig, writer: RunWriter) -> int:
     if plan is None:
         raise ConfigError("estimate command needs an 'experiment' block")
     if writer.seed is not None:  # --seed overrides the config's seed
-        plan = dataclasses.replace(plan, seed=writer.seed)
+        try:
+            plan = dataclasses.replace(plan, seed=writer.seed)
+        except ValueError as exc:
+            raise ConfigError(f"'--seed': {exc}") from exc
     writer.seed = plan.seed  # the manifest records the seed the run used
     report = est.run_experiment(plan)
     writer.write_json("estimate.json", report.to_dict())
-    if cfg.output.dump_samples:
-        if plan.noise is not None:
-            samples = plan.true_value + est.correlated_noise_samples(plan.noise, plan.seed, 0)
-        else:
-            family, g_true = plan.scheme.outcome_family()
-            samples = est.sample(family, plan.nu, plan.seed, 0, g_true)
-        writer.write_table("samples.csv", ["x"], [[s] for s in samples])
+    if cfg.output.dump_samples:  # trial 0's data
+        writer.write_table("samples.csv", ["x"], [[s] for s in est.trial_samples(plan, 0)])
     return 0
 
 

@@ -2,14 +2,14 @@
 
 Randomness comes from a counter-based Philox generator with one substream per
 (seed, trial) pair, so experiments reproduce bit-for-bit regardless of trial
-execution order.
+execution order. `trial_samples` gives the data one trial estimates from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+
 import numpy as np
 
 from .errors import BoundaryMaximum, SingularCovariance
@@ -26,33 +26,6 @@ def substream(seed: int, trial: int = 0) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-class AliasSampler:
-    """Walker alias method for discrete distributions: O(1) per draw."""
-
-    def __init__(self, probs: np.ndarray):
-        p = np.asarray(probs, dtype=float)
-        p = p / p.sum()
-        n = p.size
-        scaled = p * n
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        self.prob = np.ones(n)
-        self.alias = np.arange(n)
-        while small and large:
-            s, l = small.pop(), large.pop()
-            self.prob[s] = scaled[s]
-            self.alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            (small if scaled[l] < 1.0 else large).append(l)
-        for i in small + large:
-            self.prob[i] = 1.0
-
-    def draw(self, rng: np.random.Generator, nu: int) -> np.ndarray:
-        idx = rng.integers(0, self.prob.size, size=nu)
-        take_alias = rng.random(nu) >= self.prob[idx]
-        return np.where(take_alias, self.alias[idx], idx)
 
 
 class Bracket:
@@ -90,10 +63,9 @@ class Bracket:
 
 class OutcomeSampler:
     """Draws from one outcome distribution, evaluated once at g: the
-    normalised table of a discrete family, or the inverse CDF
-    (trapezoid-integrated density) of a continuous one, with its `Bracket`
-    and np.interp's slopes. A discrete family's alias table is built on the
-    first `draw`, so a plan that only draws `counts` never builds it."""
+    normalised table of a discrete family, whose nu draws are its `counts`
+    in random order, or the inverse CDF (trapezoid-integrated density) of a
+    continuous one, with its `Bracket` and np.interp's slopes."""
 
     def __init__(self, dist: ParamDistribution, g: float):
         probs = dist.probabilities(g)
@@ -110,10 +82,6 @@ class OutcomeSampler:
             with np.errstate(divide="ignore", over="ignore"):
                 self.slope = np.append(np.diff(self.values) / np.diff(self.cdf), 0.0)
 
-    @cached_property
-    def alias(self) -> AliasSampler:
-        return AliasSampler(self.probs)
-
     def counts(self, rng: np.random.Generator, nu: int) -> np.ndarray:
         """How often each outcome of a discrete family occurs in nu draws:
         one multinomial, the sufficient statistic of the nu outcomes."""
@@ -121,7 +89,11 @@ class OutcomeSampler:
 
     def draw(self, rng: np.random.Generator, nu: int) -> np.ndarray:
         if self.discrete:
-            return self.values[self.alias.draw(rng, nu)]
+            # the outcome counts in uniformly random order: nu i.i.d. outcomes
+            # whose tally is `counts` of the same stream
+            draws = np.repeat(self.values, self.counts(rng, nu))
+            rng.shuffle(draws)
+            return draws
         u = rng.random(nu)
         # np.interp(u, cdf, values) term by term, so the draws are bitwise
         # its own: u's bracket j, then slope[j] (u - cdf[j]) + values[j], or
@@ -146,8 +118,9 @@ def sample(
     """nu i.i.d. draws from the distribution at parameter g, or from an
     `OutcomeSampler` already built (g is then unused).
 
-    Continuous: inverse-CDF on the grid; discrete: alias method. Identical
-    (seed, trial) pairs reproduce identical sequences.
+    Continuous: inverse-CDF on the grid; discrete: the outcome counts of
+    `OutcomeSampler.counts`, spelt out and shuffled. Identical (seed, trial)
+    pairs reproduce identical sequences.
     """
     rng = substream(seed, trial)
     sampler = dist if isinstance(dist, OutcomeSampler) else OutcomeSampler(dist, g)
@@ -342,8 +315,12 @@ class ExperimentPlan:
     true_value: float = 0.0
 
     def __post_init__(self):
-        if self.nu < 1 or self.trials < 1:
-            raise ValueError("nu and trials must be >= 1")
+        if self.nu < 1:
+            raise ValueError("nu must be >= 1")
+        if self.trials < 3:
+            raise ValueError("trials must be >= 3, the jackknife's minimum")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.estimator not in ("amr", "mle_correlated", "mle_grid"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.noise is None:
@@ -380,8 +357,6 @@ class EstimateReport:
 def _jackknife_ratio_se(estimates: np.ndarray, fisher_total: float) -> float:
     """Jackknife standard error of Var(estimates) * F over trials."""
     n = estimates.size
-    if n < 3:
-        return float("nan")
     s1, s2 = estimates.sum(), np.sum(estimates**2)
     mean_i = (s1 - estimates) / (n - 1)
     var_i = (s2 - estimates**2 - (n - 1) * mean_i**2) / (n - 2)
@@ -404,6 +379,18 @@ def _noise_setup(plan: ExperimentPlan) -> tuple[float, float, CorrelatedNoiseMod
         raise ValueError("noise plans need a real-weak-value scheme")
     p_f = abs(np.vdot(post.amplitudes, pre.amplitudes)) ** 2
     return calibration, plan.scheme.g, plan.noise.thinned(p_f)
+
+
+def trial_samples(plan: ExperimentPlan, trial: int = 0) -> np.ndarray:
+    """The nu results that trial `trial` of `run_experiment(plan)` estimates
+    from: truth * calibration plus the thinned model's noise sequence for a
+    noise plan, else nu draws of the scheme's outcome family at its true g
+    (for a discrete family, the trial's counts in random order)."""
+    if plan.noise is not None:
+        calibration, truth, model = _noise_setup(plan)
+        return truth * calibration + correlated_noise_samples(model, plan.seed, trial)
+    family, g_true = plan.scheme.outcome_family()
+    return sample(family, plan.nu, plan.seed, trial, g_true)
 
 
 def run_experiment(plan: ExperimentPlan) -> EstimateReport:

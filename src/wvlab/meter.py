@@ -86,11 +86,10 @@ class GaussianMeter:
         return 1.0 / (4 * self.sigma**2)
 
     def amplitudes(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        return (2 * np.pi * self.sigma**2) ** -0.25 * np.exp(
-            -((q - self.mean_q) ** 2) / (4 * self.sigma**2)
-            + 1j * self.mean_p * (q - self.mean_q)
-        )
+        """<q|Phi>: real, unless mean_p gives it a plane wave."""
+        d = np.asarray(q, dtype=float) - self.mean_q
+        psi = (2 * np.pi * self.sigma**2) ** -0.25 * np.exp(-(d**2) / (4 * self.sigma**2))
+        return psi * np.exp(1j * self.mean_p * d) if self.mean_p else psi
 
     def displaced(self, dq: float) -> "GaussianMeter":
         return GaussianMeter(self.sigma, self.mean_q + dq, self.mean_p)

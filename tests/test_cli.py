@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from wvlab.cli import ScenarioConfig, _noise_rows, load_config, main
 from wvlab.errors import ConfigError
+from wvlab.estimate import OutcomeSampler, substream, trial_samples
 from wvlab.noise import CorrelatedNoiseModel
 
 
@@ -249,6 +251,46 @@ class TestCommands:
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        # before, numpy's SeedSequence raised from inside the run: exit 1
+        # with a traceback
+        payload = {
+            "scheme": {"variant": "standard", "g": 0.002, "sigma": 1.0, "epsilon": 0.05},
+            "experiment": {"nu": 200, "trials": 10, "seed": 3, "estimator": "amr"},
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err) == {"error": "config", "message": "'--seed': seed must be >= 0"}
+
+    @pytest.mark.parametrize("payload", [
+        {"scheme": {"variant": "phase_space", "g": 1e-3, "epsilon": 0.1, "nbar": 100.0},
+         "experiment": {"nu": 10_000, "trials": 3, "seed": 11}},
+        {"scheme": {"variant": "standard", "g": 1e-3, "sigma": 1.0,
+                    "epsilon": 2 * math.asin(math.sqrt(0.05))},
+         "noise": {"a": 0.5, "c": 1.0, "dt": 1.0, "tau_c": 200.0, "n": 2000},
+         "experiment": {"nu": 100, "trials": 3, "seed": 11}},
+    ], ids=["phase_space", "standard_noise"])
+    def test_dump_samples_is_trial_0(self, tmp_path, payload):
+        # samples.csv holds the nu results trial 0 estimated from: before, a
+        # discrete family's dump came from another draw than its counts, and
+        # a noise plan with a scheme dumped the unthinned, uncalibrated noise
+        cfg = write_config(tmp_path, {**payload, "output": {"dump_samples": True}})
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        samples = np.loadtxt(out / "samples.csv", skiprows=1)
+        plan = load_config(cfg, "estimate").experiment
+        assert samples.shape == (plan.nu,)
+        if plan.noise is None:
+            family, g = plan.scheme.outcome_family()
+            labels = family.outcome_values()
+            tally = (samples[:, None] == labels[None, :]).sum(axis=0)
+            counts = OutcomeSampler(family, g).counts(substream(plan.seed, 0), plan.nu)
+            assert np.array_equal(tally, counts)
+        else:
+            assert samples.tobytes() == trial_samples(plan, 0).tobytes()
+
     def test_manifest_records_config_seed(self, tmp_path):
         payload = {
             "scheme": {"variant": "standard", "g": 0.002, "sigma": 1.0, "epsilon": 0.05},
@@ -302,9 +344,12 @@ class TestCommands:
 
 
 def fresh_interpreter(code):
-    """A fresh interpreter running `code`, then printing its loaded modules."""
+    """A fresh interpreter running `code` on this checkout's `src`, then
+    printing its loaded modules."""
     code += "; import json, sys; print(json.dumps(list(sys.modules)))"
-    return subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
 
 
 def scipy_loaded(proc):
@@ -422,6 +467,12 @@ PROBES = [
     ("noise_a_negative", "noise",
      {"scheme": {"variant": "noise_table"}, "noise": {**NOISE, "a": -1.0}}, 2),
     ("experiment_missing_nu", "estimate", {"scheme": STANDARD, "experiment": {"trials": 5}}, 2),
+    # before, the first two exited 0 with NaN tokens in estimate.json, and
+    # the third exited 1 with numpy's SeedSequence traceback
+    ("experiment_trials_1", "estimate", {"scheme": STANDARD, "experiment": {**EXPERIMENT, "trials": 1}}, 2),
+    ("experiment_trials_2", "estimate", {"scheme": STANDARD, "experiment": {**EXPERIMENT, "trials": 2}}, 2),
+    ("experiment_seed_negative", "estimate",
+     {"scheme": STANDARD, "experiment": {**EXPERIMENT, "seed": -3}}, 2),
     ("estimator_unknown", "estimate",
      {"scheme": STANDARD, "experiment": {**EXPERIMENT, "estimator": "bayes"}}, 2),
     ("estimate_inverse", "estimate",

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import numeric_family
 from wvlab.errors import BoundaryMaximum, RegimeViolationWarning
 from wvlab.estimate import (
-    AliasSampler,
     Bracket,
     ExperimentPlan,
     MLWindow,
     OutcomeSampler,
+    _noise_setup,
     amr_estimate,
     correlated_noise_samples,
     mle_correlated,
@@ -24,9 +24,10 @@ from wvlab.estimate import (
     run_experiment,
     sample,
     substream,
+    trial_samples,
 )
 from wvlab.infometrics import ParamDistribution, classical_fisher, readout_axis
-from wvlab.noise import CorrelatedNoiseModel, cm_fisher_correlated, covariance
+from wvlab.noise import CorrelatedNoiseModel, StateSpaceNoise, cm_fisher_correlated, covariance
 from wvlab.meter import FockMeter
 from wvlab.schemes import BiasedSpec, EntangledSpec, InverseSpec, PhaseSpaceSpec, StandardSpec
 
@@ -91,16 +92,73 @@ def _oracle_case(name):
     return family, g, nu, 1.0 / math.sqrt(nu * classical_fisher(family, g))
 
 
+def _noise_plans(name, scheme):
+    """amr and mle_correlated plans on one slow-noise model, measured
+    directly or through a p_f = 0.05 post-selection that keeps 100 of 2000
+    samples."""
+    model = CorrelatedNoiseModel(a=0.5, c=1.0, dt=1.0, tau_c=200.0, n=2000)
+    nu = model.n if scheme is None else model.thinned(0.05).n
+    return {f"{name}_{e}": ExperimentPlan(scheme, nu, 4, 7, e, noise=model, true_value=0.2)
+            for e in ("amr", "mle_correlated")}
+
+
+# one plan of each kind: both estimators on a density, amr and mle_grid on
+# discrete families, and both noise estimators with and without a scheme
+TRIAL_PLANS = {
+    "standard_amr": ExperimentPlan(ORACLE_CASES["standard"][0], 2000, 4, 7, "amr"),
+    "standard_mle_grid": ExperimentPlan(ORACLE_CASES["standard"][0], 2000, 4, 7, "mle_grid"),
+    "phase_space_amr": ExperimentPlan(ORACLE_CASES["phase_space"][0], 10_000, 4, 7, "amr"),
+    "entangled_mle_grid": ExperimentPlan(ORACLE_CASES["entangled"][0], 10_000, 4, 7, "mle_grid"),
+    **_noise_plans("noise", None),
+    **_noise_plans("noise_standard",
+                   StandardSpec(g=1e-3, sigma=1.0, epsilon=2 * math.asin(math.sqrt(0.05)))),
+}
+
+
+def _trial_estimate(plan, samples):
+    """The plan's estimate from one trial's data, formed as `run_experiment`
+    forms it; a discrete family's samples enter through their tally."""
+    if plan.noise is not None:
+        calibration, _, model = _noise_setup(plan)
+        if plan.estimator == "amr":
+            return amr_estimate(samples, calibration)
+        return float(StateSpaceNoise(model).gls_weights() @ samples) / calibration
+    family, g = plan.scheme.outcome_family()
+    values = family.outcome_values()
+    if plan.estimator == "mle_grid":
+        sd = 1.0 / math.sqrt(plan.nu * classical_fisher(family, g))
+        return mle_grid(samples, family, np.linspace(g - 8 * sd, g + 8 * sd, 101))
+    if family.kind == "discrete":
+        mean = float((samples[:, None] == values[None, :]).sum(axis=0) @ values) / plan.nu
+    else:
+        mean = float(np.mean(samples))
+    slope = float(np.sum(values * family.derivative(g))) * family.spacing
+    return g + (mean - family.mean_std(g)[0]) / slope
+
+
 def _per_call_sample(dist, nu, seed, trial, g):
     """Oracle for `sample`: the family evaluated and its table built on every
-    call, drawn by np.interp on the unsorted uniforms."""
+    call, drawn by np.interp on the unsorted uniforms, or by spelling out one
+    multinomial's counts and shuffling them."""
     rng = substream(seed, trial)
     probs = dist.probabilities(g)
     if dist.kind == "discrete":
-        return dist.outcome_values()[AliasSampler(probs).draw(rng, nu)]
+        draws = np.repeat(dist.outcome_values(), rng.multinomial(nu, probs / probs.sum()))
+        rng.shuffle(draws)
+        return draws
     inc = 0.5 * (probs[1:] + probs[:-1]) * dist.spacing
     cdf = np.concatenate([[0.0], np.cumsum(inc)])
     return np.interp(rng.random(nu), cdf / cdf[-1], dist.grid)
+
+
+def _random_table(seed, k):
+    """(p, its sampler): a random table over the labels 0..k-1 with some
+    exact zeros."""
+    rng = np.random.default_rng(seed)
+    p = (rng.exponential(size=k) + 0.05) * (rng.random(k) > 0.2)
+    p[rng.integers(k)] += 0.1
+    p /= p.sum()
+    return p, OutcomeSampler(numeric_family("discrete", lambda g: p, labels=np.arange(k)), 0.0)
 
 
 class _Uniforms:
@@ -190,14 +248,6 @@ class TestSampling:
         half = 5 * math.sqrt(0.3 * 0.7 / nu)
         assert 0.3 - half <= freq <= 0.3 + half
 
-    def test_alias_tables_reproduce_probabilities(self):
-        rng = np.random.default_rng(0)
-        probs = rng.dirichlet(np.ones(17))
-        sampler = AliasSampler(probs)
-        draws = sampler.draw(substream(2, 0), 200000)
-        freq = np.bincount(draws, minlength=17) / 200000
-        assert np.max(np.abs(freq - probs)) < 0.01
-
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 50), log_nu=st.floats(4.0, 9.0))
     def test_counts_have_the_multinomial_mean_and_covariance(self, seed, k, log_nu):
@@ -207,12 +257,8 @@ class TestSampling:
         # the exact variance from the multinomial's fourth moments. Each
         # nonzero nu p_k is about 10 or more, so these averages are close to
         # Gaussian
-        rng = np.random.default_rng(seed)
-        p = (rng.exponential(size=k) + 0.05) * (rng.random(k) > 0.2)
-        p[rng.integers(k)] += 0.1
-        p /= p.sum()
+        p, sampler = _random_table(seed, k)
         nu, trials = int(10**log_nu), 400
-        sampler = OutcomeSampler(numeric_family("discrete", lambda g: p, labels=np.arange(k)), 0.0)
         n = np.array([sampler.counts(substream(seed, t), nu) for t in range(trials)])
         assert np.all(n.sum(axis=1) == nu) and np.all(n[:, p == 0] == 0)
         mu = nu * p
@@ -224,6 +270,20 @@ class TestSampling:
         var_z = np.maximum(second - (nu * c) ** 2, 0.0)
         d = n - mu
         assert np.all(np.abs(d.T @ d / trials - nu * c) <= 5 * np.sqrt(var_z / trials) + 1e-9 * nu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 50), nu=st.integers(1, 20_000),
+           trial=st.integers(0, 10**4))
+    def test_draws_tally_to_the_counts_of_their_stream(self, seed, k, nu, trial):
+        # single draws and the count trials read one multinomial per
+        # (seed, trial): the tally is the counts, exactly, and an outcome of
+        # probability 0 never occurs
+        p, sampler = _random_table(seed, k)
+        draws = sample(sampler, nu, seed, trial)
+        tally = np.bincount(draws.astype(np.intp), minlength=k)
+        assert draws.size == nu
+        assert np.array_equal(tally, sampler.counts(substream(seed, trial), nu))
+        assert np.all(tally[p == 0] == 0)
 
 
 def _keys(rng, table, m):
@@ -344,22 +404,19 @@ class TestEstimators:
 
     @pytest.mark.parametrize("name", ["phase_space", "entangled"])
     def test_mle_grid_is_the_count_estimate_of_the_same_draws(self, name):
-        # sample() draws by the alias table; their outcome counts, tallied
-        # here by label, give the estimate the plan takes from counts; and the
-        # plan's own counts, spelt out as samples, give mle_grid the plan's
-        # estimates
+        # sample() spells out the counts of its (seed, trial) stream, so
+        # mle_grid of the draws is the plan's count estimate of that trial,
+        # bitwise
         family, g, nu, sd = _oracle_case(name)
         window = np.linspace(g - 8 * sd, g + 8 * sd, 101)
-        labels = family.outcome_values()
-        for trial in range(4):
-            draws = sample(family, nu, 9, trial, g)
-            counts = (draws[:, None] == labels[None, :]).sum(axis=0)
-            assert abs(mle_grid(draws, family, window) - mle_counts(counts, family, window)) <= 1e-9 * sd
         plan = ExperimentPlan(ORACLE_CASES[name][0], nu, 4, 9, "mle_grid")
         sampler = OutcomeSampler(family, g)
-        spelt = [mle_grid(np.repeat(labels, sampler.counts(substream(9, t), nu)), family, window)
-                 for t in range(plan.trials)]
-        assert abs(run_experiment(plan).mean_estimate - np.mean(spelt)) <= 1e-9 * sd
+        estimates = []
+        for trial in range(plan.trials):
+            estimates.append(mle_grid(sample(family, nu, 9, trial, g), family, window))
+            counts = sampler.counts(substream(9, trial), nu)
+            assert estimates[-1].hex() == mle_counts(counts, family, window).hex()
+        assert run_experiment(plan).mean_estimate.hex() == float(np.mean(estimates)).hex()
 
     def test_mle_grid_evaluation_count(self):
         family, g = StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05).outcome_family()
@@ -477,7 +534,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("estimator", ["amr", "mle_grid"])
     def test_discrete_trial_is_one_count_draw(self, estimator, monkeypatch):
         # each trial takes one substream and draws its counts from it: no
-        # sample() call, and no alias table is built
+        # sample() call
         import wvlab.estimate as estimate_mod
 
         streams = []
@@ -491,7 +548,6 @@ class TestRunExperiment:
 
         monkeypatch.setattr(estimate_mod, "substream", counted_substream)
         monkeypatch.setattr(estimate_mod, "sample", refuse)
-        monkeypatch.setattr(estimate_mod, "AliasSampler", refuse)
         spec, nu = ORACLE_CASES["entangled"]
         run_experiment(ExperimentPlan(spec, nu, 6, 4, estimator))
         assert streams == [(4, t) for t in range(6)]
@@ -507,6 +563,18 @@ class TestRunExperiment:
         assert time.perf_counter() - start < 1.0
         truth = spec.outcome_family()[1]
         assert abs(rep.mean_estimate - truth) <= 4.5 * math.sqrt(rep.crb / plan.trials)
+
+    @pytest.mark.parametrize("name", list(TRIAL_PLANS))
+    def test_trials_estimate_from_trial_samples(self, name):
+        # trial_samples(plan, t) is the data trial t estimates from: the
+        # plan's estimator on it gives the report's mean, bitwise
+        plan = TRIAL_PLANS[name]
+        data = [trial_samples(plan, t) for t in range(plan.trials)]
+        assert all(d.shape == (plan.nu,) for d in data)
+        estimates = [_trial_estimate(plan, d) for d in data]
+        rep = run_experiment(plan)
+        assert float(np.mean(estimates)).hex() == rep.mean_estimate.hex()
+        assert float(np.var(estimates, ddof=1)).hex() == rep.empirical_variance.hex()
 
     def test_reproducible(self):
         plan = ExperimentPlan(
@@ -565,6 +633,12 @@ class TestRunExperiment:
             )
         with pytest.raises(ValueError):
             ExperimentPlan(scheme=None, nu=10, trials=5, seed=0, estimator="bogus")
+        # the jackknife needs 3 trials; numpy's seed sequence refuses a
+        # negative seed
+        spec = ORACLE_CASES["standard"][0]
+        for trials, seed, message in ((1, 0, "trials"), (2, 0, "trials"), (5, -3, "seed")):
+            with pytest.raises(ValueError, match=f"{message} must be >= "):
+                ExperimentPlan(spec, 100, trials, seed)
 
     def test_amr_variance_saturates_under_slow_noise(self):
         # window well inside one correlation time: AMR variance stays pinned
