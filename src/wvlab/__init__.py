@@ -2,8 +2,8 @@
 
 Modules
 -------
-qsys         states, observables, weak values (standard / high-order / orthogonal)
-meter        Gaussian, grid, and Fock meters; Wigner maps; quadrature marginals
+qsys         states, observables, the weak value
+meter        Gaussian, grid, and Fock meters; quadrature marginals
 coupling     impulsive system-meter evolution, post-selection, shift formulas
 infometrics  classical/quantum Fisher information and the post-selection budget
 noise        correlated noise, beam jitter, pixelation, saturating detectors
@@ -23,10 +23,8 @@ from .coupling import (
     JointState,
     PostSelectedMeter,
     RegimeLabel,
-    aav_shifts,
     classify_regime,
     evolve_joint,
-    exact_shifts,
     postselect,
     trapped_ion_shift,
 )
@@ -37,28 +35,23 @@ from .infometrics import (
     info_budget,
     qfi_joint,
     scaling_bounds,
-    snr,
 )
 from .meter import (
     FockMeter,
     GaussianMeter,
     GridMeter,
-    WignerMap,
     fock_moments,
     gaussian_density,
     optimal_quadrature_angle,
     quadrature_marginal,
     to_grid,
-    wigner,
 )
 from .qsys import (
     DensityState,
     Observable,
     SystemState,
     bloch_state,
-    high_order_weak_value,
     optimal_postselection,
-    orthogonal_weak_value,
     weak_value,
 )
 

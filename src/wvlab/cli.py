@@ -60,6 +60,8 @@ class TrappedIon:
     def __post_init__(self):
         if self.gamma0_t == 0:
             raise ValueError("gamma0_t must be nonzero")
+        if any(gamma <= 0 for gamma in self.gammas):
+            raise ValueError("every gamma must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,8 @@ class Sweep:
     values: list[float]
 
     def __post_init__(self):
-        if len(self.values) < 2 or min(self.values) <= 0:
-            raise ValueError("the log-log slope needs >= 2 positive values")
+        if len(set(self.values)) < 2 or min(self.values) <= 0:
+            raise ValueError("the log-log slope needs >= 2 distinct positive values")
 
 
 VARIANTS = {
@@ -273,6 +275,19 @@ def load_config(path: str, command: str | None = None) -> ScenarioConfig:
 # output plumbing
 
 
+def _json_values(node):
+    """`node` with every value JSON has no type for (a numpy scalar) as a
+    float, and every NaN or infinity as None."""
+    if isinstance(node, dict):
+        return {k: _json_values(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_json_values(v) for v in node]
+    if node is None or isinstance(node, (str, int)):
+        return node
+    x = float(node)
+    return x if math.isfinite(x) else None
+
+
 class RunWriter:
     def __init__(self, out_dir: Path, command: str, seed: int | None,
                  config: ScenarioConfig, fmt: str = "csv"):
@@ -302,7 +317,8 @@ class RunWriter:
         return self._write(name, "\n".join(lines) + "\n")
 
     def write_json(self, name: str, payload: dict) -> Path:
-        return self._write(name, json.dumps(payload, indent=2, default=float))
+        """Strict JSON: a non-finite number is written as null."""
+        return self._write(name, json.dumps(_json_values(payload), indent=2, allow_nan=False))
 
     def finish(self) -> Path:
         self.write_json("config_echo.json", self.config.to_dict())

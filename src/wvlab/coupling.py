@@ -253,27 +253,6 @@ def _normalize_payload(payload, p, kind):
 # closed-form shifts and regimes
 
 
-def aav_shifts(weak_value: complex, g: float, sigma: float) -> tuple[float, float]:
-    """First-order meter shifts (<Q>_f, <P>_f) = (g Re w, g Im w / (2 sigma^2))."""
-    w = complex(weak_value)
-    return g * w.real, g * w.imag / (2 * sigma**2)
-
-
-def exact_shifts(weak_value: complex, g: float, sigma: float) -> tuple[float, float]:
-    """Second-order shifts for A with A^2 = I and a Gaussian meter:
-
-    <Q>_f = 4 g Re(w) sigma^2 / [4 sigma^2 + g^2 (|w|^2 - 1)]
-    <P>_f = 2 g Im(w)       / [4 sigma^2 + g^2 (|w|^2 - 1)]
-
-    Maximizing over real (imaginary) w at weak coupling gives sigma (1/(2 sigma)).
-    """
-    w = complex(weak_value)
-    denom = 4 * sigma**2 + g**2 * (abs(w) ** 2 - 1.0)
-    if abs(denom) < 1e-300:
-        raise DegenerateDenominator("shift denominator vanished")
-    return 4 * g * w.real * sigma**2 / denom, 2 * g * w.imag / denom
-
-
 def classify_regime(g: float, sigma: float, weak_value: complex) -> RegimeLabel:
     """Strong (g >= sigma), inverse WVA (g |w| >= sigma > g), else standard WVA.
 
@@ -308,18 +287,6 @@ def trapped_ion_shift(gamma: float, theta: float, gamma0_t: float) -> float:
             "shift undefined as theta -> 0 and Gamma -> 0 together"
         )
     return -gamma0_t * math.sin(2 * theta) / denom
-
-
-def trapped_ion_extremal_theta(gamma: float) -> float:
-    """Post-selection angle maximizing the trapped-ion shift: arccos(e^{-G^2/2})/2."""
-    return 0.5 * math.acos(math.exp(-(gamma**2) / 2))
-
-
-def orthogonal_shifts(a_ow: complex, g: float, sigma: float) -> tuple[float, float]:
-    """Shifts under strictly orthogonal selection:
-    (<Q>_f, <P>_f) = (g Re w_ow, 3 g Im w_ow / (2 sigma^2))."""
-    w = complex(a_ow)
-    return g * w.real, 3 * g * w.imag / (2 * sigma**2)
 
 
 def aav_condition_margin(

@@ -6,11 +6,7 @@ class WvlabError(Exception):
 
 
 class OrthogonalSelection(WvlabError):
-    """Pre/post overlap below the orthogonality threshold; use the orthogonal weak value."""
-
-
-class NotOrthogonal(WvlabError):
-    """Orthogonal weak value requested for a non-orthogonal selection."""
+    """Pre/post overlap below the orthogonality threshold: the weak value is undefined."""
 
 
 class DegenerateDenominator(WvlabError):
@@ -37,20 +33,12 @@ class EmptyPostselection(WvlabError):
     """Post-selection succeeded with (numerically) zero probability."""
 
 
-class ZeroVariance(WvlabError):
-    """SNR undefined for a zero-variance outcome distribution."""
-
-
 class SingularCovariance(WvlabError):
     """Covariance matrix could not be factorized even with jitter."""
 
 
 class UnsupportedCombination(WvlabError):
     """No closed form exists for this scheme/noise combination."""
-
-
-class ResolutionTooCoarse(WvlabError):
-    """Sample grid too coarse relative to the pixel size."""
 
 
 class LadderTooLong(WvlabError):

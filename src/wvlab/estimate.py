@@ -160,19 +160,6 @@ def mle_weights(c: np.ndarray) -> np.ndarray:
     return y / total
 
 
-def mle_correlated(samples: np.ndarray, c: np.ndarray) -> float:
-    """Weighted average sum_k f_k s_k with GLS weights from the covariance.
-
-    For exchangeable covariances the weights are uniform and the estimate is
-    delegated to the plain mean so white-noise results match `amr_estimate`
-    bitwise.
-    """
-    f = mle_weights(np.asarray(c, dtype=float))
-    if np.all(f == f[0]):
-        return float(np.mean(samples))
-    return float(f @ samples)
-
-
 class MLWindow:
     """The window [g_grid[0], g_grid[-1]] of `mle_grid` and `mle_counts`, with
     the family's (p, p') at the window's two ends and its midpoint, where

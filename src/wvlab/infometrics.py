@@ -1,5 +1,5 @@
-"""Classical and quantum Fisher information, SNR, the post-selection
-information budget, and the standard scaling bounds.
+"""Classical and quantum Fisher information, the post-selection information
+budget, and the standard scaling bounds.
 
 The post-selected quantities are evaluated with exact conditioning kernels:
 for U = exp(-i g A x M) and selection states (i, f), the conditioned meter is
@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .coupling import CouplingConfig, Generator
-from .errors import EmptyPostselection, InsufficientSpan, UnsupportedDimension, ZeroVariance
+from .errors import EmptyPostselection, InsufficientSpan, UnsupportedDimension
 from .meter import FockMeter, FockState, GaussianMeter, gaussian_density
 from .qsys import Observable, SystemState
 
@@ -111,16 +111,6 @@ def _fisher(p: np.ndarray, dp: np.ndarray, spacing: float = 1.0) -> float:
     `classical_fisher` takes of a family's arrays at one g."""
     mask = p > PROBABILITY_FLOOR
     return float(np.sum(dp[mask] ** 2 / p[mask]) * spacing)
-
-
-def snr(dist: ParamDistribution, g: float, nu: int, x0: float) -> float:
-    """sqrt(nu) |<x> - x0| / std(x) under the distribution at g."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    mean, std = dist.mean_std(g)
-    if std <= 0:
-        raise ZeroVariance("outcome distribution has zero variance")
-    return math.sqrt(nu) * abs(mean - x0) / std
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +450,3 @@ def scaling_bounds(n: int, h_min: float, h_max: float) -> tuple[float, float]:
         raise ValueError("h_max must exceed h_min")
     spread2 = (h_max - h_min) ** 2
     return n * spread2, n**2 * spread2
-
-
-def tmsv_phase_variance(nbar: float) -> float:
-    """Two-mode squeezed-vacuum phase bound Var(phi) = 1 / [8 (nbar^2 + nbar)]."""
-    if nbar <= 0:
-        raise ValueError("nbar must be positive")
-    return 1.0 / (8.0 * (nbar**2 + nbar))

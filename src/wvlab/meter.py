@@ -1,4 +1,4 @@
-"""Meter-state representations and phase-space tooling.
+"""Meter-state representations and rotated-quadrature marginals.
 
 Three meter families:
 
@@ -9,8 +9,8 @@ Three meter families:
 * `FockMeter` -- truncated photon-number representation: a mixture of
   coherent components.
 
-Plus the Wigner transform, rotated-quadrature marginals (via the fractional
-Fourier transform), and photon-number moments.
+Plus rotated-quadrature marginals (via the fractional Fourier transform) and
+photon-number moments.
 """
 
 from __future__ import annotations
@@ -182,13 +182,6 @@ class GridMeter:
     def var_p(self) -> float:
         return self.momentum().var_q()
 
-    def to_csv(self, path) -> None:
-        """Columns q, re, im."""
-        data = np.column_stack(
-            [self.q_grid, self.amplitudes.real, self.amplitudes.imag]
-        )
-        _write_csv(path, "q,re,im", data)
-
 
 def fourier_pair(q_grid: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuum-normalized FT: phi(p) = (2 pi)^{-1/2} int psi(q) e^{-ipq} dq.
@@ -217,128 +210,6 @@ def to_grid(
         raise InsufficientSpan(f"span = {span:.3g} < 8 sigma = {8 * meter.sigma:.3g}")
     q = np.linspace(meter.mean_q - span, meter.mean_q + span, points, endpoint=False)
     return GridMeter.normalized(q, meter.amplitudes(q))
-
-
-# ---------------------------------------------------------------------------
-# Wigner transform
-
-
-@dataclass(frozen=True)
-class WignerMap:
-    """W(q, p) on a rectangular grid; integrates to 1 within 1e-6."""
-
-    q_grid: np.ndarray
-    p_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q_grid, dtype=float)
-        p = np.asarray(self.p_grid, dtype=float)
-        w = np.asarray(self.values, dtype=float)
-        if w.shape != (q.size, p.size):
-            raise ValueError("values must have shape (len(q_grid), len(p_grid))")
-        for arr in (q, p, w):
-            arr.setflags(write=False)
-        object.__setattr__(self, "q_grid", q)
-        object.__setattr__(self, "p_grid", p)
-        object.__setattr__(self, "values", w)
-        total = self.integral()
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"Wigner map integrates to {total!r}, not 1 within 1e-6")
-
-    @property
-    def dq(self) -> float:
-        return float(self.q_grid[1] - self.q_grid[0])
-
-    @property
-    def dp(self) -> float:
-        return float(self.p_grid[1] - self.p_grid[0])
-
-    def integral(self) -> float:
-        return float(np.sum(self.values) * self.dq * self.dp)
-
-    def marginal_q(self) -> SampledDistribution:
-        return SampledDistribution(self.q_grid, np.sum(self.values, axis=1) * self.dp)
-
-    def marginal_p(self) -> SampledDistribution:
-        return SampledDistribution(self.p_grid, np.sum(self.values, axis=0) * self.dq)
-
-    def to_csv(self, path) -> None:
-        """Long format, columns q, p, value."""
-        qq, pp = np.meshgrid(self.q_grid, self.p_grid, indexing="ij")
-        data = np.column_stack([qq.ravel(), pp.ravel(), self.values.ravel()])
-        _write_csv(path, "q,p,value", data)
-
-
-def _upsample_bandlimited(psi: np.ndarray) -> np.ndarray:
-    """Exact 2x spectral interpolation.
-
-    Even lengths split the Nyquist bin symmetrically; odd lengths have no
-    Nyquist ambiguity and pad between the frequency halves directly.
-    """
-    n = psi.size
-    spec = np.fft.fft(psi)
-    out = np.zeros(2 * n, dtype=complex)
-    if n % 2 == 0:
-        half = n // 2
-        out[:half] = spec[:half]
-        out[half] = spec[half] / 2
-        out[half + n] = spec[half] / 2
-        out[half + n + 1 :] = spec[half + 1 :]
-    else:
-        pos = (n + 1) // 2  # bins 0 .. (n-1)/2
-        out[:pos] = spec[:pos]
-        out[2 * n - (n - pos) :] = spec[pos:]
-    return 2.0 * np.fft.ifft(out)
-
-
-def wigner(
-    meter: GridMeter,
-    q_points: int = 257,
-    p_points: int = 257,
-    p_span: float | None = None,
-) -> WignerMap:
-    """Wigner function W(q,p) = (1/pi) int psi*(q+y) psi(q-y) e^{2ipy} dy.
-
-    The correlation is evaluated at half-grid steps in y (via exact spectral
-    upsampling) so the p-marginal identity holds for interference states, and
-    integrated by the trapezoid rule; for a pure Gaussian the map matches
-    exp[-q^2/(2 s^2)] exp(-2 s^2 p^2) / pi pointwise.
-    """
-    q = meter.q_grid
-    n = q.size
-    dq = meter.spacing
-    psi2 = _upsample_bandlimited(meter.amplitudes)  # spacing dq/2
-    n2 = psi2.size
-
-    stride = max(1, n // q_points)
-    # start so the central sample (q nearest 0 on symmetric grids) is kept
-    idx = np.arange((n // 2) % stride, n, stride)
-    q_out = q[idx]
-
-    if p_span is None:
-        mom = meter.momentum()
-        p_center = mom.mean_q()
-        p_span = 8.0 * math.sqrt(mom.var_q())
-    else:
-        p_center = 0.0
-    p_out = np.linspace(p_center - p_span, p_center + p_span, p_points)
-
-    # correlation C[j, k] = psi*(q_j + y_k) psi(q_j - y_k), y_k = k dq/2
-    kmax = n2 // 2 - 1
-    ks = np.arange(-kmax, kmax + 1)
-    jj = 2 * idx[:, None]  # output points on the upsampled lattice
-    plus = jj + ks[None, :]
-    minus = jj - ks[None, :]
-    valid = (plus >= 0) & (plus < n2) & (minus >= 0) & (minus < n2)
-    corr = np.zeros((idx.size, ks.size), dtype=complex)
-    pv = np.clip(plus, 0, n2 - 1)
-    mv = np.clip(minus, 0, n2 - 1)
-    corr[valid] = np.conj(psi2[pv[valid]]) * psi2[mv[valid]]
-
-    kernel = np.exp(2j * np.outer(ks * dq / 2, p_out))
-    values = (dq / 2 / np.pi) * np.real(corr @ kernel)
-    return WignerMap(q_out, p_out, values)
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +272,6 @@ def quadrature_marginal(meter: GridMeter, theta: float) -> SampledDistribution:
         s_grid, dens = s_grid[::-1], dens[::-1]
     dens = dens / (np.sum(dens) * (s_grid[1] - s_grid[0]))
     return SampledDistribution(s_grid, dens)
-
-
-def quadrature_variance(sigma: float, theta: float) -> float:
-    """Var(S_theta) for the Eq.-(1)-style Gaussian meter:
-    sigma^2 cos^2(theta) + sin^2(theta) / (4 sigma^2).
-
-    Note: the literature expression sigma^2 (2 sigma^2 cos^2 + sin^2/(2 sigma^2))
-    coincides with this only at sigma = sqrt(2)/2 and is dimensionally
-    inconsistent at theta = 0; the grid marginal is the ground truth here.
-    """
-    return sigma**2 * math.cos(theta) ** 2 + math.sin(theta) ** 2 / (4 * sigma**2)
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +392,3 @@ def fock_moments(meter: FockMeter) -> tuple[float, float]:
     var = float(np.sum(n**2 * p) - mean**2)
     return mean, var
 
-
-# ---------------------------------------------------------------------------
-# CSV plumbing
-
-
-def _write_csv(path, header: str, data: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in data:
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")

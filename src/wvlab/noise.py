@@ -14,11 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    LadderTooLong, ResolutionTooCoarse, SingularCovariance, UnsupportedCombination,
-)
+from .errors import LadderTooLong, SingularCovariance, UnsupportedCombination
 from .infometrics import PROBABILITY_FLOOR, ParamDistribution, classical_fisher
-from .meter import SampledDistribution
 
 
 # ---------------------------------------------------------------------------
@@ -371,31 +368,6 @@ class DiscreteDistribution:
     probs: np.ndarray
 
 
-def pixelate(dist: SampledDistribution, det: PixelatedDetector) -> DiscreteDistribution:
-    """Bin a sampled density into pixels; mass-preserving within 1e-10.
-
-    Uses the linearly interpolated CDF so pixel masses telescope exactly to
-    the grid total. Requires at least 8 grid samples per pixel.
-    """
-    dq = dist.spacing
-    if det.r < 8 * dq:
-        raise ResolutionTooCoarse(
-            f"pixel width {det.r!r} < 8 grid steps ({8 * dq!r})"
-        )
-    grid, dens = dist.grid, dist.density
-    # cumulative trapezoid over the grid; cdf[i] is mass up to grid[i]
-    inc = 0.5 * (dens[1:] + dens[:-1]) * dq
-    cdf = np.concatenate([[0.0], np.cumsum(inc)])
-    edges = det.edges(grid[0], grid[-1])
-    cdf_at = np.interp(edges, grid, cdf)
-    masses = np.diff(cdf_at)
-    labels = np.round((edges[:-1] + det.r / 2 - det.h) / det.r).astype(int)
-    total_grid = cdf[-1]
-    if abs(masses.sum() - total_grid) > 1e-10:
-        raise AssertionError("pixelation lost probability mass")
-    return DiscreteDistribution(labels, masses / total_grid)
-
-
 def _gaussian_pixels(det: PixelatedDetector, rate: float, width: float) -> ParamDistribution:
     """Family g -> pixel masses Phi(b_j) - Phi(a_j) of N(rate g, width^2), with
     a_j = (e_j - rate g) / width, and their derivative (phi(a_j) - phi(b_j))
@@ -619,8 +591,7 @@ def saturated_fisher(
     Each per-pixel Gamma is the ratio of the pixel's FI to the
     shot-noise-limited value (eta / nbar_j)(d nbar_j / d g)^2; Gamma -> 1 for
     an ideal detector and -> 0 for strongly saturated pixels. A calibrated
-    response matrix (e.g. from `load_response_csv`) overrides the parametric
-    model.
+    `response` matrix, row N holding R(.|N), overrides the parametric model.
     """
     nbar, dnbar = np.asarray(nbar, dtype=float), np.asarray(dnbar, dtype=float)
     if nbar.shape != dnbar.shape:
@@ -638,19 +609,3 @@ def saturated_fisher(
         ideal = det.eta / nbar[j] * dnbar[j] ** 2
         gammas[j] = per_pixel[j] / ideal if ideal > 0 else 0.0
     return SaturatedFisherResult(float(per_pixel.sum()), gammas, per_pixel)
-
-
-def load_response_csv(path) -> np.ndarray:
-    """Measured response matrix: rows = input photon number, columns = readout
-    count, values = probability. Plain comma-separated with a header row."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return np.atleast_2d(data)
-
-
-def covariance_to_csv(model: CorrelatedNoiseModel, path) -> None:
-    """Dump the dense covariance matrix (header row k0..k{N-1})."""
-    mat = covariance(model)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(f"k{i}" for i in range(model.n)) + "\n")
-        for row in mat:
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")

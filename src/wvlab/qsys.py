@@ -1,4 +1,4 @@
-"""Finite-dimensional quantum-system states, observables, and weak-value variants.
+"""Finite-dimensional quantum-system states, observables, and the weak value.
 
 States are plain complex vectors (or density matrices) of dimension d >= 2.
 Everything is validated on construction and immutable afterwards, so all
@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    NotOrthogonal,
-    NullVector,
-    OrthogonalSelection,
-)
+from .errors import NullVector, OrthogonalSelection
 
 ORTHOGONALITY_THRESHOLD = 1e-12  # double-precision noise floor with safety margin
 
@@ -141,7 +136,7 @@ def weak_value(
     """<post|A|pre> / <post|pre>.
 
     Raises OrthogonalSelection when the overlap modulus is at or below
-    `threshold`; callers must switch to `orthogonal_weak_value` there.
+    `threshold`, where the ratio is undefined.
     """
     overlap = np.vdot(post.amplitudes, pre.amplitudes)
     if abs(overlap) <= threshold:
@@ -149,58 +144,6 @@ def weak_value(
             f"|<post|pre>| = {abs(overlap):.3e} <= {threshold:.1e}"
         )
     return complex(np.vdot(post.amplitudes, a.matrix @ pre.amplitudes) / overlap)
-
-
-def high_order_weak_value(
-    rho_s: DensityState,
-    pi_f: Observable,
-    a: Observable,
-    m: int,
-    l: int,
-    threshold: float = ORTHOGONALITY_THRESHOLD,
-) -> complex:
-    """Tr(Pi_f A^m rho A^l) / Tr(Pi_f rho) for integer orders m, l >= 0."""
-    if m < 0 or l < 0:
-        raise ValueError("orders m, l must be nonnegative integers")
-    denom = complex(np.trace(pi_f.matrix @ rho_s.matrix))
-    if abs(denom) <= threshold:
-        raise OrthogonalSelection(
-            f"Tr(Pi_f rho) = {abs(denom):.3e} <= {threshold:.1e}; "
-            "use orthogonal_weak_value"
-        )
-    a_m = np.linalg.matrix_power(a.matrix, m)
-    a_l = np.linalg.matrix_power(a.matrix, l)
-    num = complex(np.trace(pi_f.matrix @ a_m @ rho_s.matrix @ a_l))
-    return num / denom
-
-
-def orthogonal_weak_value(
-    rho_i: DensityState,
-    pi_f: Observable,
-    a: Observable,
-    m: int,
-    l: int,
-    threshold: float = ORTHOGONALITY_THRESHOLD,
-) -> complex:
-    """Tr(Pi_f A^{m+1} rho A^{l+1}) / [(m+1)(l+1) Tr(Pi_f A rho A)].
-
-    Defined only for strictly orthogonal selections, Tr(Pi_f rho) <= threshold.
-    """
-    if m < 0 or l < 0:
-        raise ValueError("orders m, l must be nonnegative integers")
-    overlap = complex(np.trace(pi_f.matrix @ rho_i.matrix))
-    if abs(overlap) > threshold:
-        raise NotOrthogonal(
-            f"Tr(Pi_f rho) = {abs(overlap):.3e} > {threshold:.1e}; selection not orthogonal"
-        )
-    a_rho_a = a.matrix @ rho_i.matrix @ a.matrix
-    denom = complex(np.trace(pi_f.matrix @ a_rho_a))
-    if abs(denom) <= threshold:
-        raise DegenerateDenominator("Tr(Pi_f A rho A) vanishes")
-    a_m1 = np.linalg.matrix_power(a.matrix, m + 1)
-    a_l1 = np.linalg.matrix_power(a.matrix, l + 1)
-    num = complex(np.trace(pi_f.matrix @ a_m1 @ rho_i.matrix @ a_l1))
-    return num / ((m + 1) * (l + 1) * denom)
 
 
 def optimal_postselection(pre: SystemState, a: Observable) -> SystemState:

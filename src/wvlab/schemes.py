@@ -38,6 +38,7 @@ from .infometrics import (
     qfi_joint,
     quadrature_family,
     readout_axis,
+    scaling_bounds,
     selection_angle_family,
 )
 from .meter import (
@@ -838,20 +839,22 @@ def entangled_scheme(spec: EntangledSpec) -> SchemeReport:
     f_f = _fisher(probs, kern.density_dg())
 
     wv = spec.n / math.tan(d) if math.tan(d) != 0 else math.inf
+    # Q_jt is the Heisenberg bound of N probes with eigenvalues +-1
+    sql, heisenberg = scaling_bounds(spec.n, -1.0, 1.0)
     return SchemeReport(
         amplification=abs(wv),
         p_f=p_f,
         fisher=p_f * f_f,
         snr_per_root_nu=0.0,
         extras={
-            "q_jt": 4.0 * spec.n**2,
+            "q_jt": heisenberg,
             "p_f_closed_form": (math.sin(d + spec.n * spec.phi) ** 2
                                 + math.sin(d - spec.n * spec.phi) ** 2) / 2,
             "p_f_small_eps": (spec.n * spec.epsilon) ** 2
             if spec.variant == "max_prob"
             else spec.n * spec.epsilon**2,
             "weak_value_modulus": abs(wv),
-            "sql_baseline": 4.0 * spec.n,
+            "sql_baseline": sql,
             "variant": spec.variant,
         },
         table={"sigma_z": np.array([1.0, -1.0]), "probability": probs},

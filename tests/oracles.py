@@ -1,13 +1,15 @@
 """Independent references for the tests: finite-difference Fisher numbers,
-QFIs and saturating-detector information, and the LAPACK solve of a
-first-order recursion.
+QFIs and saturating-detector information, the LAPACK solve of a first-order
+recursion, and the closed forms and transforms that no shipped path needs.
 
 Every Fisher number in `wvlab` is analytic. The references here take
 derivatives by central differences instead, so they share no derivative
 code with the package and pin it from outside. Likewise the recursions of
 the correlated-noise engine run as numpy doubling scans, and the reference
-here is LAPACK's banded triangular solve. Nothing in `src/` imports this
-module.
+here is LAPACK's banded triangular solve. The meter-shift formulas, the
+mixed-state weak values, the Wigner map, pixel binning and the dense GLS
+estimate check the package from outside too; no command calls them. Nothing
+in `src/` imports this module.
 """
 
 from __future__ import annotations
@@ -19,16 +21,32 @@ from typing import Callable
 
 import numpy as np
 
-from wvlab.errors import WvlabError
+from wvlab.errors import DegenerateDenominator, OrthogonalSelection, WvlabError
+from wvlab.estimate import mle_weights
 from wvlab.infometrics import PROBABILITY_FLOOR, ParamDistribution
-from wvlab.meter import FockState
-from wvlab.noise import SaturatedFisherResult, SaturatingDetector, readout_distribution
+from wvlab.meter import FockState, GridMeter, SampledDistribution
+from wvlab.noise import (
+    DiscreteDistribution,
+    PixelatedDetector,
+    SaturatedFisherResult,
+    SaturatingDetector,
+    readout_distribution,
+)
+from wvlab.qsys import ORTHOGONALITY_THRESHOLD, DensityState, Observable
 
 SLD_EIGENVALUE_CUTOFF = 1e-12
 
 
 class StepTooLarge(WvlabError):
     """A finite-difference probe left the valid parameter domain."""
+
+
+class NotOrthogonal(WvlabError):
+    """An orthogonal weak value was asked of a non-orthogonal selection."""
+
+
+class ResolutionTooCoarse(WvlabError):
+    """A pixel is narrower than 8 steps of the sampled density."""
 
 
 def numeric_family(kind: str, evaluator, grid=None, labels=None) -> ParamDistribution:
@@ -252,3 +270,270 @@ def saturated_fisher(
         ideal = det.eta / nbar0[j] * dnbar[j] ** 2
         gammas[j] = per_pixel[j] / ideal if ideal > 0 else 0.0
     return SaturatedFisherResult(float(per_pixel.sum()), gammas, per_pixel)
+
+
+# ---------------------------------------------------------------------------
+# closed-form meter shifts
+
+
+def aav_shifts(weak_value: complex, g: float, sigma: float) -> tuple[float, float]:
+    """First-order meter shifts (<Q>_f, <P>_f) = (g Re w, g Im w / (2 sigma^2))."""
+    w = complex(weak_value)
+    return g * w.real, g * w.imag / (2 * sigma**2)
+
+
+def exact_shifts(weak_value: complex, g: float, sigma: float) -> tuple[float, float]:
+    """Second-order shifts for A with A^2 = I and a Gaussian meter:
+
+    <Q>_f = 4 g Re(w) sigma^2 / [4 sigma^2 + g^2 (|w|^2 - 1)]
+    <P>_f = 2 g Im(w)       / [4 sigma^2 + g^2 (|w|^2 - 1)]
+
+    Maximizing over real (imaginary) w at weak coupling gives sigma (1/(2 sigma)).
+    """
+    w = complex(weak_value)
+    denom = 4 * sigma**2 + g**2 * (abs(w) ** 2 - 1.0)
+    if abs(denom) < 1e-300:
+        raise DegenerateDenominator("shift denominator vanished")
+    return 4 * g * w.real * sigma**2 / denom, 2 * g * w.imag / denom
+
+
+def trapped_ion_extremal_theta(gamma: float) -> float:
+    """Post-selection angle maximizing the trapped-ion shift: arccos(e^{-G^2/2})/2."""
+    return 0.5 * math.acos(math.exp(-(gamma**2) / 2))
+
+
+def orthogonal_shifts(a_ow: complex, g: float, sigma: float) -> tuple[float, float]:
+    """Shifts under strictly orthogonal selection:
+    (<Q>_f, <P>_f) = (g Re w_ow, 3 g Im w_ow / (2 sigma^2))."""
+    w = complex(a_ow)
+    return g * w.real, 3 * g * w.imag / (2 * sigma**2)
+
+
+# ---------------------------------------------------------------------------
+# weak values of mixed states
+
+
+def high_order_weak_value(
+    rho_s: DensityState,
+    pi_f: Observable,
+    a: Observable,
+    m: int,
+    l: int,
+    threshold: float = ORTHOGONALITY_THRESHOLD,
+) -> complex:
+    """Tr(Pi_f A^m rho A^l) / Tr(Pi_f rho) for integer orders m, l >= 0."""
+    if m < 0 or l < 0:
+        raise ValueError("orders m, l must be nonnegative integers")
+    denom = complex(np.trace(pi_f.matrix @ rho_s.matrix))
+    if abs(denom) <= threshold:
+        raise OrthogonalSelection(
+            f"Tr(Pi_f rho) = {abs(denom):.3e} <= {threshold:.1e}; "
+            "use orthogonal_weak_value"
+        )
+    a_m = np.linalg.matrix_power(a.matrix, m)
+    a_l = np.linalg.matrix_power(a.matrix, l)
+    num = complex(np.trace(pi_f.matrix @ a_m @ rho_s.matrix @ a_l))
+    return num / denom
+
+
+def orthogonal_weak_value(
+    rho_i: DensityState,
+    pi_f: Observable,
+    a: Observable,
+    m: int,
+    l: int,
+    threshold: float = ORTHOGONALITY_THRESHOLD,
+) -> complex:
+    """Tr(Pi_f A^{m+1} rho A^{l+1}) / [(m+1)(l+1) Tr(Pi_f A rho A)].
+
+    Defined only for strictly orthogonal selections, Tr(Pi_f rho) <= threshold.
+    """
+    if m < 0 or l < 0:
+        raise ValueError("orders m, l must be nonnegative integers")
+    overlap = complex(np.trace(pi_f.matrix @ rho_i.matrix))
+    if abs(overlap) > threshold:
+        raise NotOrthogonal(
+            f"Tr(Pi_f rho) = {abs(overlap):.3e} > {threshold:.1e}; selection not orthogonal"
+        )
+    a_rho_a = a.matrix @ rho_i.matrix @ a.matrix
+    denom = complex(np.trace(pi_f.matrix @ a_rho_a))
+    if abs(denom) <= threshold:
+        raise DegenerateDenominator("Tr(Pi_f A rho A) vanishes")
+    a_m1 = np.linalg.matrix_power(a.matrix, m + 1)
+    a_l1 = np.linalg.matrix_power(a.matrix, l + 1)
+    num = complex(np.trace(pi_f.matrix @ a_m1 @ rho_i.matrix @ a_l1))
+    return num / ((m + 1) * (l + 1) * denom)
+
+
+# ---------------------------------------------------------------------------
+# Wigner maps and quadrature variances
+
+
+@dataclass(frozen=True)
+class WignerMap:
+    """W(q, p) on a rectangular grid; integrates to 1 within 1e-6."""
+
+    q_grid: np.ndarray
+    p_grid: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        q = np.asarray(self.q_grid, dtype=float)
+        p = np.asarray(self.p_grid, dtype=float)
+        w = np.asarray(self.values, dtype=float)
+        if w.shape != (q.size, p.size):
+            raise ValueError("values must have shape (len(q_grid), len(p_grid))")
+        for arr in (q, p, w):
+            arr.setflags(write=False)
+        object.__setattr__(self, "q_grid", q)
+        object.__setattr__(self, "p_grid", p)
+        object.__setattr__(self, "values", w)
+        total = self.integral()
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError(f"Wigner map integrates to {total!r}, not 1 within 1e-6")
+
+    @property
+    def dq(self) -> float:
+        return float(self.q_grid[1] - self.q_grid[0])
+
+    @property
+    def dp(self) -> float:
+        return float(self.p_grid[1] - self.p_grid[0])
+
+    def integral(self) -> float:
+        return float(np.sum(self.values) * self.dq * self.dp)
+
+    def marginal_q(self) -> SampledDistribution:
+        return SampledDistribution(self.q_grid, np.sum(self.values, axis=1) * self.dp)
+
+    def marginal_p(self) -> SampledDistribution:
+        return SampledDistribution(self.p_grid, np.sum(self.values, axis=0) * self.dq)
+
+
+def _upsample_bandlimited(psi: np.ndarray) -> np.ndarray:
+    """Exact 2x spectral interpolation.
+
+    Even lengths split the Nyquist bin symmetrically; odd lengths have no
+    Nyquist ambiguity and pad between the frequency halves directly.
+    """
+    n = psi.size
+    spec = np.fft.fft(psi)
+    out = np.zeros(2 * n, dtype=complex)
+    if n % 2 == 0:
+        half = n // 2
+        out[:half] = spec[:half]
+        out[half] = spec[half] / 2
+        out[half + n] = spec[half] / 2
+        out[half + n + 1 :] = spec[half + 1 :]
+    else:
+        pos = (n + 1) // 2  # bins 0 .. (n-1)/2
+        out[:pos] = spec[:pos]
+        out[2 * n - (n - pos) :] = spec[pos:]
+    return 2.0 * np.fft.ifft(out)
+
+
+def wigner(
+    meter: GridMeter,
+    q_points: int = 257,
+    p_points: int = 257,
+    p_span: float | None = None,
+) -> WignerMap:
+    """Wigner function W(q,p) = (1/pi) int psi*(q+y) psi(q-y) e^{2ipy} dy.
+
+    The correlation is evaluated at half-grid steps in y (via exact spectral
+    upsampling) so the p-marginal identity holds for interference states, and
+    integrated by the trapezoid rule; for a pure Gaussian the map matches
+    exp[-q^2/(2 s^2)] exp(-2 s^2 p^2) / pi pointwise.
+    """
+    q = meter.q_grid
+    n = q.size
+    dq = meter.spacing
+    psi2 = _upsample_bandlimited(meter.amplitudes)  # spacing dq/2
+    n2 = psi2.size
+
+    stride = max(1, n // q_points)
+    # start so the central sample (q nearest 0 on symmetric grids) is kept
+    idx = np.arange((n // 2) % stride, n, stride)
+    q_out = q[idx]
+
+    if p_span is None:
+        mom = meter.momentum()
+        p_center = mom.mean_q()
+        p_span = 8.0 * math.sqrt(mom.var_q())
+    else:
+        p_center = 0.0
+    p_out = np.linspace(p_center - p_span, p_center + p_span, p_points)
+
+    # correlation C[j, k] = psi*(q_j + y_k) psi(q_j - y_k), y_k = k dq/2
+    kmax = n2 // 2 - 1
+    ks = np.arange(-kmax, kmax + 1)
+    jj = 2 * idx[:, None]  # output points on the upsampled lattice
+    plus = jj + ks[None, :]
+    minus = jj - ks[None, :]
+    valid = (plus >= 0) & (plus < n2) & (minus >= 0) & (minus < n2)
+    corr = np.zeros((idx.size, ks.size), dtype=complex)
+    pv = np.clip(plus, 0, n2 - 1)
+    mv = np.clip(minus, 0, n2 - 1)
+    corr[valid] = np.conj(psi2[pv[valid]]) * psi2[mv[valid]]
+
+    kernel = np.exp(2j * np.outer(ks * dq / 2, p_out))
+    values = (dq / 2 / np.pi) * np.real(corr @ kernel)
+    return WignerMap(q_out, p_out, values)
+
+
+def quadrature_variance(sigma: float, theta: float) -> float:
+    """Var(S_theta) for the Eq.-(1)-style Gaussian meter:
+    sigma^2 cos^2(theta) + sin^2(theta) / (4 sigma^2).
+
+    Note: the literature expression sigma^2 (2 sigma^2 cos^2 + sin^2/(2 sigma^2))
+    coincides with this only at sigma = sqrt(2)/2 and is dimensionally
+    inconsistent at theta = 0; the grid marginal is the ground truth here.
+    """
+    return sigma**2 * math.cos(theta) ** 2 + math.sin(theta) ** 2 / (4 * sigma**2)
+
+
+# ---------------------------------------------------------------------------
+# pixel binning
+
+
+def pixelate(dist: SampledDistribution, det: PixelatedDetector) -> DiscreteDistribution:
+    """Bin a sampled density into pixels; mass-preserving within 1e-10.
+
+    Uses the linearly interpolated CDF so pixel masses telescope exactly to
+    the grid total. Requires at least 8 grid samples per pixel.
+    """
+    dq = dist.spacing
+    if det.r < 8 * dq:
+        raise ResolutionTooCoarse(
+            f"pixel width {det.r!r} < 8 grid steps ({8 * dq!r})"
+        )
+    grid, dens = dist.grid, dist.density
+    # cumulative trapezoid over the grid; cdf[i] is mass up to grid[i]
+    inc = 0.5 * (dens[1:] + dens[:-1]) * dq
+    cdf = np.concatenate([[0.0], np.cumsum(inc)])
+    edges = det.edges(grid[0], grid[-1])
+    cdf_at = np.interp(edges, grid, cdf)
+    masses = np.diff(cdf_at)
+    labels = np.round((edges[:-1] + det.r / 2 - det.h) / det.r).astype(int)
+    total_grid = cdf[-1]
+    if abs(masses.sum() - total_grid) > 1e-10:
+        raise AssertionError("pixelation lost probability mass")
+    return DiscreteDistribution(labels, masses / total_grid)
+
+
+# ---------------------------------------------------------------------------
+# the dense GLS estimate
+
+
+def mle_correlated(samples: np.ndarray, c: np.ndarray) -> float:
+    """Weighted average sum_k f_k s_k with GLS weights from a dense covariance.
+
+    For exchangeable covariances the weights are uniform and the estimate is
+    the plain mean, so white-noise results match `amr_estimate` bitwise. The
+    `mle_correlated` estimator of `run_experiment` takes its weights from
+    `StateSpaceNoise.gls_weights` instead.
+    """
+    f = mle_weights(np.asarray(c, dtype=float))
+    if np.all(f == f[0]):
+        return float(np.mean(samples))
+    return float(f @ samples)

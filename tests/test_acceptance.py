@@ -26,13 +26,13 @@ import time
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from oracles import exact_shifts
 from wvlab import estimate as est
 from wvlab import schemes
 from wvlab.coupling import (
     CouplingConfig,
     Generator,
     evolve_joint,
-    exact_shifts,
     postselect,
     trapped_ion_shift,
 )

@@ -331,6 +331,22 @@ class TestCommands:
         assert payload["columns"][:2] == ["gamma", "theta"]
         assert len(payload["rows"]) == 18
 
+    def test_reports_are_strict_json(self, tmp_path):
+        # an infinite amplification and the NaN analytic entries of the noise
+        # table are written as null
+        def strict(path):
+            def refuse(token):
+                raise ValueError(f"{path.name} holds {token}")
+            return json.loads(path.read_text(), parse_constant=refuse)
+
+        cfg = write_config(tmp_path, {"scheme": {**ENTANGLED, "epsilon": 0.0}})
+        assert main(["scheme", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+        assert strict(tmp_path / "e" / "report.json")["amplification"] is None
+        cfg = write_config(tmp_path, {"scheme": {"variant": "noise_table"}, "noise": NOISE})
+        assert main(["noise", "--config", cfg, "--out", str(tmp_path / "n"), "--format", "json"]) == 0
+        rows = strict(tmp_path / "n" / "noise_table.json")["rows"]
+        assert [row[2] is None for row in rows] == [False] * 4 + [False, True] * 4
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scheme": {"variant": "unknown_variant"}})
         rc = main(["scheme", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -510,6 +526,12 @@ PROBES = [
     # before, it exited 0 with a negative tau_resolution_standard
     ("biased_resolution_negative", "scheme",
      {"scheme": {**MINIMAL["biased"][1]["scheme"], "resolution": -1.0}}, 2),
+    # before, the first exited 1 with trapped_ion_shift's ValueError traceback
+    # and the second with numpy's LinAlgError traceback from the slope fit
+    ("shift_gamma_negative", "shift", {"scheme": {**MINIMAL["trapped_ion"][1]["scheme"],
+                                                  "gammas": [1.0, -1.0]}}, 2),
+    ("sweep_repeated_values", "scheme",
+     {"scheme": PHASE, "sweep": {"parameter": "nbar", "values": [1, 1]}}, 2),
     # a valid config whose validity ordering fails: a failed check, exit 1
     ("inverse_validity", "scheme",
      {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0, "theta_angle": 0.5}}, 1),

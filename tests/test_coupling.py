@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    aav_shifts,
+    exact_shifts,
+    orthogonal_shifts,
+    orthogonal_weak_value,
+    trapped_ion_extremal_theta,
+)
 from wvlab.coupling import (
     CouplingConfig,
     Generator,
     RegimeKind,
     aav_condition_margin,
-    aav_shifts,
     classify_regime,
     evolve_joint,
-    exact_shifts,
-    orthogonal_shifts,
     postselect,
-    trapped_ion_extremal_theta,
     trapped_ion_shift,
 )
 from wvlab.errors import DegenerateDenominator, IncompatibleMeter
@@ -222,8 +225,6 @@ class TestOrthogonalShifts:
         a = Observable((m + m.conj().T) / 2)
         pre = SystemState(np.array([1.0, 0.0, 0.0], dtype=complex))
         post = SystemState(np.array([0.0, 1.0, 0.0], dtype=complex))
-        from wvlab.qsys import orthogonal_weak_value
-
         a_ow = orthogonal_weak_value(pre.density(), Observable(post.density().matrix), a, 1, 0)
         g, sigma = 1e-4, 1.0
         eig_span = np.max(np.abs(np.linalg.eigvalsh(a.matrix)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import numeric_family
+from oracles import mle_correlated, numeric_family
 from wvlab.errors import BoundaryMaximum, RegimeViolationWarning
 from wvlab.estimate import (
     Bracket,
@@ -17,7 +17,6 @@ from wvlab.estimate import (
     _noise_setup,
     amr_estimate,
     correlated_noise_samples,
-    mle_correlated,
     mle_counts,
     mle_grid,
     mle_weights,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import wigner
 from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
 from wvlab.infometrics import Conditioning
 from wvlab.meter import (
@@ -13,7 +14,6 @@ from wvlab.meter import (
     optimal_quadrature_angle,
     quadrature_marginal,
     to_grid,
-    wigner,
 )
 from wvlab.qsys import SIGMA_Z, bloch_state, weak_value
 

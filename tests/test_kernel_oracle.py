@@ -171,7 +171,14 @@ def test_readout_axis_is_the_grid_chain_axis():
 
 
 GRID_CHAIN = ("evolve_joint", "postselect", "JointState", "PostSelectedMeter", "GridMeter",
-              "to_grid", "fourier_pair", "quadrature_marginal", "wigner")
+              "to_grid", "fourier_pair", "quadrature_marginal")
+# test references that live in tests/oracles.py, and helpers deleted with no caller
+MOVED = ("aav_shifts", "exact_shifts", "orthogonal_shifts", "trapped_ion_extremal_theta",
+         "wigner", "WignerMap", "_upsample_bandlimited", "quadrature_variance",
+         "high_order_weak_value", "orthogonal_weak_value", "NotOrthogonal", "pixelate",
+         "ResolutionTooCoarse", "mle_correlated")
+DELETED = ("snr", "tmsv_phase_variance", "ZeroVariance", "covariance_to_csv",
+           "load_response_csv", "_write_csv")
 STEP_ORACLES = ("CENTRAL_DIFFERENCE", "default_step", "StepTooLarge", "FisherMethod",
                 "FisherReport", "qfi_pure", "qfi_mixed", "_family_vector",
                 "SLD_EIGENVALUE_CUTOFF", "binary_selection_distribution")
@@ -196,6 +203,8 @@ def test_engine_modules_bind_no_grid_chain_name():
         assert not [name for name in STEP_ORACLES if name in source], module.__name__
         assert not [name for name in WRAPPERS if re.search(rf"\b{name}\b", source)], module.__name__
         assert not hasattr(module, "selection_fisher"), module.__name__
+        assert not set(MOVED + DELETED) & set(vars(module)), module.__name__
+    assert not hasattr(wvlab.meter.GridMeter, "to_csv")
     with pytest.raises(TypeError):
         ParamDistribution("discrete", lambda g: np.array([1.0]))
     assert list(inspect.signature(wvlab.noise.saturated_fisher).parameters) == [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import quadrature_variance, wigner
 from wvlab.errors import InsufficientSpan, TruncationTooTight
 from wvlab.meter import (
     FockMeter,
@@ -16,9 +17,7 @@ from wvlab.meter import (
     gaussian_density,
     optimal_quadrature_angle,
     quadrature_marginal,
-    quadrature_variance,
     to_grid,
-    wigner,
 )
 
 SQ2_HALF = math.sqrt(2) / 2
@@ -268,21 +267,3 @@ class TestFock:
                 assert err <= 4 * eps * (1 + n * abs(math.log(abs(alpha))) + abs(log_c)), n
                 checked += 1
         assert checked > n_max // 2
-
-
-class TestSerialization:
-    def test_grid_csv_roundtrip(self, tmp_path):
-        g = to_grid(GaussianMeter(1.0, mean_p=0.2), 16.0, 512)
-        path = tmp_path / "meter.csv"
-        g.to_csv(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.array_equal(data[:, 0], g.q_grid)
-        assert np.array_equal(data[:, 1] + 1j * data[:, 2], g.amplitudes)
-
-    def test_wigner_csv(self, tmp_path):
-        wm = wigner(to_grid(GaussianMeter(1.0), 16.0, 1024), q_points=33, p_points=17)
-        path = tmp_path / "wigner.csv"
-        wm.to_csv(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (33 * 17, 3)
-        assert np.array_equal(data[:, 2].reshape(33, 17), wm.values)

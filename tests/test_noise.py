@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from wvlab.errors import LadderTooLong, ResolutionTooCoarse, UnsupportedCombination
+from oracles import ResolutionTooCoarse, pixelate
+from wvlab.errors import LadderTooLong, UnsupportedCombination
 from wvlab.infometrics import classical_fisher
 from wvlab.meter import SampledDistribution
 from wvlab.noise import (
@@ -21,10 +22,7 @@ from wvlab.noise import (
     amr_variance_exact,
     cm_fisher_correlated,
     covariance,
-    covariance_to_csv,
     jitter_fisher,
-    load_response_csv,
-    pixelate,
     pixelated_fisher_ratio,
     _gaussian_pixels,
     pixelation_info_ratio,
@@ -50,13 +48,6 @@ class TestCovariance:
     def test_no_correlation(self):
         m = CorrelatedNoiseModel(a=0.8, c=0.0, dt=1.0, tau_c=1.0, n=20)
         assert np.allclose(covariance(m), 0.8 * np.eye(20))
-
-    def test_covariance_csv(self, tmp_path):
-        model = CorrelatedNoiseModel(a=1.0, c=0.5, dt=1.0, tau_c=3.0, n=12)
-        path = tmp_path / "cov.csv"
-        covariance_to_csv(model, path)
-        mat = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.array_equal(mat, covariance(model))
 
     def test_symmetric_positive_definite(self):
         rng = np.random.default_rng(0)
@@ -523,18 +514,6 @@ class TestSaturatedFisher:
         f_cm = saturated_fisher(*self.beam_profile(n_total, 1.0), det).total
         f_wva = saturated_fisher(*self.beam_profile(p_f * n_total, w), det).total
         assert f_wva > 1.2 * f_cm
-
-    def test_response_csv_roundtrip(self, tmp_path):
-        det = SaturatingDetector(k_s=12, readout_sigma=1.0)
-        rows = [saturating_response(det, n).probs for n in range(20)]
-        path = tmp_path / "response.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"k{i}" for i in range(len(rows[0]))) + "\n")
-            for r in rows:
-                fh.write(",".join(format(x, ".17g") for x in r) + "\n")
-        mat = load_response_csv(path)
-        assert mat.shape == (20, len(rows[0]))
-        assert np.allclose(mat, np.array(rows))
 
     def test_measured_response_matrix_reproduces_parametric(self):
         # feeding the tabulated parametric response back in changes nothing

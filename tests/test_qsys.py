@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from wvlab.errors import (
-    DegenerateDenominator,
-    NotOrthogonal,
-    NullVector,
-    OrthogonalSelection,
-)
+from oracles import NotOrthogonal, high_order_weak_value, orthogonal_weak_value
+from wvlab.errors import DegenerateDenominator, NullVector, OrthogonalSelection
 from wvlab.qsys import (
     PROJ_ONE,
     SIGMA_X,
@@ -16,9 +12,7 @@ from wvlab.qsys import (
     SystemState,
     bloch_state,
     expectation,
-    high_order_weak_value,
     optimal_postselection,
-    orthogonal_weak_value,
     weak_value,
 )
 
