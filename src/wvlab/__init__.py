@@ -19,7 +19,6 @@ scenarios.
 from . import coupling, estimate, infometrics, meter, noise, qsys, schemes
 from .coupling import (
     CouplingConfig,
-    Generator,
     JointState,
     PostSelectedMeter,
     RegimeLabel,

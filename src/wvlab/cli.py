@@ -23,7 +23,7 @@ import numpy as np
 
 from . import estimate as est
 from . import schemes
-from .coupling import CouplingConfig, Generator, evolve_joint, postselect, trapped_ion_shift
+from .coupling import CouplingConfig, evolve_joint, postselect, trapped_ion_shift
 from .errors import ConfigError, WvlabError
 from .infometrics import classical_fisher, info_budget, quadrature_family, readout_axis
 from .meter import FockMeter, GaussianMeter, to_grid
@@ -60,6 +60,8 @@ class TrappedIon:
     def __post_init__(self):
         if self.gamma0_t == 0:
             raise ValueError("gamma0_t must be nonzero")
+        if not self.gammas:
+            raise ValueError("gammas must hold at least one value")
         if any(gamma <= 0 for gamma in self.gammas):
             raise ValueError("every gamma must be positive")
 
@@ -367,7 +369,7 @@ def _trapped_ion_joint(gamma: float):
     exp(-i gamma sigma_x p): one joint state for every post-selection angle."""
     base = to_grid(GaussianMeter(1.0), 16.0 + 8 * gamma, 4096)
     pre = SystemState(np.array([0.0, 1.0]))
-    return evolve_joint(pre, base, CouplingConfig(gamma, Generator.MOMENTUM_KICK, SIGMA_X))
+    return evolve_joint(pre, base, CouplingConfig(gamma, SIGMA_X))
 
 
 def _trapped_ion_grid_ratio(joint, gamma: float, theta: float) -> float:
@@ -381,7 +383,7 @@ def cmd_budget(cfg: ScenarioConfig, writer: RunWriter) -> int:
     sigma = spec.sigma
     g = 2 * sigma * spec.g_over_2sigma
     meter = GaussianMeter(sigma)
-    coupling = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+    coupling = CouplingConfig(g, SIGMA_Z)
 
     rows = []
     for th in spec.theta.values():

@@ -2,9 +2,11 @@
 and the closed-form meter shifts.
 
 The interaction integrates to a single unitary U = exp(-i g A x M) with M the
-meter generator: the momentum operator P (position kick) or the photon-number
-operator n. Joint states are stored branch-wise over the eigenbasis of A --
-exact for any coupling strength, no weak approximation anywhere.
+meter generator, which the meter's representation fixes: the momentum
+operator P (a position kick) for a Gaussian or grid meter, the photon-number
+operator n (a phase) for a Fock meter. Joint states are stored branch-wise
+over the eigenbasis of A -- exact for any coupling strength, no weak
+approximation anywhere.
 """
 
 from __future__ import annotations
@@ -31,17 +33,11 @@ from .qsys import Observable, SystemState
 EMPTY_THRESHOLD = 1e-14
 
 
-class Generator(enum.Enum):
-    """Meter operator appearing in the impulsive Hamiltonian."""
-
-    MOMENTUM_KICK = "momentum_kick"  # H = g delta(t-t0) A x P
-    PHOTON_NUMBER_PHASE = "photon_number_phase"  # H = g delta(t-t0) A x n
-
-
 @dataclass(frozen=True)
 class CouplingConfig:
+    """H = g delta(t - t0) A x M; the meter the coupling acts on fixes M."""
+
     g: float
-    generator: Generator
     a: Observable
 
     def __post_init__(self):
@@ -124,8 +120,9 @@ def evolve_joint(
 ) -> JointState:
     """Apply U = exp(-i g A x M) to |pre> x |meter>, branch per eigenvalue of A.
 
-    MomentumKick displaces branch k by a_k g in position; PhotonNumberPhase
-    multiplies Fock level n by exp(-i a_k g n). Exact to machine precision.
+    A Gaussian or grid meter is kicked: branch k is displaced by a_k g in
+    position. A Fock meter takes a phase: Fock level n of branch k is
+    multiplied by exp(-i a_k g n). Exact to machine precision.
     """
     eigvals, eigvecs = cfg.a.eig()
     if eigvecs.shape[0] != pre.dim:
@@ -135,19 +132,17 @@ def evolve_joint(
     for k in range(eigvals.size):
         v = eigvecs[:, k]
         amp = complex(np.vdot(v, pre.amplitudes))
-        shifted = _shift_meter(meter, float(eigvals[k]), cfg)
+        shifted = _shift_meter(meter, float(eigvals[k]) * cfg.g)
         branches.append(Branch(float(eigvals[k]), amp, v, shifted))
     return JointState(tuple(branches), cfg)
 
 
-def _shift_meter(meter, a_k: float, cfg: CouplingConfig):
-    d = a_k * cfg.g
-    if cfg.generator is Generator.MOMENTUM_KICK:
-        if isinstance(meter, GaussianMeter):
-            return meter.displaced(d)
-        if isinstance(meter, GridMeter):
-            return _displace_grid(meter, d)
-        raise IncompatibleMeter("momentum kick needs a Gaussian or grid meter")
+def _shift_meter(meter, d: float):
+    """The meter after the coupling by d = a_k g on one branch."""
+    if isinstance(meter, GaussianMeter):
+        return meter.displaced(d)
+    if isinstance(meter, GridMeter):
+        return _displace_grid(meter, d)
     if isinstance(meter, FockMeter):
         if meter.is_mixture:
             raise IncompatibleMeter(
@@ -157,7 +152,7 @@ def _shift_meter(meter, a_k: float, cfg: CouplingConfig):
     elif isinstance(meter, FockState):
         state = meter
     else:
-        raise IncompatibleMeter("photon-number phase needs a Fock meter")
+        raise IncompatibleMeter(f"a {type(meter).__name__} meter has no coupling generator")
     n = np.arange(state.coeffs.size)
     return FockState(state.coeffs * np.exp(-1j * d * n))
 

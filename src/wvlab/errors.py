@@ -26,7 +26,7 @@ class TruncationTooTight(WvlabError):
 
 
 class IncompatibleMeter(WvlabError):
-    """Meter representation does not match the coupling generator."""
+    """The meter's type has no coupling generator, or none the operation reads out."""
 
 
 class EmptyPostselection(WvlabError):

@@ -3,6 +3,9 @@
 Randomness comes from a counter-based Philox generator with one substream per
 (seed, trial) pair, so experiments reproduce bit-for-bit regardless of trial
 execution order. `trial_samples` gives the data one trial estimates from.
+An `OutcomeSampler` holds the family it draws from and its g, and an
+`MLWindow` the family that `mle_grid` and `mle_counts` search: a plan
+builds each once and passes it to every trial.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class OutcomeSampler:
 
     def __init__(self, dist: ParamDistribution, g: float):
         probs = dist.probabilities(g)
-        self.discrete = dist.kind == "discrete"
+        self.discrete = dist.grid is None
         if self.discrete:
             self.probs, self.cdf, self.values = probs, None, dist.outcome_values()
         else:
@@ -111,20 +114,15 @@ class OutcomeSampler:
         return u
 
 
-def sample(
-    dist: ParamDistribution | OutcomeSampler, nu: int, seed: int, trial: int = 0,
-    g: float = 0.0,
-) -> np.ndarray:
-    """nu i.i.d. draws from the distribution at parameter g, or from an
-    `OutcomeSampler` already built (g is then unused).
+def sample(sampler: OutcomeSampler, nu: int, seed: int, trial: int = 0) -> np.ndarray:
+    """nu i.i.d. draws from the distribution the sampler was built on, from
+    the (seed, trial) stream.
 
     Continuous: inverse-CDF on the grid; discrete: the outcome counts of
     `OutcomeSampler.counts`, spelt out and shuffled. Identical (seed, trial)
     pairs reproduce identical sequences.
     """
-    rng = substream(seed, trial)
-    sampler = dist if isinstance(dist, OutcomeSampler) else OutcomeSampler(dist, g)
-    return sampler.draw(rng, nu)
+    return sampler.draw(substream(seed, trial), nu)
 
 
 def correlated_noise_samples(
@@ -161,37 +159,25 @@ def mle_weights(c: np.ndarray) -> np.ndarray:
 
 
 class MLWindow:
-    """The window [g_grid[0], g_grid[-1]] of `mle_grid` and `mle_counts`, with
-    the family's (p, p') at the window's two ends and its midpoint, where
-    every search starts, evaluated once; and, for a density, the `Bracket` of
-    its grid. A plan builds one and hands it to every trial, as it does an
-    `OutcomeSampler`."""
+    """The family `dist` and the window [g_grid[0], g_grid[-1]] that
+    `mle_grid` and `mle_counts` search, with the family's (p, p') at the
+    window's two ends and its midpoint, where every search starts, evaluated
+    once; and, for a density, the `Bracket` of its grid. A plan builds one
+    and hands it to every trial, as it does an `OutcomeSampler`."""
 
     def __init__(self, dist: ParamDistribution, g_grid: np.ndarray):
         self.dist = dist
         self.lo, self.hi = float(g_grid[0]), float(g_grid[-1])
         self.mid = 0.5 * (self.lo + self.hi)
         self.fixed = tuple(self.at(g) for g in (self.lo, self.hi, self.mid))
-        self.cells = Bracket(dist.grid) if dist.kind == "continuous" else None
+        self.cells = None if dist.grid is None else Bracket(dist.grid)
 
     def at(self, g: float) -> tuple[np.ndarray, np.ndarray]:
         return self.dist.probabilities(g), self.dist.derivative(g)
 
 
-def _window(dist: ParamDistribution, g_grid: np.ndarray | MLWindow) -> MLWindow:
-    """The window a search takes: the plan's own, or one built from the array."""
-    if not isinstance(g_grid, MLWindow):
-        return MLWindow(dist, g_grid)
-    if g_grid.dist is not dist:
-        raise ValueError("the window was built for another family")
-    return g_grid
-
-
-def mle_grid(
-    samples: np.ndarray, dist: ParamDistribution, g_grid: np.ndarray | MLWindow
-) -> float:
-    """Maximum likelihood in the window [g_grid[0], g_grid[-1]], given as an
-    array or as the `MLWindow` a plan built once.
+def mle_grid(samples: np.ndarray, window: MLWindow) -> float:
+    """Maximum likelihood of the window's family in the window.
 
     Each sample's probability is its outcome's entry, or the linear
     interpolation of the density between its two grid points, floored at
@@ -201,13 +187,13 @@ def mle_grid(
     of the window's sd, (hi - lo) / 16. A discrete family's samples enter
     through their outcome counts alone (see `mle_counts`).
     """
-    window = _window(dist, g_grid)
-    if dist.kind == "discrete":
+    dist = window.dist
+    if dist.grid is None:
         # each sample's outcome index, whatever order the labels are in
         labels = dist.outcome_values()
         order = np.argsort(labels, kind="stable")
         idx = order[np.clip(np.searchsorted(labels[order], samples), 0, labels.size - 1)]
-        return mle_counts(np.bincount(idx, minlength=labels.size), dist, window)
+        return mle_counts(np.bincount(idx, minlength=labels.size), window)
 
     grid = dist.grid
     x = np.clip(samples, grid[0], grid[-1])
@@ -232,9 +218,7 @@ def mle_grid(
     return _score_root(score, window)
 
 
-def mle_counts(
-    counts: np.ndarray, dist: ParamDistribution, g_grid: np.ndarray | MLWindow
-) -> float:
+def mle_counts(counts: np.ndarray, window: MLWindow) -> float:
     """`mle_grid` of a discrete family from its outcome counts n_k: the score
     is sum_k n_k p'_k / p_k and the information sum_k n_k (p'_k / p_k)^2, so
     a trial costs O(K) in the K outcomes, not O(nu) in its draws."""
@@ -243,7 +227,7 @@ def mle_counts(
         r = _ratio(p, dp)
         return float(counts @ r), float(counts @ (r * r))
 
-    return _score_root(score, _window(dist, g_grid))
+    return _score_root(score, window)
 
 
 def _ratio(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -284,8 +268,10 @@ def _score_root(score, window: MLWindow) -> float:
 class ExperimentPlan:
     """Replicated sampling experiment.
 
-    scheme: a scheme spec from `wvlab.schemes` (or None for a bare
-    noise-model experiment measuring `true_value` directly). noise: optional
+    scheme: a scheme spec from `wvlab.schemes`, whose g is the value the plan
+    estimates; or None for a bare noise-model experiment measuring
+    `true_value` (0 if not given) directly. A plan with a scheme refuses a
+    `true_value`, which it would not read. noise: optional
     CorrelatedNoiseModel applied per measurement sequence. Without noise the
     plan samples the scheme's outcome family; with noise the scheme is None
     or a real-weak-value StandardSpec, and nu must equal the number of
@@ -299,7 +285,7 @@ class ExperimentPlan:
     seed: int = 0
     estimator: str = "amr"  # "amr" | "mle_correlated" | "mle_grid"
     noise: CorrelatedNoiseModel | None = None
-    true_value: float = 0.0
+    true_value: float | None = None
 
     def __post_init__(self):
         if self.nu < 1:
@@ -310,6 +296,8 @@ class ExperimentPlan:
             raise ValueError("seed must be >= 0")
         if self.estimator not in ("amr", "mle_correlated", "mle_grid"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.scheme is not None and self.true_value is not None:
+            raise ValueError("true_value is read only without a scheme; a scheme's g is the truth")
         if self.noise is None:
             if not hasattr(self.scheme, "outcome_family"):
                 what = "no scheme" if self.scheme is None else type(self.scheme).__name__
@@ -357,7 +345,7 @@ def _noise_setup(plan: ExperimentPlan) -> tuple[float, float, CorrelatedNoiseMod
     truth * calibration + x_k. A standard-WVA scheme amplifies by Re<A>_w
     over the p_f-thinned noise sequence."""
     if plan.scheme is None:
-        return 1.0, plan.true_value, plan.noise
+        return 1.0, plan.true_value or 0.0, plan.noise
     if not isinstance(plan.scheme, StandardSpec):
         raise ValueError("noise plans support scheme=None or StandardSpec")
     pre, post = plan.scheme.states()
@@ -377,7 +365,7 @@ def trial_samples(plan: ExperimentPlan, trial: int = 0) -> np.ndarray:
         calibration, truth, model = _noise_setup(plan)
         return truth * calibration + correlated_noise_samples(model, plan.seed, trial)
     family, g_true = plan.scheme.outcome_family()
-    return sample(family, plan.nu, plan.seed, trial, g_true)
+    return sample(OutcomeSampler(family, g_true), plan.nu, plan.seed, trial)
 
 
 def run_experiment(plan: ExperimentPlan) -> EstimateReport:
@@ -428,9 +416,9 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
             window = MLWindow(family, np.linspace(g_true - 8 * sd, g_true + 8 * sd, 101))
             for t in range(plan.trials):
                 if sampler.discrete:
-                    estimates[t] = mle_counts(counts(t), family, window)
+                    estimates[t] = mle_counts(counts(t), window)
                 else:
-                    estimates[t] = mle_grid(sample(sampler, plan.nu, plan.seed, t), family, window)
+                    estimates[t] = mle_grid(sample(sampler, plan.nu, plan.seed, t), window)
 
     emp_var = float(np.var(estimates, ddof=1))
     crb = 1.0 / fisher_total

@@ -4,12 +4,14 @@ budget, and the standard scaling bounds.
 The post-selected quantities are evaluated with exact conditioning kernels:
 for U = exp(-i g A x M) and selection states (i, f), the conditioned meter is
 K(m) = sum_k u_k e^{-i a_k g m} acting multiplicatively in the eigenbasis of
-the meter generator M (momentum p or photon number n), with
+the meter generator M, with
 u_k = <f|v_k><v_k|i>. Its g-derivative kernel is J(m) = sum_k u_k a_k m
 e^{-i a_k g m}, so p_f, dp_f/dg, the conditioned-state QFI Q_f and the
 selection FI F_p are all plain quadratures -- no weak-coupling approximation
 anywhere: `Conditioning.of_meter(pre, post, cfg, meter).kernels(g)` reads
 them as `.p_f()`, `.dp_dg()`, `.qfi_conditioned()` and `.selection_fisher()`.
+The meter fixes M: the momentum p of a Gaussian meter, the photon number n
+of a Fock meter.
 The same kernels give every post-selected outcome family its density and its
 analytic derivative, in g or (inverse WVA) in the post-selection angle; a
 family keeps the kernels of the last x it built, so its probabilities,
@@ -27,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coupling import CouplingConfig, Generator
-from .errors import EmptyPostselection, InsufficientSpan, UnsupportedDimension
+from .coupling import CouplingConfig
+from .errors import EmptyPostselection, IncompatibleMeter, InsufficientSpan, UnsupportedDimension
 from .meter import FockMeter, FockState, GaussianMeter, gaussian_density
 from .qsys import Observable, SystemState
 
@@ -43,14 +45,14 @@ PROBABILITY_FLOOR = 1e-14  # outcomes below this are excluded from FI sums
 class ParamDistribution:
     """Family g -> outcome distribution.
 
-    Discrete: `evaluator(g)` returns a probability vector over `labels`.
-    Continuous: `evaluator(g)` returns density samples on the fixed uniform
-    `grid`. `derivative(g)` is the analytic g-derivative of the same array;
-    every Fisher number and score is taken from it. A post-selected family
-    also keeps `kernels(g)`, the conditioning kernels both are read off.
+    A density, with a `grid`: `evaluator(g)` returns density samples on that
+    fixed uniform grid. Discrete, without one: `evaluator(g)` returns a
+    probability vector, over the numeric `labels` if they are given.
+    `derivative(g)` is the analytic g-derivative of the same array; every
+    Fisher number and score is taken from it. A post-selected family also
+    keeps `kernels(g)`, the conditioning kernels both are read off.
     """
 
-    kind: str  # "discrete" | "continuous"
     evaluator: Callable[[float], np.ndarray]
     grid: np.ndarray | None = None
     labels: np.ndarray | None = None
@@ -58,18 +60,16 @@ class ParamDistribution:
     kernels: Callable[[float], _Kernels] | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        if self.kind not in ("discrete", "continuous"):
-            raise ValueError("kind must be 'discrete' or 'continuous'")
-        if self.kind == "continuous":
-            if self.grid is None:
-                raise ValueError("continuous distribution needs a grid")
+        if self.grid is not None:
+            if self.labels is not None:
+                raise ValueError("give a grid (a density) or labels (discrete), not both")
             self.grid = np.asarray(self.grid, dtype=float)
         elif self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=float)
 
     @property
     def spacing(self) -> float:
-        return float(self.grid[1] - self.grid[0]) if self.kind == "continuous" else 1.0
+        return 1.0 if self.grid is None else float(self.grid[1] - self.grid[0])
 
     def probabilities(self, g: float) -> np.ndarray:
         p = np.asarray(self.evaluator(g), dtype=float)
@@ -81,7 +81,7 @@ class ParamDistribution:
         return np.clip(p, 0.0, None)
 
     def outcome_values(self) -> np.ndarray:
-        if self.kind == "continuous":
+        if self.grid is not None:
             return self.grid
         if self.labels is None:
             raise ValueError("discrete distribution has no numeric labels")
@@ -117,34 +117,34 @@ def _fisher(p: np.ndarray, dp: np.ndarray, spacing: float = 1.0) -> float:
 # meter-generator moments and conditioning kernels
 
 
-def _generator_weights(meter, cfg: CouplingConfig):
+def _generator_weights(meter):
     """(values m, probability weights w) of the meter generator's spectrum: a
     Gaussian meter's momentum on 4096 points over +-8 sd, or a Fock meter's
     number distribution."""
-    if cfg.generator is Generator.MOMENTUM_KICK:
-        if isinstance(meter, GaussianMeter):
-            sp = 1.0 / (2 * meter.sigma)
-            p = np.linspace(
-                meter.mean_p - 8 * sp, meter.mean_p + 8 * sp, 4096, endpoint=False
-            )
-            w = np.exp(-((p - meter.mean_p) ** 2) / (2 * sp**2)) / math.sqrt(
-                2 * np.pi * sp**2
-            )
-            w = w / (w.sum())
-            return p, w
-        raise UnsupportedDimension("momentum generator needs a Gaussian meter")
+    if isinstance(meter, GaussianMeter):
+        sp = 1.0 / (2 * meter.sigma)
+        p = np.linspace(
+            meter.mean_p - 8 * sp, meter.mean_p + 8 * sp, 4096, endpoint=False
+        )
+        w = np.exp(-((p - meter.mean_p) ** 2) / (2 * sp**2)) / math.sqrt(
+            2 * np.pi * sp**2
+        )
+        w = w / (w.sum())
+        return p, w
     if not isinstance(meter, (FockMeter, FockState)):
-        raise UnsupportedDimension("photon-number generator needs a Fock meter")
+        raise IncompatibleMeter(
+            f"the generator spectrum needs a Gaussian or Fock meter, not a {type(meter).__name__}"
+        )
     w = meter.number_probabilities()
     n = np.arange(w.size, dtype=float)
     return n, w / w.sum()
 
 
-def generator_moments(meter, cfg: CouplingConfig) -> tuple[float, float]:
+def generator_moments(meter) -> tuple[float, float]:
     """(mean, variance) of the coupling generator in the initial meter."""
-    if cfg.generator is Generator.MOMENTUM_KICK and isinstance(meter, GaussianMeter):
+    if isinstance(meter, GaussianMeter):
         return meter.mean_p, meter.var_p()
-    m, w = _generator_weights(meter, cfg)
+    m, w = _generator_weights(meter)
     mean = float(np.sum(m * w))
     return mean, float(np.sum(m**2 * w) - mean**2)
 
@@ -155,7 +155,7 @@ def qfi_joint(pre: SystemState, meter, cfg: CouplingConfig) -> float:
     amps = pre.amplitudes
     a1 = float(np.real(np.vdot(amps, cfg.a.matrix @ amps)))
     a2 = float(np.real(np.vdot(amps, cfg.a.matrix @ cfg.a.matrix @ amps)))
-    m_mean, m_var = generator_moments(meter, cfg)
+    m_mean, m_var = generator_moments(meter)
     return 4.0 * (a2 * (m_var + m_mean**2) - a1**2 * m_mean**2)
 
 
@@ -244,7 +244,7 @@ class Conditioning:
         """Readout on the spectrum of the coupling generator in `meter`. A
         mixed Fock meter enters through its number distribution alone,
         because K(n) is the same for every component."""
-        return cls.of(pre, post, cfg.a, *_generator_weights(meter, cfg))
+        return cls.of(pre, post, cfg.a, *_generator_weights(meter))
 
     def kernels(self, g: float) -> _Kernels:
         if self.position is None:
@@ -272,7 +272,7 @@ class Conditioning:
         step = np.array([1.0, -1.0])
         kernels = lru_cache(maxsize=1)(self.kernels)  # see `_kernel_family`
         return ParamDistribution(
-            "discrete", lambda g: np.array([0.0, 1.0]) + kernels(g).p_f() * step,
+            lambda g: np.array([0.0, 1.0]) + kernels(g).p_f() * step,
             labels=np.array([1.0, 0.0]), derivative=lambda g: kernels(g).dp_dg() * step,
         )
 
@@ -286,7 +286,7 @@ def _kernel_family(kernels_of, grid, values) -> ParamDistribution:
     scale = 1.0 if grid is None else 1.0 / float(grid[1] - grid[0])
     kernels = lru_cache(maxsize=1)(kernels_of)
     return ParamDistribution(
-        "discrete" if grid is None else "continuous", lambda x: scale * kernels(x).density(),
+        lambda x: scale * kernels(x).density(),
         grid=grid, labels=values if grid is None else None,
         derivative=lambda x: scale * kernels(x).density_dg(), kernels=kernels,
     )
@@ -404,7 +404,7 @@ class InfoBudget:
 def info_budget(pre: SystemState, post: SystemState, cfg: CouplingConfig, meter) -> InfoBudget:
     """{Q_jt, p_f Q_f, p_r Q_r, F_p, 4 Var(beta)} of a qubit selection, read
     off its two arms on the spectrum of the coupling generator in `meter`."""
-    arms = _arms(pre, post, cfg, *_generator_weights(meter, cfg))
+    arms = _arms(pre, post, cfg, *_generator_weights(meter))
     return _arm_budget(qfi_joint(pre, meter, cfg), *arms)
 
 

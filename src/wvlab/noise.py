@@ -392,7 +392,7 @@ def _gaussian_pixels(det: PixelatedDetector, rate: float, width: float) -> Param
         a, b = bounds(g)
         return (np.exp(-a * a / 2) - np.exp(-b * b / 2)) * rate / (width * math.sqrt(2 * math.pi))
 
-    return ParamDistribution("discrete", masses, derivative=derivative)
+    return ParamDistribution(masses, derivative=derivative)
 
 
 def pixelated_fisher_ratio(

@@ -115,7 +115,6 @@ class Observable:
 
 # Pauli operators and |1><1|, used throughout the scheme catalog.
 SIGMA_X = Observable(np.array([[0, 1], [1, 0]], dtype=complex))
-SIGMA_Y = Observable(np.array([[0, -1j], [1j, 0]], dtype=complex))
 SIGMA_Z = Observable(np.array([[1, 0], [0, -1]], dtype=complex))
 PROJ_ONE = Observable(np.array([[0, 0], [0, 1]], dtype=complex))
 

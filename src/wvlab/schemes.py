@@ -20,7 +20,6 @@ import numpy as np
 
 from .coupling import (
     CouplingConfig,
-    Generator,
     RegimeLabel,
     aav_condition_margin,
     classify_regime,
@@ -157,12 +156,12 @@ def standard_scheme(spec: StandardSpec) -> SchemeReport:
     which warns when the AAV margin reaches 1; everything is still exact)."""
     pre, post = spec.states()
     w = weak_value(pre, post, SIGMA_Z)
-    cfg = CouplingConfig(spec.g, Generator.MOMENTUM_KICK, SIGMA_Z)
+    cfg = CouplingConfig(spec.g, SIGMA_Z)
     meter = GaussianMeter(spec.sigma)
     family, theta, margin, notes = spec.readout()
     dist = SampledDistribution(family.grid, family.probabilities(spec.g))
 
-    success, failure = _arms(pre, post, cfg, *_generator_weights(meter, cfg))
+    success, failure = _arms(pre, post, cfg, *_generator_weights(meter))
     budget = _arm_budget(qfi_joint(pre, meter, cfg), success, failure)
     p_f = success.p_f()
     fi_cond = classical_fisher(family, spec.g)
@@ -269,7 +268,7 @@ def inverse_scheme(spec: InverseSpec) -> SchemeReport:
     mean_q, mean_p = q_dist.mean(), p_dist.mean()
     family = p_family if imaginary else q_family
     fi = classical_fisher(family, angle0)
-    cfg = CouplingConfig(spec.g, Generator.MOMENTUM_KICK, SIGMA_Z)
+    cfg = CouplingConfig(spec.g, SIGMA_Z)
     p_f = Conditioning.of_meter(pre, post, cfg, GaussianMeter(spec.sigma)).kernels(spec.g).p_f()
 
     if imaginary:
@@ -368,7 +367,6 @@ def abwva_scheme(spec: ABWVASpec) -> SchemeReport:
     # two-detector data: outcome space is (detector, p); density over a
     # doubled grid with the same spacing
     family = ParamDistribution(
-        "continuous",
         joint_probs,
         grid=np.concatenate([p, p + (p[-1] - p[0]) + dp]),
         derivative=joint_deriv,
@@ -641,11 +639,11 @@ def biased_scheme(spec: BiasedSpec) -> SchemeReport:
 
 @dataclass(frozen=True)
 class RecycleSpec:
-    """Power-recycled WVA: pulsed loop (per-round loss) or resonant cavity."""
+    """Power-recycled WVA: a pulsed loop (per-round loss), or a resonant
+    cavity when its mirror reflectivity `mirror_r` is given."""
 
     p_f: float
     loss: float = 0.0
-    mode: str = "pulsed"
     mirror_r: float | None = None
     n_input: float = 1.0
 
@@ -654,10 +652,6 @@ class RecycleSpec:
             raise ValueError("p_f must lie in (0, 1]")
         if not 0 <= self.loss < 1:
             raise ValueError("loss must lie in [0, 1)")
-        if self.mode not in ("pulsed", "cavity"):
-            raise ValueError("mode must be 'pulsed' or 'cavity'")
-        if (self.mode == "cavity") != (self.mirror_r is not None):
-            raise ValueError("mirror_r is needed in cavity mode and only there")
         if self.n_input <= 0 or not 0 <= (self.mirror_r or 0.0) < 1:
             raise ValueError("need n_input > 0 and mirror_r in [0, 1)")
 
@@ -673,9 +667,10 @@ def cavity_gain(r: float, loss: float) -> float:
 def recycle_scheme(spec: RecycleSpec) -> SchemeReport:
     """Pulsed: rounds j keep N_j = N [(1-p_f)(1-loss)]^j photons, every round
     detects the p_f fraction; lossless recycling re-detects all N photons for
-    an SNR gain of exactly 1/sqrt(p_f). Cavity: gain G from the closed form
-    and SNR factor sqrt(G). One operating point: the report has no table."""
-    if spec.mode == "pulsed":
+    an SNR gain of exactly 1/sqrt(p_f). Cavity (`mirror_r` given): gain G
+    from the closed form and SNR factor sqrt(G). One operating point: the
+    report has no table."""
+    if spec.mirror_r is None:
         keep = (1.0 - spec.p_f) * (1.0 - spec.loss)
         total = spec.p_f * spec.n_input / (1.0 - keep)
         single = spec.p_f * spec.n_input
@@ -730,7 +725,7 @@ class PhaseSpaceSpec:
         """The success arm: `pre` selected on `post` after the photon-number
         phase at g, read out on the meter's number distribution."""
         pre, post = self.states()
-        cfg = CouplingConfig(self.g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+        cfg = CouplingConfig(self.g, PROJ_ONE)
         return Conditioning.of_meter(pre, post, cfg, self.meter)
 
     def outcome_family(self) -> tuple[ParamDistribution, float]:
@@ -739,7 +734,7 @@ class PhaseSpaceSpec:
 
 def phase_space_scheme(spec: PhaseSpaceSpec) -> SchemeReport:
     pre, post = spec.states()
-    cfg = CouplingConfig(spec.g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+    cfg = CouplingConfig(spec.g, PROJ_ONE)
     w = weak_value(pre, post, PROJ_ONE)
     mean0, var0 = fock_moments(spec.meter)
 

@@ -49,10 +49,10 @@ class ResolutionTooCoarse(WvlabError):
     """A pixel is narrower than 8 steps of the sampled density."""
 
 
-def numeric_family(kind: str, evaluator, grid=None, labels=None) -> ParamDistribution:
+def numeric_family(evaluator, grid=None, labels=None) -> ParamDistribution:
     """A family with no analytic derivative: only the step branch of
     `classical_fisher` below can take its Fisher number."""
-    return ParamDistribution(kind, evaluator, grid=grid, labels=labels, derivative=None)
+    return ParamDistribution(evaluator, grid=grid, labels=labels, derivative=None)
 
 
 def binary_selection_distribution(p_of_g: Callable[[float], float]) -> ParamDistribution:
@@ -62,7 +62,7 @@ def binary_selection_distribution(p_of_g: Callable[[float], float]) -> ParamDist
         p = float(p_of_g(g))
         return np.array([p, 1.0 - p])
 
-    return numeric_family("discrete", evaluate, labels=np.array([1.0, 0.0]))
+    return numeric_family(evaluate, labels=np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

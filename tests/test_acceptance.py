@@ -31,7 +31,6 @@ from wvlab import estimate as est
 from wvlab import schemes
 from wvlab.coupling import (
     CouplingConfig,
-    Generator,
     evolve_joint,
     postselect,
     trapped_ion_shift,
@@ -67,7 +66,7 @@ class TestAcceptance:
             post = bloch_state(rng.uniform(0.05, 3.1), rng.uniform(0, 2 * np.pi))
             g = rng.uniform(0.005, 0.5)
             sigma = rng.uniform(0.5, 2.0)
-            cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+            cfg = CouplingConfig(g, SIGMA_Z)
             budget = info_budget(pre, post, cfg, GaussianMeter(sigma))
             worst = max(worst, budget.residual)
         elapsed = time.perf_counter() - tic
@@ -83,7 +82,7 @@ class TestAcceptance:
         tic = time.perf_counter()
         sigma = 1.0
         g = 0.2 * sigma  # g / (2 sigma) = 0.1
-        cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(g, SIGMA_Z)
         meter = GaussianMeter(sigma)
 
         # AAV plateau: theta_i in (0, 0.5] keeps the linear-response margin
@@ -105,7 +104,7 @@ class TestAcceptance:
 
         def deep_share(g_over_2s: float) -> tuple[float, float]:
             g_deep = 2 * sigma * g_over_2s
-            cfg_deep = CouplingConfig(g_deep, Generator.MOMENTUM_KICK, SIGMA_Z)
+            cfg_deep = CouplingConfig(g_deep, SIGMA_Z)
             budget = info_budget(pre, post, cfg_deep, meter)
             u = g_deep**2 / (2 * sigma**2)
             return budget.f_p / budget.q_jt, 2 * u / math.expm1(2 * u)
@@ -180,7 +179,7 @@ class TestAcceptance:
             for th in (0.3, 0.7, 1.1):
                 post = SystemState(np.array([math.cos(th), -math.sin(th)]))
                 joint = evolve_joint(
-                    pre, base, CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_X)
+                    pre, base, CouplingConfig(g, SIGMA_X)
                 )
                 mean = postselect(joint, post).success_meter.mean_q()
                 expected = trapped_ion_shift(gamma, th, g)

@@ -80,7 +80,7 @@ class TestCommands:
 
     def test_shift_evolves_one_joint_state_per_gamma(self, tmp_path, monkeypatch):
         import wvlab.cli as cli
-        from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
+        from wvlab.coupling import CouplingConfig, evolve_joint, postselect
         from wvlab.meter import GaussianMeter, to_grid
         from wvlab.qsys import SIGMA_X, SystemState
 
@@ -101,7 +101,7 @@ class TestCommands:
             pre = SystemState(np.array([0.0, 1.0]))
             post = SystemState(np.array([np.cos(theta), -np.sin(theta)]))
             base = to_grid(GaussianMeter(1.0), 16 * 1.0 + 8 * gamma, 4096)
-            joint = evolve_joint(pre, base, CouplingConfig(gamma, Generator.MOMENTUM_KICK, SIGMA_X))
+            joint = evolve_joint(pre, base, CouplingConfig(gamma, SIGMA_X))
             assert grid_ratio == postselect(joint, post).success_meter.mean_q() / gamma
 
     def test_budget_end_to_end(self, tmp_path):
@@ -420,7 +420,7 @@ ACCEPTED = {
     "abwva": {"g", "epsilon", "sigma", "points"},
     "joint_wm": {"tau", "phi_align", "eps_fluct", "omega0", "delta_omega", "omega_noise"},
     "biased": {"tau", "beta", "epsilon", "omega0", "delta_omega", "resolution", "points"},
-    "recycle": {"p_f", "loss", "mode", "mirror_r", "n_input"},
+    "recycle": {"p_f", "loss", "mirror_r", "n_input"},
     "phase_space": {"g", "epsilon", "alpha", "nbar", "mixture", "theta_i"},
     "entangled": {"phi", "epsilon", "n", "variant_post"},
     "trapped_ion": {"gammas", "gamma0_t", "theta", "grid_check"},
@@ -438,7 +438,7 @@ BLOCK_KEYS = {
 COMMAND_BLOCKS = {"shift": {"scheme"}, "budget": {"scheme"}, "noise": {"scheme", "noise"},
                   "scheme": {"scheme", "sweep"},
                   "estimate": {"scheme", "noise", "experiment", "output"}}
-DEAD_KEYS = {"n_values", "directory", "formats", "iterative"}
+DEAD_KEYS = {"n_values", "directory", "formats", "iterative", "mode"}
 ALL_KEYS = set().union(*ACCEPTED.values(), *BLOCK_KEYS.values(), DEAD_KEYS)
 REQUIRED = {
     **{v: {"variant"} | set(config["scheme"]) for v, (_, config) in MINIMAL.items()},
@@ -470,8 +470,6 @@ PROBES = [
     ("dead_key_n_values", "scheme", {"scheme": {**STANDARD, "n_values": [1, 2]}}, 2),
     ("iterative_string", "scheme", {"scheme": {**ENTANGLED, "iterative": "no"}}, 2),
     ("entangled_iterative", "scheme", {"scheme": {**ENTANGLED, "iterative": True}}, 2),
-    ("pulsed_recycle_mirror_r", "scheme",
-     {"scheme": {"variant": "recycle", "p_f": 0.1, "mirror_r": 0.5}}, 2),
     ("sigma_string", "scheme", {"scheme": {**STANDARD, "sigma": "1"}}, 2),
     ("sigma_negative", "scheme", {"scheme": {**STANDARD, "sigma": -1.0}}, 2),
     ("standard_epsilon_and_phi", "scheme", {"scheme": {**STANDARD, "phi": 0.1}}, 2),
@@ -530,6 +528,13 @@ PROBES = [
     # and the second with numpy's LinAlgError traceback from the slope fit
     ("shift_gamma_negative", "shift", {"scheme": {**MINIMAL["trapped_ion"][1]["scheme"],
                                                   "gammas": [1.0, -1.0]}}, 2),
+    # before, it exited 0 with a header-only shift.csv
+    ("shift_gammas_empty", "shift", {"scheme": {**MINIMAL["trapped_ion"][1]["scheme"],
+                                                "gammas": []}}, 2),
+    # before, it exited 0: a plan with a scheme estimates the scheme's g and
+    # never read true_value
+    ("experiment_true_value_with_scheme", "estimate",
+     {"scheme": STANDARD, "experiment": {**EXPERIMENT, "true_value": 0.7}}, 2),
     ("sweep_repeated_values", "scheme",
      {"scheme": PHASE, "sweep": {"parameter": "nbar", "values": [1, 1]}}, 2),
     # a valid config whose validity ordering fails: a failed check, exit 1

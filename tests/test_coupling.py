@@ -12,7 +12,6 @@ from oracles import (
 )
 from wvlab.coupling import (
     CouplingConfig,
-    Generator,
     RegimeKind,
     aav_condition_margin,
     classify_regime,
@@ -21,7 +20,7 @@ from wvlab.coupling import (
     trapped_ion_shift,
 )
 from wvlab.errors import DegenerateDenominator, IncompatibleMeter
-from wvlab.meter import FockMeter, GaussianMeter, to_grid
+from wvlab.meter import FockMeter, GaussianMeter, SampledDistribution, to_grid
 from wvlab.qsys import (
     SIGMA_X,
     SIGMA_Z,
@@ -34,20 +33,16 @@ from wvlab.qsys import (
 SQ2_HALF = math.sqrt(2) / 2
 
 
-def momentum_cfg(g, a=SIGMA_Z):
-    return CouplingConfig(g, Generator.MOMENTUM_KICK, a)
-
-
 class TestEvolveJoint:
     def test_zero_coupling_is_product(self):
         pre = bloch_state(0.8, 0.2)
-        joint = evolve_joint(pre, GaussianMeter(1.0), momentum_cfg(0.0))
+        joint = evolve_joint(pre, GaussianMeter(1.0), CouplingConfig(0.0, SIGMA_Z))
         for b in joint.branches:
             assert b.meter.mean_q == 0.0
 
     def test_eigenstate_single_displacement(self):
         joint = evolve_joint(
-            SystemState(np.array([1.0, 0.0])), GaussianMeter(1.0), momentum_cfg(0.3)
+            SystemState(np.array([1.0, 0.0])), GaussianMeter(1.0), CouplingConfig(0.3, SIGMA_Z)
         )
         weights = {b.eigenvalue: abs(b.amplitude) ** 2 for b in joint.branches}
         assert weights[1.0] == pytest.approx(1.0)
@@ -61,27 +56,41 @@ class TestEvolveJoint:
         for _ in range(10):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             pre = SystemState(v / np.linalg.norm(v))
-            joint = evolve_joint(pre, base, momentum_cfg(0.4))
+            joint = evolve_joint(pre, base, CouplingConfig(0.4, SIGMA_Z))
             total = sum(
                 abs(b.amplitude) ** 2 * b.meter.norm() for b in joint.branches
             )
             assert abs(total - 1.0) < 1e-12
 
     def test_incompatible_meter(self):
-        with pytest.raises(IncompatibleMeter):
-            evolve_joint(bloch_state(1.0, 0.0), FockMeter.coherent(1.0), momentum_cfg(0.1))
-        with pytest.raises(IncompatibleMeter):
-            evolve_joint(
-                bloch_state(1.0, 0.0),
-                GaussianMeter(1.0),
-                CouplingConfig(0.1, Generator.PHOTON_NUMBER_PHASE, SIGMA_Z),
-            )
+        # a meter type with no coupling generator, and a Fock mixture, which
+        # is not one pure meter state per branch
+        pre, cfg = bloch_state(1.0, 0.0), CouplingConfig(0.1, SIGMA_Z)
+        with pytest.raises(IncompatibleMeter, match="no coupling generator"):
+            evolve_joint(pre, SampledDistribution(np.linspace(-1.0, 1.0, 8), np.ones(8)), cfg)
+        with pytest.raises(IncompatibleMeter, match="pure meters"):
+            evolve_joint(pre, FockMeter.mixture([(0.5, 1.0), (0.5, 2.0)]), cfg)
+
+    def test_meter_fixes_the_generator(self):
+        # one coupling: a Gaussian or grid meter is kicked by a_k g in
+        # position, a Fock meter's level n takes the phase exp(-i a_k g n)
+        pre, g = bloch_state(1.0, 0.0), 0.3
+        cfg = CouplingConfig(g, SIGMA_Z)
+        for b in evolve_joint(pre, GaussianMeter(1.0), cfg).branches:
+            assert b.meter.mean_q == b.eigenvalue * g
+        for b in evolve_joint(pre, to_grid(GaussianMeter(1.0), 16.0, 2048), cfg).branches:
+            assert b.meter.mean_q() == pytest.approx(b.eigenvalue * g, abs=1e-12)
+        coherent = FockMeter.coherent(1.5)
+        (_, state), = coherent.component_states()
+        n = np.arange(state.coeffs.size)
+        for b in evolve_joint(pre, coherent, cfg).branches:
+            assert np.array_equal(b.meter.coeffs, state.coeffs * np.exp(-1j * (b.eigenvalue * g) * n))
 
 
 class TestPostselect:
     def test_probabilities_sum_exactly(self):
         pre, post = bloch_state(0.9, 0.1), bloch_state(2.0, 1.3)
-        joint = evolve_joint(pre, GaussianMeter(1.0), momentum_cfg(0.2))
+        joint = evolve_joint(pre, GaussianMeter(1.0), CouplingConfig(0.2, SIGMA_Z))
         ps = postselect(joint, post)
         assert ps.p_f + ps.p_r == 1.0
         assert abs(ps.success_meter.norm() - 1.0) < 1e-10
@@ -89,7 +98,7 @@ class TestPostselect:
 
     def test_orthogonal_zero_coupling_empty(self):
         pre = bloch_state(0.0, 0.0)
-        joint = evolve_joint(pre, GaussianMeter(1.0), momentum_cfg(0.0))
+        joint = evolve_joint(pre, GaussianMeter(1.0), CouplingConfig(0.0, SIGMA_Z))
         ps = postselect(joint, SystemState(np.array([0.0, 1.0])))
         assert ps.empty and ps.p_f <= 1e-14 and ps.success_meter is None
 
@@ -101,7 +110,7 @@ class TestPostselect:
         pre = bloch_state(np.pi / 2, 0.0)
         post = bloch_state(-np.pi / 2 + 0.01, 0.0)
         w = weak_value(pre, post, SIGMA_Z)
-        joint = evolve_joint(pre, GaussianMeter(sigma), momentum_cfg(g))
+        joint = evolve_joint(pre, GaussianMeter(sigma), CouplingConfig(g, SIGMA_Z))
         ps = postselect(joint, post)
         expected_q, _ = exact_shifts(w, g, sigma)
         assert ps.success_meter.mean_q() == pytest.approx(expected_q, rel=1e-4)
@@ -109,7 +118,7 @@ class TestPostselect:
     def test_fock_postselection(self):
         pre = bloch_state(np.pi / 2, 0.0)
         post = bloch_state(np.pi / 2 + 0.4, 0.0)
-        cfg = CouplingConfig(0.01, Generator.PHOTON_NUMBER_PHASE, SIGMA_Z)
+        cfg = CouplingConfig(0.01, SIGMA_Z)
         joint = evolve_joint(pre, FockMeter.coherent(2.0), cfg)
         ps = postselect(joint, post)
         assert ps.p_f + ps.p_r == 1.0
@@ -157,7 +166,7 @@ class TestShiftFormulas:
                 w = weak_value(pre, post, SIGMA_Z)
                 g = g_rel * sigma
                 base = to_grid(GaussianMeter(sigma), 16.0 + 8 * g, 4096)
-                joint = evolve_joint(pre, base, momentum_cfg(g))
+                joint = evolve_joint(pre, base, CouplingConfig(g, SIGMA_Z))
                 mean_grid = postselect(joint, post).success_meter.mean_q()
                 q2, _ = exact_shifts(w, g, sigma)
                 q1, _ = aav_shifts(w, g, sigma)
@@ -208,7 +217,7 @@ class TestTrappedIon:
         pre = SystemState(np.array([0.0, 1.0]))
         post = SystemState(np.array([math.cos(theta), -math.sin(theta)]))
         base = to_grid(GaussianMeter(sigma), 16 * sigma + 8 * g, 4096)
-        joint = evolve_joint(pre, base, momentum_cfg(g, SIGMA_X))
+        joint = evolve_joint(pre, base, CouplingConfig(g, SIGMA_X))
         mean = postselect(joint, post).success_meter.mean_q()
         assert mean == pytest.approx(trapped_ion_shift(gamma, theta, g), rel=0.01)
 
@@ -229,7 +238,7 @@ class TestOrthogonalShifts:
         g, sigma = 1e-4, 1.0
         eig_span = np.max(np.abs(np.linalg.eigvalsh(a.matrix)))
         base = to_grid(GaussianMeter(sigma), 16.0 + 8 * g * eig_span, 4096)
-        joint = evolve_joint(pre, base, momentum_cfg(g, a))
+        joint = evolve_joint(pre, base, CouplingConfig(g, a))
         cm = postselect(joint, post).success_meter
         q_pred, p_pred = orthogonal_shifts(a_ow, g, sigma)
         assert cm.mean_q() == pytest.approx(q_pred, rel=1e-4, abs=1e-10)

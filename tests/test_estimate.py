@@ -42,14 +42,14 @@ def gaussian_family(sigma=1.0):
     def derivative(g):
         return (grid - g) / sigma**2 * density(g)
 
-    return ParamDistribution("continuous", density, grid=grid, derivative=derivative)
+    return ParamDistribution(density, grid=grid, derivative=derivative)
 
 
 def _scan_mle(samples, dist, g_grid):
     """Oracle for `mle_grid`: grid maximum-likelihood with three-point
     parabolic refinement, one family evaluation per grid point."""
     g_grid = np.asarray(g_grid, dtype=float)
-    if dist.kind == "discrete":
+    if dist.grid is None:
         # each sample's outcome index, whatever order the labels are in
         labels = dist.outcome_values()
         order = np.argsort(labels, kind="stable")
@@ -58,7 +58,7 @@ def _scan_mle(samples, dist, g_grid):
     loglik = np.empty(g_grid.size)
     for i, g in enumerate(g_grid):
         p = dist.probabilities(g)
-        if dist.kind == "continuous":
+        if dist.grid is not None:
             vals = np.interp(samples, dist.grid, p)
         else:
             vals = p[idx]
@@ -97,7 +97,8 @@ def _noise_plans(name, scheme):
     samples."""
     model = CorrelatedNoiseModel(a=0.5, c=1.0, dt=1.0, tau_c=200.0, n=2000)
     nu = model.n if scheme is None else model.thinned(0.05).n
-    return {f"{name}_{e}": ExperimentPlan(scheme, nu, 4, 7, e, noise=model, true_value=0.2)
+    truth = 0.2 if scheme is None else None  # a scheme's truth is its g
+    return {f"{name}_{e}": ExperimentPlan(scheme, nu, 4, 7, e, noise=model, true_value=truth)
             for e in ("amr", "mle_correlated")}
 
 
@@ -126,8 +127,8 @@ def _trial_estimate(plan, samples):
     values = family.outcome_values()
     if plan.estimator == "mle_grid":
         sd = 1.0 / math.sqrt(plan.nu * classical_fisher(family, g))
-        return mle_grid(samples, family, np.linspace(g - 8 * sd, g + 8 * sd, 101))
-    if family.kind == "discrete":
+        return mle_grid(samples, MLWindow(family, np.linspace(g - 8 * sd, g + 8 * sd, 101)))
+    if family.grid is None:
         mean = float((samples[:, None] == values[None, :]).sum(axis=0) @ values) / plan.nu
     else:
         mean = float(np.mean(samples))
@@ -141,7 +142,7 @@ def _per_call_sample(dist, nu, seed, trial, g):
     multinomial's counts and shuffling them."""
     rng = substream(seed, trial)
     probs = dist.probabilities(g)
-    if dist.kind == "discrete":
+    if dist.grid is None:
         draws = np.repeat(dist.outcome_values(), rng.multinomial(nu, probs / probs.sum()))
         rng.shuffle(draws)
         return draws
@@ -157,7 +158,7 @@ def _random_table(seed, k):
     p = (rng.exponential(size=k) + 0.05) * (rng.random(k) > 0.2)
     p[rng.integers(k)] += 0.1
     p /= p.sum()
-    return p, OutcomeSampler(numeric_family("discrete", lambda g: p, labels=np.arange(k)), 0.0)
+    return p, OutcomeSampler(numeric_family(lambda g: p, labels=np.arange(k)), 0.0)
 
 
 class _Uniforms:
@@ -186,7 +187,7 @@ class TestSampling:
         start = rng.integers(head + 1, points - tail - run)
         p[:head] = p[points - tail:] = p[start:start + run] = 0.0
         p /= p.sum() * (grid[1] - grid[0])
-        sampler = OutcomeSampler(numeric_family("continuous", lambda g: p, grid=grid), 0.0)
+        sampler = OutcomeSampler(numeric_family(lambda g: p, grid=grid), 0.0)
         cdf = sampler.cdf
         assert cdf[0] == cdf[1] == 0.0 and cdf[-2] == cdf[-1] == 1.0
         u = rng.random(nu)
@@ -204,7 +205,7 @@ class TestSampling:
         p = np.ones(grid.size)
         p[:10], p[10:13] = 0.0, [1e-320, 1e-315, 1e-310]
         p /= p.sum() * (grid[1] - grid[0])
-        sampler = OutcomeSampler(numeric_family("continuous", lambda g: p, grid=grid), 0.0)
+        sampler = OutcomeSampler(numeric_family(lambda g: p, grid=grid), 0.0)
         cdf = sampler.cdf
         assert 0.0 < cdf[10] < 1e-308 and np.isinf(sampler.slope[9])
         u = np.concatenate([cdf, [5e-324, 0.5 * cdf[12], 0.5]])
@@ -217,31 +218,28 @@ class TestSampling:
         family, g, nu, _ = _oracle_case(name)
         sampler = OutcomeSampler(family, g)
         for trial in (0, 7):
-            draws = sample(family, nu, 5, trial, g).tobytes()
-            assert draws == sample(sampler, nu, 5, trial).tobytes()
+            draws = sample(sampler, nu, 5, trial).tobytes()
             assert draws == sampler.draw(substream(5, trial), nu).tobytes()
             assert draws == _per_call_sample(family, nu, 5, trial, g).tobytes()
 
     def test_gaussian_law_of_large_numbers(self):
         fam = gaussian_family()
-        draws = sample(fam, 10**5, seed=1, g=0.4)
+        draws = sample(OutcomeSampler(fam, 0.4), 10**5, seed=1)
         se = 1.0 / math.sqrt(10**5)
         assert abs(np.mean(draws) - 0.4) < 5 * se
 
     def test_same_seed_same_sequence(self):
-        fam = gaussian_family()
-        a = sample(fam, 1000, seed=9, trial=3, g=0.0)
-        b = sample(fam, 1000, seed=9, trial=3, g=0.0)
+        sampler = OutcomeSampler(gaussian_family(), 0.0)
+        a = sample(sampler, 1000, seed=9, trial=3)
+        b = sample(sampler, 1000, seed=9, trial=3)
         assert np.array_equal(a, b)
-        c = sample(fam, 1000, seed=9, trial=4, g=0.0)
+        c = sample(sampler, 1000, seed=9, trial=4)
         assert not np.array_equal(a, c)
 
     def test_discrete_binomial_interval(self):
-        dist = numeric_family(
-            "discrete", lambda g: np.array([0.3, 0.7]), labels=np.array([1.0, 0.0])
-        )
+        dist = numeric_family(lambda g: np.array([0.3, 0.7]), labels=np.array([1.0, 0.0]))
         nu = 50000
-        draws = sample(dist, nu, seed=4)
+        draws = sample(OutcomeSampler(dist, 0.0), nu, seed=4)
         freq = np.mean(draws)
         # exact binomial 5-sigma interval around p = 0.3
         half = 5 * math.sqrt(0.3 * 0.7 / nu)
@@ -360,9 +358,8 @@ class TestEstimators:
 
     def test_mle_grid_matches_sample_mean(self):
         fam = gaussian_family()
-        draws = sample(fam, 4000, seed=3, g=0.25)
-        grid = np.linspace(-0.5, 1.0, 301)
-        est = mle_grid(draws, fam, grid)
+        draws = sample(OutcomeSampler(fam, 0.25), 4000, seed=3)
+        est = mle_grid(draws, MLWindow(fam, np.linspace(-0.5, 1.0, 301)))
         assert est == pytest.approx(np.mean(draws), abs=2e-3)
 
     @pytest.mark.parametrize(
@@ -383,9 +380,9 @@ class TestEstimators:
 
     def test_mle_grid_boundary(self):
         fam = gaussian_family()
-        draws = sample(fam, 100, seed=3, g=0.0)
+        draws = sample(OutcomeSampler(fam, 0.0), 100, seed=3)
         with pytest.raises(BoundaryMaximum):
-            mle_grid(draws, fam, np.linspace(1.0, 2.0, 11))
+            mle_grid(draws, MLWindow(fam, np.linspace(1.0, 2.0, 11)))
 
     @pytest.mark.parametrize("name", list(ORACLE_CASES))
     @settings(max_examples=10)
@@ -394,9 +391,9 @@ class TestEstimators:
         # the scan's parabolic error is O(step^2): 2.2e-4 sd at 101 points on
         # the phase-space family, 100x less at 1001
         family, g, nu, sd = _oracle_case(name)
-        draws = sample(family, nu, seed, trial, g)
+        draws = sample(OutcomeSampler(family, g), nu, seed, trial)
         window = np.linspace(g - 8 * sd, g + 8 * sd, 101)
-        est = mle_grid(draws, family, window)
+        est = mle_grid(draws, MLWindow(family, window))
         fine = _scan_mle(draws, family, np.linspace(g - 8 * sd, g + 8 * sd, 1001))
         assert abs(est - fine) <= 1e-5 * sd
         assert abs(est - _scan_mle(draws, family, window)) <= 1e-3 * sd
@@ -407,20 +404,21 @@ class TestEstimators:
         # mle_grid of the draws is the plan's count estimate of that trial,
         # bitwise
         family, g, nu, sd = _oracle_case(name)
-        window = np.linspace(g - 8 * sd, g + 8 * sd, 101)
+        window = MLWindow(family, np.linspace(g - 8 * sd, g + 8 * sd, 101))
         plan = ExperimentPlan(ORACLE_CASES[name][0], nu, 4, 9, "mle_grid")
         sampler = OutcomeSampler(family, g)
         estimates = []
         for trial in range(plan.trials):
-            estimates.append(mle_grid(sample(family, nu, 9, trial, g), family, window))
+            estimates.append(mle_grid(sample(sampler, nu, 9, trial), window))
             counts = sampler.counts(substream(9, trial), nu)
-            assert estimates[-1].hex() == mle_counts(counts, family, window).hex()
+            assert estimates[-1].hex() == mle_counts(counts, window).hex()
         assert run_experiment(plan).mean_estimate.hex() == float(np.mean(estimates)).hex()
 
     def test_mle_grid_evaluation_count(self):
         family, g = StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05).outcome_family()
         sd = 1.0 / math.sqrt(10**4 * classical_fisher(family, g))
         window = np.linspace(g - 8 * sd, g + 8 * sd, 101)
+        sampler = OutcomeSampler(family, g)
         calls = Counter()
         for name in ("probabilities", "derivative"):
             def counted(x, fn=getattr(family, name), name=name):
@@ -428,9 +426,9 @@ class TestEstimators:
                 return fn(x)
             setattr(family, name, counted)
         for trial in range(3):
-            draws = sample(family, 10**4, 101, trial, g)
+            draws = sample(sampler, 10**4, 101, trial)
             calls.clear()
-            mle_grid(draws, family, window)
+            mle_grid(draws, MLWindow(family, window))
             assert 0 < calls["probabilities"] <= 12
             assert 0 < calls["derivative"] <= 12
 
@@ -446,17 +444,11 @@ class TestMLWindow:
         sampler = OutcomeSampler(family, g)
         for trial in range(4):
             draws = sample(sampler, nu, 21, trial)
-            assert mle_grid(draws, family, window).hex() == mle_grid(draws, family, g_grid).hex()
+            alone = MLWindow(family, g_grid)
+            assert mle_grid(draws, window).hex() == mle_grid(draws, alone).hex()
             if sampler.discrete:
                 counts = sampler.counts(substream(21, trial), nu)
-                by_window = mle_counts(counts, family, window)
-                assert by_window.hex() == mle_counts(counts, family, g_grid).hex()
-
-    def test_window_of_another_family_is_refused(self):
-        family = _oracle_case("standard")[0]
-        window = MLWindow(gaussian_family(), np.linspace(-1.0, 1.0, 11))
-        with pytest.raises(ValueError, match="another family"):
-            mle_grid(np.zeros(10), family, window)
+                assert mle_counts(counts, window).hex() == mle_counts(counts, alone).hex()
 
 
 class TestRunExperiment:
@@ -516,9 +508,9 @@ class TestRunExperiment:
 
         samples = Counter()
 
-        def counted_sample(dist, *args, fn=estimate_mod.sample):
-            samples[type(dist).__name__] += 1
-            return fn(dist, *args)
+        def counted_sample(sampler, *args, fn=estimate_mod.sample):
+            samples[type(sampler).__name__] += 1
+            return fn(sampler, *args)
 
         monkeypatch.setattr(estimate_mod, "sample", counted_sample)
         evaluations = []
@@ -638,6 +630,10 @@ class TestRunExperiment:
         for trials, seed, message in ((1, 0, "trials"), (2, 0, "trials"), (5, -3, "seed")):
             with pytest.raises(ValueError, match=f"{message} must be >= "):
                 ExperimentPlan(spec, 100, trials, seed)
+        # a plan with a scheme estimates the scheme's g, so it refuses a
+        # true value it would not read
+        with pytest.raises(ValueError, match="true_value"):
+            ExperimentPlan(spec, 100, 5, 0, true_value=0.7)
 
     def test_amr_variance_saturates_under_slow_noise(self):
         # window well inside one correlation time: AMR variance stays pinned

@@ -1,7 +1,10 @@
-"""The five shipped scenarios reproduce their committed outputs bitwise.
+"""The five shipped scenarios and the six `crb_plans` Monte Carlo plans
+reproduce their committed outputs bitwise.
 
 `tests/golden/<command>/` holds every file each command wrote (`estimate` at
-`--seed 7`), and `tests/golden/regen.py` rewrites them. On a mismatch the
+`--seed 7`), `tests/golden/crb_plans/seed_<n>.json` the plans' reports at
+seeds 1-3, and `tests/golden/regen.py` rewrites them. The plans are built by
+`regen.crb_plans`, not imported from the benchmark. On a mismatch the
 failure names each file and each key or column that changed, with its
 maximum relative change and that change in ulps, so a roundoff change reads
 apart from a real one. It also says when the running numpy differs from the
@@ -85,12 +88,12 @@ def differences(got: bytes, want: bytes, suffix: str) -> list[str]:
     return out
 
 
-def test_shipped_scenarios_match_the_golden_outputs(tmp_path):
-    status = regen.run_scenarios(tmp_path)
-    assert status == {cmd: 0 for cmd, _, _ in regen.SCENARIOS}
+def compare(got_root: Path, names) -> list[str]:
+    """One line per file, key or column of got_root/<name>/ that differs
+    from the committed GOLDEN/<name>/, and the numpy versions if any does."""
     problems = []
-    for cmd, _, _ in regen.SCENARIOS:
-        got_dir, want_dir = tmp_path / cmd, GOLDEN / cmd
+    for cmd in names:
+        got_dir, want_dir = got_root / cmd, GOLDEN / cmd
         got = {p.name for p in got_dir.iterdir()}
         want = {p.name for p in want_dir.iterdir()}
         if got != want:
@@ -105,4 +108,17 @@ def test_shipped_scenarios_match_the_golden_outputs(tmp_path):
         if made != regen.numpy_version():
             problems.append(f"the golden files were made with numpy {made['numpy']}, "
                             f"this run has numpy {regen.numpy_version()['numpy']}")
+    return problems
+
+
+def test_shipped_scenarios_match_the_golden_outputs(tmp_path):
+    status = regen.run_scenarios(tmp_path)
+    assert status == {cmd: 0 for cmd, _, _ in regen.SCENARIOS}
+    problems = compare(tmp_path, [cmd for cmd, _, _ in regen.SCENARIOS])
+    assert not problems, "\n".join(problems)
+
+
+def test_crb_plans_match_the_golden_reports(tmp_path):
+    regen.run_crb_plans(tmp_path)
+    problems = compare(tmp_path, ["crb_plans"])
     assert not problems, "\n".join(problems)

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from oracles import FisherMethod, numeric_family, qfi_mixed, qfi_pure
-from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
-from wvlab.errors import EmptyPostselection
+from wvlab.coupling import CouplingConfig, evolve_joint, postselect
+from wvlab.errors import EmptyPostselection, IncompatibleMeter
 from wvlab.infometrics import (
     PROBABILITY_FLOOR,
     Conditioning,
@@ -17,11 +17,12 @@ from wvlab.infometrics import (
     _arms,
     _generator_weights,
     classical_fisher,
+    generator_moments,
     info_budget,
     qfi_joint,
     scaling_bounds,
 )
-from wvlab.meter import FockMeter, GaussianMeter, to_grid
+from wvlab.meter import FockMeter, GaussianMeter, SampledDistribution, to_grid
 from wvlab.qsys import (
     PROJ_ONE,
     SIGMA_Z,
@@ -39,7 +40,7 @@ def gaussian_location_family(sigma=1.0, span=10.0, points=4001):
             2 * np.pi * sigma**2
         )
 
-    return numeric_family("continuous", density, grid=grid)
+    return numeric_family(density, grid=grid)
 
 
 class TestClassicalFisher:
@@ -49,7 +50,7 @@ class TestClassicalFisher:
         assert rep.method is FisherMethod.CENTRAL_DIFFERENCE
 
     def test_parameter_independent_binary_is_zero(self):
-        dist = numeric_family("discrete", lambda g: np.array([0.3, 0.7]))
+        dist = numeric_family(lambda g: np.array([0.3, 0.7]))
         assert oracles.classical_fisher(dist, 0.5).fi == 0.0
 
     def test_binary_selection_statistics(self):
@@ -74,7 +75,7 @@ class TestClassicalFisher:
         def deriv(g):
             return (grid - g) * density(g)
 
-        dist = ParamDistribution("continuous", density, grid=grid, derivative=deriv)
+        dist = ParamDistribution(density, grid=grid, derivative=deriv)
         assert classical_fisher(dist, 0.0) == pytest.approx(1.0, rel=1e-9)
 
     def test_step_too_large(self):
@@ -83,7 +84,7 @@ class TestClassicalFisher:
                 raise ValueError("domain")
             return np.array([g, 1 - g])
 
-        dist = numeric_family("discrete", evaluator)
+        dist = numeric_family(evaluator)
         with pytest.raises(oracles.StepTooLarge):
             oracles.classical_fisher(dist, 0.3, h=0.5)
 
@@ -96,8 +97,8 @@ class TestClassicalFisher:
             p = single(g)
             return np.outer(p, p).ravel()
 
-        f1 = oracles.classical_fisher(numeric_family("discrete", single), 0.1).fi
-        f2 = oracles.classical_fisher(numeric_family("discrete", product), 0.1).fi
+        f1 = oracles.classical_fisher(numeric_family(single), 0.1).fi
+        f2 = oracles.classical_fisher(numeric_family(product), 0.1).fi
         assert f2 == pytest.approx(2 * f1, abs=1e-9)
 
 
@@ -112,7 +113,7 @@ def test_kernel_family_memo_is_bitwise_neutral(kind, monkeypatch):
         cond = Conditioning.of(pre, post, SIGMA_Z, q, np.full(q.size, q[1] - q[0]), GaussianMeter(1.0))
         grid, scale = q, 1.0 / float(q[1] - q[0])
     else:
-        cfg = CouplingConfig(0.0, Generator.PHOTON_NUMBER_PHASE, SIGMA_Z)
+        cfg = CouplingConfig(0.0, SIGMA_Z)
         cond = Conditioning.of_meter(pre, post, cfg, FockMeter.coherent(3.0))
         grid, scale = None, 1.0
     build, built = Conditioning.kernels, []
@@ -145,14 +146,41 @@ def test_kernel_family_memo_is_bitwise_neutral(kind, monkeypatch):
     assert built == [0.01, 0.02, 0.01, 0.02]
 
 
+class TestGenerator:
+    def test_meter_fixes_the_generator(self):
+        # one coupling: a Gaussian meter's momentum, a Fock meter's photon
+        # number, whose spectrum is the readout of `Conditioning.of_meter`
+        assert generator_moments(GaussianMeter(2.0, 0.0, 0.3)) == (0.3, 1 / 16)
+        mean, var = generator_moments(FockMeter.coherent(1.5))
+        assert mean == pytest.approx(2.25, rel=1e-12) and var == pytest.approx(2.25, rel=1e-10)
+        pre, post, cfg = bloch_state(1.0, 0.0), bloch_state(2.0, 0.0), CouplingConfig(0.01, SIGMA_Z)
+        meter = FockMeter.coherent(1.5)
+        fock = Conditioning.of_meter(pre, post, cfg, meter)
+        assert np.array_equal(fock.values, np.arange(fock.values.size))
+        assert np.array_equal(fock.weights, meter.number_probabilities() / meter.number_probabilities().sum())
+        gauss = Conditioning.of_meter(pre, post, cfg, GaussianMeter(2.0, 0.0, 0.3))
+        assert gauss.values.size == 4096 and gauss.values[2048] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("call", ["of_meter", "info_budget"])
+    @pytest.mark.parametrize("meter", [SampledDistribution(np.linspace(-1.0, 1.0, 8), np.ones(8)),
+                                       to_grid(GaussianMeter(1.0), 16.0, 256)],
+                             ids=["no_generator", "grid"])
+    def test_meter_without_a_generator_spectrum(self, call, meter):
+        # only a Gaussian or a Fock meter has a generator spectrum to read out
+        pre, post, cfg = bloch_state(1.0, 0.0), bloch_state(2.0, 0.0), CouplingConfig(0.01, SIGMA_Z)
+        run = Conditioning.of_meter if call == "of_meter" else info_budget
+        with pytest.raises(IncompatibleMeter):
+            run(pre, post, cfg, meter)
+
+
 class TestQfiPure:
     def test_displaced_gaussian(self):
         base = to_grid(GaussianMeter(1.0), 16.0, 2048)
-        cfg = CouplingConfig(0.0, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(0.0, SIGMA_Z)
 
         def family(g):
             joint = evolve_joint(SystemState(np.array([1.0, 0.0])), base,
-                                 CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z))
+                                 CouplingConfig(g, SIGMA_Z))
             return joint.branches[-1].meter if joint.branches[-1].eigenvalue > 0 else joint.branches[0].meter
 
         assert qfi_pure(family, 0.05) == pytest.approx(1.0, rel=1e-6)
@@ -220,7 +248,7 @@ class TestQfiMixed:
 class TestQfiJoint:
     def test_gaussian_balanced(self):
         pre = bloch_state(np.pi / 2, 0.0)
-        cfg = CouplingConfig(0.1, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(0.1, SIGMA_Z)
         for sigma in (0.5, 1.0, 2.0):
             assert qfi_joint(pre, GaussianMeter(sigma), cfg) == pytest.approx(
                 1 / sigma**2, rel=1e-12
@@ -228,14 +256,14 @@ class TestQfiJoint:
 
     def test_phase_space_coherent(self):
         pre = bloch_state(np.pi / 2, 0.0)
-        cfg = CouplingConfig(0.01, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+        cfg = CouplingConfig(0.01, PROJ_ONE)
         nbar = 9.0
         q = qfi_joint(pre, FockMeter.coherent(3.0), cfg)
         assert q == pytest.approx(2 * nbar + nbar**2, rel=1e-7)
 
     def test_eigenstate_drops_variance_term(self):
         pre = SystemState(np.array([1.0, 0.0]))
-        cfg = CouplingConfig(0.1, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(0.1, SIGMA_Z)
         meter = GaussianMeter(1.0)  # <P> = 0
         assert qfi_joint(pre, meter, cfg) == pytest.approx(4 * meter.var_p(), rel=1e-12)
 
@@ -244,13 +272,13 @@ class TestQfiPostselected:
     def test_matches_conditioned_family_oracle(self):
         pre, post = bloch_state(0.7, 0.3), bloch_state(2.2, -0.5)
         sigma, g = 1.0, 0.08
-        cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(g, SIGMA_Z)
         kern = Conditioning.of_meter(pre, post, cfg, GaussianMeter(sigma)).kernels(cfg.g)
         p_f, q_f = kern.p_f(), kern.qfi_conditioned()
         base = to_grid(GaussianMeter(sigma), 18.0, 4096)
 
         def family(gp):
-            joint = evolve_joint(pre, base, CouplingConfig(gp, cfg.generator, cfg.a))
+            joint = evolve_joint(pre, base, CouplingConfig(gp, cfg.a))
             return postselect(joint, post).success_meter
 
         assert q_f == pytest.approx(qfi_pure(family, g), rel=1e-8)
@@ -261,7 +289,7 @@ class TestQfiPostselected:
         g = 0.1 * sigma
         pre = bloch_state(0.9, 0.0)
         post = optimal_postselection(pre, SIGMA_Z)
-        cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(g, SIGMA_Z)
         kern = Conditioning.of_meter(pre, post, cfg, GaussianMeter(sigma)).kernels(cfg.g)
         p_f, q_f = kern.p_f(), kern.qfi_conditioned()
         assert p_f * q_f / qfi_joint(pre, GaussianMeter(sigma), cfg) > 0.99
@@ -276,7 +304,7 @@ class TestQfiPostselected:
         meter = GaussianMeter(sigma)
         for g_over_2s, expect_pass in ((0.05, True), (0.1, False)):
             g = 2 * sigma * g_over_2s
-            cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+            cfg = CouplingConfig(g, SIGMA_Z)
             budget = info_budget(pre, post, cfg, meter)
             ratio = budget.f_p / budget.q_jt
             u = g**2 / (2 * sigma**2)
@@ -287,7 +315,7 @@ class TestQfiPostselected:
         sigma, g = 1.0, 0.2
         pre = bloch_state(np.pi / 2, 0.0)
         post = optimal_postselection(pre, SIGMA_Z)  # orthogonal here
-        cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(g, SIGMA_Z)
         meter = GaussianMeter(sigma)
         kern = Conditioning.of_meter(pre, post, cfg, meter).kernels(cfg.g)
         p_f, q_f = kern.p_f(), kern.qfi_conditioned()
@@ -300,7 +328,7 @@ class TestQfiPostselected:
         # at g = 0 the conditioned-family QFI is 4 Var(P) |<f|A|i>/<f|i>|^2
         pre, post = bloch_state(0.6, 0.0), bloch_state(1.9, 0.0)
         sigma = 1.3
-        cfg = CouplingConfig(0.0, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(0.0, SIGMA_Z)
         from wvlab.qsys import weak_value
 
         w = weak_value(pre, post, SIGMA_Z)
@@ -316,7 +344,7 @@ QUBITS = st.builds(bloch_state, st.floats(0.0, math.pi), st.floats(0.0, 2 * math
 def assert_budget_closes(pre, post, cfg, meter):
     """The two arms' probabilities sum to 1 and the budget closes to 1e-12,
     wherever the success arm is not empty; an empty one is refused."""
-    success, failure = _arms(pre, post, cfg, *_generator_weights(meter, cfg))
+    success, failure = _arms(pre, post, cfg, *_generator_weights(meter))
     assert abs(success.p_f() + failure.p_f() - 1.0) <= 1e-14
     if success.p_f() <= PROBABILITY_FLOOR:
         with pytest.raises(EmptyPostselection):
@@ -337,14 +365,14 @@ class TestBudgetProperty:
     @given(QUBITS, QUBITS, st.floats(-0.7, 0.7), st.floats(-4.0, 0.0))
     def test_gaussian_momentum_kick(self, pre, post, log_sigma, log_g_over_sigma):
         sigma = 10.0**log_sigma
-        cfg = CouplingConfig(sigma * 10.0**log_g_over_sigma, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(sigma * 10.0**log_g_over_sigma, SIGMA_Z)
         assert_budget_closes(pre, post, cfg, GaussianMeter(sigma))
 
     @settings(max_examples=200)
     @example(bloch_state(1.0, 0.0), bloch_state(1.0, 0.0), 0.0, -3.0)
     @given(QUBITS, QUBITS, st.floats(-1.0, 2.0), st.floats(-4.0, 0.0))
     def test_coherent_fock_meter(self, pre, post, log_nbar, log_g):
-        cfg = CouplingConfig(10.0**log_g, Generator.PHOTON_NUMBER_PHASE, SIGMA_Z)
+        cfg = CouplingConfig(10.0**log_g, SIGMA_Z)
         assert_budget_closes(pre, post, cfg, FockMeter.coherent(10.0 ** (log_nbar / 2)))
 
 
@@ -356,7 +384,7 @@ class TestInfoBudget:
             pre = bloch_state(rng.uniform(0.1, 3.0), rng.uniform(0, 2 * np.pi))
             post = bloch_state(rng.uniform(0.1, 3.0), rng.uniform(0, 2 * np.pi))
             g = rng.uniform(0.01, 0.4)
-            cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+            cfg = CouplingConfig(g, SIGMA_Z)
             budget = info_budget(pre, post, cfg, GaussianMeter(sigma))
             assert budget.residual < 1e-9
 
@@ -364,7 +392,7 @@ class TestInfoBudget:
     def test_identity_phase_space(self, nbar):
         pre = bloch_state(np.pi / 2, 0.0)
         post = SystemState(np.array([-np.exp(-0.1j), 1.0]) / math.sqrt(2))
-        cfg = CouplingConfig(1e-3, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+        cfg = CouplingConfig(1e-3, PROJ_ONE)
         budget = info_budget(pre, post, cfg, FockMeter.coherent(math.sqrt(nbar)))
         assert budget.residual < 1e-6
         assert budget.q_jt == pytest.approx(2 * nbar + nbar**2, rel=1e-7)
@@ -374,13 +402,13 @@ class TestInfoBudget:
         # imaginary scheme's p readout each capture the full conditioned QFI,
         # and both maximal values equal Q_WVA ~ Q_jt = 1/sigma^2
         sigma, g = 1.0, 1e-3
-        cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(g, SIGMA_Z)
         base = to_grid(GaussianMeter(sigma), 16.0, 4096)
 
         def readout_fisher(pre, post, momentum):
             def density(gp):
                 joint = evolve_joint(
-                    pre, base, CouplingConfig(gp, cfg.generator, cfg.a)
+                    pre, base, CouplingConfig(gp, cfg.a)
                 )
                 cm = postselect(joint, post).success_meter
                 cm = cm.momentum() if momentum else cm
@@ -388,7 +416,7 @@ class TestInfoBudget:
 
             grid = base.momentum().q_grid if momentum else base.q_grid
             return oracles.classical_fisher(
-                numeric_family("continuous", density, grid=grid), g
+                numeric_family(density, grid=grid), g
             ).fi
 
         pre = bloch_state(0.8, 0.0)
@@ -417,18 +445,18 @@ class TestInfoBudget:
         sigma, g = 1.0, 0.05
         pre = bloch_state(1.1, 0.4)
         post = bloch_state(2.3, -0.2)
-        cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(g, SIGMA_Z)
         q_jt = qfi_joint(pre, GaussianMeter(sigma), cfg)
         base = to_grid(GaussianMeter(sigma), 16.0, 4096)
 
         def density(gp):
-            joint = evolve_joint(pre, base, CouplingConfig(gp, cfg.generator, cfg.a))
+            joint = evolve_joint(pre, base, CouplingConfig(gp, cfg.a))
             ps = postselect(joint, post)
             return ps.p_f * ps.success_meter.density().density + (
                 1 - ps.p_f
             ) * ps.failure_meter.density().density
 
-        fam = numeric_family("continuous", density, grid=base.q_grid)
+        fam = numeric_family(density, grid=base.q_grid)
         assert oracles.classical_fisher(fam, g).fi <= q_jt * (1 + 1e-4)
 
 
@@ -461,7 +489,7 @@ class TestSnr:
             d = d**2
             return d / (np.sum(d) * (grid[1] - grid[0]))
 
-        fam = numeric_family("continuous", density, grid=grid)
+        fam = numeric_family(density, grid=grid)
         g, nu = 0.2, 30
         fi = oracles.classical_fisher(fam, g).fi
         assert snr(fam, g, nu) <= g * math.sqrt(nu * fi) * (1 + 1e-6)

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from oracles import wigner
-from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
+from wvlab.coupling import CouplingConfig, evolve_joint, postselect
 from wvlab.infometrics import Conditioning
 from wvlab.meter import (
     GaussianMeter,
@@ -26,7 +26,7 @@ def conditioned_meter():
     post = bloch_state(-np.pi / 2 + 0.12, 0.35)
     g, sigma = 0.35, 1.0
     base = to_grid(GaussianMeter(sigma), 20.0, 4096)
-    joint = evolve_joint(pre, base, CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z))
+    joint = evolve_joint(pre, base, CouplingConfig(g, SIGMA_Z))
     return postselect(joint, post).success_meter
 
 
@@ -76,16 +76,16 @@ class TestWignerConsistency:
 class TestOptimalReadout:
     @staticmethod
     def _readout_fisher(pre, post, sigma, g, theta):
-        cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(g, SIGMA_Z)
         base = to_grid(GaussianMeter(sigma), 16.0 * max(sigma, 1.0), 4096)
         ref_grid = quadrature_marginal(base, theta).grid
 
         def density(gp: float) -> np.ndarray:
-            joint = evolve_joint(pre, base, CouplingConfig(gp, cfg.generator, cfg.a))
+            joint = evolve_joint(pre, base, CouplingConfig(gp, cfg.a))
             cm = postselect(joint, post).success_meter
             return quadrature_marginal(cm, theta).density
 
-        fam = oracles.numeric_family("continuous", density, grid=ref_grid)
+        fam = oracles.numeric_family(density, grid=ref_grid)
         return oracles.classical_fisher(fam, g).fi
 
     def test_shift_optimal_angle_extracts_qfi_at_matched_width(self):
@@ -98,7 +98,7 @@ class TestOptimalReadout:
         w = weak_value(pre, post, SIGMA_Z)
         assert abs(w.real) > 1 and abs(w.imag) > 1
         theta = optimal_quadrature_angle(w, sigma)
-        cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(g, SIGMA_Z)
         kern = Conditioning.of_meter(pre, post, cfg, GaussianMeter(sigma)).kernels(cfg.g)
         q_f = kern.qfi_conditioned()
         f_theta = self._readout_fisher(pre, post, sigma, g, theta)
@@ -112,7 +112,7 @@ class TestOptimalReadout:
         pre = bloch_state(np.pi / 2, 0.0)
         post = bloch_state(-np.pi / 2 + 0.08, 0.08)
         w = weak_value(pre, post, SIGMA_Z)
-        cfg = CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z)
+        cfg = CouplingConfig(g, SIGMA_Z)
         kern = Conditioning.of_meter(pre, post, cfg, GaussianMeter(sigma)).kernels(cfg.g)
         q_f = kern.qfi_conditioned()
 

@@ -14,6 +14,7 @@ floor of the central difference). The grid chain itself is bound by neither
 finite-difference helper: those live in `tests/oracles.py`.
 """
 
+import dataclasses
 import inspect
 import math
 import pkgutil
@@ -30,8 +31,8 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 import wvlab
-from wvlab import infometrics, schemes
-from wvlab.coupling import CouplingConfig, Generator, evolve_joint, postselect
+from wvlab import estimate, infometrics, schemes
+from wvlab.coupling import CouplingConfig, evolve_joint, postselect
 from wvlab.infometrics import (
     Conditioning,
     ParamDistribution,
@@ -100,7 +101,7 @@ def test_standard_family_matches_grid_chain(spec):
     base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * abs(spec.g), spec.points)
 
     def marginal(g):
-        joint = evolve_joint(pre, base, CouplingConfig(g, Generator.MOMENTUM_KICK, SIGMA_Z))
+        joint = evolve_joint(pre, base, CouplingConfig(g, SIGMA_Z))
         return quadrature_marginal(postselect(joint, post).success_meter, theta)
 
     assert np.array_equal(family.grid, marginal(spec.g).grid)
@@ -149,7 +150,7 @@ def test_budget_sweep_readouts_match_grid_chain(theta):
     family = quadrature_family(pre, post, SIGMA_Z, meter, theta, base.q_grid)
 
     def density(gp):
-        joint = evolve_joint(pre, base, CouplingConfig(gp, Generator.MOMENTUM_KICK, SIGMA_Z))
+        joint = evolve_joint(pre, base, CouplingConfig(gp, SIGMA_Z))
         cm = postselect(joint, post).success_meter
         return (cm.momentum() if theta else cm).density().density
 
@@ -206,10 +207,38 @@ def test_engine_modules_bind_no_grid_chain_name():
         assert not set(MOVED + DELETED) & set(vars(module)), module.__name__
     assert not hasattr(wvlab.meter.GridMeter, "to_csv")
     with pytest.raises(TypeError):
-        ParamDistribution("discrete", lambda g: np.array([1.0]))
+        ParamDistribution(lambda g: np.array([1.0]))
     assert list(inspect.signature(wvlab.noise.saturated_fisher).parameters) == [
         "nbar", "dnbar", "det", "response"
     ]
+
+
+def test_every_input_enters_once():
+    # no argument that another input fixes: the meter fixes the coupling
+    # generator, a grid makes a family a density, the window holds its
+    # family, the sampler its g, and a mirror reflectivity makes the cavity
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert fields(wvlab.CouplingConfig) == ["g", "a"]
+    assert fields(ParamDistribution) == ["evaluator", "grid", "labels", "derivative", "kernels"]
+    assert fields(schemes.RecycleSpec) == ["p_f", "loss", "mirror_r", "n_input"]
+    assert params(estimate.mle_grid) == ["samples", "window"]
+    assert params(estimate.mle_counts) == ["counts", "window"]
+    assert params(estimate.sample) == ["sampler", "nu", "seed", "trial"]
+    # a family with a grid is a density, one without is discrete
+    def zero(g):
+        return np.zeros(4)
+
+    density = ParamDistribution(lambda g: np.ones(4), grid=np.arange(4.0) / 4, derivative=zero)
+    assert density.spacing == 0.25 and not estimate.OutcomeSampler(density, 0.0).discrete
+    discrete = ParamDistribution(lambda g: np.full(4, 0.25), labels=np.arange(4.0), derivative=zero)
+    assert discrete.spacing == 1.0 and estimate.OutcomeSampler(discrete, 0.0).discrete
+    with pytest.raises(ValueError, match="not both"):
+        ParamDistribution(np.ones, grid=np.arange(4.0), labels=np.arange(4.0), derivative=zero)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +263,7 @@ def test_inverse_family_matches_grid_chain(spec):
     imaginary = spec.phi_angle != 0.0
     pre = bloch_state(np.pi / 2, 0.0)
     base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * spec.g, spec.points)
-    joint = evolve_joint(pre, base, CouplingConfig(spec.g, Generator.MOMENTUM_KICK, SIGMA_Z))
+    joint = evolve_joint(pre, base, CouplingConfig(spec.g, SIGMA_Z))
 
     def meters(angle):
         post = spec.post_state(0.0, angle) if imaginary else spec.post_state(angle, 0.0)
@@ -277,7 +306,7 @@ def test_phase_space_scheme_at_finite_coupling():
             spec = PhaseSpaceSpec(g=g, epsilon=0.1, meter=FockMeter.coherent(math.sqrt(nbar)))
             # the report's budget, as an InfoBudget off the same two arms
             pre, post = spec.states()
-            cfg = CouplingConfig(g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+            cfg = CouplingConfig(g, PROJ_ONE)
             budget = info_budget(pre, post, cfg, spec.meter)
             assert phase_space_scheme(spec).extras["budget"] == budget.to_dict()
             assert budget.residual <= 5e-15
@@ -289,7 +318,7 @@ def fock_arms(spec, g):
     """Per-component Fock post-selection: (p_f, unnormalized success and
     failure photon distributions) summed over the coherent components."""
     pre, post = spec.states()
-    cfg = CouplingConfig(g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+    cfg = CouplingConfig(g, PROJ_ONE)
     p_f, success, failure = 0.0, 0.0, 0.0
     for weight, alpha in spec.meter.components:
         ps = postselect(evolve_joint(pre, FockMeter.coherent(alpha, spec.meter.n_max), cfg), post)
@@ -303,7 +332,7 @@ def fock_arms(spec, g):
 def test_phase_space_families_match_fock_postselection(spec):
     res = phase_space_scheme(spec)
     pre, post = spec.states()
-    cfg = CouplingConfig(spec.g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+    cfg = CouplingConfig(spec.g, PROJ_ONE)
     failure = Conditioning.of_meter(pre, post.orthogonal_qubit(), cfg, spec.meter).family()
     assert res.extras["f_photon_failure"] == classical_fisher(failure, spec.g)
 

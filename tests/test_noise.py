@@ -305,7 +305,7 @@ class TestGaussianPixels:
 
         family = _gaussian_pixels(det, 1.0, sigma)
         assert np.max(np.abs(family.probabilities(g) - binned(g))) <= 5e-6
-        oracle = oracles.classical_fisher(oracles.numeric_family("discrete", binned), g)
+        oracle = oracles.classical_fisher(oracles.numeric_family(binned), g)
         assert oracle.method is oracles.FisherMethod.CENTRAL_DIFFERENCE
         assert classical_fisher(family, g) == pytest.approx(oracle.fi, rel=5e-6)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wvlab.coupling import CouplingConfig, Generator, RegimeKind
+from wvlab.coupling import CouplingConfig, RegimeKind
 from wvlab.errors import RegimeViolationWarning, ValidityViolation
 from wvlab.estimate import substream
 from wvlab.infometrics import classical_fisher, info_budget
@@ -343,15 +343,18 @@ class TestRecycle:
         expected = 0.3 / (1 + 0.6 * 0.7 - 2 * math.sqrt(0.7 * 0.6))
         assert g == pytest.approx(expected, rel=1e-12)
         assert g == pytest.approx(2.42, abs=0.01)  # the reported ~2.4 factor
-        res = recycle_scheme(RecycleSpec(p_f=0.03, mode="cavity", mirror_r=0.7, loss=0.4))
+        # a given mirror reflectivity is the cavity; without one, the loop
+        res = recycle_scheme(RecycleSpec(p_f=0.03, mirror_r=0.7, loss=0.4))
+        assert res.extras["cavity_gain"] == g
         assert res.extras["snr_gain"] == pytest.approx(math.sqrt(g), rel=1e-12)
+        assert recycle_scheme(RecycleSpec(p_f=0.03, loss=0.4)).extras["cavity_gain"] is None
 
 
 def phase_space_budget(spec):
     """The budget the phase-space report holds, as an InfoBudget: `info_budget`
     builds the same two arms on the same number distribution."""
     pre, post = spec.states()
-    cfg = CouplingConfig(spec.g, Generator.PHOTON_NUMBER_PHASE, PROJ_ONE)
+    cfg = CouplingConfig(spec.g, PROJ_ONE)
     return info_budget(pre, post, cfg, spec.meter)
 
 
