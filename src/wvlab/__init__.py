@@ -5,11 +5,16 @@ Modules
 qsys         states, observables, the weak value
 meter        Gaussian, grid, and Fock meters; quadrature marginals
 coupling     impulsive system-meter evolution, post-selection, shift formulas
-infometrics  classical/quantum Fisher information and the post-selection budget
+infometrics  Fisher information, the post-selection budget, generator moments
 noise        correlated noise, beam jitter, pixelation, saturating detectors
 schemes      the catalog of complete WVA measurement protocols
 estimate     seeded sampling, AMR/MLE estimators, Cramér-Rao experiments
 cli          scenario-driven command line emitting CSV/JSON artifacts
+
+Every number the CLI writes comes from closed forms, the conditioning
+kernels of `infometrics` and a meter's generator spectrum. The FFT grid
+chain (`to_grid`, `evolve_joint`, `postselect`, `quadrature_marginal`) stays
+exported as the independent oracle of the tests; no command calls it.
 
 scipy is imported inside the functions that use it, so `import wvlab` loads
 numpy alone, and none of the five CLI commands loads scipy on the shipped
@@ -39,7 +44,6 @@ from .meter import (
     FockMeter,
     GaussianMeter,
     GridMeter,
-    fock_moments,
     gaussian_density,
     optimal_quadrature_angle,
     quadrature_marginal,

@@ -141,12 +141,16 @@ def _generator_weights(meter):
 
 
 def generator_moments(meter) -> tuple[float, float]:
-    """(mean, variance) of the coupling generator in the initial meter."""
+    """(mean, variance) of the coupling generator in the initial meter: a
+    Gaussian meter's momentum in closed form, a Fock meter's photon number
+    over its normalized number distribution, the variance summed about the
+    mean so no digits cancel at large n-bar. The one definition of both,
+    for `qfi_joint` and the phase-space scheme."""
     if isinstance(meter, GaussianMeter):
         return meter.mean_p, meter.var_p()
     m, w = _generator_weights(meter)
     mean = float(np.sum(m * w))
-    return mean, float(np.sum(m**2 * w) - mean**2)
+    return mean, float(np.sum((m - mean) ** 2 * w))
 
 
 def qfi_joint(pre: SystemState, meter, cfg: CouplingConfig) -> float:

@@ -9,8 +9,8 @@ Three meter families:
 * `FockMeter` -- truncated photon-number representation: a mixture of
   coherent components.
 
-Plus rotated-quadrature marginals (via the fractional Fourier transform) and
-photon-number moments.
+Plus rotated-quadrature marginals (via the fractional Fourier transform).
+The photon-number moments are `infometrics.generator_moments`.
 """
 
 from __future__ import annotations
@@ -375,20 +375,3 @@ class FockMeter:
 
     def tail_mass(self) -> float:
         return float(abs(1.0 - self._number.sum()))
-
-
-def fock_moments(meter: FockMeter) -> tuple[float, float]:
-    """(mean, variance) of the photon number; exact on the truncated support.
-
-    Raises TruncationTooTight when the truncated tail mass reaches 1e-8
-    (also enforced at construction).
-    """
-    p = meter.number_probabilities()
-    tail = float(abs(1.0 - p.sum()))
-    if tail >= 1e-8:
-        raise TruncationTooTight(f"truncated tail mass {tail:.3e} >= 1e-8")
-    n = np.arange(p.size)
-    mean = float(np.sum(n * p))
-    var = float(np.sum(n**2 * p) - mean**2)
-    return mean, var
-

@@ -230,43 +230,31 @@ class AmrInfo:
     p_f_threshold: float  # dt / tau_c, the boundary the regime choice used
 
 
-def amr_information(
-    model: CorrelatedNoiseModel,
-    scheme: str = "cm",
-    p_f: float | None = None,
-    weak_value: float | None = None,
-) -> AmrInfo:
-    """Closed-form information of the averaging estimator per regime.
+def amr_information(model: CorrelatedNoiseModel, p_f: float | None = None) -> AmrInfo:
+    """Closed-form information of the averaging estimator per regime:
+    conventional measurement without `p_f`, optimal real WVA (weak value
+    w = 1/sqrt(p_f), so p_f w^2 = 1) with it.
 
     CM: N/(a+c) in the white limit (tau <= dt), N/(a+Nc) in the slow limit.
-    WVA (requires the trade-off p_f w^2 = 1): N/(a+c) in the white limit and
-    in the slow limit with p_f below dt/tau (thinning de-correlates);
-    w^2 p_f N / (a + p_f N c) when the kept samples stay correlated.
-    The regime threshold (p_f vs dt/tau) is explicit in the result.
+    WVA: N/(a+c) in the white limit and in the slow limit with p_f below
+    dt/tau (thinning de-correlates); w^2 p_f N / (a + p_f N c) when the kept
+    samples stay correlated. The regime threshold (p_f vs dt/tau) is
+    explicit in the result.
     """
     thr = model.ratio
     white = model.tau_c <= model.dt
-    if scheme == "cm":
+    if p_f is None:
         if white:
             return AmrInfo(model.n / (model.a + model.c), AmrRegime.WHITE, thr)
-        return AmrInfo(
-            model.n / (model.a + model.n * model.c), AmrRegime.SLOW_CM, thr
-        )
-    if scheme != "wva":
-        raise ValueError("scheme must be 'cm' or 'wva'")
-    if p_f is None or weak_value is None:
-        raise ValueError("WVA needs p_f and weak_value")
-    if abs(p_f * weak_value**2 - 1.0) > 1e-6:
-        raise ValueError(
-            "optimal real WVA requires the trade-off p_f <A>_w^2 = 1 "
-            f"(got {p_f * weak_value ** 2!r})"
-        )
+        return AmrInfo(model.n / (model.a + model.n * model.c), AmrRegime.SLOW_CM, thr)
+    if not 0 < p_f <= 1:
+        raise ValueError(f"p_f must lie in (0, 1], got {p_f!r}")
     if white or p_f <= thr:
         regime = AmrRegime.WHITE if white else AmrRegime.SLOW_WVA_UNCORRELATED
         return AmrInfo(model.n / (model.a + model.c), regime, thr)
     kept = p_f * model.n
-    value = weak_value**2 * kept / (model.a + kept * model.c)
-    return AmrInfo(value, AmrRegime.SLOW_WVA_CORRELATED, thr)
+    w = 1.0 / math.sqrt(p_f)
+    return AmrInfo(w**2 * kept / (model.a + kept * model.c), AmrRegime.SLOW_WVA_CORRELATED, thr)
 
 
 # ---------------------------------------------------------------------------

@@ -153,13 +153,3 @@ def optimal_postselection(pre: SystemState, a: Observable) -> SystemState:
     if norm < 1e-12:
         raise NullVector("observable annihilates the pre-selected state")
     return SystemState(vec / norm)
-
-
-def expectation(state: SystemState, a: Observable) -> float:
-    return float(np.real(np.vdot(state.amplitudes, a.matrix @ state.amplitudes)))
-
-
-def variance(state: SystemState, a: Observable) -> float:
-    a2 = a.matrix @ a.matrix
-    m2 = np.real(np.vdot(state.amplitudes, a2 @ state.amplitudes))
-    return float(m2 - expectation(state, a) ** 2)

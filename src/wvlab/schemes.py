@@ -34,19 +34,14 @@ from .infometrics import (
     _generator_weights,
     _selection_fisher,
     classical_fisher,
+    generator_moments,
     qfi_joint,
     quadrature_family,
     readout_axis,
     scaling_bounds,
     selection_angle_family,
 )
-from .meter import (
-    FockMeter,
-    GaussianMeter,
-    SampledDistribution,
-    fock_moments,
-    optimal_quadrature_angle,
-)
+from .meter import FockMeter, GaussianMeter, optimal_quadrature_angle
 from .qsys import (
     PROJ_ONE,
     SIGMA_Z,
@@ -153,21 +148,22 @@ class StandardSpec:
 
 def standard_scheme(spec: StandardSpec) -> SchemeReport:
     """Standard WVA measured along its optimal quadrature (`StandardSpec.readout`,
-    which warns when the AAV margin reaches 1; everything is still exact)."""
+    which warns when the AAV margin reaches 1; everything is still exact). The
+    readout's mean and spread are the family's `mean_std`, as the `amr`
+    calibration reads them."""
     pre, post = spec.states()
     w = weak_value(pre, post, SIGMA_Z)
     cfg = CouplingConfig(spec.g, SIGMA_Z)
     meter = GaussianMeter(spec.sigma)
     family, theta, margin, notes = spec.readout()
-    dist = SampledDistribution(family.grid, family.probabilities(spec.g))
 
     success, failure = _arms(pre, post, cfg, *_generator_weights(meter))
     budget = _arm_budget(qfi_joint(pre, meter, cfg), success, failure)
     p_f = success.p_f()
     fi_cond = classical_fisher(family, spec.g)
-    x0 = SampledDistribution(family.grid, family.probabilities(0.0)).mean()
-    std = math.sqrt(dist.var())
-    snr1 = abs(dist.mean() - x0) / std if std > 0 else 0.0
+    density = family.probabilities(spec.g)
+    mean, std = family.mean_std(spec.g)
+    snr1 = abs(mean - family.mean_std(0.0)[0]) / std if std > 0 else 0.0
 
     return SchemeReport(
         amplification=abs(w),
@@ -185,7 +181,7 @@ def standard_scheme(spec: StandardSpec) -> SchemeReport:
             "fisher_conditioned": fi_cond,
             "theta_opt": theta,
         },
-        table={"x": dist.grid, "density": dist.density},
+        table={"x": family.grid, "density": density},
     )
 
 
@@ -246,9 +242,10 @@ def inverse_scheme(spec: InverseSpec) -> SchemeReport:
     """Dark-port estimation of a small selection angle.
 
     Valid when |<f|i>| << g/sigma << 1; raises ValidityViolation otherwise.
-    Both quadrature means of the bimodal conditioned meter come from the exact
-    Q and P readout densities; the imaginary variant's -phi_I/g shift shows up
-    in the momentum-like quadrature, the Fisher family's readout over the angle.
+    Both quadrature means of the bimodal conditioned meter are the `mean_std`
+    of the exact Q and P readout families; the imaginary variant's -phi_I/g
+    shift shows up in the momentum-like quadrature, the Fisher family's readout
+    over the angle. p_f is read off the kernels that family built.
     """
     imaginary = spec.phi_angle != 0.0
     pre = bloch_state(np.pi / 2, 0.0)
@@ -262,14 +259,11 @@ def inverse_scheme(spec: InverseSpec) -> SchemeReport:
 
     angle0 = spec.phi_angle if imaginary else spec.theta_angle
     q_family, p_family = spec.readouts()
-    q_dist, p_dist = (
-        SampledDistribution(fam.grid, fam.probabilities(angle0)) for fam in (q_family, p_family)
-    )
-    mean_q, mean_p = q_dist.mean(), p_dist.mean()
+    density = q_family.probabilities(angle0)
+    (mean_q, std_q), (mean_p, std_p) = (fam.mean_std(angle0) for fam in (q_family, p_family))
     family = p_family if imaginary else q_family
     fi = classical_fisher(family, angle0)
-    cfg = CouplingConfig(spec.g, SIGMA_Z)
-    p_f = Conditioning.of_meter(pre, post, cfg, GaussianMeter(spec.sigma)).kernels(spec.g).p_f()
+    p_f = family.kernels(angle0).p_f()
 
     if imaginary:
         predicted = -spec.phi_angle / spec.g
@@ -284,8 +278,7 @@ def inverse_scheme(spec: InverseSpec) -> SchemeReport:
         amplification=1.0 / spec.g,
         p_f=p_f,
         fisher=p_f * fi,
-        snr_per_root_nu=abs(mean_p if imaginary else mean_q)
-        / math.sqrt((p_dist if imaginary else q_dist).var()),
+        snr_per_root_nu=abs(mean_p) / std_p if imaginary else abs(mean_q) / std_q,
         regime=classify_regime(spec.g, spec.sigma, w)
         if np.isfinite(abs(w))
         else None,
@@ -299,7 +292,7 @@ def inverse_scheme(spec: InverseSpec) -> SchemeReport:
             "g_over_sigma": g_over_sigma,
             "fisher_conditioned": fi,
         },
-        table={"q": q_dist.grid, "density": q_dist.density},
+        table={"q": q_family.grid, "density": density},
     )
 
 
@@ -736,16 +729,16 @@ def phase_space_scheme(spec: PhaseSpaceSpec) -> SchemeReport:
     pre, post = spec.states()
     cfg = CouplingConfig(spec.g, PROJ_ONE)
     w = weak_value(pre, post, PROJ_ONE)
-    mean0, var0 = fock_moments(spec.meter)
+    mean0, var0 = generator_moments(spec.meter)
 
     # conditioned photon-number statistics of both arms (nothing is silently
     # discarded) and of the selection itself, each Fisher number read off the
     # arms' kernels at g as `classical_fisher` reads it off the arm's family;
     # F_p is the budget's, from the rarer arm
-    success = spec.selection()
-    kern, kern_r = _arms(pre, post, cfg, success.values, success.weights)
+    n, weights = _generator_weights(spec.meter)
+    kern, kern_r = _arms(pre, post, cfg, n, weights)
     f_n, p_f = kern.density(), kern.p_f()
-    mean_f = float(np.sum(success.values * f_n))
+    mean_f = float(np.sum(n * f_n))
 
     f_photon = _fisher(f_n, kern.density_dg())
     f_photon_failure = _fisher(kern_r.density(), kern_r.density_dg())

@@ -7,9 +7,9 @@ derivatives by central differences instead, so they share no derivative
 code with the package and pin it from outside. Likewise the recursions of
 the correlated-noise engine run as numpy doubling scans, and the reference
 here is LAPACK's banded triangular solve. The meter-shift formulas, the
-mixed-state weak values, the Wigner map, pixel binning and the dense GLS
-estimate check the package from outside too; no command calls them. Nothing
-in `src/` imports this module.
+expectation value, the mixed-state weak values, the Wigner map, pixel
+binning and the dense GLS estimate check the package from outside too; no
+command calls them. Nothing in `src/` imports this module.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from wvlab.noise import (
     SaturatingDetector,
     readout_distribution,
 )
-from wvlab.qsys import ORTHOGONALITY_THRESHOLD, DensityState, Observable
+from wvlab.qsys import ORTHOGONALITY_THRESHOLD, DensityState, Observable, SystemState
 
 SLD_EIGENVALUE_CUTOFF = 1e-12
 
@@ -310,7 +310,12 @@ def orthogonal_shifts(a_ow: complex, g: float, sigma: float) -> tuple[float, flo
 
 
 # ---------------------------------------------------------------------------
-# weak values of mixed states
+# expectation values and weak values of mixed states
+
+
+def expectation(state: SystemState, a: Observable) -> float:
+    """<state|A|state>, the weak value of a post-selection on `state` itself."""
+    return float(np.real(np.vdot(state.amplitudes, a.matrix @ state.amplitudes)))
 
 
 def high_order_weak_value(

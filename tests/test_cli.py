@@ -78,32 +78,28 @@ class TestCommands:
         echo = json.loads((out / "config_echo.json").read_text())
         assert echo == SHIFT_CONFIG
 
-    def test_shift_evolves_one_joint_state_per_gamma(self, tmp_path, monkeypatch):
-        import wvlab.cli as cli
+    def test_shift_grid_column_is_the_grid_chain(self, tmp_path):
+        # every row of the shipped scenario: the kernel column against the
+        # closed form and against the FFT grid chain evolve_joint ->
+        # postselect, one joint state per gamma on the same 4096-point grid
         from wvlab.coupling import CouplingConfig, evolve_joint, postselect
         from wvlab.meter import GaussianMeter, to_grid
         from wvlab.qsys import SIGMA_X, SystemState
 
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return evolve_joint(*args)
-
-        monkeypatch.setattr(cli, "evolve_joint", counted)
-        cfg = write_config(tmp_path, SHIFT_CONFIG)
         out = tmp_path / "out"
-        assert main(["shift", "--config", cfg, "--out", str(out)]) == 0
-        assert len(calls) == len(SHIFT_CONFIG["scheme"]["gammas"])
-        # oracle: the joint state evolved again for each (gamma, theta)
+        assert main(["shift", "--config", str(ROOT / "scenarios" / "shift.json"),
+                     "--out", str(out)]) == 0
         table = np.loadtxt(out / "shift.csv", delimiter=",", skiprows=1)
-        for gamma, theta, _, grid_ratio in table[[0, 8, 17]]:
-            pre = SystemState(np.array([0.0, 1.0]))
-            post = SystemState(np.array([np.cos(theta), -np.sin(theta)]))
-            base = to_grid(GaussianMeter(1.0), 16 * 1.0 + 8 * gamma, 4096)
+        assert table.shape == (180, 4)
+        pre = SystemState(np.array([0.0, 1.0]))
+        for gamma in np.unique(table[:, 0]):
+            base = to_grid(GaussianMeter(1.0), 16 + 8 * gamma, 4096)
             joint = evolve_joint(pre, base, CouplingConfig(gamma, SIGMA_X))
-            assert grid_ratio == postselect(joint, post).success_meter.mean_q() / gamma
-
+            for _, theta, closed, kernel in table[table[:, 0] == gamma]:
+                post = SystemState(np.array([np.cos(theta), -np.sin(theta)]))
+                chain = postselect(joint, post).success_meter.mean_q() / gamma
+                assert kernel == pytest.approx(closed, rel=1e-13, abs=0)
+                assert kernel == pytest.approx(chain, rel=1e-12, abs=0)
     def test_budget_end_to_end(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -732,7 +732,8 @@ SPEC_FAMILIES = {
 # and d<f|/dangle), and the success arm; the others: their arms at g alone
 SCHEME_BUILDS = {
     "standard": (StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05), 4),
-    "inverse": (InverseSpec(g=0.1, sigma=1.0, theta_angle=0.01), 5),
+    # the Q and P readouts, <f| and d<f|/dangle each; p_f is read off them
+    "inverse": (InverseSpec(g=0.1, sigma=1.0, theta_angle=0.01), 4),
     "phase_space": (PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(100.0)), 2),
     "entangled": (EntangledSpec(phi=0.01, epsilon=0.05, n=4), 1),
     "biased": (BiasedSpec(tau=1e-4, beta=0.0025, epsilon=0.05, omega0=20.0, delta_omega=2.0), 1),

@@ -10,7 +10,7 @@ per-component Fock post-selection for (mixed) photon-number meters, and a
 matrix exponential of the 4x4 coupling for the entangled scheme. Densities
 agree to 1e-10 and derivatives to 1e-6 of their maxima (above the roundoff
 floor of the central difference). The grid chain itself is bound by neither
-`schemes` nor `infometrics`, and no module of the package binds a
+`schemes`, `infometrics` nor `cli`, and no module of the package binds a
 finite-difference helper: those live in `tests/oracles.py`.
 """
 
@@ -31,7 +31,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 import wvlab
-from wvlab import estimate, infometrics, schemes
+from wvlab import cli, estimate, infometrics, schemes
 from wvlab.coupling import CouplingConfig, evolve_joint, postselect
 from wvlab.infometrics import (
     Conditioning,
@@ -177,9 +177,9 @@ GRID_CHAIN = ("evolve_joint", "postselect", "JointState", "PostSelectedMeter", "
 MOVED = ("aav_shifts", "exact_shifts", "orthogonal_shifts", "trapped_ion_extremal_theta",
          "wigner", "WignerMap", "_upsample_bandlimited", "quadrature_variance",
          "high_order_weak_value", "orthogonal_weak_value", "NotOrthogonal", "pixelate",
-         "ResolutionTooCoarse", "mle_correlated")
+         "ResolutionTooCoarse", "mle_correlated", "expectation")
 DELETED = ("snr", "tmsv_phase_variance", "ZeroVariance", "covariance_to_csv",
-           "load_response_csv", "_write_csv")
+           "load_response_csv", "_write_csv", "fock_moments", "variance")
 STEP_ORACLES = ("CENTRAL_DIFFERENCE", "default_step", "StepTooLarge", "FisherMethod",
                 "FisherReport", "qfi_pure", "qfi_mixed", "_family_vector",
                 "SLD_EIGENVALUE_CUTOFF", "binary_selection_distribution")
@@ -190,8 +190,12 @@ WRAPPERS = ("selection_probability", "qfi_postselected", "phase_space_selection_
 
 
 def test_engine_modules_bind_no_grid_chain_name():
-    for module in (schemes, infometrics):
+    # the shipped commands read the kernels: the sampled-density type stays
+    # with the grid chain too
+    for module in (schemes, infometrics, cli):
         assert not set(GRID_CHAIN) & set(vars(module)), module.__name__
+    for module in (schemes, cli):
+        assert not hasattr(module, "SampledDistribution"), module.__name__
     # the chain stays public: fourier_pair from wvlab.meter, the rest from wvlab
     assert all(hasattr(wvlab, name) for name in GRID_CHAIN if name != "fourier_pair")
     assert hasattr(wvlab.meter, "fourier_pair")
@@ -229,6 +233,8 @@ def test_every_input_enters_once():
     assert params(estimate.mle_grid) == ["samples", "window"]
     assert params(estimate.mle_counts) == ["counts", "window"]
     assert params(estimate.sample) == ["sampler", "nu", "seed", "trial"]
+    # p_f fixes the optimal real weak value; its absence means no WVA
+    assert params(wvlab.noise.amr_information) == ["model", "p_f"]
     # a family with a grid is a density, one without is discrete
     def zero(g):
         return np.zeros(4)

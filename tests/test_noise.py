@@ -87,35 +87,36 @@ class TestCmFisher:
 class TestAmrInformation:
     def test_cm_white(self):
         m = CorrelatedNoiseModel(a=1.0, c=1.0, dt=1.0, tau_c=0.5, n=100)
-        info = amr_information(m, "cm")
+        info = amr_information(m)
         assert info.regime is AmrRegime.WHITE
         assert info.value == pytest.approx(100 / 2.0)
 
     def test_cm_slow_saturates(self):
         for n in (10**3, 10**4, 10**5):
             m = CorrelatedNoiseModel(a=1.0, c=1.0, dt=1.0, tau_c=1e9, n=n)
-            info = amr_information(m, "cm")
+            info = amr_information(m)
             assert info.regime is AmrRegime.SLOW_CM
             assert info.value == pytest.approx(n / (1 + n), rel=1e-12)
         assert info.value == pytest.approx(1.0, rel=1e-4)  # saturation at 1/c
 
     def test_wva_regimes(self):
+        # p_f fixes the optimal weak value w = 1/sqrt(p_f), so w^2 = 100 here
         p_f = 0.01
-        w = 10.0
         slow = CorrelatedNoiseModel(a=1.0, c=1.0, dt=1.0, tau_c=1e4, n=1000)
-        info2 = amr_information(slow, "wva", p_f=p_f, weak_value=w)
+        info2 = amr_information(slow, p_f)
         assert info2.regime is AmrRegime.SLOW_WVA_CORRELATED
         kept = p_f * 1000
-        assert info2.value == pytest.approx(w**2 * kept / (1 + kept))
+        assert info2.value == pytest.approx(100.0 * kept / (1 + kept))
         thin = CorrelatedNoiseModel(a=1.0, c=1.0, dt=1.0, tau_c=200.0, n=1000)
-        info1 = amr_information(thin, "wva", p_f=0.001, weak_value=math.sqrt(1000))
+        info1 = amr_information(thin, 0.001)
         assert info1.regime is AmrRegime.SLOW_WVA_UNCORRELATED
         assert info1.value == pytest.approx(1000 / 2.0)
 
-    def test_tradeoff_enforced(self):
+    @pytest.mark.parametrize("p_f", [0.0, -0.1, 1.5, math.nan])
+    def test_p_f_outside_the_unit_interval_is_refused(self, p_f):
         m = CorrelatedNoiseModel(a=1.0, c=1.0, dt=1.0, tau_c=10.0, n=100)
-        with pytest.raises(ValueError):
-            amr_information(m, "wva", p_f=0.1, weak_value=10.0)
+        with pytest.raises(ValueError, match="p_f"):
+            amr_information(m, p_f)
 
     def test_amr_never_beats_mle(self):
         rng = np.random.default_rng(4)
@@ -127,7 +128,7 @@ class TestAmrInformation:
                 tau_c=rng.uniform(1e-3, 1e5),
                 n=int(rng.integers(2, 300)),
             )
-            info = amr_information(m, "cm")
+            info = amr_information(m)
             assert info.value <= cm_fisher_correlated(m) + 1e-9
 
     def test_amr_crb_ratio_bounded(self):

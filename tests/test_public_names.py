@@ -2,7 +2,7 @@
 a caller.
 
 A public top-level name that nothing in `src/` references outside its own
-definition or assignment, and that `perfbench/` does not name, is dead code:
+definition or assignment, and that no code of `perfbench/` names, is dead code:
 it belongs in `tests/oracles.py` if a test checks other code with it, and
 nowhere otherwise. The allowlist holds the jitter, pixelation and saturating-detector
 functions, which no command writes yet: a `detector` block of the `noise`
@@ -10,7 +10,6 @@ command is planned to ship them.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +22,17 @@ def _referenced(node) -> set[str]:
     attribute; import statements and docstrings do not count."""
     return {n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _named_in_code(tree) -> set[str]:
+    """Names `tree` reads, binds or spells as a string constant of one or more
+    dotted identifiers (`tracer.FUNCTIONS` names the functions it wraps as
+    strings); words of docstrings, comments and messages do not count."""
+    words = {part for n in ast.walk(tree)
+             if isinstance(n, ast.Constant) and isinstance(n.value, str)
+             and all(part.isidentifier() for part in n.value.split("."))
+             for part in n.value.split(".")}
+    return _referenced(tree) | words
 
 
 def _own(top) -> set[str]:
@@ -42,10 +52,9 @@ def unreferenced_public_names() -> set[str]:
             defined += [name for name in own if not name.startswith("_")]
             # a definition's references to its own name are not callers
             used |= _referenced(top) - own
-    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").rglob("*"))
-                      if p.suffix in (".py", ".md"))
-    return {name for name in defined
-            if name not in used and not re.search(rf"\b{re.escape(name)}\b", bench)}
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        used |= _named_in_code(ast.parse(path.read_text(encoding="utf-8")))
+    return {name for name in defined if name not in used}
 
 
 def test_every_public_name_has_a_caller():

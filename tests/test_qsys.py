@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import NotOrthogonal, high_order_weak_value, orthogonal_weak_value
+from oracles import NotOrthogonal, expectation, high_order_weak_value, orthogonal_weak_value
 from wvlab.errors import DegenerateDenominator, NullVector, OrthogonalSelection
 from wvlab.qsys import (
     PROJ_ONE,
@@ -11,7 +11,6 @@ from wvlab.qsys import (
     Observable,
     SystemState,
     bloch_state,
-    expectation,
     optimal_postselection,
     weak_value,
 )
