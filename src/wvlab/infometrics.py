@@ -10,6 +10,9 @@ e^{-i a_k g m}, so p_f, dp_f/dg, the conditioned-state QFI Q_f and the
 selection FI F_p are all plain quadratures -- no weak-coupling approximation
 anywhere: `Conditioning.of_meter(pre, post, cfg, meter).kernels(g)` reads
 them as `.p_f()`, `.dp_dg()`, `.qfi_conditioned()` and `.selection_fisher()`.
+K and J are formed as one readout-length term per eigenvalue of A, summed,
+with no matrix product: no BLAS call, so a build costs the same whatever
+the BLAS threading.
 The meter fixes M: the momentum p of a Gaussian meter, the photon number n
 of a Fock meter.
 The same kernels give every post-selected outcome family its density and its
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -165,32 +168,55 @@ def qfi_joint(pre: SystemState, meter, cfg: CouplingConfig) -> float:
 
 @dataclass(frozen=True)
 class _Kernels:
+    """The kernels of one build. Its readings share |K|^2, |K|^2 w, K* J,
+    <K|J> and p_f, each formed on first use and kept as long as the object."""
+
     weights: np.ndarray  # |phi(m)|^2 weights of the outcome values m
     k: np.ndarray  # K(m) = sum_k u_k exp(-i a_k g m)
     j: np.ndarray  # J(m) = sum_k u_k a_k m exp(-i a_k g m), so dK/dg = -i J
 
+    @cached_property
+    def _k2(self) -> np.ndarray:
+        return np.abs(self.k) ** 2
+
+    @cached_property
+    def _k2w(self) -> np.ndarray:
+        return self._k2 * self.weights
+
+    @cached_property
+    def _kj(self) -> np.ndarray:
+        return np.conj(self.k) * self.j
+
+    @cached_property
+    def _kjw(self) -> complex:
+        """<K|J> of the unnormalized kernels."""
+        return complex(np.sum(self._kj * self.weights))
+
+    @cached_property
+    def _p(self) -> float:
+        return float(np.sum(self._k2w))
+
     def p_f(self) -> float:
-        return float(np.sum(np.abs(self.k) ** 2 * self.weights))
+        return self._p
 
     def dp_dg(self) -> float:
         # p' = 2 Im <K|J> for the unnormalized kernels
-        return 2.0 * float(np.imag(np.sum(np.conj(self.k) * self.j * self.weights)))
+        return 2.0 * self._kjw.imag
 
     def density(self) -> np.ndarray:
         """Conditioned outcome probabilities |K|^2 w / p_f over the values."""
-        return np.abs(self.k) ** 2 * self.weights / self.p_f()
+        return self._k2w / self._p
 
     def density_dg(self) -> np.ndarray:
         """g-derivative of `density`: [2 Im(K* J) w - |K|^2 w p_f'/p_f] / p_f."""
-        p = self.p_f()
-        k2 = np.abs(self.k) ** 2
-        return (2.0 * np.imag(np.conj(self.k) * self.j) - k2 * self.dp_dg() / p) * self.weights / p
+        p = self._p
+        return (2.0 * self._kj.imag - self._k2 * self.dp_dg() / p) * self.weights / p
 
     def selection_fisher(self) -> float:
         """F_p = p'^2 / (p (1 - p)), the FI of the selection statistics, from
         this arm's p. It keeps a finite limit as p -> 0, so only p = 0 or 1
         give 0."""
-        p, dp = self.p_f(), self.dp_dg()
+        p, dp = self._p, self.dp_dg()
         if not 0.0 < p < 1.0:
             return 0.0
         return dp**2 / (p * (1.0 - p))
@@ -198,17 +224,17 @@ class _Kernels:
     def phase(self) -> float:
         """beta = Im<phi|d_g phi> of the normalized conditioned meter, which
         for dK/dg = -i J is -Re<K|J> / p_f."""
-        return -float(np.real(np.sum(np.conj(self.k) * self.j * self.weights))) / self.p_f()
+        return -self._kjw.real / self._p
 
     def qfi_conditioned(self) -> float:
         """Q_f = 4 [<J|J>/p_f - |<J|K>|^2/p_f^2], the QFI of the normalized
-        conditioned meter (the p_f variation cancels exactly)."""
-        p = self.p_f()
+        conditioned meter (the p_f variation cancels exactly); |<J|K>| =
+        |<K|J>|."""
+        p = self._p
         if p <= PROBABILITY_FLOOR:
             raise EmptyPostselection(f"p_f = {p:.3e}")
         jj = float(np.sum(np.abs(self.j) ** 2 * self.weights))
-        jk = complex(np.sum(np.conj(self.j) * self.k * self.weights))
-        return 4.0 * (jj / p - abs(jk) ** 2 / p**2)
+        return 4.0 * (jj / p - abs(self._kjw) ** 2 / p**2)
 
 
 @dataclass(frozen=True)
@@ -251,18 +277,28 @@ class Conditioning:
         return cls.of(pre, post, cfg.a, *_generator_weights(meter))
 
     def kernels(self, g: float) -> _Kernels:
-        if self.position is None:
-            phases = np.exp(-1j * np.outer(self.a, self.values) * g)
-            k = self.u @ phases
-            j = (self.u * self.a) @ (phases * self.values[None, :])
-        else:
-            meter = self.position
-            x = self.values[None, :] - g * self.a[:, None]
-            psi = meter.amplitudes(x)
-            dpsi = ((x - meter.mean_q) / (2 * meter.sigma**2) - 1j * meter.mean_p) * psi
-            k = self.u @ psi
-            j = 1j * ((self.u * self.a) @ dpsi)
-        return _Kernels(self.weights, k, j)
+        """K and J at g as sums over the eigenvalues a_k of A, one readout-
+        length term per eigenvalue: no matrix product, so no BLAS call. On the
+        spectrum the terms are u_k b_k and u_k a_k b_k with b_k = exp(-i a_k m
+        g), and J is m times the sum of the second. On the position axis they
+        are u_k psi_k and i u_k a_k dpsi_k, with psi_k = psi(q - a_k g) and
+        dpsi_k = -psi'(q - a_k g)."""
+        meter, k, j = self.position, None, None
+        for u, a in zip(self.u, self.a):
+            if meter is None:
+                b = np.exp(-1j * (a * self.values) * g)
+                k_term, j_term = u * b, (u * a) * b
+            else:
+                x = self.values - g * a
+                psi = meter.amplitudes(x)
+                dpsi = ((x - meter.mean_q) / (2 * meter.sigma**2) - 1j * meter.mean_p) * psi
+                k_term, j_term = u * psi, (1j * (u * a)) * dpsi
+            if k is None:
+                k, j = k_term, j_term
+            else:
+                k += k_term
+                j += j_term
+        return _Kernels(self.weights, k, j if meter is not None else self.values * j)
 
     def family(self, grid: np.ndarray | None = None) -> ParamDistribution:
         """Outcome family g -> conditioned distribution over `values`, with

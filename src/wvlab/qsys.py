@@ -8,6 +8,7 @@ operations here are pure functions safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,8 +110,18 @@ class Observable:
         return self.matrix.shape[0]
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvector columns."""
-        return np.linalg.eigh(self.matrix)
+        """Eigenvalues (ascending) and eigenvector columns, read-only."""
+        return self._eig
+
+    @cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        # once per observable, on first use: an import that makes the module's
+        # constants would otherwise load LAPACK (about 1 MB resident) even in
+        # a process that never decomposes them
+        eig = tuple(np.linalg.eigh(self.matrix))
+        for part in eig:
+            part.setflags(write=False)
+        return eig
 
 
 # Pauli operators and |1><1|, used throughout the scheme catalog.

@@ -8,8 +8,9 @@ code with the package and pin it from outside. Likewise the recursions of
 the correlated-noise engine run as numpy doubling scans, and the reference
 here is LAPACK's banded triangular solve. The meter-shift formulas, the
 expectation value, the mixed-state weak values, the Wigner map, pixel
-binning and the dense GLS estimate check the package from outside too; no
-command calls them. Nothing in `src/` imports this module.
+binning, the dense GLS estimate and the matrix-product kernels check the
+package from outside too; no command calls them. Nothing in `src/` imports
+this module.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from wvlab.errors import DegenerateDenominator, OrthogonalSelection, WvlabError
 from wvlab.estimate import mle_weights
-from wvlab.infometrics import PROBABILITY_FLOOR, ParamDistribution
+from wvlab.infometrics import PROBABILITY_FLOOR, Conditioning, ParamDistribution
 from wvlab.meter import FockState, GridMeter, SampledDistribution
 from wvlab.noise import (
     DiscreteDistribution,
@@ -171,6 +172,20 @@ def qfi_mixed(family: Callable[[float], np.ndarray], g: float, h: float = 1e-6) 
     sld[ok] = 2.0 * d_eig[ok] / denom[ok]
     rho_eig = np.diag(lam.astype(complex))
     return float(np.real(np.trace(sld @ rho_eig @ sld)))
+
+
+def kernels_by_matmul(cond: Conditioning, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """(K, J) of `cond` at g as (d,) @ (d, N) matrix products over a (d, N)
+    array of per-eigenvalue terms: the reference for the per-eigenvalue sums
+    of `Conditioning.kernels`."""
+    if cond.position is None:
+        phases = np.exp(-1j * np.outer(cond.a, cond.values) * g)
+        return cond.u @ phases, (cond.u * cond.a) @ (phases * cond.values[None, :])
+    meter = cond.position
+    x = cond.values[None, :] - g * cond.a[:, None]
+    psi = meter.amplitudes(x)
+    dpsi = ((x - meter.mean_q) / (2 * meter.sigma**2) - 1j * meter.mean_p) * psi
+    return cond.u @ psi, 1j * ((cond.u * cond.a) @ dpsi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from oracles import FisherMethod, numeric_family, qfi_mixed, qfi_pure
+from wvlab import infometrics
 from wvlab.coupling import CouplingConfig, evolve_joint, postselect
 from wvlab.errors import EmptyPostselection, IncompatibleMeter
 from wvlab.infometrics import (
@@ -20,12 +23,14 @@ from wvlab.infometrics import (
     generator_moments,
     info_budget,
     qfi_joint,
+    readout_axis,
     scaling_bounds,
 )
 from wvlab.meter import FockMeter, GaussianMeter, SampledDistribution, to_grid
 from wvlab.qsys import (
     PROJ_ONE,
     SIGMA_Z,
+    Observable,
     SystemState,
     bloch_state,
     optimal_postselection,
@@ -144,6 +149,130 @@ def test_kernel_family_memo_is_bitwise_neutral(kind, monkeypatch):
     # the mean and spread read the same probabilities, so they build nothing
     family.mean_std(0.02)
     assert built == [0.01, 0.02, 0.01, 0.02]
+
+
+@st.composite
+def _conditionings(draw):
+    """(Conditioning, g) over random complex u, real a and g, on a Fock
+    or momentum spectrum or on the position axis of a Gaussian meter,
+    with and without a mean momentum."""
+    d = draw(st.integers(2, 4))
+    unit = st.floats(-1.0, 1.0)
+    u = np.array([complex(draw(unit), draw(unit)) for _ in range(d)])
+    a = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(d)])
+    g = draw(st.floats(-2.0, 2.0))
+    kind = draw(st.sampled_from(["fock", "momentum", "position", "position_mean_p"]))
+    position = None
+    if kind == "fock":
+        values = np.arange(draw(st.integers(1, 20000)), dtype=float)
+    elif kind == "momentum":
+        s, mean = draw(st.floats(0.1, 5.0)), draw(st.floats(-2.0, 2.0))
+        values = np.linspace(mean - 8 * s, mean + 8 * s, 4096, endpoint=False)
+    else:
+        sigma = draw(st.floats(0.1, 5.0))
+        mean_p = draw(st.floats(-2.0, 2.0)) if kind == "position_mean_p" else 0.0
+        position = GaussianMeter(sigma, draw(st.floats(-1.0, 1.0)), mean_p)
+        values = readout_axis(sigma, g, 1024)
+    return Conditioning(u, a, values, np.ones(values.size), position), g
+
+
+class TestKernelSums:
+    """K and J are sums over A's eigenvalues, with no matrix product on a
+    readout-length axis; each reading of one build shares its arrays."""
+
+    MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot", "outer"}
+
+    @staticmethod
+    def _kernel_code():
+        """The AST of `Conditioning.kernels` and of every method of
+        `_Kernels`."""
+        tree = ast.parse(Path(infometrics.__file__).read_text(encoding="utf-8"))
+        classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+        methods = [m for m in classes["Conditioning"].body
+                   if isinstance(m, ast.FunctionDef) and m.name == "kernels"]
+        methods += [m for m in classes["_Kernels"].body if isinstance(m, ast.FunctionDef)]
+        return methods
+
+    def test_no_matrix_product_in_the_engine(self):
+        methods = self._kernel_code()
+        assert {"kernels", "_kj", "_kjw", "density", "density_dg",
+                "qfi_conditioned"} <= {m.name for m in methods}
+        for method in methods:
+            for node in ast.walk(method):
+                assert not isinstance(node, (ast.BinOp, ast.AugAssign)) or not isinstance(
+                    node.op, ast.MatMult), f"`@` in {method.name}"
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    assert name not in self.MATRIX_PRODUCTS, f"{name} in {method.name}"
+
+    @settings(max_examples=200)
+    @given(case=_conditionings())
+    def test_sums_match_the_matrix_products(self, case):
+        # |dK| <= 4 eps sum_k |u_k| |b_k| element by element, and the same for
+        # J with its terms u_k a_k m b_k (spectrum) or i u_k a_k dpsi_k. The
+        # floor `tiny` covers terms that round in the subnormal range, where
+        # the relative bound underflows to 0
+        cond, g = case
+        kern = cond.kernels(g)
+        k_ref, j_ref = oracles.kernels_by_matmul(cond, g)
+        if cond.position is None:
+            b, db = np.ones((cond.a.size, cond.values.size)), np.abs(cond.values)[None, :]
+        else:
+            meter = cond.position
+            x = cond.values[None, :] - g * cond.a[:, None]
+            b = np.abs(meter.amplitudes(x))
+            db = np.abs((x - meter.mean_q) / (2 * meter.sigma**2) - 1j * meter.mean_p)
+        eps = np.finfo(float).eps
+        tiny = np.finfo(float).tiny
+        bound_k = 4 * eps * np.sum(np.abs(cond.u)[:, None] * b, axis=0) + tiny
+        bound_j = 4 * eps * np.sum(np.abs(cond.u * cond.a)[:, None] * b * db, axis=0) + tiny
+        assert kern.k.dtype == kern.j.dtype == complex
+        assert np.all(np.abs(kern.k - k_ref) <= bound_k)
+        assert np.all(np.abs(kern.j - j_ref) <= bound_j)
+
+    @pytest.mark.parametrize("readout", ["position", "spectrum"])
+    def test_readings_are_each_formed_once_bitwise(self, readout):
+        # each reading equals its own formula over K, J and w, formed anew
+        pre = bloch_state(1.2, 0.4)
+        post = optimal_postselection(pre, SIGMA_Z)
+        if readout == "position":
+            q = readout_axis(1.0, 0.3, 512)
+            cond = Conditioning.of(pre, post, SIGMA_Z, q, np.full(q.size, q[1] - q[0]),
+                                   GaussianMeter(1.0, 0.1, 0.2))
+        else:
+            cond = Conditioning.of_meter(pre, post, CouplingConfig(0.0, SIGMA_Z),
+                                         FockMeter.coherent(3.0))
+        kern = cond.kernels(0.3)
+        k, j, w = kern.k, kern.j, kern.weights
+        p = float(np.sum(np.abs(k) ** 2 * w))
+        dp = 2.0 * float(np.imag(np.sum(np.conj(k) * j * w)))
+        jk = complex(np.sum(np.conj(j) * k * w))
+        qfi = 4.0 * (float(np.sum(np.abs(j) ** 2 * w)) / p - abs(jk) ** 2 / p**2)
+        assert (kern.p_f(), kern.dp_dg()) == (p, dp)
+        assert kern.phase() == -float(np.real(np.sum(np.conj(k) * j * w))) / p
+        assert kern.qfi_conditioned() == qfi
+        assert kern.selection_fisher() == dp**2 / (p * (1.0 - p))
+        assert kern.density().tobytes() == (np.abs(k) ** 2 * w / p).tobytes()
+        dg = (2.0 * np.imag(np.conj(k) * j) - np.abs(k) ** 2 * dp / p) * w / p
+        assert kern.density_dg().tobytes() == dg.tobytes()
+
+    def test_observable_is_decomposed_once(self, monkeypatch):
+        # on first use, not at construction, and never again
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        a = Observable(np.array([[0.3, 1 - 2j], [1 + 2j, -0.7]]))
+        assert calls == []
+        pre = bloch_state(1.2, 0.4)
+        cfg = CouplingConfig(0.0, a)
+        for g in (0.01, 0.02):
+            Conditioning.of_meter(pre, optimal_postselection(pre, a), cfg,
+                                  FockMeter.coherent(2.0)).family().probabilities(g)
+        assert len(calls) == 1
+        values, vectors = a.eig()
+        assert not values.flags.writeable and not vectors.flags.writeable
+        assert np.array_equal(values, eigh(a.matrix)[0])
 
 
 class TestGenerator:

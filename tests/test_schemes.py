@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from wvlab.coupling import CouplingConfig, RegimeKind
 from wvlab.errors import RegimeViolationWarning, ValidityViolation
 from wvlab.estimate import substream
-from wvlab.infometrics import classical_fisher, info_budget
+from wvlab.infometrics import _generator_weights, classical_fisher, info_budget
 from wvlab.meter import FockMeter, SampledDistribution
 from wvlab.qsys import PROJ_ONE
 from wvlab.schemes import (
@@ -410,6 +410,22 @@ class TestPhaseSpace:
         res = phase_space_scheme(spec)
         predicted = res.extras["predicted_mean_shift"]
         assert res.extras["mean_shift"] == pytest.approx(predicted, rel=0.02)
+
+    @pytest.mark.parametrize("nbar", [100.0, 1e4])
+    def test_mean_shift_is_one_sum_over_the_spectrum(self, nbar):
+        # the shift is about 2 g Im(w) Var(n), far below n-bar, so it must not
+        # be the difference of two means of about n-bar. Reference: the
+        # 50-digit sum of n (f_n - w_n) over the same float weights
+        mp = pytest.importorskip("mpmath")
+        spec = PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(math.sqrt(nbar)))
+        res = phase_space_scheme(spec)
+        n, w = _generator_weights(spec.meter)
+        with mp.workdps(50):
+            shift = mp.fsum(mp.mpf(int(k)) * (mp.mpf(f) - mp.mpf(x))
+                            for k, f, x in zip(n, res.table["probability"], w))
+            snr = abs(shift) / mp.sqrt(mp.mpf(res.extras["meter_var_n"]))
+            assert abs(res.extras["mean_shift"] - shift) <= 1e-13 * abs(shift)
+            assert abs(res.snr_per_root_nu - snr) <= 1e-13 * snr
 
     @pytest.mark.parametrize("nbar", [25.0, 200.0])
     def test_budget_identity_pure_coherent(self, nbar):
