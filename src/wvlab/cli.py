@@ -1,13 +1,15 @@
 """Command-line front end: scenario configs in, tables and JSON reports out.
 
-Subcommands: shift | budget | noise | scheme | estimate. Every run writes its
-outputs plus a manifest.json carrying the seed, the echoed config, and a
-sha256 per emitted file so results are auditable. Exit status is 0 only when
-all internal checks of the requested command pass; config problems exit 2 and
-failed checks exit 1, both with a machine-readable JSON error on stderr.
-Every number written comes from closed forms, the conditioning kernels of
-`infometrics` and the meter's generator spectrum; no command runs the FFT
-grid chain, which the tests keep as their oracle.
+Subcommands: shift | budget | noise | scheme | estimate; `COMMANDS` says what
+each reads, and the whole input is checked against it before `--out` is
+made. Every run writes its outputs plus a manifest.json carrying the seed,
+the echoed config, and a sha256 per emitted file so results are auditable.
+Exit status is 0 only when all internal checks of the requested command
+pass; bad input exits 2 and failed checks exit 1, both with a
+machine-readable JSON error on stderr. Every number written comes from
+closed forms, the conditioning kernels of `infometrics` and the meter's
+generator spectrum; no command runs the FFT grid chain, which the tests keep
+as their oracle.
 """
 
 from __future__ import annotations
@@ -53,18 +55,13 @@ class Linspace:
 
 @dataclass(frozen=True)
 class TrappedIon:
-    """`shift`: <Q>_f / (gamma0 t) over theta for each coupling Gamma, with
-    `grid_check` also read off the conditioning kernels. gamma0_t cancels
-    out of every column, beyond roundoff."""
+    """`shift`: <Q>_f / (gamma0 t) over theta for each coupling Gamma, from
+    the closed form and from the conditioning kernels."""
 
     gammas: list[float]
-    gamma0_t: float
     theta: Linspace
-    grid_check: bool = False
 
     def __post_init__(self):
-        if self.gamma0_t == 0:
-            raise ValueError("gamma0_t must be nonzero")
         if not self.gammas:
             raise ValueError("gammas must hold at least one value")
         if any(gamma <= 0 for gamma in self.gammas):
@@ -78,7 +75,6 @@ class BudgetSweep:
     g_over_2sigma: float
     sigma: float
     theta: Linspace = Linspace(0.05, 1.52, 40)
-    pf_sweep: bool = False
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -133,9 +129,6 @@ VARIANTS = {
 CATALOG = tuple(cls for cls in VARIANTS.values() if hasattr(cls, "run"))
 # sweepable spec -> (swept key, report key)
 SWEEPS = {schemes.PhaseSpaceSpec: ("nbar", "f_p"), schemes.EntangledSpec: ("n", "q_jt")}
-# the blocks each command reads
-BLOCKS = {"shift": ("scheme",), "budget": ("scheme",), "noise": ("scheme", "noise"),
-          "scheme": ("scheme", "sweep"), "estimate": ("scheme", "noise", "experiment", "output")}
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
@@ -190,12 +183,11 @@ def _typed(value, hint, where: str):
 
 
 def _phase_space(block: dict) -> schemes.PhaseSpaceSpec:
-    """The meter comes from one of alpha, nbar (n-bar = 1 if none is given)
-    or mixture, a list of [probability, alpha] pairs."""
-    meter_keys = [k for k in ("alpha", "nbar", "mixture") if k in block]
-    if len(meter_keys) > 1:
-        raise ConfigError(f"phase_space takes one of alpha, nbar, mixture; got {meter_keys}")
-    key = meter_keys[0] if meter_keys else "nbar"
+    """The meter is a coherent state of mean photon number nbar (1 if
+    neither is given) or mixture, a list of [probability, alpha] pairs."""
+    if "nbar" in block and "mixture" in block:
+        raise ConfigError("phase_space takes one of nbar, mixture")
+    key = "mixture" if "mixture" in block else "nbar"
     hint = list[list[float]] if key == "mixture" else float
     value = _typed(block.get(key, 1.0), hint, f"scheme.{key}")
     try:
@@ -204,10 +196,10 @@ def _phase_space(block: dict) -> schemes.PhaseSpaceSpec:
                 raise ValueError("expected [probability, alpha] pairs")
             meter = FockMeter.mixture([tuple(pair) for pair in value])
         else:
-            meter = FockMeter.coherent(value if key == "alpha" else math.sqrt(value))
+            meter = FockMeter.coherent(math.sqrt(value))
     except ValueError as exc:
         raise ConfigError(f"'scheme.{key}': {exc}") from exc
-    rest = {k: v for k, v in block.items() if k not in meter_keys}
+    rest = {k: v for k, v in block.items() if k != key}
     return build(schemes.PhaseSpaceSpec, rest, "scheme", meter=meter)
 
 
@@ -238,16 +230,22 @@ class ScenarioConfig:
     sweep: list | None = None  # (value, spec) per swept value
 
     @classmethod
-    def parse(cls, raw, command: str | None = None) -> "ScenarioConfig":
-        """With a command, only the blocks that command reads are allowed."""
+    def parse(cls, raw, command: str) -> "ScenarioConfig":
+        """The config of `command`: the blocks, and the scheme variants, that
+        `COMMANDS[command]` lists, and no others."""
         if not isinstance(raw, dict):
             raise ConfigError("top-level config must be a JSON object")
-        unknown = sorted(set(raw) - set(BLOCKS.get(command) or set().union(*BLOCKS.values())))
+        reads = COMMANDS[command]
+        unknown = sorted(set(raw) - set(reads.needs) - set(reads.may))
         if unknown:
-            raise ConfigError(f"unknown top-level keys for {command or 'any command'}: {unknown}")
-        if "scheme" not in raw:
-            raise ConfigError("config needs a 'scheme' block")
+            raise ConfigError(f"unknown top-level keys for {command}: {unknown}")
+        missing = [block for block in reads.needs if block not in raw]
+        if missing:
+            raise ConfigError(f"{command} needs the blocks {missing}")
         cfg = cls(raw, build_scheme(raw["scheme"]))
+        if not isinstance(cfg.scheme, reads.variants):
+            names = " or ".join(repr(v) for v, c in VARIANTS.items() if c in reads.variants)
+            raise ConfigError(f"{command} expects scheme variant {names}")
         if "noise" in raw:
             cfg.noise = build(CorrelatedNoiseModel, raw["noise"], "noise")
         if "experiment" in raw:
@@ -259,15 +257,12 @@ class ScenarioConfig:
             sweep = build(Sweep, raw["sweep"], "sweep")
             if sweep.parameter != SWEEPS.get(type(cfg.scheme), (None,))[0]:
                 raise ConfigError(f"this variant has no sweep over {sweep.parameter!r}")
-            base = {k: v for k, v in raw["scheme"].items() if k != "alpha"}
-            cfg.sweep = [(v, build_scheme({**base, sweep.parameter: v})) for v in sweep.values]
+            cfg.sweep = [(v, build_scheme({**raw["scheme"], sweep.parameter: v}))
+                         for v in sweep.values]
         return cfg
 
-    def to_dict(self) -> dict:
-        return self.raw
 
-
-def load_config(path: str, command: str | None = None) -> ScenarioConfig:
+def load_config(path: str, command: str) -> ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -296,14 +291,11 @@ def _json_values(node):
 
 
 class RunWriter:
-    def __init__(self, out_dir: Path, command: str, seed: int | None,
-                 config: ScenarioConfig, fmt: str = "csv"):
+    def __init__(self, out_dir: Path, command: str, config: ScenarioConfig):
         self.dir = out_dir
         self.dir.mkdir(parents=True, exist_ok=True)
         self.command = command
-        self.seed = seed
         self.config = config
-        self.fmt = fmt
         self.files: dict[str, str] = {}
 
     def _write(self, name: str, text: str) -> Path:
@@ -313,10 +305,6 @@ class RunWriter:
         return path
 
     def write_table(self, name: str, header: list[str], rows) -> Path:
-        if self.fmt == "json":
-            rows = [[x if isinstance(x, str) else float(x) for x in row] for row in rows]
-            payload = {"columns": list(header), "rows": rows}
-            return self.write_json(Path(name).with_suffix(".json").name, payload)
         lines = [",".join(header)] + [
             ",".join(x if isinstance(x, str) else format(float(x), ".17g") for x in row)
             for row in rows
@@ -328,8 +316,10 @@ class RunWriter:
         return self._write(name, json.dumps(_json_values(payload), indent=2, allow_nan=False))
 
     def finish(self) -> Path:
-        self.write_json("config_echo.json", self.config.to_dict())
-        manifest = {"command": self.command, "seed": self.seed, "files": self.files}
+        self.write_json("config_echo.json", self.config.raw)
+        plan = self.config.experiment  # the seed the run drew from, if any
+        seed = None if plan is None else plan.seed
+        manifest = {"command": self.command, "seed": seed, "files": self.files}
         path = self.dir / "manifest.json"
         path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
         return path
@@ -339,47 +329,37 @@ class RunWriter:
 # commands
 
 
-def _expect(cfg: ScenarioConfig, command: str, *classes):
-    if not isinstance(cfg.scheme, classes):
-        names = " or ".join(repr(v) for v, cls in VARIANTS.items() if cls in classes)
-        raise ConfigError(f"{command} expects scheme variant {names}")
-    return cfg.scheme
-
-
 def cmd_shift(cfg: ScenarioConfig, writer: RunWriter) -> int:
-    """<Q>_f / (gamma0 t) from the closed form and, with `grid_check`, the
-    post-selected meter mean over gamma from the conditioning kernels: |1>
-    and a unit-width Gaussian meter after exp(-i gamma sigma_x p), selected
-    on (cos theta, -sin theta) and read out in position on `readout_axis`,
-    the 4096-point grid the FFT chain of the tests samples. A deviation of
-    more than 1 % from the closed form fails the command."""
-    spec = _expect(cfg, "shift", TrappedIon)
-    g0t, grid_check = spec.gamma0_t, spec.grid_check
+    """<Q>_f / (gamma0 t) from the closed form, and the post-selected meter
+    mean over gamma from the conditioning kernels: |1> and a unit-width
+    Gaussian meter after exp(-i gamma sigma_x p), selected on
+    (cos theta, -sin theta) and read out in position on `readout_axis`, the
+    4096-point grid the FFT chain of the tests samples. A deviation of more
+    than 1 % from the closed form fails the command."""
+    spec = cfg.scheme
     pre, meter = SystemState(np.array([0.0, 1.0])), GaussianMeter(1.0)
     rows, worst = [], 0.0
     for gamma in spec.gammas:
         q_grid = readout_axis(1.0, gamma, 4096)
         for th in spec.theta.values():
-            ratio = trapped_ion_shift(gamma, th, g0t) / g0t
-            row = [gamma, th, ratio]
-            if grid_check:
-                post = SystemState(np.array([math.cos(th), -math.sin(th)]))
-                family = quadrature_family(pre, post, SIGMA_X, meter, 0.0, q_grid)
-                grid_ratio = family.mean_std(gamma)[0] / gamma
-                worst = max(worst, abs(grid_ratio - ratio) / max(abs(ratio), 1e-12))
-                row.append(grid_ratio)
-            rows.append(row)
-    header = ["gamma", "theta", "shift_over_g"]
-    if grid_check:
-        header.append("shift_over_g_grid")
+            ratio = trapped_ion_shift(gamma, th, 1.0)
+            post = SystemState(np.array([math.cos(th), -math.sin(th)]))
+            family = quadrature_family(pre, post, SIGMA_X, meter, 0.0, q_grid)
+            grid_ratio = family.mean_std(gamma)[0] / gamma
+            worst = max(worst, abs(grid_ratio - ratio) / max(abs(ratio), 1e-12))
+            rows.append([gamma, th, ratio, grid_ratio])
+    header = ["gamma", "theta", "shift_over_g", "shift_over_g_grid"]
     writer.write_table("shift.csv", header, rows)
-    if grid_check and worst > 0.01:
+    if worst > 0.01:
         raise WvlabError(f"grid check deviates by {worst:.3%} (> 1%)")
     return 0
 
 
 def cmd_budget(cfg: ScenarioConfig, writer: RunWriter) -> int:
-    spec = _expect(cfg, "budget", BudgetSweep)
+    """The information budget over theta_i, then the classical readout FI of
+    real (Q readout) vs imaginary (P readout) WVA against the post-selection
+    probability, Fig.-5(c,d) style."""
+    spec = cfg.scheme
     sigma = spec.sigma
     g = 2 * sigma * spec.g_over_2sigma
     meter = GaussianMeter(sigma)
@@ -395,15 +375,7 @@ def cmd_budget(cfg: ScenarioConfig, writer: RunWriter) -> int:
         rows.append([th, q] + [x / q for x in parts])
     header = ["theta_i", "q_jt", "q_wva_ratio", "pr_qr_ratio", "f_p_ratio", "sum_ratio"]
     writer.write_table("budget.csv", header, rows)
-    if spec.pf_sweep:
-        _budget_pf_sweep(sigma, g, writer)
-    return 0
 
-
-def _budget_pf_sweep(sigma: float, g: float, writer: RunWriter) -> None:
-    """Classical readout FI of real (Q readout) vs imaginary (P readout) WVA
-    against the post-selection probability, Fig.-5(c,d) style."""
-    meter = GaussianMeter(sigma)
     q_grid = readout_axis(sigma, g, 4096)
 
     def readout_fisher(pre, post, theta: float) -> tuple[float, float]:
@@ -424,6 +396,7 @@ def _budget_pf_sweep(sigma: float, g: float, writer: RunWriter) -> None:
         rows.append([delta, p_re, p_re * f_re, p_im, p_im * f_im])
     header = ["delta", "p_f_real", "fi_real", "p_f_imag", "fi_imag"]
     writer.write_table("budget_pf_sweep.csv", header, rows)
+    return 0
 
 
 def cmd_noise(cfg: ScenarioConfig, writer: RunWriter) -> int:
@@ -435,10 +408,7 @@ def cmd_noise(cfg: ScenarioConfig, writer: RunWriter) -> int:
     (exchangeable, so uniform GLS weights). The slow regimes lie between the
     two, so their F rows print NaN in the analytic column.
     """
-    p_f = float(_expect(cfg, "noise", NoiseTable).wva_p_f)
-    if cfg.noise is None:
-        raise ConfigError("noise command needs a 'noise' block")
-    base = cfg.noise
+    p_f, base = float(cfg.scheme.wva_p_f), cfg.noise
 
     # slow_1: post-selection thins the kept samples below the correlation
     # time (p_f < dt/tau); slow_2: they stay correlated (p_f > dt/tau)
@@ -469,7 +439,7 @@ def _noise_rows(name: str, model: CorrelatedNoiseModel, p_f: float, at_limit: bo
 
 
 def cmd_scheme(cfg: ScenarioConfig, writer: RunWriter) -> int:
-    report = _expect(cfg, "scheme", *CATALOG).run()
+    report = cfg.scheme.run()
     payload, table = report.to_dict(), report.table
     if table is not None:
         writer.write_table("distribution.csv", list(table), np.column_stack(list(table.values())))
@@ -493,14 +463,6 @@ def _run_sweep(cfg: ScenarioConfig, writer: RunWriter) -> dict:
 
 def cmd_estimate(cfg: ScenarioConfig, writer: RunWriter) -> int:
     plan = cfg.experiment
-    if plan is None:
-        raise ConfigError("estimate command needs an 'experiment' block")
-    if writer.seed is not None:  # --seed overrides the config's seed
-        try:
-            plan = dataclasses.replace(plan, seed=writer.seed)
-        except ValueError as exc:
-            raise ConfigError(f"'--seed': {exc}") from exc
-    writer.seed = plan.seed  # the manifest records the seed the run used
     report = est.run_experiment(plan)
     writer.write_json("estimate.json", report.to_dict())
     if cfg.output.dump_samples:  # trial 0's data
@@ -508,31 +470,56 @@ def cmd_estimate(cfg: ScenarioConfig, writer: RunWriter) -> int:
     return 0
 
 
-COMMANDS = {"shift": cmd_shift, "budget": cmd_budget, "noise": cmd_noise,
-            "scheme": cmd_scheme, "estimate": cmd_estimate}
+class Command(typing.NamedTuple):
+    """What a command runs and reads: the scheme variants it takes, the
+    blocks it needs and those it may have, and whether it takes --seed."""
+
+    run: typing.Callable[[ScenarioConfig, RunWriter], int]
+    variants: tuple
+    needs: tuple = ("scheme",)
+    may: tuple = ()
+    seed: bool = False
+
+
+COMMANDS = {
+    "shift": Command(cmd_shift, (TrappedIon,)),
+    "budget": Command(cmd_budget, (BudgetSweep,)),
+    "noise": Command(cmd_noise, (NoiseTable,), needs=("scheme", "noise")),
+    "scheme": Command(cmd_scheme, CATALOG, may=("sweep",)),
+    "estimate": Command(cmd_estimate, (*CATALOG, NoScheme), needs=("scheme", "experiment"),
+                        may=("noise", "output"), seed=True),
+}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 2 as a config error does
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="wvlab", description="Weak-value-amplification numerical laboratory"
-    )
+    parser = _Parser(prog="wvlab", description="Weak-value-amplification numerical laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-    args = parser.parse_args(argv)
+        if command.seed:
+            p.add_argument("--seed", type=int, help="overrides the config's seed")
 
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(args.config, args.command)
-        writer = RunWriter(Path(args.out), args.command, args.seed, cfg, args.format)
-        rc = COMMANDS[args.command](cfg, writer)
+        if getattr(args, "seed", None) is not None:
+            try:
+                cfg.experiment = dataclasses.replace(cfg.experiment, seed=args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"'--seed': {exc}") from exc
+        writer = RunWriter(Path(args.out), args.command, cfg)
+        rc = COMMANDS[args.command].run(cfg, writer)
         writer.finish()
         return rc
     except ConfigError as exc:

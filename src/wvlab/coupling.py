@@ -290,9 +290,8 @@ def aav_condition_margin(
     a: Observable,
     g: float,
     sigma: float,
-    n_max: int = 8,
 ) -> float:
-    """max_{1<=n<=n_max} g |<post|A^n|pre>|^{1/n} / |<post|pre>| divided by sigma.
+    """max_{1<=n<=8} g |<post|A^n|pre>|^{1/n} / |<post|pre>| divided by sigma.
 
     Values below 1 mean the linear-response (AAV) approximation is valid.
     """
@@ -303,7 +302,7 @@ def aav_condition_margin(
         return 0.0
     worst = 0.0
     a_n = np.eye(a.dim, dtype=complex)
-    for n in range(1, n_max + 1):
+    for n in range(1, 9):
         a_n = a_n @ a.matrix
         amp = abs(np.vdot(post.amplitudes, a_n @ pre.amplitudes))
         worst = max(worst, abs(g) * amp ** (1.0 / n) / overlap)

@@ -159,15 +159,15 @@ def mle_weights(c: np.ndarray) -> np.ndarray:
 
 
 class MLWindow:
-    """The family `dist` and the window [g_grid[0], g_grid[-1]] that
-    `mle_grid` and `mle_counts` search, with the family's (p, p') at the
-    window's two ends and its midpoint, where every search starts, evaluated
-    once; and, for a density, the `Bracket` of its grid. A plan builds one
-    and hands it to every trial, as it does an `OutcomeSampler`."""
+    """The family `dist` and the window [lo, hi] that `mle_grid` and
+    `mle_counts` search, with the family's (p, p') at the window's two ends
+    and its midpoint, where every search starts, evaluated once; and, for a
+    density, the `Bracket` of its grid. A plan builds one and hands it to
+    every trial, as it does an `OutcomeSampler`."""
 
-    def __init__(self, dist: ParamDistribution, g_grid: np.ndarray):
+    def __init__(self, dist: ParamDistribution, lo: float, hi: float):
         self.dist = dist
-        self.lo, self.hi = float(g_grid[0]), float(g_grid[-1])
+        self.lo, self.hi = float(lo), float(hi)
         self.mid = 0.5 * (self.lo + self.hi)
         self.fixed = tuple(self.at(g) for g in (self.lo, self.hi, self.mid))
         self.cells = None if dist.grid is None else Bracket(dist.grid)
@@ -413,7 +413,7 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
                 estimates[t] = g_true + (mean - m0) / slope
         else:
             sd = 1.0 / math.sqrt(max(fisher_total, 1e-300))
-            window = MLWindow(family, np.linspace(g_true - 8 * sd, g_true + 8 * sd, 101))
+            window = MLWindow(family, g_true - 8 * sd, g_true + 8 * sd)
             for t in range(plan.trials):
                 if sampler.discrete:
                     estimates[t] = mle_counts(counts(t), window)

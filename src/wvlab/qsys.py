@@ -137,21 +137,16 @@ def bloch_state(theta: float, phi: float) -> SystemState:
     )
 
 
-def weak_value(
-    pre: SystemState,
-    post: SystemState,
-    a: Observable,
-    threshold: float = ORTHOGONALITY_THRESHOLD,
-) -> complex:
+def weak_value(pre: SystemState, post: SystemState, a: Observable) -> complex:
     """<post|A|pre> / <post|pre>.
 
     Raises OrthogonalSelection when the overlap modulus is at or below
-    `threshold`, where the ratio is undefined.
+    ORTHOGONALITY_THRESHOLD, where the ratio is undefined.
     """
     overlap = np.vdot(post.amplitudes, pre.amplitudes)
-    if abs(overlap) <= threshold:
+    if abs(overlap) <= ORTHOGONALITY_THRESHOLD:
         raise OrthogonalSelection(
-            f"|<post|pre>| = {abs(overlap):.3e} <= {threshold:.1e}"
+            f"|<post|pre>| = {abs(overlap):.3e} <= {ORTHOGONALITY_THRESHOLD:.1e}"
         )
     return complex(np.vdot(post.amplitudes, a.matrix @ pre.amplitudes) / overlap)
 

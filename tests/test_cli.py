@@ -29,9 +29,7 @@ SHIFT_CONFIG = {
     "scheme": {
         "variant": "trapped_ion",
         "gammas": [0.3, 1.0, 3.0],
-        "gamma0_t": 0.05,
         "theta": {"start": 0.1, "stop": 1.5, "points": 6},
-        "grid_check": True,
     }
 }
 
@@ -39,26 +37,26 @@ SHIFT_CONFIG = {
 class TestConfig:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError):
-            ScenarioConfig.parse({"scheme": {}, "bogus": {}})
+            ScenarioConfig.parse({"scheme": {}, "bogus": {}}, "scheme")
 
     def test_unknown_block_key(self):
         with pytest.raises(ConfigError):
-            ScenarioConfig.parse({"scheme": {"variant": "standard", "oops": 1}})
+            ScenarioConfig.parse({"scheme": {"variant": "standard", "oops": 1}}, "scheme")
 
     def test_missing_scheme(self):
         with pytest.raises(ConfigError):
-            ScenarioConfig.parse({"noise": {}})
+            ScenarioConfig.parse({"noise": NOISE}, "noise")
 
     def test_json_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "scheme": {,}\n}')
         with pytest.raises(ConfigError, match="line 2"):
-            load_config(str(path))
+            load_config(str(path), "scheme")
 
     def test_round_trip(self, tmp_path):
-        cfg = ScenarioConfig.parse(SHIFT_CONFIG)
-        echoed = json.loads(json.dumps(cfg.to_dict()))
-        assert ScenarioConfig.parse(echoed).to_dict() == cfg.to_dict()
+        cfg = ScenarioConfig.parse(SHIFT_CONFIG, "shift")
+        echoed = json.loads(json.dumps(cfg.raw))
+        assert ScenarioConfig.parse(echoed, "shift").scheme == cfg.scheme
 
 
 class TestCommands:
@@ -100,6 +98,18 @@ class TestCommands:
                 chain = postselect(joint, post).success_meter.mean_q() / gamma
                 assert kernel == pytest.approx(closed, rel=1e-13, abs=0)
                 assert kernel == pytest.approx(chain, rel=1e-12, abs=0)
+
+    def test_shift_closed_form_column_is_bitwise_the_closed_form(self, tmp_path):
+        # shift_over_g is bitwise the closed form, as perfbench/checks.py
+        # evaluates it
+        out = tmp_path / "out"
+        assert main(["shift", "--config", str(ROOT / "scenarios" / "shift.json"),
+                     "--out", str(out)]) == 0
+        table = np.loadtxt(out / "shift.csv", delimiter=",", skiprows=1)
+        for gamma, theta, closed, _ in table:
+            expected = -math.sin(2 * theta) / (1 - math.cos(2 * theta) * math.exp(-gamma**2 / 2))
+            assert closed.hex() == expected.hex(), (gamma, theta)
+
     def test_budget_end_to_end(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -109,7 +119,6 @@ class TestCommands:
                     "g_over_2sigma": 0.1,
                     "sigma": 1.0,
                     "theta": {"start": 0.1, "stop": 1.5, "points": 8},
-                    "pf_sweep": True,
                 }
             },
         )
@@ -259,6 +268,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err) == {"error": "config", "message": "'--seed': seed must be >= 0"}
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("payload", [
         {"scheme": {"variant": "phase_space", "g": 1e-3, "epsilon": 0.1, "nbar": 100.0},
@@ -317,19 +327,8 @@ class TestCommands:
         assert report["estimator"] == "mle_correlated"
         assert 0.5 < report["crb_ratio"] < 2.0
 
-    def test_json_format_flag(self, tmp_path):
-        cfg = write_config(tmp_path, SHIFT_CONFIG)
-        out = tmp_path / "out"
-        assert main(
-            ["shift", "--config", cfg, "--out", str(out), "--format", "json"]
-        ) == 0
-        payload = json.loads((out / "shift.json").read_text())
-        assert payload["columns"][:2] == ["gamma", "theta"]
-        assert len(payload["rows"]) == 18
-
     def test_reports_are_strict_json(self, tmp_path):
-        # an infinite amplification and the NaN analytic entries of the noise
-        # table are written as null
+        # an infinite amplification is written as null
         def strict(path):
             def refuse(token):
                 raise ValueError(f"{path.name} holds {token}")
@@ -338,10 +337,6 @@ class TestCommands:
         cfg = write_config(tmp_path, {"scheme": {**ENTANGLED, "epsilon": 0.0}})
         assert main(["scheme", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
         assert strict(tmp_path / "e" / "report.json")["amplification"] is None
-        cfg = write_config(tmp_path, {"scheme": {"variant": "noise_table"}, "noise": NOISE})
-        assert main(["noise", "--config", cfg, "--out", str(tmp_path / "n"), "--format", "json"]) == 0
-        rows = strict(tmp_path / "n" / "noise_table.json")["rows"]
-        assert [row[2] is None for row in rows] == [False] * 4 + [False, True] * 4
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scheme": {"variant": "unknown_variant"}})
@@ -402,7 +397,7 @@ MINIMAL = {
     "phase_space": ("scheme", {"scheme": PHASE}),
     "entangled": ("scheme", {"scheme": ENTANGLED}),
     "trapped_ion": ("shift", {"scheme": {"variant": "trapped_ion", "gammas": [1.0],
-                                         "gamma0_t": 0.05, "theta": THETA}}),
+                                         "theta": THETA}}),
     "budget_sweep": ("budget", {"scheme": {"variant": "budget_sweep", "g_over_2sigma": 0.1,
                                            "sigma": 1.0}}),
     "noise_table": ("noise", {"scheme": {"variant": "noise_table"}, "noise": NOISE}),
@@ -417,10 +412,10 @@ ACCEPTED = {
     "joint_wm": {"tau", "phi_align", "eps_fluct", "omega0", "delta_omega", "omega_noise"},
     "biased": {"tau", "beta", "epsilon", "omega0", "delta_omega", "resolution", "points"},
     "recycle": {"p_f", "loss", "mirror_r", "n_input"},
-    "phase_space": {"g", "epsilon", "alpha", "nbar", "mixture", "theta_i"},
+    "phase_space": {"g", "epsilon", "nbar", "mixture", "theta_i"},
     "entangled": {"phi", "epsilon", "n", "variant_post"},
-    "trapped_ion": {"gammas", "gamma0_t", "theta", "grid_check"},
-    "budget_sweep": {"g_over_2sigma", "sigma", "theta", "pf_sweep"},
+    "trapped_ion": {"gammas", "theta"},
+    "budget_sweep": {"g_over_2sigma", "sigma", "theta"},
     "noise_table": {"wva_p_f"},
     "none": set(),
 }
@@ -434,7 +429,10 @@ BLOCK_KEYS = {
 COMMAND_BLOCKS = {"shift": {"scheme"}, "budget": {"scheme"}, "noise": {"scheme", "noise"},
                   "scheme": {"scheme", "sweep"},
                   "estimate": {"scheme", "noise", "experiment", "output"}}
-DEAD_KEYS = {"n_values", "directory", "formats", "iterative", "mode"}
+# keys no variant reads any more; the last four were read once, but each had
+# one value in use or another key fixed it
+DEAD_KEYS = {"n_values", "directory", "formats", "iterative", "mode",
+             "gamma0_t", "grid_check", "pf_sweep", "alpha"}
 ALL_KEYS = set().union(*ACCEPTED.values(), *BLOCK_KEYS.values(), DEAD_KEYS)
 REQUIRED = {
     **{v: {"variant"} | set(config["scheme"]) for v, (_, config) in MINIMAL.items()},
@@ -447,7 +445,7 @@ OUT_OF_RANGE = {
     "standard": ("sigma", -1.0), "inverse": ("sigma", 0.0), "abwva": ("epsilon", 2.0),
     "joint_wm": ("delta_omega", -1.0), "biased": ("delta_omega", 0.0),
     "recycle": ("p_f", 1.5), "phase_space": ("nbar", -1.0), "entangled": ("n", 0),
-    "trapped_ion": ("gamma0_t", 0.0), "budget_sweep": ("sigma", 0.0),
+    "trapped_ion": ("gammas", [0.0]), "budget_sweep": ("sigma", 0.0),
     "noise_table": ("wva_p_f", 0.0), "noise": ("tau_c", 0.0), "experiment": ("trials", 0),
     "sweep": ("values", [100.0]), "theta": ("points", 0),
 }
@@ -493,7 +491,7 @@ PROBES = [
     ("noise_with_phase_space", "estimate",
      {"scheme": {**PHASE, "nbar": 4.0}, "noise": NOISE, "experiment": {**EXPERIMENT, "nu": 100}}, 2),
     ("shift_theta_missing_points", "shift",
-     {"scheme": {"variant": "trapped_ion", "gammas": [1.0], "gamma0_t": 0.05,
+     {"scheme": {"variant": "trapped_ion", "gammas": [1.0],
                  "theta": {"start": 0.1, "stop": 1.5}}}, 2),
     ("budget_sigma_string", "budget",
      {"scheme": {"variant": "budget_sweep", "g_over_2sigma": 0.1, "sigma": "1"}}, 2),
@@ -539,23 +537,27 @@ PROBES = [
 ]
 
 
-def run_cli(command, config, directory):
+def run_cli(command, config, directory, *extra):
     """(exit status, stderr) of one in-process CLI run."""
     path = directory / "config.json"
     path.write_text(json.dumps(config))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        rc = main([command, "--config", str(path), "--out", str(directory / "out")])
+        rc = main([command, "--config", str(path), "--out", str(directory / "out"), *extra])
     return rc, err.getvalue()
 
 
-def assert_rejected(command, config, directory, rc=2):
-    status, err = run_cli(command, config, directory)
+def assert_rejected(command, config, directory, rc=2, extra=()):
+    """The run exits `rc` with one JSON error on stderr, whose message it
+    returns; a config error (2) is raised before --out is made."""
+    status, err = run_cli(command, config, directory, *extra)
     assert status == rc, (config, err)
     assert "Traceback" not in err
     payload = json.loads(err)  # exactly one JSON object
     assert set(payload) == {"error", "message"}
     assert (payload["error"] == "config") == (rc == 2)
+    assert (directory / "out").exists() == (rc != 2)
+    return payload["message"]
 
 
 @pytest.fixture(scope="module")
@@ -593,7 +595,7 @@ def test_inverse_scheme_with_a_wide_meter(tmp_path):
 @pytest.mark.parametrize("command, scenario", sorted(SCENARIOS.items()))
 def test_shipped_scenarios_parse(command, scenario):
     cfg = load_config(str(ROOT / "scenarios" / f"{scenario}.json"), command)
-    assert cfg.to_dict() == json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
+    assert cfg.raw == json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
 
 
 def test_shipped_commands_load_no_scipy(tmp_path):
@@ -635,6 +637,37 @@ def test_each_variant_accepts_exactly_its_keys(variant):
 @pytest.mark.parametrize("name, command, config, rc", PROBES, ids=[p[0] for p in PROBES])
 def test_malformed_config_probe(tmp_path, name, command, config, rc):
     assert_rejected(command, config, tmp_path, rc)
+
+
+SHIPPED = {cmd: json.loads((ROOT / "scenarios" / f"{sc}.json").read_text())
+           for cmd, sc in SCENARIOS.items()}
+# input a command does not read: before, the first four exited 2 after --out
+# was made, --seed off estimate and the removed keys exited 0, and --format
+# was a second table writer with no user. (id, command, config, extra
+# arguments, what the message names)
+UNREAD = [
+    ("shift_on_budget_sweep", "shift", SHIPPED["budget"], [], "'trapped_ion'"),
+    ("noise_on_standard", "noise", {"scheme": STANDARD, "noise": NOISE}, [], "'noise_table'"),
+    ("noise_without_noise", "noise", {"scheme": {"variant": "noise_table"}}, [], "'noise'"),
+    ("estimate_without_experiment", "estimate", {"scheme": STANDARD}, [], "'experiment'"),
+    ("seed_negative", "estimate", SHIPPED["estimate"], ["--seed", "-1"], "--seed"),
+    *[(f"seed_on_{cmd}", cmd, SHIPPED[cmd], ["--seed", "5"], "--seed")
+      for cmd in ("shift", "budget", "noise", "scheme")],
+    ("format_json", "shift", SHIPPED["shift"], ["--format", "json"], "--format"),
+    ("format_csv", "noise", SHIPPED["noise"], ["--format", "csv"], "--format"),
+    ("gamma0_t", "shift", {"scheme": {**SHIPPED["shift"]["scheme"], "gamma0_t": 0.05}}, [],
+     "'gamma0_t'"),
+    ("grid_check", "shift", {"scheme": {**SHIPPED["shift"]["scheme"], "grid_check": True}}, [],
+     "'grid_check'"),
+    ("pf_sweep", "budget", {"scheme": {**SHIPPED["budget"]["scheme"], "pf_sweep": True}}, [],
+     "'pf_sweep'"),
+    ("alpha", "scheme", {"scheme": {**PHASE, "alpha": 10.0}}, [], "'alpha'"),
+]
+
+
+@pytest.mark.parametrize("name, command, config, extra, named", UNREAD, ids=[u[0] for u in UNREAD])
+def test_unread_input_exits_2_before_out_is_made(tmp_path, name, command, config, extra, named):
+    assert named in assert_rejected(command, config, tmp_path, extra=extra)
 
 
 def _blocks(config):
@@ -720,8 +753,7 @@ def _mutated(base, path, key, value):
     return config
 
 
-BASES = [(cmd, json.loads((ROOT / "scenarios" / f"{sc}.json").read_text()))
-         for cmd, sc in sorted(SCENARIOS.items())] + list(MINIMAL.values())
+BASES = sorted(SHIPPED.items()) + list(MINIMAL.values())
 
 
 @pytest.mark.parametrize("value", NONFINITE)

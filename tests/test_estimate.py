@@ -127,7 +127,7 @@ def _trial_estimate(plan, samples):
     values = family.outcome_values()
     if plan.estimator == "mle_grid":
         sd = 1.0 / math.sqrt(plan.nu * classical_fisher(family, g))
-        return mle_grid(samples, MLWindow(family, np.linspace(g - 8 * sd, g + 8 * sd, 101)))
+        return mle_grid(samples, MLWindow(family, g - 8 * sd, g + 8 * sd))
     if family.grid is None:
         mean = float((samples[:, None] == values[None, :]).sum(axis=0) @ values) / plan.nu
     else:
@@ -359,7 +359,7 @@ class TestEstimators:
     def test_mle_grid_matches_sample_mean(self):
         fam = gaussian_family()
         draws = sample(OutcomeSampler(fam, 0.25), 4000, seed=3)
-        est = mle_grid(draws, MLWindow(fam, np.linspace(-0.5, 1.0, 301)))
+        est = mle_grid(draws, MLWindow(fam, -0.5, 1.0))
         assert est == pytest.approx(np.mean(draws), abs=2e-3)
 
     @pytest.mark.parametrize(
@@ -382,7 +382,7 @@ class TestEstimators:
         fam = gaussian_family()
         draws = sample(OutcomeSampler(fam, 0.0), 100, seed=3)
         with pytest.raises(BoundaryMaximum):
-            mle_grid(draws, MLWindow(fam, np.linspace(1.0, 2.0, 11)))
+            mle_grid(draws, MLWindow(fam, 1.0, 2.0))
 
     @pytest.mark.parametrize("name", list(ORACLE_CASES))
     @settings(max_examples=10)
@@ -393,7 +393,7 @@ class TestEstimators:
         family, g, nu, sd = _oracle_case(name)
         draws = sample(OutcomeSampler(family, g), nu, seed, trial)
         window = np.linspace(g - 8 * sd, g + 8 * sd, 101)
-        est = mle_grid(draws, MLWindow(family, window))
+        est = mle_grid(draws, MLWindow(family, g - 8 * sd, g + 8 * sd))
         fine = _scan_mle(draws, family, np.linspace(g - 8 * sd, g + 8 * sd, 1001))
         assert abs(est - fine) <= 1e-5 * sd
         assert abs(est - _scan_mle(draws, family, window)) <= 1e-3 * sd
@@ -404,7 +404,7 @@ class TestEstimators:
         # mle_grid of the draws is the plan's count estimate of that trial,
         # bitwise
         family, g, nu, sd = _oracle_case(name)
-        window = MLWindow(family, np.linspace(g - 8 * sd, g + 8 * sd, 101))
+        window = MLWindow(family, g - 8 * sd, g + 8 * sd)
         plan = ExperimentPlan(ORACLE_CASES[name][0], nu, 4, 9, "mle_grid")
         sampler = OutcomeSampler(family, g)
         estimates = []
@@ -417,7 +417,6 @@ class TestEstimators:
     def test_mle_grid_evaluation_count(self):
         family, g = StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05).outcome_family()
         sd = 1.0 / math.sqrt(10**4 * classical_fisher(family, g))
-        window = np.linspace(g - 8 * sd, g + 8 * sd, 101)
         sampler = OutcomeSampler(family, g)
         calls = Counter()
         for name in ("probabilities", "derivative"):
@@ -428,7 +427,7 @@ class TestEstimators:
         for trial in range(3):
             draws = sample(sampler, 10**4, 101, trial)
             calls.clear()
-            mle_grid(draws, MLWindow(family, window))
+            mle_grid(draws, MLWindow(family, g - 8 * sd, g + 8 * sd))
             assert 0 < calls["probabilities"] <= 12
             assert 0 < calls["derivative"] <= 12
 
@@ -437,14 +436,13 @@ class TestMLWindow:
     @pytest.mark.parametrize("name", list(ORACLE_CASES))
     def test_plan_window_is_the_array_window_bitwise(self, name):
         # one window reused over trials gives each trial's estimate bitwise
-        # as a window built from the array for that trial alone
+        # as a window built for that trial alone
         family, g, nu, sd = _oracle_case(name)
-        g_grid = np.linspace(g - 8 * sd, g + 8 * sd, 101)
-        window = MLWindow(family, g_grid)
+        window = MLWindow(family, g - 8 * sd, g + 8 * sd)
         sampler = OutcomeSampler(family, g)
         for trial in range(4):
             draws = sample(sampler, nu, 21, trial)
-            alone = MLWindow(family, g_grid)
+            alone = MLWindow(family, g - 8 * sd, g + 8 * sd)
             assert mle_grid(draws, window).hex() == mle_grid(draws, alone).hex()
             if sampler.discrete:
                 counts = sampler.counts(substream(21, trial), nu)
