@@ -1,9 +1,9 @@
 """Command-line front end: scenario configs in, tables and JSON reports out.
 
 Subcommands: shift | budget | noise | scheme | estimate; `COMMANDS` says what
-each reads, and the whole input is checked against it before `--out` is
-made. Every run writes its outputs plus a manifest.json carrying the seed,
-the echoed config, and a sha256 per emitted file so results are auditable.
+each reads, and the whole input is checked against it first. A run that
+passes writes its outputs plus a manifest.json carrying the seed, the echoed
+config, and a sha256 per emitted file; a run that fails writes no `--out`.
 Exit status is 0 only when all internal checks of the requested command
 pass; bad input exits 2 and failed checks exit 1, both with a
 machine-readable JSON error on stderr. Every number written comes from
@@ -291,35 +291,36 @@ def _json_values(node):
 
 
 class RunWriter:
+    """A run's files, kept in memory until `finish` makes `--out` and writes
+    them, so a run that fails writes nothing."""
+
     def __init__(self, out_dir: Path, command: str, config: ScenarioConfig):
         self.dir = out_dir
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.command = command
         self.config = config
-        self.files: dict[str, str] = {}
+        self.files: dict[str, bytes] = {}
 
-    def _write(self, name: str, text: str) -> Path:
-        path, data = self.dir / name, text.encode("utf-8")
-        path.write_bytes(data)
-        self.files[name] = hashlib.sha256(data).hexdigest()
-        return path
-
-    def write_table(self, name: str, header: list[str], rows) -> Path:
+    def write_table(self, name: str, header: list[str], rows) -> None:
         lines = [",".join(header)] + [
             ",".join(x if isinstance(x, str) else format(float(x), ".17g") for x in row)
             for row in rows
         ]
-        return self._write(name, "\n".join(lines) + "\n")
+        self.files[name] = ("\n".join(lines) + "\n").encode("utf-8")
 
-    def write_json(self, name: str, payload: dict) -> Path:
+    def write_json(self, name: str, payload: dict) -> None:
         """Strict JSON: a non-finite number is written as null."""
-        return self._write(name, json.dumps(_json_values(payload), indent=2, allow_nan=False))
+        text = json.dumps(_json_values(payload), indent=2, allow_nan=False)
+        self.files[name] = text.encode("utf-8")
 
     def finish(self) -> Path:
         self.write_json("config_echo.json", self.config.raw)
         plan = self.config.experiment  # the seed the run drew from, if any
         seed = None if plan is None else plan.seed
-        manifest = {"command": self.command, "seed": seed, "files": self.files}
+        self.dir.mkdir(parents=True, exist_ok=True)
+        for name, data in self.files.items():
+            (self.dir / name).write_bytes(data)
+        hashes = {name: hashlib.sha256(data).hexdigest() for name, data in self.files.items()}
+        manifest = {"command": self.command, "seed": seed, "files": hashes}
         path = self.dir / "manifest.json"
         path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
         return path

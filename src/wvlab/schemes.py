@@ -302,16 +302,24 @@ def inverse_scheme(spec: InverseSpec) -> SchemeReport:
 
 @dataclass(frozen=True)
 class ABWVASpec:
+    """Almost-balanced WVA: pre |+> and post (e^{-i chi}, e^{i chi}) / sqrt(2)
+    with chi = (pi/2 - epsilon) / 2, so the detectors of `post` and of its
+    orthogonal state see P_{1,2}(p) = [1 +- sin(epsilon + 2 g p)] P0(p) / 2 on
+    the meter momentum p: two nearly equal arms, no photon discarded."""
+
     g: float
     epsilon: float
     sigma: float
-    points: int = 4096
 
     def __post_init__(self):
         if self.sigma <= 0 or not 0 < self.epsilon < np.pi / 2:
             raise ValueError("need sigma > 0 and epsilon in (0, pi/2)")
-        if self.points < 256:
-            raise ValueError("need points >= 256")
+
+    def states(self) -> tuple[SystemState, SystemState]:
+        chi = (np.pi / 2 - self.epsilon) / 2
+        pre = bloch_state(np.pi / 2, 0.0)
+        post = SystemState(np.array([np.exp(-1j * chi), np.exp(1j * chi)]) / math.sqrt(2))
+        return pre, post
 
     def run(self) -> SchemeReport:
         return abwva_scheme(self)
@@ -332,39 +340,23 @@ def _split_exact(p0: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def abwva_scheme(spec: ABWVASpec) -> SchemeReport:
-    """Two almost-balanced post-selections P_{1,2}(p) = [1 +- sin(eps + 2gp)]
-    P0(p)/2; their sum recovers P0 exactly and their difference carries the
-    amplified shift g cot(eps) / (2 sigma^2) at signal strength ~ sin(eps)."""
-    sp = 1.0 / (2 * spec.sigma)
-    p = np.linspace(-10 * sp, 10 * sp, spec.points, endpoint=False)
-    p0 = np.exp(-2 * spec.sigma**2 * p**2) * math.sqrt(2 * spec.sigma**2 / np.pi)
-
-    def branch_sin(g: float) -> np.ndarray:
-        return np.sin(spec.epsilon + 2 * g * p)
-
-    s = branch_sin(spec.g)
-    p1, p2 = _split_exact(p0, s)
-    diff = p1 - p2
+    """ABWVA's two detectors, the arms of `spec.states()` on the Gaussian
+    meter's momentum spectrum: P1 + P2 = P0 bitwise, the difference centroid
+    is g cot(eps) / (2 sigma^2) at any g, and `fisher` counts both arms."""
+    pre, post = spec.states()
+    p, w = _generator_weights(GaussianMeter(spec.sigma))
+    arms = _arms(pre, post, CouplingConfig(spec.g, SIGMA_Z), p, w)
     dp = p[1] - p[0]
+    p0 = w / dp
+    p1, p2 = _split_exact(p0, 2 * np.abs(arms[0].k) ** 2 - 1)
+    diff = p1 - p2
     centroid = float(np.sum(p * diff) / np.sum(diff))
     predicted = spec.g / (2 * spec.sigma**2) / math.tan(spec.epsilon)
-
-    def joint_probs(g: float) -> np.ndarray:
-        sg = branch_sin(g)
-        return np.concatenate([(1 + sg) * p0 / 2, (1 - sg) * p0 / 2])
-
-    def joint_deriv(g: float) -> np.ndarray:
-        c = 2 * p * np.cos(spec.epsilon + 2 * g * p) * p0 / 2
-        return np.concatenate([c, -c])
-
-    # two-detector data: outcome space is (detector, p); density over a
-    # doubled grid with the same spacing
-    family = ParamDistribution(
-        joint_probs,
-        grid=np.concatenate([p, p + (p[-1] - p[0]) + dp]),
-        derivative=joint_deriv,
-    )
-    fisher = classical_fisher(family, spec.g)
+    density = np.concatenate([arm.density() * arm.p_f() for arm in arms]) / dp
+    density_dg = np.concatenate(
+        [arm.density_dg() * arm.p_f() + arm.density() * arm.dp_dg() for arm in arms]
+    ) / dp
+    fisher = _fisher(density, density_dg, dp)
 
     # signal strengths for the user-formed comparison against standard WVA:
     # the difference signal is ~ sin(eps), the standard post-selected

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wvlab import cli
 from wvlab.cli import ScenarioConfig, _noise_rows, load_config, main
 from wvlab.errors import ConfigError
 from wvlab.estimate import OutcomeSampler, substream, trial_samples
@@ -408,7 +409,7 @@ MINIMAL = {
 ACCEPTED = {
     "standard": {"g", "sigma", "epsilon", "phi", "points"},
     "inverse": {"g", "sigma", "theta_angle", "phi_angle", "points"},
-    "abwva": {"g", "epsilon", "sigma", "points"},
+    "abwva": {"g", "epsilon", "sigma"},
     "joint_wm": {"tau", "phi_align", "eps_fluct", "omega0", "delta_omega", "omega_noise"},
     "biased": {"tau", "beta", "epsilon", "omega0", "delta_omega", "resolution", "points"},
     "recycle": {"p_f", "loss", "mirror_r", "n_input"},
@@ -502,7 +503,7 @@ PROBES = [
     ("inverse_points_below_256", "scheme",
      {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0, "points": 100}}, 2),
     # before, the first two exited 1 with an IndexError traceback and the
-    # third with "distribution sums to 0.0206"
+    # third with "distribution sums to 0.0206"; abwva now has no points key
     ("abwva_points_1", "scheme", {"scheme": {**MINIMAL["abwva"][1]["scheme"], "points": 1}}, 2),
     ("biased_points_1", "scheme", {"scheme": {**MINIMAL["biased"][1]["scheme"], "points": 1}}, 2),
     ("abwva_points_3", "scheme", {"scheme": {**MINIMAL["abwva"][1]["scheme"], "points": 3}}, 2),
@@ -549,15 +550,31 @@ def run_cli(command, config, directory, *extra):
 
 def assert_rejected(command, config, directory, rc=2, extra=()):
     """The run exits `rc` with one JSON error on stderr, whose message it
-    returns; a config error (2) is raised before --out is made."""
+    returns; a run that fails, a config error (2) or a failed check (1),
+    writes no --out."""
     status, err = run_cli(command, config, directory, *extra)
     assert status == rc, (config, err)
     assert "Traceback" not in err
     payload = json.loads(err)  # exactly one JSON object
     assert set(payload) == {"error", "message"}
     assert (payload["error"] == "config") == (rc == 2)
-    assert (directory / "out").exists() == (rc != 2)
+    assert not (directory / "out").exists()
     return payload["message"]
+
+
+@pytest.mark.parametrize("case", ["inverse_validity", "shift_gate"])
+def test_a_failed_check_writes_nothing(tmp_path, monkeypatch, case):
+    # before, --out was made first: the inverse config left it empty, and a
+    # shift whose kernel column missed its 1 % gate left shift.csv behind
+    if case == "shift_gate":
+        closed_form = cli.trapped_ion_shift
+        monkeypatch.setattr(cli, "trapped_ion_shift", lambda *args: 1.02 * closed_form(*args))
+        command, config = MINIMAL["trapped_ion"]
+    else:
+        command, config = "scheme", {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0,
+                                                "theta_angle": 0.5}}
+    assert_rejected(command, config, tmp_path, rc=1)
+    assert [path.name for path in tmp_path.rglob("*")] == ["config.json"]
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from wvlab.coupling import CouplingConfig, RegimeKind
 from wvlab.errors import RegimeViolationWarning, ValidityViolation
 from wvlab.estimate import substream
-from wvlab.infometrics import _generator_weights, classical_fisher, info_budget
-from wvlab.meter import FockMeter, SampledDistribution
-from wvlab.qsys import PROJ_ONE
+from wvlab.infometrics import _arms, _generator_weights, classical_fisher, info_budget
+from wvlab.meter import FockMeter, GaussianMeter, SampledDistribution
+from wvlab.qsys import PROJ_ONE, SIGMA_Z
 from wvlab.schemes import (
     ABWVASpec,
     BiasedSpec,
@@ -136,6 +136,10 @@ class TestInverse:
         assert math.isfinite(classical_fisher(q_family, 0.0))
 
 
+# (g, epsilon, sigma)
+ABWVA_POINTS = [(1e-4, 0.05, 1.0), (5e-3, 0.3, 0.7), (1e-3, 0.2, 1.0)]
+
+
 class TestABWVA:
     def test_sum_rule_bitwise(self):
         res = abwva_scheme(ABWVASpec(g=1e-4, epsilon=0.05, sigma=1.0))
@@ -152,8 +156,13 @@ class TestABWVA:
         assert abs(res.extras["centroid"]) < 1e-12
 
     def test_centroid_matches_closed_form(self):
-        res = abwva_scheme(ABWVASpec(g=1e-4, epsilon=0.05, sigma=1.0))
-        assert res.extras["centroid"] == pytest.approx(res.extras["predicted_centroid"], rel=0.02)
+        """For a Gaussian P0 the difference signal's centroid is exactly
+        g cot(eps) / (2 sigma^2) at any g, not a first-order value:
+        E[p sin(eps + 2gp)] / E[sin(eps + 2gp)] with Var(p) = 1 / (4 sigma^2)."""
+        for g, eps, sigma in ABWVA_POINTS:
+            res = abwva_scheme(ABWVASpec(g=g, epsilon=eps, sigma=sigma))
+            centroid, predicted = res.extras["centroid"], res.extras["predicted_centroid"]
+            assert centroid == pytest.approx(predicted, rel=1e-12), (g, eps, sigma)
 
     def test_signal_strength_factor(self):
         eps = 0.05
@@ -166,9 +175,26 @@ class TestABWVA:
 
     def test_two_detector_fisher_is_full_qfi(self):
         # joint detection extracts 4 Var(P) = 1/sigma^2 at any epsilon
-        for eps in (0.05, 0.4):
-            res = abwva_scheme(ABWVASpec(g=1e-4, epsilon=eps, sigma=1.0))
-            assert res.fisher == pytest.approx(1.0, rel=1e-6)
+        for g, eps, sigma in [*ABWVA_POINTS, (1e-4, 0.4, 1.0)]:
+            res = abwva_scheme(ABWVASpec(g=g, epsilon=eps, sigma=sigma))
+            assert abs(res.fisher * sigma**2 - 1) <= 1e-12, (g, eps, sigma)
+
+    @pytest.mark.parametrize("g, eps, sigma", ABWVA_POINTS)
+    def test_arms_match_the_closed_form(self, g, eps, sigma):
+        # the engine's two arms on the momentum spectrum (p, w) are the
+        # detectors [1 +- sin(eps + 2gp)] w / 2, with g-derivatives
+        # +-p cos(eps + 2gp) w
+        pre, post = ABWVASpec(g=g, epsilon=eps, sigma=sigma).states()
+        p, w = _generator_weights(GaussianMeter(sigma))
+        arms = _arms(pre, post, CouplingConfig(g, SIGMA_Z), p, w)
+        s, c = np.sin(eps + 2 * g * p), p * np.cos(eps + 2 * g * p) * w
+        for sign, arm in zip((1, -1), arms):
+            columns = [
+                (arm.density() * arm.p_f(), (1 + sign * s) * w / 2),
+                (arm.density_dg() * arm.p_f() + arm.density() * arm.dp_dg(), sign * c),
+            ]
+            for got, want in columns:
+                assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 
 
 class TestJointWM:
