@@ -341,7 +341,7 @@ def cmd_shift(cfg: ScenarioConfig, writer: RunWriter) -> int:
     pre, meter = SystemState(np.array([0.0, 1.0])), GaussianMeter(1.0)
     rows, worst = [], 0.0
     for gamma in spec.gammas:
-        q_grid = readout_axis(1.0, gamma, 4096)
+        q_grid = readout_axis(1.0, gamma)
         for th in spec.theta.values():
             ratio = trapped_ion_shift(gamma, th, 1.0)
             post = SystemState(np.array([math.cos(th), -math.sin(th)]))
@@ -377,7 +377,7 @@ def cmd_budget(cfg: ScenarioConfig, writer: RunWriter) -> int:
     header = ["theta_i", "q_jt", "q_wva_ratio", "pr_qr_ratio", "f_p_ratio", "sum_ratio"]
     writer.write_table("budget.csv", header, rows)
 
-    q_grid = readout_axis(sigma, g, 4096)
+    q_grid = readout_axis(sigma, g)
 
     def readout_fisher(pre, post, theta: float) -> tuple[float, float]:
         # p_f and the Fisher number read one build of the readout's kernels
@@ -519,9 +519,15 @@ def main(argv=None) -> int:
                 cfg.experiment = dataclasses.replace(cfg.experiment, seed=args.seed)
             except ValueError as exc:
                 raise ConfigError(f"'--seed': {exc}") from exc
-        writer = RunWriter(Path(args.out), args.command, cfg)
+        out = Path(args.out)
+        if out.exists() and not out.is_dir():
+            raise ConfigError(f"'--out' {args.out} exists and is not a directory")
+        writer = RunWriter(out, args.command, cfg)
         rc = COMMANDS[args.command].run(cfg, writer)
-        writer.finish()
+        try:
+            writer.finish()
+        except OSError as exc:
+            raise WvlabError(f"cannot write '--out' {args.out}: {exc}") from exc
         return rc
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .coupling import CouplingConfig
-from .errors import EmptyPostselection, IncompatibleMeter, InsufficientSpan, UnsupportedDimension
+from .errors import EmptyPostselection, IncompatibleMeter, UnsupportedDimension
 from .meter import FockMeter, FockState, GaussianMeter, gaussian_density
 from .qsys import Observable, SystemState
 
@@ -332,14 +332,12 @@ def _kernel_family(kernels_of, grid, values) -> ParamDistribution:
     )
 
 
-def readout_axis(sigma: float, g: float, points: int) -> np.ndarray:
-    """Position axis [-span, span), span = 16 sigma + 8 |g|, of a meter of width
-    sigma kicked by g: wide enough for every branch displacement and for
-    near-orthogonal conditioning (bimodal states up to ~sqrt(3) sigma wide)."""
-    if points < 256:
-        raise InsufficientSpan(f"points = {points} < 256")
+def readout_axis(sigma: float, g: float) -> np.ndarray:
+    """The 4096-point position axis [-span, span), span = 16 sigma + 8 |g|, of a
+    meter of width sigma kicked by g: wide enough for every branch displacement
+    and for near-orthogonal conditioning (bimodal states up to ~sqrt(3) sigma wide)."""
     span = 16.0 * sigma + 8.0 * abs(g)
-    return np.linspace(-span, span, points, endpoint=False)
+    return np.linspace(-span, span, 4096, endpoint=False)
 
 
 def _quarter_turn(meter: GaussianMeter, theta: float, q_grid: np.ndarray):

@@ -100,15 +100,12 @@ class StandardSpec:
     sigma: float
     epsilon: float | None = None
     phi: float | None = None
-    points: int = 4096
 
     def __post_init__(self):
         if (self.epsilon is None) == (self.phi is None):
             raise ValueError("give exactly one of epsilon (real) or phi (imaginary)")
         if self.sigma <= 0 or self.g == 0:
             raise ValueError("need sigma > 0 and g != 0")
-        if self.points < 256:
-            raise ValueError("need points >= 256")
 
     def states(self) -> tuple[SystemState, SystemState]:
         pre = bloch_state(np.pi / 2, 0.0)
@@ -141,7 +138,7 @@ class StandardSpec:
         # Roundoff in w tilts the computed angle by ~1e-15 sigma^2 / phi; snap it.
         w = weak_value(pre, post, SIGMA_Z)
         theta = math.pi / 2 * round(2 * optimal_quadrature_angle(w, self.sigma) / math.pi)
-        q_grid = readout_axis(self.sigma, self.g, self.points)
+        q_grid = readout_axis(self.sigma, self.g)
         meter = GaussianMeter(self.sigma)
         return quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid), theta, margin, notes
 
@@ -199,15 +196,12 @@ class InverseSpec:
     sigma: float
     theta_angle: float = 0.0
     phi_angle: float = 0.0
-    points: int = 4096
 
     def __post_init__(self):
         if self.sigma <= 0 or self.g <= 0:
             raise ValueError("need sigma > 0 and g > 0")
         if self.theta_angle != 0.0 and self.phi_angle != 0.0:
             raise ValueError("set only one of theta_angle, phi_angle")
-        if self.points < 256:
-            raise ValueError("need points >= 256")
 
     def post_state(self, theta: float, phi: float) -> SystemState:
         c = math.cos(np.pi / 4 - theta / 2)
@@ -231,7 +225,7 @@ class InverseSpec:
 
         pre = bloch_state(np.pi / 2, 0.0)
         meter = GaussianMeter(self.sigma)
-        q_grid = readout_axis(self.sigma, self.g, self.points)
+        q_grid = readout_axis(self.sigma, self.g)
         return tuple(
             selection_angle_family(pre, post_of, SIGMA_Z, self.g, meter, theta, q_grid)
             for theta in (0.0, math.pi / 2)
@@ -401,15 +395,17 @@ class JointWMSpec:
         if math.sin(self.phi) == 0:
             raise ValueError("sin(phi) must be nonzero")
 
+    def states(self) -> tuple[SystemState, SystemState]:
+        """Pre |+> and post (e^{-i phi/2}, e^{i phi/2}) / sqrt(2): after
+        exp(-i (tau/2) sigma_z omega) the arms of `post` and of its orthogonal
+        state see |K(omega)|^2 = [1 +- cos(phi - omega tau)] / 2, the
+        undamped fringes of the two detectors."""
+        pre = bloch_state(np.pi / 2, 0.0)
+        post = SystemState(np.exp(0.5j * self.phi * np.array([-1.0, 1.0])) / math.sqrt(2))
+        return pre, post
+
     def run(self) -> SchemeReport:
         return joint_wm_scheme(self)
-
-
-def _jwm_probs(spec: JointWMSpec, omega: np.ndarray, tau: float, phi: float, damping: float):
-    base = np.exp(-((omega - spec.omega0) ** 2) / (2 * spec.delta_omega**2))
-    base /= base.sum() * (omega[1] - omega[0])
-    mod = damping * np.cos(phi - omega * tau)
-    return 0.5 * base * (1 + mod), 0.5 * base * (1 - mod)
 
 
 def joint_wm_sample(spec: JointWMSpec, nu: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -485,14 +481,17 @@ def joint_wm_pseudo_true(spec: JointWMSpec) -> tuple[float, float]:
 
 def joint_wm_scheme(spec: JointWMSpec, nu: int = 20000, seed: int = 7) -> SchemeReport:
     """Single seeded demonstration run plus the predicted relative bias
-    tau/tau0 = 1 + (eps/sin phi)^2/2 + (Omega/Delta omega)^2/2."""
-    grid = np.linspace(
-        spec.omega0 - 8 * spec.delta_omega,
-        spec.omega0 + 8 * spec.delta_omega,
-        2048,  # spectral points of the reported detector distributions
-    )
+    tau/tau0 = 1 + (eps/sin phi)^2/2 + (Omega/Delta omega)^2/2. The detector
+    densities are the arms of `spec.states()` at g = tau/2 on the spectrum
+    N(omega0, delta_omega^2) of a Gaussian meter, each fringe damped by D:
+    (D |K|^2 w + (1 - D) w / 2) / d omega, a dephasing of strength 1 - D."""
     damping = math.exp(-(spec.eps_fluct**2) / 2)
-    d_plus, d_minus = _jwm_probs(spec, grid, spec.tau, spec.phi, damping)
+    grid, w = _generator_weights(GaussianMeter(1 / (2 * spec.delta_omega), mean_p=spec.omega0))
+    arms = _arms(*spec.states(), CouplingConfig(spec.tau / 2, SIGMA_Z), grid, w)
+    d_plus, d_minus = (
+        (damping * arm.density() * arm.p_f() + (1 - damping) * w / 2) / (grid[1] - grid[0])
+        for arm in arms
+    )
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     omega, q = joint_wm_sample(spec, nu, rng)
@@ -536,15 +535,12 @@ class BiasedSpec:
     omega0: float
     delta_omega: float
     resolution: float | None = None
-    points: int = 8192
 
     def __post_init__(self):
         if self.delta_omega <= 0 or self.epsilon == 0 or self.omega0 == 0:
             raise ValueError("need delta_omega > 0, epsilon != 0 and omega0 != 0")
         if self.resolution is not None and self.resolution <= 0:
             raise ValueError("resolution must be positive")
-        if self.points < 256:
-            raise ValueError("need points >= 256")
 
     def run(self) -> SchemeReport:
         return biased_scheme(self)
@@ -571,21 +567,18 @@ def biased_p_f_closed(spec: BiasedSpec) -> float:
 
 
 def biased_scheme(spec: BiasedSpec) -> SchemeReport:
-    """The spectrum sin^2(omega b - eps) |f(omega)|^2, b = beta + tau, on a
-    `points`-point omega grid: the success arm of pre |+> and post
-    (-i e^{-i eps}, i e^{i eps})/sqrt(2) after exp(-i b sigma_z omega), read out
-    by the conditioning kernels at g = b. The slope d(shift)/d(tau) is the
-    exact sum_omega omega d(density)/db."""
-    w = np.linspace(
-        spec.omega0 - 8 * spec.delta_omega,
-        spec.omega0 + 8 * spec.delta_omega,
-        spec.points,
-    )
-    f2 = np.exp(-((w - spec.omega0) ** 2) / (2 * spec.delta_omega**2))
+    """The spectrum sin^2(omega b - eps) |f(omega)|^2, b = beta + tau: the
+    success arm of pre |+> and post (-i e^{-i eps}, i e^{i eps})/sqrt(2) after
+    exp(-i b sigma_z omega), read out by the conditioning kernels at g = b on
+    the spectrum |f|^2 = N(omega0, delta_omega^2) of a Gaussian meter. The
+    slope d(shift)/d(tau) is the exact sum_omega omega d(density)/db."""
+    b = spec.beta + spec.tau
     pre = SystemState(np.array([1.0, 1.0]) / math.sqrt(2))
     post = SystemState(np.array([-1j * np.exp(-1j * spec.epsilon), 1j * np.exp(1j * spec.epsilon)])
                        / math.sqrt(2))
-    kern = Conditioning.of(pre, post, SIGMA_Z, w, f2 / f2.sum()).kernels(spec.beta + spec.tau)
+    spectrum = GaussianMeter(1 / (2 * spec.delta_omega), mean_p=spec.omega0)
+    selection = Conditioning.of_meter(pre, post, CouplingConfig(b, SIGMA_Z), spectrum)
+    w, kern = selection.values, selection.kernels(b)
     p_f_grid = kern.p_f()
     shift = float(np.sum(w * kern.density())) - spec.omega0
     slope = float(np.sum(w * kern.density_dg()))

@@ -407,11 +407,11 @@ MINIMAL = {
 }
 # every key each scheme variant accepts; no other key of the old 36-key union
 ACCEPTED = {
-    "standard": {"g", "sigma", "epsilon", "phi", "points"},
-    "inverse": {"g", "sigma", "theta_angle", "phi_angle", "points"},
+    "standard": {"g", "sigma", "epsilon", "phi"},
+    "inverse": {"g", "sigma", "theta_angle", "phi_angle"},
     "abwva": {"g", "epsilon", "sigma"},
     "joint_wm": {"tau", "phi_align", "eps_fluct", "omega0", "delta_omega", "omega_noise"},
-    "biased": {"tau", "beta", "epsilon", "omega0", "delta_omega", "resolution", "points"},
+    "biased": {"tau", "beta", "epsilon", "omega0", "delta_omega", "resolution"},
     "recycle": {"p_f", "loss", "mirror_r", "n_input"},
     "phase_space": {"g", "epsilon", "nbar", "mixture", "theta_i"},
     "entangled": {"phi", "epsilon", "n", "variant_post"},
@@ -499,11 +499,13 @@ PROBES = [
     ("unknown_variant", "scheme", {"scheme": {"variant": "squeezed"}}, 2),
     ("standard_missing_sigma", "scheme",
      {"scheme": {"variant": "standard", "g": 0.0025, "epsilon": 0.05}}, 2),
+    # no scheme variant has a points key any more: each of these five is an
+    # unknown key. Before, the first two failed the >= 256 check, the next
+    # two exited 1 with an IndexError traceback and the last with
+    # "distribution sums to 0.0206"
     ("standard_points_below_256", "scheme", {"scheme": {**STANDARD, "points": 100}}, 2),
     ("inverse_points_below_256", "scheme",
      {"scheme": {"variant": "inverse", "g": 0.1, "sigma": 1.0, "points": 100}}, 2),
-    # before, the first two exited 1 with an IndexError traceback and the
-    # third with "distribution sums to 0.0206"; abwva now has no points key
     ("abwva_points_1", "scheme", {"scheme": {**MINIMAL["abwva"][1]["scheme"], "points": 1}}, 2),
     ("biased_points_1", "scheme", {"scheme": {**MINIMAL["biased"][1]["scheme"], "points": 1}}, 2),
     ("abwva_points_3", "scheme", {"scheme": {**MINIMAL["abwva"][1]["scheme"], "points": 3}}, 2),
@@ -575,6 +577,33 @@ def test_a_failed_check_writes_nothing(tmp_path, monkeypatch, case):
                                                 "theta_angle": 0.5}}
     assert_rejected(command, config, tmp_path, rc=1)
     assert [path.name for path in tmp_path.rglob("*")] == ["config.json"]
+
+
+@pytest.mark.parametrize("case", ["a_file", "under_a_file"])
+def test_an_out_that_cannot_be_made_is_one_json_error(tmp_path, monkeypatch, case):
+    # before, both ended in a FileExistsError or NotADirectoryError traceback
+    # from Path.mkdir, after the command had run. An --out that is a file is
+    # a config error, found before the command runs; any other failure to
+    # write --out is a failed run
+    blocker = tmp_path / "F"
+    blocker.write_bytes(b"kept")
+    out, rc = (blocker, 2) if case == "a_file" else (blocker / "sub", 1)
+    if rc == 2:
+        def refuse(*args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli.COMMANDS, "noise", cli.COMMANDS["noise"]._replace(run=refuse))
+    config = write_config(tmp_path, MINIMAL["noise_table"][1])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["noise", "--config", config, "--out", str(out)])
+    assert status == rc
+    assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") == 1
+    payload = json.loads(err.getvalue())
+    assert set(payload) == {"error", "message"} and "'--out'" in payload["message"]
+    assert (payload["error"] == "config") == (rc == 2)
+    assert blocker.read_bytes() == b"kept"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["F", "config.json"]
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,6 @@ from wvlab.infometrics import (
     generator_moments,
     info_budget,
     qfi_joint,
-    readout_axis,
     scaling_bounds,
 )
 from wvlab.meter import FockMeter, GaussianMeter, SampledDistribution, to_grid
@@ -172,7 +171,8 @@ def _conditionings(draw):
         sigma = draw(st.floats(0.1, 5.0))
         mean_p = draw(st.floats(-2.0, 2.0)) if kind == "position_mean_p" else 0.0
         position = GaussianMeter(sigma, draw(st.floats(-1.0, 1.0)), mean_p)
-        values = readout_axis(sigma, g, 1024)
+        span = 16 * sigma + 8 * abs(g)
+        values = np.linspace(-span, span, 1024, endpoint=False)
     return Conditioning(u, a, values, np.ones(values.size), position), g
 
 
@@ -237,7 +237,8 @@ class TestKernelSums:
         pre = bloch_state(1.2, 0.4)
         post = optimal_postselection(pre, SIGMA_Z)
         if readout == "position":
-            q = readout_axis(1.0, 0.3, 512)
+            span = 16.0 + 8 * 0.3  # a coarse readout axis of sigma = 1 kicked by g = 0.3
+            q = np.linspace(-span, span, 512, endpoint=False)
             cond = Conditioning.of(pre, post, SIGMA_Z, q, np.full(q.size, q[1] - q[0]),
                                    GaussianMeter(1.0, 0.1, 0.2))
         else:

@@ -98,7 +98,7 @@ def test_standard_family_matches_grid_chain(spec):
         theta = standard_scheme(spec).extras["theta_opt"]
         family = spec.readout()[0]
     pre, post = spec.states()
-    base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * abs(spec.g), spec.points)
+    base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * abs(spec.g), 4096)
 
     def marginal(g):
         joint = evolve_joint(pre, base, CouplingConfig(g, SIGMA_Z))
@@ -166,9 +166,9 @@ def test_general_readout_angle_rejected():
 
 
 def test_readout_axis_is_the_grid_chain_axis():
-    for sigma, g, points in [(1.0, 0.2, 4096), (0.7, -0.05, 2048), (3.0, 1e-4, 256)]:
-        base = to_grid(GaussianMeter(sigma), 16 * sigma + 8 * abs(g), points)
-        assert np.array_equal(readout_axis(sigma, g, points), base.q_grid)
+    for sigma, g in [(1.0, 0.2), (0.7, -0.05), (3.0, 1e-4)]:
+        base = to_grid(GaussianMeter(sigma), 16 * sigma + 8 * abs(g), 4096)
+        assert np.array_equal(readout_axis(sigma, g), base.q_grid)
 
 
 GRID_CHAIN = ("evolve_joint", "postselect", "JointState", "PostSelectedMeter", "GridMeter",
@@ -184,9 +184,9 @@ STEP_ORACLES = ("CENTRAL_DIFFERENCE", "default_step", "StepTooLarge", "FisherMet
                 "FisherReport", "qfi_pure", "qfi_mixed", "_family_vector",
                 "SLD_EIGENVALUE_CUTOFF", "binary_selection_distribution")
 # pass-throughs to `Conditioning.of_meter(...).kernels(g)` and the hand-rolled
-# biased-WVA spectrum; `_Kernels.selection_fisher` stays as a method
+# biased-WVA and joint-WM spectra; `_Kernels.selection_fisher` stays as a method
 WRAPPERS = ("selection_probability", "qfi_postselected", "phase_space_selection_probability",
-            "biased_centroid_shift", "_biased_spectrum")
+            "biased_centroid_shift", "_biased_spectrum", "_jwm_probs")
 
 
 def test_engine_modules_bind_no_grid_chain_name():
@@ -268,7 +268,7 @@ def test_inverse_family_matches_grid_chain(spec):
     families = spec.readouts()
     imaginary = spec.phi_angle != 0.0
     pre = bloch_state(np.pi / 2, 0.0)
-    base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * spec.g, spec.points)
+    base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * spec.g, 4096)
     joint = evolve_joint(pre, base, CouplingConfig(spec.g, SIGMA_Z))
 
     def meters(angle):

@@ -197,7 +197,49 @@ class TestABWVA:
                 assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 
 
+# JointWMSpec keywords: the second point damps the fringes (D < 1), the
+# third adds detection noise (Omega > 0)
+JOINT_WM_POINTS = [
+    dict(tau=0.05, phi=1.5, omega0=20.0, delta_omega=2.0),
+    dict(tau=0.08, phi=0.7, eps_fluct=0.3, omega0=20.0, delta_omega=2.0),
+    dict(tau=0.02, phi=2.5, eps_fluct=0.1, omega0=5.0, delta_omega=0.5, omega_noise=0.3),
+]
+
+
+def meter_spectrum(spec):
+    """(omega, w): the momentum spectrum of a Gaussian meter of momentum
+    spread delta_omega about omega0."""
+    return _generator_weights(GaussianMeter(1 / (2 * spec.delta_omega), mean_p=spec.omega0))
+
+
 class TestJointWM:
+    @pytest.mark.parametrize("point", JOINT_WM_POINTS)
+    def test_detectors_match_the_damped_fringes(self, point):
+        # on the Gaussian meter's spectrum, the two arms damped by D are
+        # 1/2 base (1 +- D cos(phi - omega tau)), base the normalised
+        # Gaussian spectral density
+        spec = JointWMSpec(**point)
+        table = joint_wm_scheme(spec, nu=100).table
+        omega = meter_spectrum(spec)[0]
+        assert table["omega"].tobytes() == omega.tobytes()
+        base = np.exp(-((omega - spec.omega0) ** 2) / (2 * spec.delta_omega**2))
+        base /= base.sum() * (omega[1] - omega[0])
+        fringe = math.exp(-(spec.eps_fluct**2) / 2) * np.cos(spec.phi - omega * spec.tau)
+        for got, want in [(table["detector_plus"], 0.5 * base * (1 + fringe)),
+                          (table["detector_minus"], 0.5 * base * (1 - fringe))]:
+            assert np.max(np.abs(got - want)) <= 4e-15 * np.max(want)
+
+    @pytest.mark.parametrize("point", JOINT_WM_POINTS)
+    def test_detectors_split_the_spectrum(self, point):
+        # every frequency reaches one detector or the other
+        spec = JointWMSpec(**point)
+        table = joint_wm_scheme(spec, nu=100).table
+        omega, w = meter_spectrum(spec)
+        base = w / (omega[1] - omega[0])
+        total = table["detector_plus"] + table["detector_minus"]
+        assert total.shape == base.shape
+        assert np.max(np.abs(total - base)) <= 2e-15 * np.max(base)
+
     def test_noiseless_estimate_unbiased(self):
         spec = JointWMSpec(
             tau=0.05, phi=np.pi / 2, eps_fluct=0.0, omega0=20.0, delta_omega=2.0
@@ -258,6 +300,13 @@ class TestBiased:
         assert res.extras["slope"] == pytest.approx(
             2 * om0**2 / eps, rel=0.02
         )
+
+    def test_spectrum_is_the_gaussian_meter_spectrum(self):
+        # the omega column is the momentum spectrum of a Gaussian meter of
+        # momentum spread delta_omega about omega0, as every meter build reads it
+        spec = BiasedSpec(tau=1e-4, beta=0.0025, epsilon=0.05, omega0=20.0, delta_omega=2.0)
+        omega = biased_scheme(spec).table["omega"]
+        assert omega.tobytes() == meter_spectrum(spec)[0].tobytes()
 
     def test_zero_delay_zero_shift(self):
         spec = BiasedSpec(tau=0.0, beta=0.01, epsilon=0.1, omega0=10.0, delta_omega=1.0)
