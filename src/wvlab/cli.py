@@ -268,6 +268,10 @@ def load_config(path: str, command: str) -> ScenarioConfig:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return ScenarioConfig.parse(raw, command)

@@ -176,9 +176,6 @@ class GridMeter:
         p_grid, phi = fourier_pair(self.q_grid, self.amplitudes)
         return GridMeter(p_grid, phi)
 
-    def mean_p(self) -> float:
-        return self.momentum().mean_q()
-
     def var_p(self) -> float:
         return self.momentum().var_q()
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import LadderTooLong, SingularCovariance, UnsupportedCombination
 from .infometrics import PROBABILITY_FLOOR, ParamDistribution, classical_fisher
+from .qsys import weak_value
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +398,8 @@ def pixelated_fisher_ratio(
     the imaginary scheme it is the ratio alpha_p / alpha_q of pixelation
     degradation factors, approaching 1 for fine pixels.
     """
-    from .qsys import weak_value as _wv  # local import to avoid cycles
-
     pre, post, a = selection
-    w = _wv(pre, post, a)
+    w = weak_value(pre, post, a)
     lam_max = float(np.max(np.abs(np.linalg.eigvalsh(a.matrix))))
     p_f = abs(np.vdot(post.amplitudes, pre.amplitudes)) ** 2
 

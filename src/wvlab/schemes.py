@@ -43,6 +43,7 @@ from .infometrics import (
 )
 from .meter import FockMeter, GaussianMeter, optimal_quadrature_angle
 from .qsys import (
+    ORTHOGONALITY_THRESHOLD,
     PROJ_ONE,
     SIGMA_Z,
     Observable,
@@ -55,14 +56,15 @@ from .qsys import (
 @dataclass
 class SchemeReport:
     """Per-scheme summary: amplification factor, post-selection probability,
-    Fisher information per input trial, SNR per sqrt(trial), and regime.
-    `table` holds the columns of the outcome distribution (None where the
-    scheme has none); `to_dict` leaves it out."""
+    Fisher information per input trial, SNR per sqrt(trial), and regime. A
+    headline number the scheme does not model is None, never a stand-in
+    value. `table` holds the columns of the outcome distribution (None where
+    the scheme has none); `to_dict` leaves it out."""
 
-    amplification: float
+    amplification: float | None
     p_f: float
-    fisher: float
-    snr_per_root_nu: float
+    fisher: float | None
+    snr_per_root_nu: float | None
     regime: RegimeLabel | None = None
     warnings: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
@@ -71,7 +73,7 @@ class SchemeReport:
     def __post_init__(self):
         if not 0.0 <= self.p_f <= 1.0:
             raise ValueError(f"p_f = {self.p_f!r} outside [0, 1]")
-        if self.fisher < 0:
+        if self.fisher is not None and self.fisher < 0:
             raise ValueError("fisher must be nonnegative")
 
     def to_dict(self) -> dict:
@@ -147,7 +149,7 @@ def standard_scheme(spec: StandardSpec) -> SchemeReport:
     """Standard WVA measured along its optimal quadrature (`StandardSpec.readout`,
     which warns when the AAV margin reaches 1; everything is still exact). The
     readout's mean and spread are the family's `mean_std`, as the `amr`
-    calibration reads them."""
+    calibration reads them; the meter is centred, so the mean is the shift."""
     pre, post = spec.states()
     w = weak_value(pre, post, SIGMA_Z)
     cfg = CouplingConfig(spec.g, SIGMA_Z)
@@ -160,13 +162,12 @@ def standard_scheme(spec: StandardSpec) -> SchemeReport:
     fi_cond = classical_fisher(family, spec.g)
     density = family.probabilities(spec.g)
     mean, std = family.mean_std(spec.g)
-    snr1 = abs(mean - family.mean_std(0.0)[0]) / std if std > 0 else 0.0
 
     return SchemeReport(
         amplification=abs(w),
         p_f=p_f,
         fisher=p_f * fi_cond,
-        snr_per_root_nu=snr1,
+        snr_per_root_nu=abs(mean) / std,
         regime=classify_regime(abs(spec.g), spec.sigma, w),
         warnings=notes,
         extras={
@@ -188,9 +189,9 @@ def standard_scheme(spec: StandardSpec) -> SchemeReport:
 
 @dataclass(frozen=True)
 class InverseSpec:
-    """Inverse WVA: the post-selection angles theta_i / phi_i are the unknowns
-    and the (known) coupling g amplifies them by 1/g. Exactly one of the two
-    angles may be nonzero (real vs imaginary variant)."""
+    """Inverse WVA: the post-selection angles theta_angle / phi_angle are the
+    unknowns and the (known) coupling g amplifies them by 1/g. Exactly one of
+    the two angles may be nonzero (real vs imaginary variant)."""
 
     g: float
     sigma: float
@@ -267,15 +268,15 @@ def inverse_scheme(spec: InverseSpec) -> SchemeReport:
     decay = math.expm1(-g_over_sigma**2 / 2)
     p_f_closed = math.sin(angle0 / 2) ** 2 - math.cos(angle0) * decay / 2
 
-    w = weak_value(pre, post, SIGMA_Z) if overlap > 1e-12 else complex(np.inf)
+    regime = None  # no weak value at an orthogonal selection
+    if overlap > ORTHOGONALITY_THRESHOLD:
+        regime = classify_regime(spec.g, spec.sigma, weak_value(pre, post, SIGMA_Z))
     return SchemeReport(
         amplification=1.0 / spec.g,
         p_f=p_f,
         fisher=p_f * fi,
         snr_per_root_nu=abs(mean_p) / std_p if imaginary else abs(mean_q) / std_q,
-        regime=classify_regime(spec.g, spec.sigma, w)
-        if np.isfinite(abs(w))
-        else None,
+        regime=regime,
         extras={
             "mean_q": mean_q,
             "mean_p": mean_p,
@@ -395,6 +396,12 @@ class JointWMSpec:
         if math.sin(self.phi) == 0:
             raise ValueError("sin(phi) must be nonzero")
 
+    @property
+    def damping(self) -> float:
+        """D = exp(-eps_fluct^2 / 2), the fringe contrast the alignment
+        fluctuation leaves."""
+        return math.exp(-(self.eps_fluct**2) / 2)
+
     def states(self) -> tuple[SystemState, SystemState]:
         """Pre |+> and post (e^{-i phi/2}, e^{i phi/2}) / sqrt(2): after
         exp(-i (tau/2) sigma_z omega) the arms of `post` and of its orthogonal
@@ -412,8 +419,7 @@ def joint_wm_sample(spec: JointWMSpec, nu: int, rng) -> tuple[np.ndarray, np.nda
     """Draw (omega_i, q_i) pairs from the physical model: spectrum draw,
     detector choice with damped fringes, then additive detection noise."""
     omega = rng.normal(spec.omega0, spec.delta_omega, size=nu)
-    damping = math.exp(-(spec.eps_fluct**2) / 2)
-    p_plus = 0.5 * (1 + damping * np.cos(spec.phi - omega * spec.tau))
+    p_plus = 0.5 * (1 + spec.damping * np.cos(spec.phi - omega * spec.tau))
     q = np.where(rng.random(nu) < p_plus, 1, -1)
     if spec.omega_noise > 0:
         omega = omega + rng.normal(0.0, spec.omega_noise, size=nu)
@@ -485,7 +491,7 @@ def joint_wm_scheme(spec: JointWMSpec, nu: int = 20000, seed: int = 7) -> Scheme
     densities are the arms of `spec.states()` at g = tau/2 on the spectrum
     N(omega0, delta_omega^2) of a Gaussian meter, each fringe damped by D:
     (D |K|^2 w + (1 - D) w / 2) / d omega, a dephasing of strength 1 - D."""
-    damping = math.exp(-(spec.eps_fluct**2) / 2)
+    damping = spec.damping
     grid, w = _generator_weights(GaussianMeter(1 / (2 * spec.delta_omega), mean_p=spec.omega0))
     arms = _arms(*spec.states(), CouplingConfig(spec.tau / 2, SIGMA_Z), grid, w)
     d_plus, d_minus = (
@@ -504,10 +510,10 @@ def joint_wm_scheme(spec: JointWMSpec, nu: int = 20000, seed: int = 7) -> Scheme
     tau_asym, phi_asym = joint_wm_pseudo_true(spec)
 
     return SchemeReport(
-        amplification=1.0,
-        p_f=1.0,
-        fisher=0.0,
-        snr_per_root_nu=0.0,
+        amplification=None,
+        p_f=1.0,  # both detectors record every trial
+        fisher=None,
+        snr_per_root_nu=None,
         extras={
             "tau_est": tau_est,
             "phi_est": phi_est,
@@ -534,21 +540,13 @@ class BiasedSpec:
     epsilon: float
     omega0: float
     delta_omega: float
-    resolution: float | None = None
 
     def __post_init__(self):
         if self.delta_omega <= 0 or self.epsilon == 0 or self.omega0 == 0:
             raise ValueError("need delta_omega > 0, epsilon != 0 and omega0 != 0")
-        if self.resolution is not None and self.resolution <= 0:
-            raise ValueError("resolution must be positive")
 
     def run(self) -> SchemeReport:
         return biased_scheme(self)
-
-
-def biased_beta_s(epsilon: float, omega0: float) -> float:
-    """Root beta_s = epsilon / omega0 of omega0 * beta - epsilon = 0."""
-    return epsilon / omega0
 
 
 def biased_p_f_closed(spec: BiasedSpec) -> float:
@@ -584,29 +582,20 @@ def biased_scheme(spec: BiasedSpec) -> SchemeReport:
     slope = float(np.sum(w * kern.density_dg()))
     slope_closed = 2 * spec.omega0**2 / spec.epsilon
 
-    extras = {
-        "centroid_shift": shift,
-        "slope": slope,
-        "slope_closed_form": slope_closed,
-        "p_f_grid": p_f_grid,
-        "p_f_closed_form": biased_p_f_closed(spec),
-        "beta_s": biased_beta_s(spec.epsilon, spec.omega0),
-        "standard_amplification": 2 * spec.delta_omega**2 / spec.epsilon,
-    }
-    if spec.resolution is not None:
-        extras["tau_resolution_standard"] = (
-            abs(spec.epsilon) * spec.resolution / spec.delta_omega**2
-        )
-        extras["tau_resolution_biased"] = (
-            abs(spec.epsilon) * spec.resolution / (2 * spec.omega0**2)
-        )
-
     return SchemeReport(
         amplification=slope_closed,
         p_f=min(max(p_f_grid, 0.0), 1.0),
-        fisher=0.0,
-        snr_per_root_nu=0.0,
-        extras=extras,
+        fisher=None,
+        snr_per_root_nu=None,
+        extras={
+            "centroid_shift": shift,
+            "slope": slope,
+            "slope_closed_form": slope_closed,
+            "p_f_grid": p_f_grid,
+            "p_f_closed_form": biased_p_f_closed(spec),
+            "beta_s": spec.epsilon / spec.omega0,  # the root of omega0 beta = epsilon
+            "standard_amplification": 2 * spec.delta_omega**2 / spec.epsilon,
+        },
         table={"omega": w, "spectrum": np.abs(kern.k) ** 2 * kern.weights / (w[1] - w[0])},
     )
 
@@ -623,15 +612,14 @@ class RecycleSpec:
     p_f: float
     loss: float = 0.0
     mirror_r: float | None = None
-    n_input: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.p_f < 1 and self.p_f != 1.0:
             raise ValueError("p_f must lie in (0, 1]")
         if not 0 <= self.loss < 1:
             raise ValueError("loss must lie in [0, 1)")
-        if self.n_input <= 0 or not 0 <= (self.mirror_r or 0.0) < 1:
-            raise ValueError("need n_input > 0 and mirror_r in [0, 1)")
+        if not 0 <= (self.mirror_r or 0.0) < 1:
+            raise ValueError("mirror_r must lie in [0, 1)")
 
     def run(self) -> SchemeReport:
         return recycle_scheme(self)
@@ -643,26 +631,25 @@ def cavity_gain(r: float, loss: float) -> float:
 
 
 def recycle_scheme(spec: RecycleSpec) -> SchemeReport:
-    """Pulsed: rounds j keep N_j = N [(1-p_f)(1-loss)]^j photons, every round
-    detects the p_f fraction; lossless recycling re-detects all N photons for
-    an SNR gain of exactly 1/sqrt(p_f). Cavity (`mirror_r` given): gain G
-    from the closed form and SNR factor sqrt(G). One operating point: the
-    report has no table."""
+    """Per input photon. Pulsed: round j keeps [(1-p_f)(1-loss)]^j of it,
+    every round detects the p_f fraction; lossless recycling re-detects the
+    whole photon for an SNR gain of exactly 1/sqrt(p_f). Cavity (`mirror_r`
+    given): gain G from the closed form and SNR factor sqrt(G). One operating
+    point: the report has no table."""
     if spec.mirror_r is None:
         keep = (1.0 - spec.p_f) * (1.0 - spec.loss)
-        total = spec.p_f * spec.n_input / (1.0 - keep)
-        single = spec.p_f * spec.n_input
-        snr_gain = math.sqrt(total / single)
+        total = spec.p_f / (1.0 - keep)
+        snr_gain = math.sqrt(total / spec.p_f)
         gain = None
     else:
         gain = cavity_gain(spec.mirror_r, spec.loss)
-        total = spec.p_f * spec.n_input * gain
+        total = spec.p_f * gain
         snr_gain = math.sqrt(gain)
 
     return SchemeReport(
-        amplification=1.0,
+        amplification=None,
         p_f=spec.p_f,
-        fisher=0.0,
+        fisher=None,
         snr_per_root_nu=snr_gain,
         extras={
             "total_detected": total,
@@ -680,17 +667,14 @@ def recycle_scheme(spec: RecycleSpec) -> SchemeReport:
 @dataclass(frozen=True)
 class PhaseSpaceSpec:
     """Cross-phase-modulation WVA: H = g delta(t) |1><1| x n with the usual
-    selection pair (theta_i = pi/2 pre, epsilon-detuned post)."""
+    selection pair (pre |+>, epsilon-detuned post)."""
 
     g: float
     epsilon: float
     meter: FockMeter
-    theta_i: float = np.pi / 2
 
     def states(self) -> tuple[SystemState, SystemState]:
-        pre = SystemState(
-            np.array([math.cos(self.theta_i / 2), math.sin(self.theta_i / 2)])
-        )
+        pre = SystemState(np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)]))
         post = SystemState(
             np.array([-np.exp(-1j * self.epsilon), 1.0]) / math.sqrt(2)
         )
@@ -820,7 +804,7 @@ def entangled_scheme(spec: EntangledSpec) -> SchemeReport:
         amplification=abs(wv),
         p_f=p_f,
         fisher=p_f * f_f,
-        snr_per_root_nu=0.0,
+        snr_per_root_nu=None,
         extras={
             "q_jt": heisenberg,
             "p_f_closed_form": (math.sin(d + spec.n * spec.phi) ** 2

@@ -244,7 +244,7 @@ class TestAcceptance:
 
         # hardware-only numbers are replaced by property checks:
         # lossless recycling gain
-        rec = schemes.recycle_scheme(schemes.RecycleSpec(p_f=0.03, n_input=1.0))
+        rec = schemes.recycle_scheme(schemes.RecycleSpec(p_f=0.03))
         rec_dev = abs(rec.extras["snr_gain"] - 1 / math.sqrt(0.03))
         rec_ok = rec_dev < 1e-9
 
@@ -335,7 +335,7 @@ class TestAcceptance:
 
     def test_criterion_9_biased_wva(self):
         eps, om0, dom = 0.1, 10.0, 1.0  # omega0 / delta_omega = 10
-        beta_s = schemes.biased_beta_s(eps, om0)
+        beta_s = eps / om0
         spec = schemes.BiasedSpec(
             tau=0.0, beta=beta_s, epsilon=eps, omega0=om0, delta_omega=dom
         )

@@ -411,9 +411,9 @@ ACCEPTED = {
     "inverse": {"g", "sigma", "theta_angle", "phi_angle"},
     "abwva": {"g", "epsilon", "sigma"},
     "joint_wm": {"tau", "phi_align", "eps_fluct", "omega0", "delta_omega", "omega_noise"},
-    "biased": {"tau", "beta", "epsilon", "omega0", "delta_omega", "resolution"},
-    "recycle": {"p_f", "loss", "mirror_r", "n_input"},
-    "phase_space": {"g", "epsilon", "nbar", "mixture", "theta_i"},
+    "biased": {"tau", "beta", "epsilon", "omega0", "delta_omega"},
+    "recycle": {"p_f", "loss", "mirror_r"},
+    "phase_space": {"g", "epsilon", "nbar", "mixture"},
     "entangled": {"phi", "epsilon", "n", "variant_post"},
     "trapped_ion": {"gammas", "theta"},
     "budget_sweep": {"g_over_2sigma", "sigma", "theta"},
@@ -430,10 +430,11 @@ BLOCK_KEYS = {
 COMMAND_BLOCKS = {"shift": {"scheme"}, "budget": {"scheme"}, "noise": {"scheme", "noise"},
                   "scheme": {"scheme", "sweep"},
                   "estimate": {"scheme", "noise", "experiment", "output"}}
-# keys no variant reads any more; the last four were read once, but each had
-# one value in use or another key fixed it
+# keys no variant reads any more; the last seven were read once, but each had
+# one value in use, another key fixed it, or it only rescaled a reported number
 DEAD_KEYS = {"n_values", "directory", "formats", "iterative", "mode",
-             "gamma0_t", "grid_check", "pf_sweep", "alpha"}
+             "gamma0_t", "grid_check", "pf_sweep", "alpha",
+             "theta_i", "resolution", "n_input"}
 ALL_KEYS = set().union(*ACCEPTED.values(), *BLOCK_KEYS.values(), DEAD_KEYS)
 REQUIRED = {
     **{v: {"variant"} | set(config["scheme"]) for v, (_, config) in MINIMAL.items()},
@@ -518,7 +519,8 @@ PROBES = [
     ("entangled_phi_infinity", "scheme", {"scheme": {**ENTANGLED, "phi": math.inf}}, 2),
     ("abwva_g_nan", "scheme",
      {"scheme": {"variant": "abwva", "g": math.nan, "epsilon": 0.1, "sigma": 1.0}}, 2),
-    # before, it exited 0 with a negative tau_resolution_standard
+    # once it exited 0 with a negative tau_resolution_standard; resolution
+    # is an unknown key now
     ("biased_resolution_negative", "scheme",
      {"scheme": {**MINIMAL["biased"][1]["scheme"], "resolution": -1.0}}, 2),
     # before, the first exited 1 with trapped_ion_shift's ValueError traceback
@@ -541,9 +543,11 @@ PROBES = [
 
 
 def run_cli(command, config, directory, *extra):
-    """(exit status, stderr) of one in-process CLI run."""
-    path = directory / "config.json"
-    path.write_text(json.dumps(config))
+    """(exit status, stderr) of one in-process CLI run. `config` is a JSON
+    object, written to config.json, or a Path to pass as --config as it is."""
+    path = config if isinstance(config, Path) else directory / "config.json"
+    if path is not config:
+        path.write_text(json.dumps(config))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = main([command, "--config", str(path), "--out", str(directory / "out"), *extra])
@@ -606,9 +610,27 @@ def test_an_out_that_cannot_be_made_is_one_json_error(tmp_path, monkeypatch, cas
     assert sorted(path.name for path in tmp_path.iterdir()) == ["F", "config.json"]
 
 
+@pytest.mark.parametrize("case", ["a_directory", "not_utf8"])
+def test_an_unreadable_config_is_one_json_error(tmp_path, case):
+    # before, these ended in an IsADirectoryError or UnicodeDecodeError traceback
+    path = tmp_path / "config"
+    if case == "a_directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    assert str(path) in assert_rejected("noise", path, tmp_path)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
+
+
+HEADLINE = ("amplification", "p_f", "fisher", "snr_per_root_nu")
+UNMODELLED = {"joint_wm": {"amplification", "fisher", "snr_per_root_nu"},
+              "biased": {"fisher", "snr_per_root_nu"},
+              "recycle": {"amplification", "fisher"},
+              "entangled": {"snr_per_root_nu"}}
 
 
 @pytest.mark.parametrize(
@@ -623,9 +645,15 @@ def test_scheme_command_runs_each_catalog_variant(tmp_path, variant, header):
     assert run_cli(command, config, tmp_path) == (0, "")
     out = tmp_path / "out"
     report = ScenarioConfig.parse(config, command).scheme.run()
-    assert json.loads((out / "report.json").read_text()) == json.loads(
-        json.dumps(report.to_dict(), default=float)
-    )
+    written = json.loads((out / "report.json").read_text())
+    assert written == json.loads(json.dumps(report.to_dict(), default=float))
+    # a headline number the scheme does not model is null; before, these
+    # eight read 1.0 or 0.0
+    for key in HEADLINE:
+        if key in UNMODELLED.get(variant, ()):
+            assert written[key] is None, key
+        else:
+            assert math.isfinite(written[key]) and written[key] >= 0, key
     table = out / "distribution.csv"
     assert (table.read_text().splitlines()[0] if table.exists() else None) == header
 
@@ -708,6 +736,11 @@ UNREAD = [
     ("pf_sweep", "budget", {"scheme": {**SHIPPED["budget"]["scheme"], "pf_sweep": True}}, [],
      "'pf_sweep'"),
     ("alpha", "scheme", {"scheme": {**PHASE, "alpha": 10.0}}, [], "'alpha'"),
+    ("theta_i", "scheme", {"scheme": {**PHASE, "theta_i": 1.0}}, [], "'theta_i'"),
+    ("resolution", "scheme", {"scheme": {**MINIMAL["biased"][1]["scheme"], "resolution": 0.05}},
+     [], "'resolution'"),
+    ("n_input", "scheme", {"scheme": {"variant": "recycle", "p_f": 0.03, "n_input": 1000.0}}, [],
+     "'n_input'"),
 ]
 
 

@@ -757,12 +757,12 @@ SPEC_FAMILIES = {
 
 
 # each scheme on the conditioning kernels and its kernel builds per run.
-# standard: the readout density at g, the two arms, the density at g = 0;
+# standard: the readout density at g and the two arms;
 # inverse: the Q and P readout densities at the angle, two kernels each (<f|
 # and d<f|/dangle); joint WM: its two detectors' arms at g = tau/2; the
 # others: their arms at g alone
 SCHEME_BUILDS = {
-    "standard": (StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05), 4),
+    "standard": (StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05), 3),
     # the Q and P readouts, <f| and d<f|/dangle each; p_f is read off them
     "inverse": (InverseSpec(g=0.1, sigma=1.0, theta_angle=0.01), 4),
     "phase_space": (PhaseSpaceSpec(g=1e-6, epsilon=0.1, meter=FockMeter.coherent(100.0)), 2),

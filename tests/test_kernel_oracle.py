@@ -229,7 +229,7 @@ def test_every_input_enters_once():
 
     assert fields(wvlab.CouplingConfig) == ["g", "a"]
     assert fields(ParamDistribution) == ["evaluator", "grid", "labels", "derivative", "kernels"]
-    assert fields(schemes.RecycleSpec) == ["p_f", "loss", "mirror_r", "n_input"]
+    assert fields(schemes.RecycleSpec) == ["p_f", "loss", "mirror_r"]
     assert params(estimate.mle_grid) == ["samples", "window"]
     assert params(estimate.mle_counts) == ["counts", "window"]
     assert params(estimate.sample) == ["sampler", "nu", "seed", "trial"]
