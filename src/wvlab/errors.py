@@ -33,6 +33,10 @@ class EmptyPostselection(WvlabError):
     """Post-selection succeeded with (numerically) zero probability."""
 
 
+class InvalidCovariance(WvlabError):
+    """Covariance matrix is not square, not finite or not exactly symmetric."""
+
+
 class SingularCovariance(WvlabError):
     """Covariance matrix could not be factorized even with jitter."""
 

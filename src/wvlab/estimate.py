@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BoundaryMaximum, SingularCovariance
+from .errors import BoundaryMaximum, InvalidCovariance, SingularCovariance
 from .infometrics import ParamDistribution, classical_fisher
-from .noise import CorrelatedNoiseModel, StateSpaceNoise, spd_cholesky
+from .noise import CorrelatedNoiseModel, StateSpaceNoise
 from .qsys import SIGMA_Z, weak_value
 from .schemes import StandardSpec
 
@@ -145,13 +145,81 @@ def amr_estimate(samples: np.ndarray, calibration: float) -> float:
     return float(np.mean(samples)) / calibration
 
 
+# side of the square tiles that the covariance check and the triangle restore
+# walk: each tile's temporaries are 128 KiB at most, not N^2 entries
+_TILE = 128
+
+
+def _lower_tiles(n: int):
+    """(rows, cols) slices of the tiles of an n x n matrix on and below its
+    diagonal, row by row."""
+    for top in range(0, n, _TILE):
+        rows = slice(top, min(top + _TILE, n))
+        for left in range(0, top + 1, _TILE):
+            yield rows, slice(left, min(left + _TILE, n))
+
+
+def _check_covariance(c: np.ndarray) -> None:
+    """Raise `InvalidCovariance` unless c is square, finite and bitwise
+    symmetric, tile by tile."""
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise InvalidCovariance(f"covariance must be a square matrix, got shape {c.shape}")
+    bits = c.view(np.uint64)
+    for rows, cols in _lower_tiles(c.shape[0]):
+        if not np.isfinite(c[rows, cols]).all():
+            raise InvalidCovariance("covariance has a non-finite entry")
+        if not np.array_equal(bits[rows, cols], bits[cols, rows].T):
+            raise InvalidCovariance("covariance is not exactly symmetric")
+
+
+def _mirror_upper(c: np.ndarray, diagonal: np.ndarray) -> None:
+    """Copy the strictly upper triangle of c over its lower one, tile by
+    tile, and put `diagonal` back."""
+    for rows, cols in _lower_tiles(c.shape[0]):
+        if cols.start < rows.start:
+            c[rows, cols] = c[cols, rows].T
+        else:
+            square = c[rows, cols]
+            below = np.tril_indices(square.shape[0], -1)
+            square[below] = square.T[below]
+    np.fill_diagonal(c, diagonal)
+
+
 def mle_weights(c: np.ndarray) -> np.ndarray:
     """Generalized-least-squares weights f = C^{-1} 1 / (1' C^{-1} 1) of a
     dense covariance; `StateSpaceNoise.gls_weights` is the O(N) path for the
-    correlated-noise model."""
-    from scipy.linalg import cho_solve
+    correlated-noise model.
 
-    y = cho_solve(spd_cholesky(c), np.ones(c.shape[0]))
+    LAPACK factors the Fortran-ordered view c.T in place, so no copy of C is
+    made: its upper triangle is C's lower one, the same numbers in the same
+    layout as a Fortran copy of a symmetric C. A matrix that fails is retried
+    once with a trace-scaled jitter on its diagonal before it is declared
+    singular. The untouched upper triangle and the saved diagonal then put C
+    back, so the caller's array is bitwise unchanged on every path; it holds
+    the factor while the call runs."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    c = np.asarray(c)
+    if np.iscomplexobj(c):
+        raise InvalidCovariance("covariance must be real")
+    # LAPACK would write through a read-only array, so such a C is copied
+    c = c.astype(float, copy=not c.flags.writeable)
+    _check_covariance(c)
+    n, diagonal = c.shape[0], c.diagonal().copy()
+    try:
+        try:
+            factor = cho_factor(c.T, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            _mirror_upper(c, diagonal)
+            jitter = 1e-12 * np.trace(c) / n
+            np.fill_diagonal(c, diagonal + jitter)
+            try:
+                factor = cho_factor(c.T, overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise SingularCovariance("covariance not positive definite") from exc
+        y = cho_solve(factor, np.ones(n), check_finite=False)
+    finally:
+        _mirror_upper(c, diagonal)
     total = y.sum()
     if total <= 0:
         raise SingularCovariance("inverse-covariance row sums are not positive")

@@ -280,11 +280,19 @@ class Conditioning:
         """K and J at g as sums over the eigenvalues a_k of A, one readout-
         length term per eigenvalue: no matrix product, so no BLAS call. On the
         spectrum the terms are u_k b_k and u_k a_k b_k with b_k = exp(-i a_k m
-        g), and J is m times the sum of the second. On the position axis they
+        g), and J is m times the sum of the second; for a_k = 0, b_k = 1, so
+        the terms are u_k and 0 and take no exp. On the position axis they
         are u_k psi_k and i u_k a_k dpsi_k, with psi_k = psi(q - a_k g) and
         dpsi_k = -psi'(q - a_k g)."""
         meter, k, j = self.position, None, None
         for u, a in zip(self.u, self.a):
+            if meter is None and a == 0:
+                if k is None:
+                    k = np.full(self.values.shape, u, dtype=complex)
+                    j = np.zeros(self.values.shape, dtype=complex)
+                else:
+                    k += u
+                continue
             if meter is None:
                 b = np.exp(-1j * (a * self.values) * g)
                 k_term, j_term = u * b, (u * a) * b

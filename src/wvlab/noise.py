@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LadderTooLong, SingularCovariance, UnsupportedCombination
+from .errors import LadderTooLong, UnsupportedCombination
 from .infometrics import PROBABILITY_FLOOR, ParamDistribution, classical_fisher
 from .qsys import weak_value
 
@@ -65,21 +65,6 @@ def covariance(model: CorrelatedNoiseModel) -> np.ndarray:
     mat = toeplitz(row)
     mat[np.diag_indices(model.n)] += model.a
     return mat
-
-
-def spd_cholesky(mat: np.ndarray):
-    """Cholesky factor of a symmetric positive-definite matrix, retrying once
-    with a trace-scaled jitter before declaring the matrix singular."""
-    from scipy.linalg import cho_factor
-
-    try:
-        return cho_factor(mat)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * np.trace(mat) / mat.shape[0]
-        try:
-            return cho_factor(mat + jitter * np.eye(mat.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance("covariance not positive definite") from exc
 
 
 def _run_recursion(coef, rhs: np.ndarray) -> np.ndarray:

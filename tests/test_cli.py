@@ -684,7 +684,7 @@ def test_shipped_commands_load_no_scipy(tmp_path):
 
 def test_noise_engine_loads_no_scipy():
     # F_CM and both estimators of a noise plan; only the dense oracles
-    # (covariance, spd_cholesky, mle_weights) need scipy.linalg
+    # (covariance, mle_weights) need scipy.linalg
     assert scipy_loaded(fresh_interpreter(
         "from wvlab.estimate import ExperimentPlan, run_experiment; "
         "from wvlab.noise import CorrelatedNoiseModel, cm_fisher_correlated; "

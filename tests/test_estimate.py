@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -9,7 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import mle_correlated, numeric_family
-from wvlab.errors import BoundaryMaximum, RegimeViolationWarning
+from wvlab.errors import (
+    BoundaryMaximum,
+    InvalidCovariance,
+    RegimeViolationWarning,
+    SingularCovariance,
+)
 from wvlab.estimate import (
     Bracket,
     ExperimentPlan,
@@ -462,6 +468,131 @@ class TestEstimators:
             mle_grid(draws, MLWindow(family, g - 8 * sd, g + 8 * sd))
             assert 0 < calls["probabilities"] <= 12
             assert 0 < calls["derivative"] <= 12
+
+
+def _copied_gls(c):
+    """GLS weights from a Cholesky factor of a copy of c, as scipy factors a
+    C-ordered matrix when it may not overwrite it."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    y = cho_solve(cho_factor(c.copy()), np.ones(c.shape[0]))
+    return y / y.sum()
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _random_spd(seed, n):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return (m + m.T) / 2 + n * np.eye(n)  # exactly symmetric: + commutes
+
+
+# the tile edges of the in-place factor's check and restore sit at 128 and 256
+DENSE_SIZES = (1, 2, 127, 128, 129, 255, 256, 257, 1000)
+REGIMES = {"white": 1e-3, "slow_1": 10.0, "slow_2": 1e3}
+
+
+class TestDenseGLS:
+    """`mle_weights` factors the caller's matrix in place and puts it back."""
+
+    @pytest.mark.parametrize("n", DENSE_SIZES)
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_weights_are_those_of_a_copied_factor(self, n, regime):
+        c = covariance(CorrelatedNoiseModel(1.0, 1.0, 1.0, REGIMES[regime], n))
+        before = c.copy()
+        w = mle_weights(c)
+        assert np.array_equal(_bits(w), _bits(_copied_gls(before)))
+        assert np.array_equal(_bits(c), _bits(before))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_spd_matrices(self, seed):
+        n = int(np.random.default_rng(seed).integers(3, 400))
+        c = _random_spd(seed, n)
+        before = c.copy()
+        assert np.array_equal(_bits(mle_weights(c)), _bits(_copied_gls(before)))
+        assert np.array_equal(_bits(c), _bits(before))
+
+    @pytest.mark.parametrize("n", (3, 300))
+    def test_jitter_retry_leaves_the_matrix_unchanged(self, n):
+        # all-ones is singular: the retry factors C + 1e-12 tr(C)/N I
+        c = np.ones((n, n))
+        w = mle_weights(c)
+        jittered = c + 1e-12 * np.trace(c) / n * np.eye(n)
+        assert np.array_equal(_bits(w), _bits(_copied_gls(jittered)))
+        assert np.array_equal(_bits(c), _bits(np.ones((n, n))))
+
+    @pytest.mark.parametrize("n", (3, 300))
+    def test_singular_covariance_leaves_the_matrix_unchanged(self, n):
+        c = -np.eye(n)
+        with pytest.raises(SingularCovariance):
+            mle_weights(c)
+        assert np.array_equal(_bits(c), _bits(-np.eye(n)))
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "read_only", "integer"])
+    def test_other_layouts(self, layout):
+        c = _random_spd(7, 300)
+        if layout == "integer":
+            c = np.rint(c)
+        expected = mle_weights(c)
+        if layout == "fortran":
+            other = np.asfortranarray(c)
+        elif layout == "strided":
+            other = np.zeros((600, 600))[::2, ::2]
+            other[...] = c
+        elif layout == "read_only":
+            other = c.copy()
+            other.setflags(write=False)
+        else:
+            other = c.astype(np.int64)
+        before = other.copy()
+        w = mle_weights(other)
+        assert np.array_equal(_bits(w), _bits(expected))
+        assert other.dtype == before.dtype and other.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("c", [np.ones((3, 4)), np.ones(3), np.ones((1, 2, 2))],
+                             ids=["3x4", "vector", "stack"])
+    def test_rejects_a_non_square_matrix(self, c):
+        with pytest.raises(InvalidCovariance, match="square"):
+            mle_weights(c)
+
+    def test_rejects_a_complex_matrix(self):
+        with pytest.raises(InvalidCovariance, match="real"):
+            mle_weights(np.eye(3, dtype=complex))
+
+    @pytest.mark.parametrize("entry", [(5, 5, np.nan), (299, 0, np.inf), (140, 3, -np.inf)])
+    def test_rejects_a_non_finite_matrix(self, entry):
+        i, j, value = entry
+        c = _random_spd(3, 300)
+        c[i, j] = c[j, i] = value
+        with pytest.raises(InvalidCovariance, match="non-finite"):
+            mle_weights(c)
+
+    @pytest.mark.parametrize("entry", [(1, 0), (0, 1), (299, 200)])
+    def test_rejects_an_asymmetric_matrix(self, entry):
+        c = _random_spd(4, 300)
+        c[entry] = np.nextafter(c[entry], np.inf)
+        with pytest.raises(InvalidCovariance, match="symmetric"):
+            mle_weights(c)
+
+    def test_symmetry_is_bitwise(self):
+        # -0.0 == 0.0, but restoring the lower triangle from the upper one
+        # would flip the sign bit of the caller's entry
+        c = np.eye(3)
+        c[2, 1] = -0.0
+        with pytest.raises(InvalidCovariance, match="symmetric"):
+            mle_weights(c)
+
+    def test_holds_no_copy_of_the_matrix(self):
+        c = covariance(CorrelatedNoiseModel(1.0, 1.0, 1.0, REGIMES["slow_1"], 1500))
+        mle_weights(c)  # warm: scipy imported, LAPACK routines looked up
+        tracemalloc.start()
+        try:
+            mle_weights(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * c.nbytes
 
 
 class TestMLWindow:

@@ -258,6 +258,25 @@ class TestKernelSums:
         dg = (2.0 * np.imag(np.conj(k) * j) - np.abs(k) ** 2 * dp / p) * w / p
         assert kern.density_dg().tobytes() == dg.tobytes()
 
+    @pytest.mark.parametrize("a", [(0.0, 1.0), (1.0, 0.0), (0.0, -2.0), (-0.0, 0.0)])
+    def test_zero_eigenvalue_takes_no_exp(self, a, monkeypatch):
+        # b_k = exp(-i 0 m g) = 1 at every m: the term is u_k in K and 0 in
+        # J, bitwise the exp formula's, with one exp per nonzero eigenvalue
+        u, values = np.array([0.6 - 0.3j, -0.2 + 0.7j]), np.arange(50.0) - 10.0
+        cond = Conditioning(u, np.array(a), values, np.ones(values.size))
+        for g in (0.3, -0.1):
+            b = [np.exp(-1j * (ak * values) * g) for ak in a]
+            k_ref, j_ref = u[0] * b[0], (u[0] * a[0]) * b[0]
+            k_ref += u[1] * b[1]
+            j_ref += (u[1] * a[1]) * b[1]
+            exp, calls = np.exp, []
+            monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
+            kern = cond.kernels(g)
+            monkeypatch.undo()
+            assert len(calls) == sum(ak != 0 for ak in a)
+            assert kern.k.tobytes() == k_ref.tobytes()
+            assert kern.j.tobytes() == (values * j_ref).tobytes()
+
     def test_observable_is_decomposed_once(self, monkeypatch):
         # on first use, not at construction, and never again
         calls = []
