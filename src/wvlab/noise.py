@@ -7,8 +7,10 @@ measurements, detector pixelation, and saturating photodetectors.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +36,11 @@ class CorrelatedNoiseModel:
     n: int
 
     def __post_init__(self):
+        for name in ("a", "c", "dt", "tau_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"N must be an integer, got {self.n!r}")
         if self.a <= 0:
             raise ValueError("white-noise floor a must be positive")
         if self.c < 0:
@@ -52,18 +59,41 @@ class CorrelatedNoiseModel:
 
     def thinned(self, p_f: float) -> "CorrelatedNoiseModel":
         """Noise model seen by the p_f-fraction of post-selected samples."""
+        _check_fraction(p_f)
         n_kept = max(1, round(self.n * p_f))
         return CorrelatedNoiseModel(self.a, self.c, self.dt / p_f, self.tau_c, n_kept)
 
 
-def covariance(model: CorrelatedNoiseModel) -> np.ndarray:
-    """Dense N x N covariance matrix; symmetric positive definite."""
-    from scipy.linalg import toeplitz
+def _check_fraction(p_f: float) -> None:
+    if not 0 < p_f <= 1:
+        raise ValueError(f"p_f must lie in (0, 1], got {p_f!r}")
 
-    lags = np.arange(model.n)
-    row = model.c * np.exp(-lags * model.ratio)
-    mat = toeplitz(row)
-    mat[np.diag_indices(model.n)] += model.a
+
+def covariance(model: CorrelatedNoiseModel) -> np.ndarray:
+    """Dense N x N covariance matrix; symmetric positive definite.
+
+    The matrix lives on its own private anonymous mapping, so freeing it
+    unmaps it. From the heap, glibc would keep a freed matrix of up to
+    32 MiB resident: freeing an mmapped chunk raises its mmap threshold to
+    that chunk's size, and its trim threshold to twice that. Transparent
+    huge pages are advised, as numpy advises them for its own large arrays;
+    on a private mapping they make the fill about as fast as `np.empty`'s."""
+    import mmap  # no shipped command builds C, so none loads mmap
+
+    n = int(model.n)  # a numpy int32 N would wrap 8 N^2 from N = 2^14
+    row = model.c * np.exp(-np.arange(n) * model.ratio)
+    row[0] += model.a
+    try:
+        buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+    except OSError as exc:
+        raise MemoryError(f"cannot map an {n} x {n} covariance") from exc
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):  # a hint: kernels without THP refuse it
+            buf.madvise(mmap.MADV_HUGEPAGE)
+    mat = np.ndarray((n, n), dtype=np.float64, buffer=buf)
+    # C_kl = row[|k - l|]: row k of this Toeplitz view starts at both[n - 1 - k]
+    both = np.concatenate((row[:0:-1], row))
+    mat[...] = np.lib.stride_tricks.as_strided(both[n - 1:], (n, n), (-8, 8))
     return mat
 
 
@@ -233,8 +263,7 @@ def amr_information(model: CorrelatedNoiseModel, p_f: float | None = None) -> Am
         if white:
             return AmrInfo(model.n / (model.a + model.c), AmrRegime.WHITE, thr)
         return AmrInfo(model.n / (model.a + model.n * model.c), AmrRegime.SLOW_CM, thr)
-    if not 0 < p_f <= 1:
-        raise ValueError(f"p_f must lie in (0, 1], got {p_f!r}")
+    _check_fraction(p_f)
     if white or p_f <= thr:
         regime = AmrRegime.WHITE if white else AmrRegime.SLOW_WVA_UNCORRELATED
         return AmrInfo(model.n / (model.a + model.c), regime, thr)

@@ -8,9 +8,9 @@ code with the package and pin it from outside. Likewise the recursions of
 the correlated-noise engine run as numpy doubling scans, and the reference
 here is LAPACK's banded triangular solve. The meter-shift formulas, the
 expectation value, the mixed-state weak values, the Wigner map, pixel
-binning, the dense GLS estimate and the matrix-product kernels check the
-package from outside too; no command calls them. Nothing in `src/` imports
-this module.
+binning, scipy's Toeplitz build of the dense covariance, the dense GLS
+estimate and the matrix-product kernels check the package from outside too;
+no command calls them. Nothing in `src/` imports this module.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from wvlab.estimate import mle_weights
 from wvlab.infometrics import PROBABILITY_FLOOR, Conditioning, ParamDistribution
 from wvlab.meter import FockState, GridMeter, SampledDistribution
 from wvlab.noise import (
+    CorrelatedNoiseModel,
     DiscreteDistribution,
     PixelatedDetector,
     SaturatedFisherResult,
@@ -542,7 +543,20 @@ def pixelate(dist: SampledDistribution, det: PixelatedDetector) -> DiscreteDistr
 
 
 # ---------------------------------------------------------------------------
-# the dense GLS estimate
+# the dense covariance and the dense GLS estimate
+
+
+def toeplitz_covariance(model: CorrelatedNoiseModel) -> np.ndarray:
+    """The dense covariance as scipy's Toeplitz matrix of
+    c exp(-|k - l| dt / tau_c), plus a on its diagonal, in numpy's own
+    allocation: `covariance` must equal it bitwise."""
+    from scipy.linalg import toeplitz
+
+    lags = np.arange(model.n)
+    row = model.c * np.exp(-lags * model.ratio)
+    mat = toeplitz(row)
+    mat[np.diag_indices(model.n)] += model.a
+    return mat
 
 
 def mle_correlated(samples: np.ndarray, c: np.ndarray) -> float:

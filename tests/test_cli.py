@@ -4,15 +4,13 @@ import hashlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import scipy_loaded
 from wvlab import cli
 from wvlab.cli import ScenarioConfig, _noise_rows, load_config, main
 from wvlab.errors import ConfigError
@@ -351,24 +349,9 @@ class TestCommands:
         assert rc == 2
 
 
-def fresh_interpreter(code):
-    """A fresh interpreter running `code` on this checkout's `src`, then
-    printing its loaded modules."""
-    code += "; import json, sys; print(json.dumps(list(sys.modules)))"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
-                            env={**os.environ, "PYTHONPATH": path})
-
-
-def scipy_loaded(proc):
-    out, _ = proc.communicate(timeout=120)
-    assert proc.returncode == 0
-    return [m for m in json.loads(out.splitlines()[-1]) if m.split(".")[0] == "scipy"]
-
-
 def test_lean_import():
     # the package and its CLI import without any scipy module
-    assert scipy_loaded(fresh_interpreter("import wvlab, wvlab.cli")) == []
+    assert scipy_loaded("import wvlab, wvlab.cli") == []
 
 
 # ---------------------------------------------------------------------------
@@ -677,22 +660,23 @@ def test_shipped_commands_load_no_scipy(tmp_path):
     # alone: the noise table's recursions are numpy scans, not LAPACK
     runs = [[c, "--config", str(ROOT / "scenarios" / f"{SCENARIOS[c]}.json"),
              "--out", str(tmp_path / c)] for c in ("shift", "budget", "noise", "scheme", "estimate")]
-    assert scipy_loaded(fresh_interpreter(
+    assert scipy_loaded(
         f"from wvlab.cli import main; assert [main(a) for a in {runs!r}] == {[0] * len(runs)}"
-    )) == []
+    ) == []
 
 
 def test_noise_engine_loads_no_scipy():
-    # F_CM and both estimators of a noise plan; only the dense oracles
-    # (covariance, mle_weights) need scipy.linalg
-    assert scipy_loaded(fresh_interpreter(
+    # F_CM, both estimators of a noise plan and the dense covariance; only
+    # the dense Cholesky, mle_weights, needs scipy.linalg
+    assert scipy_loaded(
         "from wvlab.estimate import ExperimentPlan, run_experiment; "
-        "from wvlab.noise import CorrelatedNoiseModel, cm_fisher_correlated; "
+        "from wvlab.noise import CorrelatedNoiseModel, cm_fisher_correlated, covariance; "
         "m = CorrelatedNoiseModel(a=0.05, c=1.0, dt=1.0, tau_c=100.0, n=1000); "
         "assert cm_fisher_correlated(m) > 0; "
+        "assert covariance(m).shape == (m.n, m.n); "
         "assert [run_experiment(ExperimentPlan(None, m.n, 5, 3, e, noise=m, true_value=0.2)).trials "
         "for e in ('amr', 'mle_correlated')] == [5, 5]"
-    )) == []
+    ) == []
 
 
 @pytest.mark.parametrize("variant", sorted(MINIMAL))

@@ -1,11 +1,15 @@
+import errno
 import math
+import mmap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
+from conftest import fresh_interpreter
 from oracles import ResolutionTooCoarse, pixelate
 from wvlab.errors import LadderTooLong, UnsupportedCombination
 from wvlab.infometrics import classical_fisher
@@ -62,6 +66,87 @@ class TestCovariance:
             mat = covariance(m)
             assert np.max(np.abs(mat - mat.T)) < 1e-12
             assert np.linalg.eigvalsh(mat).min() > 0
+
+    @given(
+        a=st.floats(-6, 6).map(lambda e: 10.0**e),
+        c=st.one_of(st.just(0.0), st.floats(-6, 6).map(lambda e: 10.0**e)),
+        dt=st.floats(-3, 3).map(lambda e: 10.0**e),
+        memory=st.floats(-3, 9).map(lambda e: 10.0**e),
+        n=st.integers(1, 600),
+    )
+    @example(a=1.0, c=1.0, dt=1.0, memory=10.0, n=1)
+    @example(a=0.5, c=0.0, dt=1.0, memory=1e9, n=600)
+    def test_bitwise_the_toeplitz_build(self, a, c, dt, memory, n):
+        m = CorrelatedNoiseModel(a=a, c=c, dt=dt, tau_c=memory * dt, n=n)
+        mat = covariance(m)
+        # mle_weights factors C in place: a read-only or non-C-ordered C
+        # would be copied first, 8 N^2 bytes more
+        assert mat.dtype == np.float64 and mat.shape == (n, n)
+        assert mat.flags.writeable and mat.flags.c_contiguous
+        ref = oracles.toeplitz_covariance(m)
+        assert np.array_equal(mat.view(np.uint64), ref.view(np.uint64))
+
+    def test_numpy_integer_n(self):
+        for n in (np.int32(40), np.int64(40)):
+            m = CorrelatedNoiseModel(a=0.5, c=1.0, dt=1.0, tau_c=10.0, n=n)
+            ref = CorrelatedNoiseModel(a=0.5, c=1.0, dt=1.0, tau_c=10.0, n=40)
+            assert np.array_equal(covariance(m), covariance(ref))
+            assert cm_fisher_correlated(m) == cm_fisher_correlated(ref)
+
+    def test_a_failed_mapping_is_a_memory_error(self, monkeypatch):
+        asked = []
+
+        def refuse(fileno, length, **kwargs):
+            asked.append(length)
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        # 8 N^2 bytes at N = 2^14, which an int32 product would wrap to 0
+        with pytest.raises(MemoryError):
+            covariance(CorrelatedNoiseModel(a=1.0, c=1.0, dt=1.0, tau_c=10.0, n=np.int32(2**14)))
+        assert asked == [2**31]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS")
+    def test_a_freed_matrix_goes_back_to_the_os(self):
+        # from the heap, glibc would keep every 32 MB matrix after the
+        # first resident once freed: 30 MB over these three
+        printed, _ = fresh_interpreter(
+            "from wvlab.noise import CorrelatedNoiseModel, covariance\n"
+            "def rss_mb():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(s.split()[1]) for s in f if s.startswith('VmRSS:')) / 1024\n"
+            "m = CorrelatedNoiseModel(a=1.0, c=1.0, dt=1.0, tau_c=10.0, n=2000)\n"
+            "before = rss_mb()\n"
+            "for _ in range(3):\n"
+            "    covariance(m)\n"
+            "print(rss_mb() - before)"
+        )
+        assert float(printed[-1]) < 8.0
+
+
+class TestModelValidation:
+    BASE = {"a": 1.0, "c": 1.0, "dt": 1.0, "tau_c": 10.0, "n": 100}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a", "c", "dt", "tau_c"])
+    def test_non_finite_parameter_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            CorrelatedNoiseModel(**{**self.BASE, name: value})
+
+    @pytest.mark.parametrize("n", [2.5, 100.0, True, "100", None])
+    def test_non_integer_n_is_refused(self, n):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            CorrelatedNoiseModel(**{**self.BASE, "n": n})
+
+    @pytest.mark.parametrize("p_f", [0.0, -0.1, 1.5, math.nan, math.inf])
+    def test_thinning_outside_the_unit_interval_is_refused(self, p_f):
+        with pytest.raises(ValueError, match="p_f"):
+            CorrelatedNoiseModel(**self.BASE).thinned(p_f)
+
+    def test_thinning(self):
+        m = CorrelatedNoiseModel(**self.BASE)
+        assert m.thinned(1.0) == m
+        assert m.thinned(0.25) == CorrelatedNoiseModel(1.0, 1.0, 4.0, 10.0, 25)
 
 
 class TestCmFisher:
