@@ -2,10 +2,11 @@
 
 Randomness comes from a counter-based Philox generator with one substream per
 (seed, trial) pair, so experiments reproduce bit-for-bit regardless of trial
-execution order. `trial_samples` gives the data one trial estimates from.
-An `OutcomeSampler` holds the family it draws from and its g, and an
-`MLWindow` the family that `mle_grid` and `mle_counts` search: a plan
-builds each once and passes it to every trial.
+execution order. A trial of an outcome family is its outcome counts over the
+family's nodes; `trial_samples` spells out the data one trial estimates from.
+An `OutcomeSampler` holds the law it draws from, and an `MLWindow` the
+family that `mle_grid` searches: a plan builds each once and passes it to
+every trial.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import BoundaryMaximum, InvalidCovariance, SingularCovariance
 from .infometrics import ParamDistribution, classical_fisher
-from .noise import CorrelatedNoiseModel, StateSpaceNoise
+from .noise import CorrelatedNoiseModel, StateSpaceNoise, check_integer
 from .qsys import SIGMA_Z, weak_value
 from .schemes import StandardSpec
 
@@ -31,98 +32,27 @@ def substream(seed: int, trial: int = 0) -> np.random.Generator:
 # sampling
 
 
-class Bracket:
-    """j = searchsorted(table, x, "right") - 1 of a finite nondecreasing table:
-    the index of the last entry <= x, or -1 below the table, exactly.
-
-    A guide table (Chen & Asau 1974; Devroye 1986, §III.2.4), built once, holds
-    the bracket of the lower edge of each of 2 (n - 1) equal buckets over
-    [table[0], table[-1]], so a bucket of an evenly spaced table holds at most
-    one entry. A key's candidate is its bucket's entry, stepped once past a
-    table entry inside the bucket; it is kept where table[j] <= x < table[j+1]
-    holds (or j is last), and only the other keys are searched, so rounding
-    in the bucket arithmetic can cost time but never a wrong j. Keys must not
-    be NaN.
-    """
-
-    def __init__(self, table):
-        t = np.asarray(table, dtype=float)
-        buckets, span = 2 * max(t.size - 1, 1), t[-1] - t[0]
-        self.table, self.upper = t, np.append(t[1:], np.inf)
-        self.origin, self.top = t[0], buckets - 1
-        self.scale = buckets / span if span > 0 else 0.0
-        edges = t[0] + np.arange(buckets) * (span / buckets)
-        self.guide = np.searchsorted(t, edges, side="right") - 1
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        j = self.guide.take(np.clip((x - self.origin) * self.scale, 0, self.top).astype(np.intp))
-        j += x >= self.upper.take(j)
-        wrong = self.table.take(j) > x
-        wrong |= x >= self.upper.take(j)
-        if wrong.any():
-            j[wrong] = np.searchsorted(self.table, x[wrong], side="right") - 1
-        return j
-
-
 class OutcomeSampler:
-    """Draws from one outcome distribution, evaluated once at g: the
-    normalised table of a discrete family, whose nu draws are its `counts`
-    in random order, or the inverse CDF (trapezoid-integrated density) of a
-    continuous one, with its `Bracket` and np.interp's slopes."""
+    """One outcome law, evaluated once at g: the family's K nodes (a density's
+    grid points, a discrete family's outcomes) with probabilities p_k / sum p,
+    which for a density is p_k dx over the grid, the law its Fisher number
+    sums over. A trial is its outcome `counts`."""
 
     def __init__(self, dist: ParamDistribution, g: float):
         probs = dist.probabilities(g)
-        self.discrete = dist.grid is None
-        if self.discrete:
-            self.probs, self.cdf, self.values = probs, None, dist.outcome_values()
-        else:
-            inc = 0.5 * (probs[1:] + probs[:-1]) * dist.spacing
-            cdf = np.concatenate([[0.0], np.cumsum(inc)])
-            self.probs, self.cdf, self.values = None, cdf / cdf[-1], dist.grid
-            self.bracket = Bracket(self.cdf)
-            # np.interp's slopes: inf on a flat stretch (never read) or past a
-            # subnormal CDF step
-            with np.errstate(divide="ignore", over="ignore"):
-                self.slope = np.append(np.diff(self.values) / np.diff(self.cdf), 0.0)
+        self.probs, self.values = probs / probs.sum(), dist.outcome_values()
 
     def counts(self, rng: np.random.Generator, nu: int) -> np.ndarray:
-        """How often each outcome of a discrete family occurs in nu draws:
-        one multinomial, the sufficient statistic of the nu outcomes."""
-        return rng.multinomial(nu, self.probs / self.probs.sum())
-
-    def draw(self, rng: np.random.Generator, nu: int) -> np.ndarray:
-        if self.discrete:
-            # the outcome counts in uniformly random order: nu i.i.d. outcomes
-            # whose tally is `counts` of the same stream
-            draws = np.repeat(self.values, self.counts(rng, nu))
-            rng.shuffle(draws)
-            return draws
-        u = rng.random(nu)
-        # np.interp(u, cdf, values) term by term, so the draws are bitwise
-        # its own: u's bracket j, then slope[j] (u - cdf[j]) + values[j], or
-        # values[j] where u sits on cdf[j] (an infinite slope gives inf * 0
-        # there), as it does where j is last (u <= 1 = cdf[-1]); elsewhere the
-        # slope is not NaN, so np.interp's NaN retry never applies
-        j = self.bracket(u)
-        at, value = self.cdf.take(j), self.values.take(j)
-        on = u == at
-        with np.errstate(invalid="ignore", over="ignore"):
-            u -= at
-            u *= self.slope.take(j)
-            u += value
-        np.copyto(u, value, where=on)
-        return u
+        """How often each node occurs in nu draws: one multinomial, the
+        sufficient statistic of the nu outcomes, drawn as a chain of
+        binomials over the nodes with no array of nu draws."""
+        return rng.multinomial(nu, self.probs)
 
 
 def sample(sampler: OutcomeSampler, nu: int, seed: int, trial: int = 0) -> np.ndarray:
-    """nu i.i.d. draws from the distribution the sampler was built on, from
-    the (seed, trial) stream.
-
-    Continuous: inverse-CDF on the grid; discrete: the outcome counts of
-    `OutcomeSampler.counts`, spelt out and shuffled. Identical (seed, trial)
-    pairs reproduce identical sequences.
-    """
-    return sampler.draw(substream(seed, trial), nu)
+    """The outcome counts of nu i.i.d. draws from the sampler's law, from the
+    (seed, trial) stream; identical pairs reproduce identical counts."""
+    return sampler.counts(substream(seed, trial), nu)
 
 
 def correlated_noise_samples(
@@ -227,90 +157,43 @@ def mle_weights(c: np.ndarray) -> np.ndarray:
 
 
 class MLWindow:
-    """The family `dist` and the window [lo, hi] that `mle_grid` and
-    `mle_counts` search, with the family's (p, p') at the window's two ends
-    and its midpoint, where every search starts, evaluated once; and, for a
-    density, the `Bracket` of its grid. A plan builds one and hands it to
-    every trial, as it does an `OutcomeSampler`."""
+    """The family `dist` and the window [lo, hi] that `mle_grid` searches,
+    with the family's (p, p') at the window's two ends and its midpoint,
+    where every search starts, evaluated once. A plan builds one and hands it
+    to every trial, as it does an `OutcomeSampler`."""
 
     def __init__(self, dist: ParamDistribution, lo: float, hi: float):
         self.dist = dist
         self.lo, self.hi = float(lo), float(hi)
         self.mid = 0.5 * (self.lo + self.hi)
         self.fixed = tuple(self.at(g) for g in (self.lo, self.hi, self.mid))
-        self.cells = None if dist.grid is None else Bracket(dist.grid)
 
     def at(self, g: float) -> tuple[np.ndarray, np.ndarray]:
         return self.dist.probabilities(g), self.dist.derivative(g)
 
 
-def mle_grid(samples: np.ndarray, window: MLWindow) -> float:
-    """Maximum likelihood of the window's family in the window.
+def mle_grid(counts: np.ndarray, window: MLWindow) -> float:
+    """Maximum likelihood of the window's family in the window, from the
+    outcome counts n_k of a trial over the family's nodes.
 
-    Each sample's probability is its outcome's entry, or the linear
-    interpolation of the density between its two grid points, floored at
-    1e-300. The maximiser is the down-crossing of the analytic score
-    S(g) = sum p'/p: Fisher scoring (step S / sum (p'/p)^2) kept by bisection
-    in a bracket with S(lo) > 0 > S(hi), stopped when a step falls below 1e-6
-    of the window's sd, (hi - lo) / 16. A discrete family's samples enter
-    through their outcome counts alone (see `mle_counts`).
+    The maximiser is the down-crossing of the analytic score
+    S(g) = sum_k n_k p'_k / p_k, with p'/p read as 0 where p is below 1e-300:
+    Fisher scoring (step S / sum_k n_k (p'_k / p_k)^2) kept by bisection in a
+    bracket with S(lo) > 0 > S(hi), stopped when a step falls below 1e-6 of
+    the window's sd, (hi - lo) / 16. A trial costs O(K) in the K nodes, not
+    O(nu) in its draws.
     """
-    dist = window.dist
-    if dist.grid is None:
-        # each sample's outcome index, whatever order the labels are in
-        labels = dist.outcome_values()
-        order = np.argsort(labels, kind="stable")
-        idx = order[np.clip(np.searchsorted(labels[order], samples), 0, labels.size - 1)]
-        return mle_counts(np.bincount(idx, minlength=labels.size), window)
-
-    grid = dist.grid
-    x = np.clip(samples, grid[0], grid[-1])
-    i = np.minimum(window.cells(x), grid.size - 2)
-    k = i + 1
-    left = grid.take(i)
-    w = x - left
-    w /= grid.take(k) - left
-    v = 1.0 - w
-
-    def read(a):  # (1 - w) a[i] + w a[i + 1]
-        out, right = a.take(i), a.take(k)
-        out *= v
-        right *= w
-        out += right
-        return out
-
-    def score(p, dp) -> tuple[float, float]:
-        r = _ratio(read(p), read(dp))
-        return float(r.sum()), float(r @ r)
-
-    return _score_root(score, window)
-
-
-def mle_counts(counts: np.ndarray, window: MLWindow) -> float:
-    """`mle_grid` of a discrete family from its outcome counts n_k: the score
-    is sum_k n_k p'_k / p_k and the information sum_k n_k (p'_k / p_k)^2, so
-    a trial costs O(K) in the K outcomes, not O(nu) in its draws."""
-
-    def score(p, dp) -> tuple[float, float]:
-        r = _ratio(p, dp)
-        return float(counts @ r), float(counts @ (r * r))
-
-    return _score_root(score, window)
-
-
-def _ratio(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    """p'/p, and 0 where p is below the 1e-300 floor."""
-    return np.divide(dp, p, out=np.zeros_like(p), where=p > 1e-300)
-
-
-def _score_root(score, window: MLWindow) -> float:
-    """The down-crossing of score(p, p') = (S, sum (p'/p)^2) in the window, as
-    `mle_grid` describes it; the family is evaluated only past the midpoint."""
     lo, hi = window.lo, window.hi
     tol = 1e-6 * (hi - lo) / 16
     at_lo, at_hi, at_mid = window.fixed
+
+    def score(p, dp) -> tuple[float, float]:
+        r = np.divide(dp, p, out=np.zeros_like(p), where=p > 1e-300)
+        return float(counts @ r), float(counts @ (r * r))
+
     if not (score(*at_lo)[0] > 0 > score(*at_hi)[0]):
         raise BoundaryMaximum("the score has no down-crossing inside the window")
+    # the family is evaluated only past the midpoint
     g, last, arrays = window.mid, hi - lo, at_mid
     while True:
         s, info = score(*arrays)
@@ -356,6 +239,8 @@ class ExperimentPlan:
     true_value: float | None = None
 
     def __post_init__(self):
+        for name in ("nu", "trials", "seed"):
+            check_integer(name, getattr(self, name))
         if self.nu < 1:
             raise ValueError("nu must be >= 1")
         if self.trials < 3:
@@ -427,13 +312,16 @@ def _noise_setup(plan: ExperimentPlan) -> tuple[float, float, CorrelatedNoiseMod
 def trial_samples(plan: ExperimentPlan, trial: int = 0) -> np.ndarray:
     """The nu results that trial `trial` of `run_experiment(plan)` estimates
     from: truth * calibration plus the thinned model's noise sequence for a
-    noise plan, else nu draws of the scheme's outcome family at its true g
-    (for a discrete family, the trial's counts in random order)."""
+    noise plan, else the trial's outcome counts spelt out as node values in
+    uniformly random order, shuffled by the stream that drew them."""
     if plan.noise is not None:
         calibration, truth, model = _noise_setup(plan)
         return truth * calibration + correlated_noise_samples(model, plan.seed, trial)
     family, g_true = plan.scheme.outcome_family()
-    return sample(OutcomeSampler(family, g_true), plan.nu, plan.seed, trial)
+    sampler, rng = OutcomeSampler(family, g_true), substream(plan.seed, trial)
+    draws = np.repeat(sampler.values, sampler.counts(rng, plan.nu))
+    rng.shuffle(draws)
+    return draws
 
 
 def run_experiment(plan: ExperimentPlan) -> EstimateReport:
@@ -463,30 +351,19 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
         fisher_single = classical_fisher(family, g_true)
         fisher_total = plan.nu * fisher_single
         sampler = OutcomeSampler(family, g_true)  # one evaluation for every trial
-
-        def counts(t: int) -> np.ndarray:
-            # a discrete trial is its outcome counts: one draw, not nu
-            return sampler.counts(substream(plan.seed, t), plan.nu)
-
         if plan.estimator == "amr":
             # calibration: linear response of the outcome mean, sum_x x dp/dg
-            values, dp = family.outcome_values(), family.derivative(g_true)
+            values, dp = sampler.values, family.derivative(g_true)
             slope = float(np.sum(values * dp)) * family.spacing
             m0 = family.mean_std(g_true)[0]
             for t in range(plan.trials):
-                if sampler.discrete:
-                    mean = float(counts(t) @ values) / plan.nu
-                else:
-                    mean = float(np.mean(sample(sampler, plan.nu, plan.seed, t)))
+                mean = float(sample(sampler, plan.nu, plan.seed, t) @ values) / plan.nu
                 estimates[t] = g_true + (mean - m0) / slope
         else:
             sd = 1.0 / math.sqrt(max(fisher_total, 1e-300))
             window = MLWindow(family, g_true - 8 * sd, g_true + 8 * sd)
             for t in range(plan.trials):
-                if sampler.discrete:
-                    estimates[t] = mle_counts(counts(t), window)
-                else:
-                    estimates[t] = mle_grid(sample(sampler, plan.nu, plan.seed, t), window)
+                estimates[t] = mle_grid(sample(sampler, plan.nu, plan.seed, t), window)
 
     emp_var = float(np.var(estimates, ddof=1))
     crb = 1.0 / fisher_total

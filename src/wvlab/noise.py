@@ -39,8 +39,7 @@ class CorrelatedNoiseModel:
         for name in ("a", "c", "dt", "tau_c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"N must be an integer, got {self.n!r}")
+        check_integer("N", self.n)
         if self.a <= 0:
             raise ValueError("white-noise floor a must be positive")
         if self.c < 0:
@@ -62,6 +61,13 @@ class CorrelatedNoiseModel:
         _check_fraction(p_f)
         n_kept = max(1, round(self.n * p_f))
         return CorrelatedNoiseModel(self.a, self.c, self.dt / p_f, self.tau_c, n_kept)
+
+
+def check_integer(name: str, value) -> None:
+    """Raise `ValueError` unless value is an integer: a Python or numpy one,
+    not a bool and not an integral float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_fraction(p_f: float) -> None:

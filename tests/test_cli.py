@@ -276,11 +276,14 @@ class TestCommands:
                     "epsilon": 2 * math.asin(math.sqrt(0.05))},
          "noise": {"a": 0.5, "c": 1.0, "dt": 1.0, "tau_c": 200.0, "n": 2000},
          "experiment": {"nu": 100, "trials": 3, "seed": 11}},
-    ], ids=["phase_space", "standard_noise"])
+        {"scheme": {"variant": "standard", "g": 1e-3, "sigma": 1.0, "epsilon": 0.05},
+         "experiment": {"nu": 1000, "trials": 3, "seed": 11}},
+    ], ids=["phase_space", "standard_noise", "standard"])
     def test_dump_samples_is_trial_0(self, tmp_path, payload):
         # samples.csv holds the nu results trial 0 estimated from: before, a
         # discrete family's dump came from another draw than its counts, and
-        # a noise plan with a scheme dumped the unthinned, uncalibrated noise
+        # a noise plan with a scheme dumped the unthinned, uncalibrated noise.
+        # A density's results are its grid node values
         cfg = write_config(tmp_path, {**payload, "output": {"dump_samples": True}})
         out = tmp_path / "out"
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0

@@ -17,14 +17,12 @@ from wvlab.errors import (
     SingularCovariance,
 )
 from wvlab.estimate import (
-    Bracket,
     ExperimentPlan,
     MLWindow,
     OutcomeSampler,
     _noise_setup,
     amr_estimate,
     correlated_noise_samples,
-    mle_counts,
     mle_grid,
     mle_weights,
     run_experiment,
@@ -60,24 +58,13 @@ def gaussian_family(sigma=1.0):
     return ParamDistribution(density, grid=grid, derivative=derivative)
 
 
-def _scan_mle(samples, dist, g_grid):
-    """Oracle for `mle_grid`: grid maximum-likelihood with three-point
-    parabolic refinement, one family evaluation per grid point."""
+def _scan_mle(counts, dist, g_grid):
+    """Oracle for `mle_grid`: grid maximum-likelihood of a trial's outcome
+    counts over the family's nodes, with three-point parabolic refinement,
+    one family evaluation per grid point."""
     g_grid = np.asarray(g_grid, dtype=float)
-    if dist.grid is None:
-        # each sample's outcome index, whatever order the labels are in
-        labels = dist.outcome_values()
-        order = np.argsort(labels, kind="stable")
-        pos = np.searchsorted(labels[order], samples)
-        idx = order[np.clip(pos, 0, labels.size - 1)]
-    loglik = np.empty(g_grid.size)
-    for i, g in enumerate(g_grid):
-        p = dist.probabilities(g)
-        if dist.grid is not None:
-            vals = np.interp(samples, dist.grid, p)
-        else:
-            vals = p[idx]
-        loglik[i] = np.sum(np.log(np.clip(vals, 1e-300, None)))
+    loglik = np.array([counts @ np.log(np.clip(dist.probabilities(g), 1e-300, None))
+                       for g in g_grid])
     k = int(np.argmax(loglik))
     if k == 0 or k == g_grid.size - 1:
         raise BoundaryMaximum("likelihood maximum on the grid edge")
@@ -86,6 +73,15 @@ def _scan_mle(samples, dist, g_grid):
     offset = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
     step = g_grid[k] - g_grid[k - 1]
     return float(g_grid[k] + offset * step)
+
+
+def _tally(samples, values):
+    """How often each node value occurs among the samples, whatever order the
+    values are in."""
+    order = np.argsort(values, kind="stable")
+    idx = order[np.searchsorted(values[order], samples)]
+    assert np.array_equal(values[idx], samples)
+    return np.bincount(idx, minlength=values.size)
 
 
 def coarse_axis(sigma, g, points):
@@ -155,7 +151,7 @@ TRIAL_PLANS = {
 
 def _trial_estimate(plan, samples):
     """The plan's estimate from one trial's data, formed as `run_experiment`
-    forms it; a discrete family's samples enter through their tally."""
+    forms it; an outcome family's samples enter through their tally."""
     if plan.noise is not None:
         calibration, _, model = _noise_setup(plan)
         if plan.estimator == "amr":
@@ -163,108 +159,95 @@ def _trial_estimate(plan, samples):
         return float(StateSpaceNoise(model).gls_weights() @ samples) / calibration
     family, g = plan.scheme.outcome_family()
     values = family.outcome_values()
+    counts = _tally(samples, values)
     if plan.estimator == "mle_grid":
         sd = 1.0 / math.sqrt(plan.nu * classical_fisher(family, g))
-        return mle_grid(samples, MLWindow(family, g - 8 * sd, g + 8 * sd))
-    if family.grid is None:
-        mean = float((samples[:, None] == values[None, :]).sum(axis=0) @ values) / plan.nu
-    else:
-        mean = float(np.mean(samples))
+        return mle_grid(counts, MLWindow(family, g - 8 * sd, g + 8 * sd))
+    mean = float(counts @ values) / plan.nu
     slope = float(np.sum(values * family.derivative(g))) * family.spacing
     return g + (mean - family.mean_std(g)[0]) / slope
 
 
 def _per_call_sample(dist, nu, seed, trial, g):
-    """Oracle for `sample`: the family evaluated and its table built on every
-    call, drawn by np.interp on the unsorted uniforms, or by spelling out one
-    multinomial's counts and shuffling them."""
-    rng = substream(seed, trial)
-    probs = dist.probabilities(g)
-    if dist.grid is None:
-        draws = np.repeat(dist.outcome_values(), rng.multinomial(nu, probs / probs.sum()))
-        rng.shuffle(draws)
-        return draws
-    inc = 0.5 * (probs[1:] + probs[:-1]) * dist.spacing
-    cdf = np.concatenate([[0.0], np.cumsum(inc)])
-    return np.interp(rng.random(nu), cdf / cdf[-1], dist.grid)
+    """Oracle for `sample`: the family evaluated on every call, and one
+    multinomial over its nodes with probabilities p dx / sum p dx (the
+    uniform dx cancels)."""
+    p = dist.probabilities(g)
+    return substream(seed, trial).multinomial(nu, p / p.sum())
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A scheme whose outcome family is the discrete table p over the labels
+    0..k-1, at g = 0."""
+
+    p: tuple
+
+    def outcome_family(self):
+        p = np.array(self.p)
+        return numeric_family(lambda g: p, labels=np.arange(p.size)), 0.0
 
 
 def _random_table(seed, k):
-    """(p, its sampler): a random table over the labels 0..k-1 with some
-    exact zeros."""
+    """(p, its sampler, a scheme of it): a random table over the labels
+    0..k-1 with some exact zeros."""
     rng = np.random.default_rng(seed)
     p = (rng.exponential(size=k) + 0.05) * (rng.random(k) > 0.2)
     p[rng.integers(k)] += 0.1
     p /= p.sum()
-    return p, OutcomeSampler(numeric_family(lambda g: p, labels=np.arange(k)), 0.0)
+    scheme = _Table(tuple(p))
+    return p, OutcomeSampler(*scheme.outcome_family()), scheme
 
 
-class _Uniforms:
-    """Stands in for a generator whose `random` returns the given uniforms."""
+# the readout densities of the standard scheme at g = 0.0025, sigma = 1: the
+# real weak value's Q axis (dx = 0.0078), and the imaginary one's P axis, the
+# FFT dual of the Q axis (dx = 0.196 against a momentum sd of 0.5)
+DENSITY_SPECS = {
+    "standard_q": StandardSpec(g=0.0025, sigma=1.0, epsilon=0.05),
+    "standard_p": StandardSpec(g=0.0025, sigma=1.0, phi=0.05),
+}
 
-    def __init__(self, u):
-        self.u = u
 
-    def random(self, nu):
-        assert nu == self.u.size
-        return self.u.copy()
+@lru_cache(maxsize=None)
+def _density_sampler(name):
+    return OutcomeSampler(*DENSITY_SPECS[name].outcome_family())
+
+
+def _assert_multinomial(n, p, nu, trials):
+    """n (trials x k) against multinomial(nu, p): over the trials, each
+    outcome's total is binomial(trials nu, p_k), and each entry of the
+    centred product (n - nu p)(n - nu p)^T averages to nu (diag p - p p^T)
+    with the exact variance from the multinomial's fourth moments. Each
+    nonzero nu p_k should be about 10 or more, so these averages are close to
+    Gaussian."""
+    k = p.size
+    assert np.all(n.sum(axis=1) == nu) and np.all(n[:, p == 0] == 0)
+    mu = nu * p
+    assert np.all(np.abs(n.sum(axis=0) - trials * mu) <= 5 * np.sqrt(trials * mu * (1 - p)))
+    c = np.diag(p) - np.outer(p, p)  # covariance of one draw
+    y2 = (np.eye(k) - p) ** 2  # (delta_ij - p_j)^2 for the draw i
+    fourth = y2.T @ (p[:, None] * y2)  # E[Y_j^2 Y_k^2] of one centred draw
+    second = nu * fourth + nu * (nu - 1.0) * (np.outer(np.diag(c), np.diag(c)) + 2 * c**2)
+    var_z = np.maximum(second - (nu * c) ** 2, 0.0)
+    d = n - mu
+    assert np.all(np.abs(d.T @ d / trials - nu * c) <= 5 * np.sqrt(var_z / trials) + 1e-9 * nu)
 
 
 class TestSampling:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), points=st.integers(16, 600),
-           nu=st.integers(1, 3000))
-    def test_sorted_draw_is_the_unsorted_interp(self, seed, points, nu):
-        # zero runs of the density at both ends and in the middle, with mass
-        # on either side of the middle one, give the CDF flat stretches at 0,
-        # at 1 and between; a fifth of the uniforms sit exactly on CDF values
-        rng = np.random.default_rng(seed)
-        grid = np.linspace(-1.0, 1.0, points)
-        p = rng.exponential(size=points)
-        head, tail, run = rng.integers(2, points // 4 + 1, size=3)
-        start = rng.integers(head + 1, points - tail - run)
-        p[:head] = p[points - tail:] = p[start:start + run] = 0.0
-        p /= p.sum() * (grid[1] - grid[0])
-        sampler = OutcomeSampler(numeric_family(lambda g: p, grid=grid), 0.0)
-        cdf = sampler.cdf
-        assert cdf[0] == cdf[1] == 0.0 and cdf[-2] == cdf[-1] == 1.0
-        u = rng.random(nu)
-        hit = rng.integers(0, nu, size=nu // 5 + 1)
-        u[hit] = cdf[rng.integers(0, cdf.size, size=hit.size)]
-        expected = np.interp(u, cdf, sampler.values)
-        assert sampler.draw(_Uniforms(u), nu).tobytes() == expected.tobytes()
-
-    def test_draw_past_a_subnormal_cdf_step_is_the_interp(self):
-        # a density rising through subnormal values makes CDF steps below
-        # 1e-308, so np.interp's slope dq / step overflows to inf: a uniform
-        # on the step's left end reads the grid value there (not inf * 0), and
-        # one inside the step reads inf, as np.interp does
-        grid = np.linspace(-1.0, 1.0, 64)
-        p = np.ones(grid.size)
-        p[:10], p[10:13] = 0.0, [1e-320, 1e-315, 1e-310]
-        p /= p.sum() * (grid[1] - grid[0])
-        sampler = OutcomeSampler(numeric_family(lambda g: p, grid=grid), 0.0)
-        cdf = sampler.cdf
-        assert 0.0 < cdf[10] < 1e-308 and np.isinf(sampler.slope[9])
-        u = np.concatenate([cdf, [5e-324, 0.5 * cdf[12], 0.5]])
-        expected = np.interp(u, cdf, sampler.values)
-        assert np.isinf(expected).any()
-        assert sampler.draw(_Uniforms(u), u.size).tobytes() == expected.tobytes()
-
     @pytest.mark.parametrize("name", list(ORACLE_CASES))
     def test_sample_is_the_built_sampler_and_the_per_call_formula(self, name):
         family, g, nu, _ = _oracle_case(name)
         sampler = OutcomeSampler(family, g)
         for trial in (0, 7):
-            draws = sample(sampler, nu, 5, trial).tobytes()
-            assert draws == sampler.draw(substream(5, trial), nu).tobytes()
-            assert draws == _per_call_sample(family, nu, 5, trial, g).tobytes()
+            counts = sample(sampler, nu, 5, trial).tobytes()
+            assert counts == sampler.counts(substream(5, trial), nu).tobytes()
+            assert counts == _per_call_sample(family, nu, 5, trial, g).tobytes()
 
     def test_gaussian_law_of_large_numbers(self):
         fam = gaussian_family()
-        draws = sample(OutcomeSampler(fam, 0.4), 10**5, seed=1)
+        counts = sample(OutcomeSampler(fam, 0.4), 10**5, seed=1)
         se = 1.0 / math.sqrt(10**5)
-        assert abs(np.mean(draws) - 0.4) < 5 * se
+        assert abs(counts @ fam.grid / 10**5 - 0.4) < 5 * se
 
     def test_same_seed_same_sequence(self):
         sampler = OutcomeSampler(gaussian_family(), 0.0)
@@ -277,83 +260,55 @@ class TestSampling:
     def test_discrete_binomial_interval(self):
         dist = numeric_family(lambda g: np.array([0.3, 0.7]), labels=np.array([1.0, 0.0]))
         nu = 50000
-        draws = sample(OutcomeSampler(dist, 0.0), nu, seed=4)
-        freq = np.mean(draws)
+        freq = sample(OutcomeSampler(dist, 0.0), nu, seed=4)[0] / nu
         # exact binomial 5-sigma interval around p = 0.3
         half = 5 * math.sqrt(0.3 * 0.7 / nu)
         assert 0.3 - half <= freq <= 0.3 + half
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 50), log_nu=st.floats(4.0, 9.0))
-    def test_counts_have_the_multinomial_mean_and_covariance(self, seed, k, log_nu):
-        # a random table with some exact zeros; over the trials, each outcome's
-        # total is binomial(trials nu, p_k), and each entry of the centred
-        # product (n - nu p)(n - nu p)^T averages to nu (diag p - p p^T) with
-        # the exact variance from the multinomial's fourth moments. Each
-        # nonzero nu p_k is about 10 or more, so these averages are close to
-        # Gaussian
-        p, sampler = _random_table(seed, k)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 50), log_nu=st.floats(4.0, 9.0),
+           table=st.sampled_from(["random", *DENSITY_SPECS]))
+    def test_counts_have_the_multinomial_mean_and_covariance(self, seed, k, log_nu, table):
+        # a random table with some exact zeros, or a standard readout density
+        # over its 4096 grid nodes with probabilities p dx. A density's counts
+        # are checked on up to k random nodes with nu p >= 10 and the lump of
+        # the others, which keeps one such node too: the marginal of a
+        # multinomial on a partition of its outcomes is the multinomial of the
+        # parts' probabilities
         nu, trials = int(10**log_nu), 400
+        if table == "random":
+            p, sampler, _ = _random_table(seed, k)
+        else:
+            sampler = _density_sampler(table)
+            p = sampler.probs
         n = np.array([sampler.counts(substream(seed, t), nu) for t in range(trials)])
-        assert np.all(n.sum(axis=1) == nu) and np.all(n[:, p == 0] == 0)
-        mu = nu * p
-        assert np.all(np.abs(n.sum(axis=0) - trials * mu) <= 5 * np.sqrt(trials * mu * (1 - p)))
-        c = np.diag(p) - np.outer(p, p)  # covariance of one draw
-        y2 = (np.eye(k) - p) ** 2  # (delta_ij - p_j)^2 for the draw i
-        fourth = y2.T @ (p[:, None] * y2)  # E[Y_j^2 Y_k^2] of one centred draw
-        second = nu * fourth + nu * (nu - 1.0) * (np.outer(np.diag(c), np.diag(c)) + 2 * c**2)
-        var_z = np.maximum(second - (nu * c) ** 2, 0.0)
-        d = n - mu
-        assert np.all(np.abs(d.T @ d / trials - nu * c) <= 5 * np.sqrt(var_z / trials) + 1e-9 * nu)
+        assert n.shape == (trials, p.size) and np.all(n[:, p == 0] == 0)
+        if table != "random":
+            rng = np.random.default_rng(seed)
+            support = np.flatnonzero(nu * p >= 10)
+            keep = rng.choice(support, size=min(k, support.size - 1), replace=False)
+            n = np.column_stack([n[:, keep], nu - n[:, keep].sum(axis=1)])
+            p = np.append(p[keep], max(1.0 - p[keep].sum(), 0.0))
+        _assert_multinomial(n, p, nu, trials)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 50), nu=st.integers(1, 20_000),
-           trial=st.integers(0, 10**4))
-    def test_draws_tally_to_the_counts_of_their_stream(self, seed, k, nu, trial):
-        # single draws and the count trials read one multinomial per
-        # (seed, trial): the tally is the counts, exactly, and an outcome of
+           trial=st.integers(0, 10**4), table=st.sampled_from(["random", *DENSITY_SPECS]))
+    def test_draws_tally_to_the_counts_of_their_stream(self, seed, k, nu, trial, table):
+        # the single draws that `trial_samples` spells out and the counts of
+        # `sample` read one multinomial per (seed, trial): the tally is the
+        # counts, exactly, every draw is a node value, and an outcome of
         # probability 0 never occurs
-        p, sampler = _random_table(seed, k)
-        draws = sample(sampler, nu, seed, trial)
-        tally = np.bincount(draws.astype(np.intp), minlength=k)
+        if table == "random":
+            p, sampler, scheme = _random_table(seed, k)
+        else:
+            sampler, scheme = _density_sampler(table), DENSITY_SPECS[table]
+            p = sampler.probs
+        draws = trial_samples(ExperimentPlan(scheme, nu, 3, seed), trial)
+        tally = _tally(draws, sampler.values)
         assert draws.size == nu
-        assert np.array_equal(tally, sampler.counts(substream(seed, trial), nu))
+        assert np.array_equal(tally, sample(sampler, nu, seed, trial))
         assert np.all(tally[p == 0] == 0)
-
-
-def _keys(rng, table, m):
-    """Keys around a table: m of its own values, their floating-point
-    neighbours on both sides, and m uniforms over and past its range."""
-    on = rng.choice(table, size=m)
-    pad = 0.1 * max(table[-1] - table[0], 1.0)
-    return np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
-                           rng.uniform(table[0] - pad, table[-1] + pad, size=m)])
-
-
-class TestBracket:
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), m=st.integers(1, 300),
-           ties=st.sampled_from([0.0, 0.3, 1.0]))
-    def test_is_searchsorted_on_monotone_tables(self, seed, n, m, ties):
-        # steps of 0 (ties and flat runs, or a constant table), of 1e-12 (many
-        # entries in one guide bucket), and of order 1 and 1e3
-        rng = np.random.default_rng(seed)
-        scale = rng.choice([1e-12, 1.0, 1e3], size=n, p=[0.3, 0.6, 0.1])
-        steps = np.where(rng.random(n) < ties, 0.0, rng.exponential(size=n) * scale)
-        table = rng.normal(scale=10.0) + np.cumsum(steps)
-        x = _keys(rng, table, m)
-        assert np.array_equal(Bracket(table)(x), np.searchsorted(table, x, side="right") - 1)
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(1e-3, 1e3),
-           g_over_sigma=st.floats(-5.0, 5.0), points=st.integers(256, 8192))
-    def test_is_searchsorted_on_readout_axes(self, seed, sigma, g_over_sigma, points):
-        # linspace grids are not exactly uniform: their points and the guide's
-        # bucket edges disagree in the last bits
-        grid = coarse_axis(sigma, g_over_sigma * sigma, points)
-        x = np.concatenate([_keys(np.random.default_rng(seed), grid, 2000),
-                            0.5 * (grid[1:] + grid[:-1])])
-        assert np.array_equal(Bracket(grid)(x), np.searchsorted(grid, x, side="right") - 1)
 
 
 class TestEstimators:
@@ -396,9 +351,9 @@ class TestEstimators:
 
     def test_mle_grid_matches_sample_mean(self):
         fam = gaussian_family()
-        draws = sample(OutcomeSampler(fam, 0.25), 4000, seed=3)
-        est = mle_grid(draws, MLWindow(fam, -0.5, 1.0))
-        assert est == pytest.approx(np.mean(draws), abs=2e-3)
+        counts = sample(OutcomeSampler(fam, 0.25), 4000, seed=3)
+        est = mle_grid(counts, MLWindow(fam, -0.5, 1.0))
+        assert est == pytest.approx(counts @ fam.grid / 4000, abs=2e-3)
 
     @pytest.mark.parametrize(
         "spec",
@@ -409,7 +364,7 @@ class TestEstimators:
         ids=["phase_space", "entangled"],
     )
     def test_mle_grid_descending_labels(self, spec):
-        # outcome labels [1, 0] and [1, -1]: each sample must be scored with
+        # outcome labels [1, 0] and [1, -1]: each count must be scored with
         # its own outcome's probability
         rep = run_experiment(ExperimentPlan(spec, 10000, 20, 3, "mle_grid"))
         truth = spec.g if isinstance(spec, PhaseSpaceSpec) else spec.phi
@@ -418,9 +373,9 @@ class TestEstimators:
 
     def test_mle_grid_boundary(self):
         fam = gaussian_family()
-        draws = sample(OutcomeSampler(fam, 0.0), 100, seed=3)
+        counts = sample(OutcomeSampler(fam, 0.0), 100, seed=3)
         with pytest.raises(BoundaryMaximum):
-            mle_grid(draws, MLWindow(fam, 1.0, 2.0))
+            mle_grid(counts, MLWindow(fam, 1.0, 2.0))
 
     @pytest.mark.parametrize("name", list(ORACLE_CASES))
     @settings(max_examples=10)
@@ -429,27 +384,27 @@ class TestEstimators:
         # the scan's parabolic error is O(step^2): 2.2e-4 sd at 101 points on
         # the phase-space family, 100x less at 1001
         family, g, nu, sd = _oracle_case(name)
-        draws = sample(OutcomeSampler(family, g), nu, seed, trial)
+        counts = sample(OutcomeSampler(family, g), nu, seed, trial)
         window = np.linspace(g - 8 * sd, g + 8 * sd, 101)
-        est = mle_grid(draws, MLWindow(family, g - 8 * sd, g + 8 * sd))
-        fine = _scan_mle(draws, family, np.linspace(g - 8 * sd, g + 8 * sd, 1001))
+        est = mle_grid(counts, MLWindow(family, g - 8 * sd, g + 8 * sd))
+        fine = _scan_mle(counts, family, np.linspace(g - 8 * sd, g + 8 * sd, 1001))
         assert abs(est - fine) <= 1e-5 * sd
-        assert abs(est - _scan_mle(draws, family, window)) <= 1e-3 * sd
+        assert abs(est - _scan_mle(counts, family, window)) <= 1e-3 * sd
 
-    @pytest.mark.parametrize("name", ["phase_space", "entangled"])
+    @pytest.mark.parametrize("name", ["phase_space", "entangled", "standard"])
     def test_mle_grid_is_the_count_estimate_of_the_same_draws(self, name):
-        # sample() spells out the counts of its (seed, trial) stream, so
-        # mle_grid of the draws is the plan's count estimate of that trial,
-        # bitwise
+        # trial_samples() spells out the counts of its (seed, trial) stream,
+        # so mle_grid of the draws' tally is the plan's count estimate of that
+        # trial, bitwise
         family, g, nu, sd = _oracle_case(name)
         window = MLWindow(family, g - 8 * sd, g + 8 * sd)
         plan = ExperimentPlan(ORACLE_CASES[name][0], nu, 4, 9, "mle_grid")
         sampler = OutcomeSampler(family, g)
         estimates = []
         for trial in range(plan.trials):
-            estimates.append(mle_grid(sample(sampler, nu, 9, trial), window))
-            counts = sampler.counts(substream(9, trial), nu)
-            assert estimates[-1].hex() == mle_counts(counts, window).hex()
+            tally = _tally(trial_samples(plan, trial), family.outcome_values())
+            estimates.append(mle_grid(tally, window))
+            assert estimates[-1].hex() == mle_grid(sample(sampler, nu, 9, trial), window).hex()
         assert run_experiment(plan).mean_estimate.hex() == float(np.mean(estimates)).hex()
 
     def test_mle_grid_evaluation_count(self):
@@ -463,9 +418,9 @@ class TestEstimators:
                 return fn(x)
             setattr(family, name, counted)
         for trial in range(3):
-            draws = sample(sampler, 10**4, 101, trial)
+            counts = sample(sampler, 10**4, 101, trial)
             calls.clear()
-            mle_grid(draws, MLWindow(family, g - 8 * sd, g + 8 * sd))
+            mle_grid(counts, MLWindow(family, g - 8 * sd, g + 8 * sd))
             assert 0 < calls["probabilities"] <= 12
             assert 0 < calls["derivative"] <= 12
 
@@ -604,16 +559,13 @@ class TestMLWindow:
         window = MLWindow(family, g - 8 * sd, g + 8 * sd)
         sampler = OutcomeSampler(family, g)
         for trial in range(4):
-            draws = sample(sampler, nu, 21, trial)
+            counts = sample(sampler, nu, 21, trial)
             alone = MLWindow(family, g - 8 * sd, g + 8 * sd)
-            assert mle_grid(draws, window).hex() == mle_grid(draws, alone).hex()
-            if sampler.discrete:
-                counts = sampler.counts(substream(21, trial), nu)
-                assert mle_counts(counts, window).hex() == mle_counts(counts, alone).hex()
+            assert mle_grid(counts, window).hex() == mle_grid(counts, alone).hex()
 
 
 class TestRunExperiment:
-    @pytest.mark.parametrize("name, search", [("standard", "mle_grid"), ("entangled", "mle_counts")])
+    @pytest.mark.parametrize("name, search", [("standard", "mle_grid"), ("entangled", "mle_grid")])
     def test_ml_plan_evaluates_the_window_once(self, name, search, monkeypatch):
         # the window's ends and midpoint, where every search starts, are
         # evaluated once per plan, before its trials; a trial's search
@@ -685,24 +637,27 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("estimator", ["amr", "mle_grid"])
     def test_discrete_trial_is_one_count_draw(self, estimator, monkeypatch):
-        # each trial takes one substream and draws its counts from it: no
-        # sample() call
+        # each trial takes one substream and draws its counts from it: one
+        # sample() call, which returns the counts
         import wvlab.estimate as estimate_mod
 
-        streams = []
+        streams, draws = [], []
 
         def counted_substream(seed, trial=0, fn=estimate_mod.substream):
             streams.append((seed, trial))
             return fn(seed, trial)
 
-        def refuse(*args):
-            raise AssertionError("a discrete plan drew single outcomes")
+        def counted_sample(sampler, nu, seed, trial, fn=estimate_mod.sample):
+            draws.append(fn(sampler, nu, seed, trial))
+            return draws[-1]
 
         monkeypatch.setattr(estimate_mod, "substream", counted_substream)
-        monkeypatch.setattr(estimate_mod, "sample", refuse)
+        monkeypatch.setattr(estimate_mod, "sample", counted_sample)
         spec, nu = ORACLE_CASES["entangled"]
         run_experiment(ExperimentPlan(spec, nu, 6, 4, estimator))
         assert streams == [(4, t) for t in range(6)]
+        assert [d.shape for d in draws] == [(spec.outcome_family()[0].labels.size,)] * 6
+        assert all(d.sum() == nu for d in draws)
 
     @pytest.mark.parametrize("name", ["phase_space", "entangled"])
     def test_discrete_amr_plan_at_a_billion_draws(self, name):
@@ -750,6 +705,25 @@ class TestRunExperiment:
         rep = run_experiment(plan)
         assert abs(rep.crb_ratio - 1.0) <= 4 * rep.crb_ratio_se
 
+    def test_amr_plan_on_the_p_readout_reads_the_node_law(self):
+        # the imaginary standard scheme's P readout is coarse (dx = 0.196
+        # against a momentum sd of 0.5), so the node law and a law between
+        # the nodes differ: the amr crb_ratio Var F / slope^2 is 1.00504 on
+        # the nodes the Fisher number sums over, and 1.0575 on the
+        # piecewise-linear density between them. The plan samples the nodes
+        spec = DENSITY_SPECS["standard_p"]
+        family, g = spec.outcome_family()
+        x, w = family.outcome_values(), family.probabilities(g) * family.spacing
+        w = w / w.sum()
+        sampler = OutcomeSampler(family, g)
+        assert sampler.values is x and np.allclose(sampler.probs, w, rtol=1e-14, atol=0)
+        variance = float(w @ x**2 - (w @ x) ** 2)
+        slope = float(x @ family.derivative(g)) * family.spacing
+        expected = variance * classical_fisher(family, g) / slope**2
+        assert expected == pytest.approx(1.00504, abs=1e-5)
+        rep = run_experiment(ExperimentPlan(spec, 10_000, 2000, 24, "amr"))
+        assert abs(rep.crb_ratio - expected) <= 4.5 * rep.crb_ratio_se
+
     def test_zero_parameter_mean(self):
         # symmetric scheme at g ~ 0: mean estimate compatible with zero
         plan = ExperimentPlan(
@@ -795,6 +769,15 @@ class TestRunExperiment:
         # true value it would not read
         with pytest.raises(ValueError, match="true_value"):
             ExperimentPlan(spec, 100, 5, 0, true_value=0.7)
+        # a bool or a non-integral nu, trials or seed is refused here, not
+        # by numpy partway through a run; numpy integers are integers
+        for nu, trials, seed, name in ((2.5, 5, 0, "nu"), (True, 5, 0, "nu"), (100, 5.5, 0, "trials"),
+                                       (100, 5.0, 0, "trials"), (100, 5, 1.5, "seed"),
+                                       (100, 5, False, "seed")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                ExperimentPlan(spec, nu, trials, seed)
+        plan = ExperimentPlan(spec, np.int32(100), np.int64(3), np.uint8(4))
+        assert run_experiment(plan).to_dict() == run_experiment(ExperimentPlan(spec, 100, 3, 4)).to_dict()
 
     def test_amr_variance_saturates_under_slow_noise(self):
         # window well inside one correlation time: AMR variance stays pinned

@@ -187,6 +187,9 @@ STEP_ORACLES = ("CENTRAL_DIFFERENCE", "default_step", "StepTooLarge", "FisherMet
 # biased-WVA and joint-WM spectra; `_Kernels.selection_fisher` stays as a method
 WRAPPERS = ("selection_probability", "qfi_postselected", "phase_space_selection_probability",
             "biased_centroid_shift", "_biased_spectrum", "_jwm_probs")
+# the second sampling path: every outcome family is sampled as counts over its
+# nodes, and `mle_grid` is the counts score, with no interpolation between them
+SAMPLING = ("Bracket", "mle_counts")
 
 
 def test_engine_modules_bind_no_grid_chain_name():
@@ -207,9 +210,11 @@ def test_engine_modules_bind_no_grid_chain_name():
         source = Path(module.__file__).read_text(encoding="utf-8")
         assert not [name for name in STEP_ORACLES if name in source], module.__name__
         assert not [name for name in WRAPPERS if re.search(rf"\b{name}\b", source)], module.__name__
+        assert not [name for name in SAMPLING if re.search(rf"\b{name}\b", source)], module.__name__
         assert not hasattr(module, "selection_fisher"), module.__name__
         assert not set(MOVED + DELETED) & set(vars(module)), module.__name__
     assert not hasattr(wvlab.meter.GridMeter, "to_csv")
+    assert "np.interp" not in Path(estimate.__file__).read_text(encoding="utf-8")
     with pytest.raises(TypeError):
         ParamDistribution(lambda g: np.array([1.0]))
     assert list(inspect.signature(wvlab.noise.saturated_fisher).parameters) == [
@@ -230,8 +235,7 @@ def test_every_input_enters_once():
     assert fields(wvlab.CouplingConfig) == ["g", "a"]
     assert fields(ParamDistribution) == ["evaluator", "grid", "labels", "derivative", "kernels"]
     assert fields(schemes.RecycleSpec) == ["p_f", "loss", "mirror_r"]
-    assert params(estimate.mle_grid) == ["samples", "window"]
-    assert params(estimate.mle_counts) == ["counts", "window"]
+    assert params(estimate.mle_grid) == ["counts", "window"]
     assert params(estimate.sample) == ["sampler", "nu", "seed", "trial"]
     # p_f fixes the optimal real weak value; its absence means no WVA
     assert params(wvlab.noise.amr_information) == ["model", "p_f"]
@@ -240,9 +244,14 @@ def test_every_input_enters_once():
         return np.zeros(4)
 
     density = ParamDistribution(lambda g: np.ones(4), grid=np.arange(4.0) / 4, derivative=zero)
-    assert density.spacing == 0.25 and not estimate.OutcomeSampler(density, 0.0).discrete
+    assert density.spacing == 0.25 and density.outcome_values() is density.grid
     discrete = ParamDistribution(lambda g: np.full(4, 0.25), labels=np.arange(4.0), derivative=zero)
-    assert discrete.spacing == 1.0 and estimate.OutcomeSampler(discrete, 0.0).discrete
+    assert discrete.spacing == 1.0 and discrete.outcome_values() is discrete.labels
+    # and either is sampled on its nodes, with probabilities p dx over the grid
+    for family in (density, discrete):
+        sampler = estimate.OutcomeSampler(family, 0.0)
+        assert sampler.values is family.outcome_values()
+        assert np.array_equal(sampler.probs, np.full(4, 0.25))
     with pytest.raises(ValueError, match="not both"):
         ParamDistribution(np.ones, grid=np.arange(4.0), labels=np.arange(4.0), derivative=zero)
 
