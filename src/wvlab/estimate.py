@@ -11,7 +11,9 @@ every trial.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,8 +26,120 @@ from .schemes import StandardSpec
 
 
 def substream(seed: int, trial: int = 0) -> np.random.Generator:
-    """Independent counter-based stream keyed by (seed, trial)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, trial])))
+    """Independent counter-based stream keyed by (seed, trial): the Philox
+    generator of `np.random.SeedSequence([seed, trial])`, bitwise, with its
+    key taken from `_stream_key`'s block of 256 trials. One block is kept,
+    so calls that alternate between seeds or blocks of trials key a whole
+    block (about 0.1 ms) each time."""
+    return np.random.Generator(np.random.Philox(_stream_key(seed, trial)))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) in uint32 words: a
+# 4-word pool hashed from the entropy words, mixed word into word, then
+# hashed out as the two 64-bit words of a Philox key
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_POOL = 4
+# trials keyed at once; 2^32 is a multiple, so every trial of a block has
+# as many 32-bit words as the block's first
+_LANES = 256
+# (seed, block, the block's keys, the ISeedSequence type that hands one over)
+_key_memo: tuple = (None, None, None, None)
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of a nonnegative integer, least significant first,
+    as SeedSequence splits its entropy."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init, init * mult, init * mult^2, ... mod 2^32: the hash constant
+    before each of `count` hashes and after the last, as a column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hash(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of value[i] under the constants consts[i] and
+    consts[i + 1], one lane per column."""
+    x = (value ^ consts[:-1]) * consts[1:]
+    return x ^ (x >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _SHIFT)
+
+
+def _block_keys(seed: int, block: int) -> np.ndarray:
+    """The Philox keys `SeedSequence([seed, t]).generate_state(2, np.uint64)`
+    of the 256 trials t of a block, one read-only row each, mixed at once
+    with one uint32 lane a trial."""
+    seed_words, trial_words = _words(seed), _words(block * _LANES)
+    entropy = np.array(seed_words + trial_words, dtype=np.uint32)[:, None].repeat(_LANES, 1)
+    entropy[len(seed_words)] += np.arange(_LANES, dtype=np.uint32)  # the trials' low words
+    extra = max(0, len(entropy) - _POOL)
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    pool = np.zeros((_POOL, _LANES), np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL]
+    pool = _hash(pool, a[: _POOL + 1])
+    k = _POOL
+    for src in range(_POOL):
+        # every other word mixes in a hash of this one, under its own constant
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], a[k : k + _POOL]))
+        k += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hash(word, a[k : k + _POOL + 1]))
+        k += _POOL
+    state = _hash(pool, _hash_constants(_INIT_B, _MULT_B, _POOL)).astype(np.uint64)
+    keys = np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+    keys.flags.writeable = False
+    return keys
+
+
+def _stream_key(seed: int, trial: int):
+    """An `ISeedSequence` whose `generate_state` is the Philox key of
+    SeedSequence([seed, trial]), from a one-entry memo of the keys of the
+    256 trials that hold `trial`."""
+    global _key_memo
+    seed, trial = operator.index(seed), operator.index(trial)
+    if seed < 0 or trial < 0:
+        raise ValueError("expected non-negative integer")
+    memo = _key_memo
+    if memo[:2] != (seed, trial // _LANES):
+        block = trial // _LANES
+        memo = _key_memo = seed, block, _block_keys(seed, block), _key_type()
+    return memo[3](memo[2][trial % _LANES])
+
+
+@functools.cache
+def _key_type() -> type:
+    """The ISeedSequence of a precomputed key. numpy.random is imported
+    here, not with the module: no command but `estimate` draws."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamKey(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            """The key as Philox asks for it, two uint64 words."""
+            if n_words != 2 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+                raise ValueError("a stream key is two uint64 words")
+            return self.key
+
+    return StreamKey
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +159,11 @@ class OutcomeSampler:
     def counts(self, rng: np.random.Generator, nu: int) -> np.ndarray:
         """How often each node occurs in nu draws: one multinomial, the
         sufficient statistic of the nu outcomes, drawn as a chain of
-        binomials over the nodes with no array of nu draws."""
+        binomials over the nodes with no array of nu draws. numpy draws a
+        binomial of mean below 30 by inversion, about one step per count,
+        so part of the cost grows with nu while the nodes' means are
+        small; a binomial of larger mean is drawn by BTPE, whose cost does
+        not grow with it."""
         return rng.multinomial(nu, self.probs)
 
 
@@ -69,10 +187,12 @@ def correlated_noise_samples(
 
 
 def amr_estimate(samples: np.ndarray, calibration: float) -> float:
-    """Averaged measurement results: mean(samples) / calibration."""
+    """Averaged measurement results: mean(samples) / calibration, the mean
+    taken as np.mean takes it, sum / N, without its dispatch."""
     if calibration == 0:
         raise ValueError("calibration must be nonzero")
-    return float(np.mean(samples)) / calibration
+    samples = np.asarray(samples, dtype=float)
+    return float(samples.sum() / samples.size) / calibration
 
 
 # side of the square tiles that the covariance check and the triangle restore
@@ -215,6 +335,10 @@ def mle_grid(counts: np.ndarray, window: MLWindow) -> float:
 # experiments
 
 
+# samples a noise plan scans at once: 2 normals each, 256 KiB a block
+_NOISE_BLOCK = 16384
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Replicated sampling experiment.
@@ -339,13 +463,20 @@ def run_experiment(plan: ExperimentPlan) -> EstimateReport:
         engine = StateSpaceNoise(model)
         fisher_total = calibration**2 * engine.fisher()
         weights = engine.gls_weights() if plan.estimator == "mle_correlated" else None
-        for t in range(plan.trials):
-            rng = substream(plan.seed, t)
-            s = truth * calibration + engine.sample(rng.standard_normal(2 * plan.nu))
-            if plan.estimator == "amr":
-                estimates[t] = amr_estimate(s, calibration)
-            else:
-                estimates[t] = float(weights @ s) / calibration
+        # trials are drawn row by row, each from its own stream, and scanned
+        # a block at a time; each row's estimate is formed on its own, so
+        # every estimate is bitwise that of its trial alone
+        rows = max(1, _NOISE_BLOCK // plan.nu)
+        for first in range(0, plan.trials, rows):
+            normals = np.empty((min(rows, plan.trials - first), 2 * plan.nu))
+            for t, row in enumerate(normals, first):
+                substream(plan.seed, t).standard_normal(out=row)
+            block = truth * calibration + engine.sample(normals)
+            for t, s in enumerate(block, first):
+                if plan.estimator == "amr":
+                    estimates[t] = amr_estimate(s, calibration)
+                else:
+                    estimates[t] = float(weights @ s) / calibration
     else:
         family, g_true = plan.scheme.outcome_family()
         fisher_single = classical_fisher(family, g_true)

@@ -104,16 +104,18 @@ def covariance(model: CorrelatedNoiseModel) -> np.ndarray:
 
 
 def _run_recursion(coef, rhs: np.ndarray) -> np.ndarray:
-    """z_k = coef_k z_{k-1} + rhs_k with z_0 = rhs_0, by recursive doubling
+    """z_k = coef_k z_{k-1} + rhs_k with z_0 = rhs_0 down the first axis of
+    rhs, each column of a block on its own, by recursive doubling
     (Kogge & Stone 1973). The step at distance d = 1, 2, 4, ... composes
     each affine map with the one d places back: z_k then sums the 2d terms
     up to k, and coef_k becomes the product of the 2d coefficients that
     carry z_{k-2d} to z_k. So log2 N vectorised steps solve the recursion.
     A scalar coef is one constant for every k; its power coef^d is taken by
     `**` at each step, one rounding rather than log2 d compounded squarings.
-    `rhs` becomes z, an array `coef` is overwritten, and coef_0 is never
-    read."""
-    z, n, d = rhs, rhs.size, 1
+    Every step is elementwise, so a column of a block is bitwise its 1-D
+    scan; a C-ordered block's slices z[d:] are contiguous. `rhs` becomes z,
+    an array `coef` is overwritten, and coef_0 is never read."""
+    z, n, d = rhs, rhs.shape[0], 1
     scalar = np.ndim(coef) == 0
     while d < n:
         if scalar:
@@ -216,12 +218,17 @@ class StateSpaceNoise:
         return scale
 
     def sample(self, normals: np.ndarray) -> np.ndarray:
-        """The noise sequence made from 2N standard normals: the first N
-        drive the AR(1) state, the last N are the white floor."""
+        """The noise sequence made from 2N standard normals, or one per row
+        of a (rows, 2N) block in one scan: the first N of a row drive the
+        AR(1) state, the last N are the white floor."""
         n = self.model.n
-        state = _run_recursion(self.rho, self._scale * normals[:n])
-        state += math.sqrt(self.model.a) * normals[n:]
-        return state
+        rows = np.atleast_2d(normals)
+        # the state is scanned as N x rows, so every step reads contiguous
+        # memory; each column is still bitwise the scan of its row alone
+        state = np.multiply(rows[:, :n].T, self._scale[:, None], order="C")
+        sequence = math.sqrt(self.model.a) * rows[:, n:]
+        sequence += _run_recursion(self.rho, state).T
+        return sequence.reshape(normals.shape[:-1] + (n,))
 
 
 def cm_fisher_correlated(model: CorrelatedNoiseModel) -> float:

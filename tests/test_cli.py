@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import scipy_loaded
+from conftest import fresh_interpreter, scipy_loaded
 from wvlab import cli
 from wvlab.cli import ScenarioConfig, _noise_rows, load_config, main
 from wvlab.errors import ConfigError
@@ -355,6 +355,23 @@ class TestCommands:
 def test_lean_import():
     # the package and its CLI import without any scipy module
     assert scipy_loaded("import wvlab, wvlab.cli") == []
+
+
+def _numpy_random_loaded(code: str) -> list[str]:
+    return [m for m in fresh_interpreter(code)[1] if m.split(".")[:2] == ["numpy", "random"]]
+
+
+def test_lean_import_loads_no_numpy_random():
+    # numpy.random is loaded by the first draw, not by the import
+    assert _numpy_random_loaded("import wvlab, wvlab.cli") == []
+
+
+def test_commands_that_draw_nothing_load_no_numpy_random(tmp_path):
+    runs = [[c, "--config", str(ROOT / "scenarios" / f"{SCENARIOS[c]}.json"),
+             "--out", str(tmp_path / c)] for c in ("shift", "budget", "noise", "scheme")]
+    assert _numpy_random_loaded(
+        f"from wvlab.cli import main; assert [main(a) for a in {runs!r}] == {[0] * len(runs)}"
+    ) == []
 
 
 # ---------------------------------------------------------------------------

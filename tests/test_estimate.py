@@ -125,14 +125,14 @@ def _oracle_case(name):
     return family, g, nu, 1.0 / math.sqrt(nu * classical_fisher(family, g))
 
 
-def _noise_plans(name, scheme):
-    """amr and mle_correlated plans on one slow-noise model, measured
-    directly or through a p_f = 0.05 post-selection that keeps 100 of 2000
-    samples."""
-    model = CorrelatedNoiseModel(a=0.5, c=1.0, dt=1.0, tau_c=200.0, n=2000)
+def _noise_plans(name, scheme, n=2000, trials=4):
+    """amr and mle_correlated plans on one slow-noise model of n samples,
+    measured directly or through a p_f = 0.05 post-selection that keeps 100
+    of 2000 samples."""
+    model = CorrelatedNoiseModel(a=0.5, c=1.0, dt=1.0, tau_c=200.0, n=n)
     nu = model.n if scheme is None else model.thinned(0.05).n
     truth = 0.2 if scheme is None else None  # a scheme's truth is its g
-    return {f"{name}_{e}": ExperimentPlan(scheme, nu, 4, 7, e, noise=model, true_value=truth)
+    return {f"{name}_{e}": ExperimentPlan(scheme, nu, trials, 7, e, noise=model, true_value=truth)
             for e in ("amr", "mle_correlated")}
 
 
@@ -146,6 +146,10 @@ TRIAL_PLANS = {
     **_noise_plans("noise", None),
     **_noise_plans("noise_standard",
                    StandardSpec(g=1e-3, sigma=1.0, epsilon=2 * math.asin(math.sqrt(0.05)))),
+    # noise trials are scanned in blocks of 16384 // N rows: 16 rows of
+    # N = 1001, each at another offset, then 4; and one row of N = 16384
+    **_noise_plans("noise_partial_block", None, n=1001, trials=20),
+    **_noise_plans("noise_row_blocks", None, n=16384, trials=3),
 }
 
 
@@ -231,6 +235,48 @@ def _assert_multinomial(n, p, nu, trials):
     var_z = np.maximum(second - (nu * c) ** 2, 0.0)
     d = n - mu
     assert np.all(np.abs(d.T @ d / trials - nu * c) <= 5 * np.sqrt(var_z / trials) + 1e-9 * nu)
+
+
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130]
+TRIAL_EDGES = [0, 255, 256, 2**32 - 1, 2**32]
+
+
+def _reference_stream(seed, trial):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, trial])))
+
+
+class TestSubstream:
+    @settings(max_examples=100)
+    @given(
+        seed=st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**130),
+                       st.integers(0, 2**63 - 1).map(np.int64)),
+        trial=st.one_of(st.sampled_from(TRIAL_EDGES), st.integers(0, 2**40)),
+    )
+    def test_key_and_draws_are_the_seed_sequence_streams(self, seed, trial):
+        # the keys mixed 256 trials at a time are numpy's SeedSequence keys,
+        # and the stream draws what numpy's reference generator draws
+        key = np.random.SeedSequence([seed, trial]).generate_state(2, np.uint64)
+        rng, reference = substream(seed, trial), _reference_stream(seed, trial)
+        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(2, np.uint64), key)
+        assert np.array_equal(rng.bit_generator.state["state"]["key"], key)
+        assert rng.standard_normal(9).tobytes() == reference.standard_normal(9).tobytes()
+        p = [0.1, 0.2, 0.3, 0.4]
+        assert np.array_equal(rng.multinomial(1000, p), reference.multinomial(1000, p))
+
+    def test_keys_hold_across_blocks_and_seeds(self):
+        # one block of keys is kept at a time: stepping over a block's edge,
+        # to another seed and back reads numpy's key every time
+        for seed, trial in [(1, 254), (1, 255), (1, 256), (2, 256), (1, 256), (1, 0),
+                            (np.int64(1), 255), (2**32, 2**32 - 1), (2**32, 2**32)]:
+            key = np.random.SeedSequence([seed, trial]).generate_state(2, np.uint64)
+            assert np.array_equal(substream(seed, trial).bit_generator.state["state"]["key"], key)
+
+    @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (-(2**40), 3)])
+    def test_a_negative_seed_or_trial_is_refused(self, seed, trial):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence([seed, trial])
+        with pytest.raises(ValueError):
+            substream(seed, trial)
 
 
 class TestSampling:

@@ -94,16 +94,25 @@ COEFFICIENTS = st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 12.0).map(lambda k:
     bounds=st.tuples(COEFFICIENTS, COEFFICIENTS).map(sorted),
     scalar=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 17),
 )
-@example(n=4096, bounds=[1.0, 1.0], scalar=False, seed=0)
-@example(n=4096, bounds=[1.0 - 1e-9, 1.0 - 1e-9], scalar=True, seed=0)
-def test_run_recursion_is_the_bidiagonal_solve(n, bounds, scalar, seed):
+@example(n=4096, bounds=[1.0, 1.0], scalar=False, seed=0, rows=1)
+@example(n=4096, bounds=[1.0 - 1e-9, 1.0 - 1e-9], scalar=True, seed=0, rows=16)
+def test_run_recursion_is_the_bidiagonal_solve(n, bounds, scalar, seed, rows):
     rng = np.random.default_rng(seed)
     coef = bounds[0] if scalar else rng.uniform(*bounds, n)
     rhs = rng.standard_normal(n) * 10 ** rng.uniform(-3, 3, n)  # signed
     reference = oracles.bidiagonal_solve(coef, rhs)
     z = _run_recursion(coef if scalar else coef.copy(), rhs.copy())
     assert np.max(np.abs(z - reference)) <= 1e-13 * np.max(np.abs(reference))
+    if scalar:
+        # an (n, columns) block scans each column on its own: bitwise the
+        # 1-D scan
+        block = np.column_stack([rhs, rng.standard_normal((n, rows - 1))])
+        scanned = _run_recursion(coef, block.copy())
+        assert scanned.shape == block.shape
+        for column, z_column in zip(block.T, scanned.T):
+            assert z_column.tobytes() == _run_recursion(coef, column.copy()).tobytes()
 
 
 class TestAgainstDense:
