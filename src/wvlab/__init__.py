@@ -44,7 +44,6 @@ from .meter import (
     FockMeter,
     GaussianMeter,
     GridMeter,
-    gaussian_density,
     optimal_quadrature_angle,
     quadrature_marginal,
     to_grid,

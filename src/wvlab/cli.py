@@ -30,7 +30,7 @@ from . import estimate as est
 from . import schemes
 from .coupling import CouplingConfig, trapped_ion_shift
 from .errors import ConfigError, WvlabError
-from .infometrics import classical_fisher, info_budget, quadrature_family, readout_axis
+from .infometrics import classical_fisher, info_budget, quadrature_family
 from .meter import FockMeter, GaussianMeter
 from .noise import CorrelatedNoiseModel, amr_information, amr_variance_exact, cm_fisher_correlated
 from .qsys import SIGMA_X, SIGMA_Z, SystemState, bloch_state, optimal_postselection
@@ -345,11 +345,10 @@ def cmd_shift(cfg: ScenarioConfig, writer: RunWriter) -> int:
     pre, meter = SystemState(np.array([0.0, 1.0])), GaussianMeter(1.0)
     rows, worst = [], 0.0
     for gamma in spec.gammas:
-        q_grid = readout_axis(1.0, gamma)
         for th in spec.theta.values():
             ratio = trapped_ion_shift(gamma, th, 1.0)
             post = SystemState(np.array([math.cos(th), -math.sin(th)]))
-            family = quadrature_family(pre, post, SIGMA_X, meter, 0.0, q_grid)
+            family = quadrature_family(pre, post, SIGMA_X, meter, 0.0, gamma)
             grid_ratio = family.mean_std(gamma)[0] / gamma
             worst = max(worst, abs(grid_ratio - ratio) / max(abs(ratio), 1e-12))
             rows.append([gamma, th, ratio, grid_ratio])
@@ -381,11 +380,9 @@ def cmd_budget(cfg: ScenarioConfig, writer: RunWriter) -> int:
     header = ["theta_i", "q_jt", "q_wva_ratio", "pr_qr_ratio", "f_p_ratio", "sum_ratio"]
     writer.write_table("budget.csv", header, rows)
 
-    q_grid = readout_axis(sigma, g)
-
     def readout_fisher(pre, post, theta: float) -> tuple[float, float]:
         # p_f and the Fisher number read one build of the readout's kernels
-        fam = quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid)
+        fam = quadrature_family(pre, post, SIGMA_Z, meter, theta, g)
         return fam.kernels(g).p_f(), classical_fisher(fam, g)
 
     rows = []

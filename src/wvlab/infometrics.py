@@ -34,7 +34,7 @@ import numpy as np
 
 from .coupling import CouplingConfig
 from .errors import EmptyPostselection, IncompatibleMeter, UnsupportedDimension
-from .meter import FockMeter, FockState, GaussianMeter, gaussian_density
+from .meter import FockMeter, FockState, GaussianMeter
 from .qsys import Observable, SystemState
 
 PROBABILITY_FLOOR = 1e-14  # outcomes below this are excluded from FI sums
@@ -122,18 +122,14 @@ def _fisher(p: np.ndarray, dp: np.ndarray, spacing: float = 1.0) -> float:
 
 def _generator_weights(meter):
     """(values m, probability weights w) of the meter generator's spectrum: a
-    Gaussian meter's momentum on 4096 points over +-8 sd, or a Fock meter's
-    number distribution."""
+    Gaussian meter's momentum on the 4096 midpoints mean_p + (k - 2047.5) sd /
+    256 of +-8 sd, symmetric about the mean with no node on it, or a Fock
+    meter's number distribution."""
     if isinstance(meter, GaussianMeter):
         sp = 1.0 / (2 * meter.sigma)
-        p = np.linspace(
-            meter.mean_p - 8 * sp, meter.mean_p + 8 * sp, 4096, endpoint=False
-        )
-        w = np.exp(-((p - meter.mean_p) ** 2) / (2 * sp**2)) / math.sqrt(
-            2 * np.pi * sp**2
-        )
-        w = w / (w.sum())
-        return p, w
+        d = (np.arange(4096) - 2047.5) * (sp / 256)
+        w = np.exp(-(d**2) / (2 * sp**2))
+        return meter.mean_p + d, w / w.sum()
     if not isinstance(meter, (FockMeter, FockState)):
         raise IncompatibleMeter(
             f"the generator spectrum needs a Gaussian or Fock meter, not a {type(meter).__name__}"
@@ -348,50 +344,45 @@ def readout_axis(sigma: float, g: float) -> np.ndarray:
     return np.linspace(-span, span, 4096, endpoint=False)
 
 
-def _quarter_turn(meter: GaussianMeter, theta: float, q_grid: np.ndarray):
+def _quarter_turn(meter: GaussianMeter, theta: float, g: float):
     """(values, weights, position, grid) of the readout S_theta = Q cos(theta)
-    + P sin(theta), theta a multiple of pi/2 (to 1e-6): Q on `q_grid` or P on
-    its FFT momentum grid, each axis reversed where cos(theta) or sin(theta)
-    is -1. These are the grids `quadrature_marginal` gives for a meter sampled
-    on `q_grid`; that grid path is the oracle of every family read out here."""
-    q_grid = np.asarray(q_grid, dtype=float)
-    turns, dq = round(2 * theta / math.pi), q_grid[1] - q_grid[0]
+    + P sin(theta) of `meter` kicked by g, theta a multiple of pi/2 (to 1e-6):
+    Q on `readout_axis`, or P on the momentum spectrum every arm reads, each
+    axis reversed where cos(theta) or sin(theta) is -1. The FFT grid path is
+    the oracle of every family read out here."""
+    turns = round(2 * theta / math.pi)
     if abs(theta - turns * math.pi / 2) > 1e-6:
         raise ValueError(f"readout angle {theta!r} is not a multiple of pi/2")
-    sign = 1.0 if turns % 4 < 2 else -1.0
-    if turns % 2 == 0:
-        axis, position = q_grid, meter
-        weights = np.full(q_grid.size, dq)
+    if turns % 2:
+        (axis, weights), position = _generator_weights(meter), None
     else:
-        position = None
-        axis = np.fft.fftshift(2 * np.pi * np.fft.fftfreq(q_grid.size, dq))
-        momentum = GaussianMeter(1.0 / (2 * meter.sigma), meter.mean_p)
-        weights = gaussian_density(momentum, axis) * (axis[1] - axis[0])
-    if sign < 0:
-        axis, weights = axis[::-1], weights[::-1]
-    return axis, weights, position, sign * axis
+        axis, position = readout_axis(meter.sigma, g), meter
+        weights = np.full(axis.size, axis[1] - axis[0])
+    if turns % 4 < 2:
+        return axis, weights, position, axis
+    return axis[::-1], weights[::-1], position, -axis[::-1]
 
 
 def quadrature_family(
     pre: SystemState, post: SystemState, a: Observable, meter: GaussianMeter,
-    theta: float, q_grid: np.ndarray,
+    theta: float, g: float,
 ) -> ParamDistribution:
     """Family g -> density of S_theta = Q cos(theta) + P sin(theta) of the
     Gaussian meter conditioned on `post` after the kick exp(-i g A x P), read
-    out at a quarter turn (see `_quarter_turn`)."""
-    values, weights, position, grid = _quarter_turn(meter, theta, q_grid)
+    out at a quarter turn on the axis of the kick g (see `_quarter_turn`)."""
+    values, weights, position, grid = _quarter_turn(meter, theta, g)
     return Conditioning.of(pre, post, a, values, weights, position).family(grid)
 
 
 def selection_angle_family(
     pre: SystemState, post_of: Callable[[float], tuple], a: Observable, g: float,
-    meter: GaussianMeter, theta: float, q_grid: np.ndarray,
+    meter: GaussianMeter, theta: float,
 ) -> ParamDistribution:
     """Family angle -> density of the quarter-turn readout S_theta at a fixed
     kick g, conditioned on post_of(angle) = (<f|, d<f|/dangle). K is linear in
     <f|, so dK/dangle is the kernel of d<f|/dangle, and with J = i dK/dangle
     `_Kernels.density_dg` is the analytic angle derivative."""
-    values, weights, position, grid = _quarter_turn(meter, theta, q_grid)
+    values, weights, position, grid = _quarter_turn(meter, theta, g)
 
     def kernels(angle: float) -> _Kernels:
         k, dk = (

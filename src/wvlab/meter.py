@@ -95,15 +95,6 @@ class GaussianMeter:
         return GaussianMeter(self.sigma, self.mean_q + dq, self.mean_p)
 
 
-def gaussian_density(meter: GaussianMeter, q) -> np.ndarray | float:
-    """|<q|Phi>|^2, the normal density with mean mean_q and variance sigma^2."""
-    q = np.asarray(q, dtype=float)
-    out = np.exp(-((q - meter.mean_q) ** 2) / (2 * meter.sigma**2)) / math.sqrt(
-        2 * np.pi * meter.sigma**2
-    )
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # Grid meter
 

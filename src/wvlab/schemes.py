@@ -37,7 +37,6 @@ from .infometrics import (
     generator_moments,
     qfi_joint,
     quadrature_family,
-    readout_axis,
     scaling_bounds,
     selection_angle_family,
 )
@@ -108,6 +107,9 @@ class StandardSpec:
             raise ValueError("give exactly one of epsilon (real) or phi (imaginary)")
         if self.sigma <= 0 or self.g == 0:
             raise ValueError("need sigma > 0 and g != 0")
+        pre, post = self.states()  # an orthogonal selection has no weak value
+        if abs(np.vdot(post.amplitudes, pre.amplitudes)) <= ORTHOGONALITY_THRESHOLD:
+            raise ValueError("the post-selection is orthogonal to the pre-state")
 
     def states(self) -> tuple[SystemState, SystemState]:
         pre = bloch_state(np.pi / 2, 0.0)
@@ -140,9 +142,8 @@ class StandardSpec:
         # Roundoff in w tilts the computed angle by ~1e-15 sigma^2 / phi; snap it.
         w = weak_value(pre, post, SIGMA_Z)
         theta = math.pi / 2 * round(2 * optimal_quadrature_angle(w, self.sigma) / math.pi)
-        q_grid = readout_axis(self.sigma, self.g)
         meter = GaussianMeter(self.sigma)
-        return quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid), theta, margin, notes
+        return quadrature_family(pre, post, SIGMA_Z, meter, theta, self.g), theta, margin, notes
 
 
 def standard_scheme(spec: StandardSpec) -> SchemeReport:
@@ -226,9 +227,8 @@ class InverseSpec:
 
         pre = bloch_state(np.pi / 2, 0.0)
         meter = GaussianMeter(self.sigma)
-        q_grid = readout_axis(self.sigma, self.g)
         return tuple(
-            selection_angle_family(pre, post_of, SIGMA_Z, self.g, meter, theta, q_grid)
+            selection_angle_family(pre, post_of, SIGMA_Z, self.g, meter, theta)
             for theta in (0.0, math.pi / 2)
         )
 
@@ -672,6 +672,11 @@ class PhaseSpaceSpec:
     g: float
     epsilon: float
     meter: FockMeter
+
+    def __post_init__(self):
+        pre, post = self.states()  # epsilon = 0: no weak value
+        if abs(np.vdot(post.amplitudes, pre.amplitudes)) <= ORTHOGONALITY_THRESHOLD:
+            raise ValueError("the post-selection is orthogonal to the pre-state")
 
     def states(self) -> tuple[SystemState, SystemState]:
         pre = SystemState(np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)]))

@@ -455,6 +455,8 @@ OUT_OF_RANGE = {
     "sweep": ("values", [100.0]), "theta": ("points", 0),
 }
 
+STANDARD_PHI_0 = {"variant": "standard", "g": 0.0025, "sigma": 1.0, "phi": 0}
+
 # the malformed-config probes: before, 8 of them exited 0 with a value
 # silently ignored and 16 exited 1 with a traceback
 PROBES = [
@@ -537,6 +539,16 @@ PROBES = [
     # never read true_value
     ("experiment_true_value_with_scheme", "estimate",
      {"scheme": STANDARD, "experiment": {**EXPERIMENT, "true_value": 0.7}}, 2),
+    # a selection orthogonal to the pre-state is out of range; before, each
+    # exited 1 with OrthogonalSelection from the weak value
+    ("standard_epsilon_0", "scheme", {"scheme": {**STANDARD, "epsilon": 0}}, 2),
+    ("standard_phi_0", "scheme", {"scheme": STANDARD_PHI_0}, 2),
+    ("phase_space_epsilon_0", "scheme", {"scheme": {**PHASE, "epsilon": 0}}, 2),
+    ("standard_epsilon_0_estimate", "estimate",
+     {"scheme": {**STANDARD, "epsilon": 0}, "experiment": EXPERIMENT}, 2),
+    ("standard_phi_0_estimate", "estimate", {"scheme": STANDARD_PHI_0, "experiment": EXPERIMENT}, 2),
+    ("phase_space_epsilon_0_estimate", "estimate",
+     {"scheme": {**PHASE, "epsilon": 0}, "experiment": EXPERIMENT}, 2),
     ("sweep_repeated_values", "scheme",
      {"scheme": PHASE, "sweep": {"parameter": "nbar", "values": [1, 1]}}, 2),
     # a valid config whose validity ordering fails: a failed check, exit 1

@@ -30,7 +30,7 @@ from wvlab.estimate import (
     substream,
     trial_samples,
 )
-from wvlab.infometrics import ParamDistribution, classical_fisher, quadrature_family
+from wvlab.infometrics import Conditioning, ParamDistribution, classical_fisher
 from wvlab.noise import CorrelatedNoiseModel, StateSpaceNoise, cm_fisher_correlated, covariance
 from wvlab.meter import FockMeter, GaussianMeter
 from wvlab.qsys import SIGMA_Z
@@ -93,7 +93,7 @@ def coarse_axis(sigma, g, points):
 
 @dataclass(frozen=True)
 class CoarseStandard:
-    """`spec`'s readout family on a 256-point readout axis, which keeps the
+    """`spec`'s +Q readout family on a 256-point readout axis, which keeps the
     oracle scans cheap: the spec's own 4096-point axis more than doubles
     their time."""
 
@@ -102,9 +102,11 @@ class CoarseStandard:
     def outcome_family(self) -> tuple[ParamDistribution, float]:
         spec = self.spec
         pre, post = spec.states()
-        theta, q_grid = spec.readout()[1], coarse_axis(spec.sigma, spec.g, 256)
+        assert spec.readout()[1] == 0.0
+        axis = coarse_axis(spec.sigma, spec.g, 256)
+        weights = np.full(axis.size, axis[1] - axis[0])
         meter = GaussianMeter(spec.sigma)
-        return quadrature_family(pre, post, SIGMA_Z, meter, theta, q_grid), spec.g
+        return Conditioning.of(pre, post, SIGMA_Z, axis, weights, meter).family(axis), spec.g
 
 
 # (spec, nu) of the oracle sweep: a continuous family and two discrete ones

@@ -23,6 +23,7 @@ from wvlab.infometrics import (
     generator_moments,
     info_budget,
     qfi_joint,
+    quadrature_family,
     scaling_bounds,
 )
 from wvlab.meter import FockMeter, GaussianMeter, SampledDistribution, to_grid
@@ -34,6 +35,7 @@ from wvlab.qsys import (
     bloch_state,
     optimal_postselection,
 )
+from wvlab.schemes import StandardSpec
 
 
 def gaussian_location_family(sigma=1.0, span=10.0, points=4001):
@@ -307,8 +309,16 @@ class TestGenerator:
         fock = Conditioning.of_meter(pre, post, cfg, meter)
         assert np.array_equal(fock.values, np.arange(fock.values.size))
         assert np.array_equal(fock.weights, meter.number_probabilities() / meter.number_probabilities().sum())
+        # a Gaussian meter's momentum on the 4096 midpoints of +-8 sd about
+        # mean_p (sd 1/4 here): no node on the mean, and a centred spectrum is
+        # its own mirror image bitwise, so -P reads the nodes +P reads
         gauss = Conditioning.of_meter(pre, post, cfg, GaussianMeter(2.0, 0.0, 0.3))
-        assert gauss.values.size == 4096 and gauss.values[2048] == pytest.approx(0.3)
+        assert np.array_equal(gauss.values, 0.3 + (np.arange(4096) - 2047.5) / 1024)
+        p, w = _generator_weights(GaussianMeter(2.0))
+        assert p[0] == -2 + 1 / 2048 and p[2048] == 1 / 2048
+        assert np.array_equal(p, -p[::-1]) and np.array_equal(w, w[::-1])
+        assert w.sum() == pytest.approx(1.0, rel=1e-15)
+        assert np.array_equal(gauss.weights, w)
 
     @pytest.mark.parametrize("call", ["of_meter", "info_budget"])
     @pytest.mark.parametrize("meter", [SampledDistribution(np.linspace(-1.0, 1.0, 8), np.ones(8)),
@@ -523,6 +533,39 @@ class TestBudgetProperty:
     def test_coherent_fock_meter(self, pre, post, log_nbar, log_g):
         cfg = CouplingConfig(10.0**log_g, SIGMA_Z)
         assert_budget_closes(pre, post, cfg, FockMeter.coherent(10.0 ** (log_nbar / 2)))
+
+
+class TestQuarterTurns:
+    def test_p_readout_resolves_the_momentum_density(self):
+        # the P readout reads the meter's momentum spectrum, as the arms do.
+        # On the FFT dual of the position axis (spacing 0.196 against an sd
+        # of 0.5) 36 of its 4096 nodes held more than 1e-12 of the mass
+        g = 0.0025
+        family = StandardSpec(g=g, sigma=1.0, phi=0.05).readout()[0]
+        assert np.count_nonzero(family.probabilities(g) * family.spacing > 1e-12) >= 3000
+        # -P and +P read one grid
+        assert np.array_equal(StandardSpec(g=g, sigma=1.0, phi=-0.05).readout()[0].grid, family.grid)
+        # the budget sweep's imaginary pair at delta = 0.1: on the +-8 sd grid
+        # with a node on the mean, a node fell on a zero of the density, which
+        # the probability floor leaves out, and F read 15.99569
+        g, meter = 0.2, GaussianMeter(1.0)
+        pre, post = bloch_state(math.pi / 2, 0.0), bloch_state(-math.pi / 2, 0.1)
+        family = quadrature_family(pre, post, SIGMA_Z, meter, math.pi / 2, g)
+        assert classical_fisher(family, g) == pytest.approx(16.0235, abs=5e-5)
+
+    @settings(max_examples=100)
+    @given(QUBITS, QUBITS, st.floats(-0.7, 0.7), st.floats(-4.0, 0.0), st.integers(0, 3))
+    def test_p_f_on_both_quarter_turns(self, pre, post, log_sigma, log_g_over_sigma, turns):
+        # sigma in [0.2, 5]; Q on `readout_axis`, P on the momentum spectrum.
+        # For sigma_z, u_+- = <f|+-><+-|i>, and the kicked branches overlap
+        # by exp(-g^2 / (2 sigma^2)) in either representation
+        sigma = 10.0**log_sigma
+        g = sigma * 10.0**log_g_over_sigma
+        u = np.conj(post.amplitudes) * pre.amplitudes
+        overlap = math.exp(-(g**2) / (2 * sigma**2))
+        closed = float(np.sum(np.abs(u) ** 2) + 2 * (u[0] * np.conj(u[1])).real * overlap)
+        family = quadrature_family(pre, post, SIGMA_Z, GaussianMeter(sigma), turns * math.pi / 2, g)
+        assert abs(family.kernels(g).p_f() - closed) <= 1e-12
 
 
 class TestInfoBudget:

@@ -14,6 +14,7 @@ floor of the central difference). The grid chain itself is bound by neither
 finite-difference helper: those live in `tests/oracles.py`.
 """
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -36,6 +37,8 @@ from wvlab.coupling import CouplingConfig, evolve_joint, postselect
 from wvlab.infometrics import (
     Conditioning,
     ParamDistribution,
+    _kernel_family,
+    _Kernels,
     classical_fisher,
     info_budget,
     quadrature_family,
@@ -67,6 +70,58 @@ def central(f, g, h):
     return (4 * d2 - d1) / 3
 
 
+def fft_axis_readout(meter, theta, g):
+    """(values, weights, position, grid) of the quarter-turn readout S_theta on
+    the axes `quadrature_marginal` samples a meter on `readout_axis`: Q on that
+    axis, P on its FFT dual with the meter's normal momentum density times the
+    spacing as weights, each reversed where S_theta is -Q or -P. The shipped P
+    readout reads the meter's momentum spectrum instead."""
+    q = readout_axis(meter.sigma, g)
+    turns = round(2 * theta / math.pi)
+    if turns % 2 == 0:
+        axis, weights, position = q, np.full(q.size, q[1] - q[0]), meter
+    else:
+        axis = np.fft.fftshift(2 * np.pi * np.fft.fftfreq(q.size, q[1] - q[0]))
+        sp = 1.0 / (2 * meter.sigma)
+        weights = np.exp(-((axis - meter.mean_p) ** 2) / (2 * sp**2)) / math.sqrt(2 * np.pi * sp**2)
+        weights, position = weights * (axis[1] - axis[0]), None
+    sign = 1.0 if turns % 4 < 2 else -1.0
+    if sign < 0:
+        axis, weights = axis[::-1], weights[::-1]
+    return axis, weights, position, sign * axis
+
+
+def fft_axis_family(pre, post, meter, theta, g):
+    """The g-family of S_theta on the grid chain's axis (`fft_axis_readout`)."""
+    values, weights, position, grid = fft_axis_readout(meter, theta, g)
+    return Conditioning.of(pre, post, SIGMA_Z, values, weights, position).family(grid)
+
+
+# the shipped readout against the same readout on the grid chain's axis. The
+# P spectrum has 4096 nodes over +-8 sd where the FFT dual has about 40 with
+# mass, so the two are two quadratures of one density. Over 1,400 random specs
+# of each test's strategy the gaps were at most 5.9e-13 (p_f), 6.1e-14 sd
+# (mean) and 1.3e-12 (sd). The Fisher number's gap was below 1e-9 in 99 % of
+# 3,400 imaginary standard specs and at most 4.2e-7 in all but two. It is the
+# probability floor: a node within about 1e-9 of a zero of the density holds
+# less than 1e-14 and its term is left out of the sum, although the term is
+# finite. The spectrum is about 100 times as fine as the FFT dual, so it has
+# such a node more often; in the worst draw the left-out term was 1.5e-3 of F
+SPECTRUM_TOL = 1e-11
+FISHER_TOL = 1e-6
+
+
+def assert_same_readout(shipped, fft, x, fisher=True):
+    """`shipped` and `fft` agree at x on p_f (off each family's kernels), the
+    mean and the sd to SPECTRUM_TOL, and on the Fisher number to FISHER_TOL."""
+    assert shipped.kernels(x).p_f() == pytest.approx(fft.kernels(x).p_f(), rel=SPECTRUM_TOL)
+    (mean, sd), (fft_mean, fft_sd) = shipped.mean_std(x), fft.mean_std(x)
+    assert abs(mean - fft_mean) <= SPECTRUM_TOL * fft_sd
+    assert sd == pytest.approx(fft_sd, rel=SPECTRUM_TOL)
+    if fisher:
+        assert classical_fisher(shipped, x) == pytest.approx(classical_fisher(fft, x), rel=FISHER_TOL)
+
+
 def assert_matches_oracle(family, oracle, g, h):
     p = family.probabilities(g)
     assert max_rel(p, oracle(g)) <= DENSITY_TOL
@@ -93,12 +148,16 @@ def standard_specs(draw):
 
 @given(standard_specs())
 def test_standard_family_matches_grid_chain(spec):
+    # the engine on the grid chain's axis against the chain; the shipped
+    # readout is that family for +-Q and reads the same numbers for +-P
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         theta = standard_scheme(spec).extras["theta_opt"]
-        family = spec.readout()[0]
+        shipped = spec.readout()[0]
     pre, post = spec.states()
-    base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * abs(spec.g), 4096)
+    meter = GaussianMeter(spec.sigma)
+    family = fft_axis_family(pre, post, meter, theta, spec.g)
+    base = to_grid(meter, 16 * spec.sigma + 8 * abs(spec.g), 4096)
 
     def marginal(g):
         joint = evolve_joint(pre, base, CouplingConfig(g, SIGMA_Z))
@@ -106,6 +165,7 @@ def test_standard_family_matches_grid_chain(spec):
 
     assert np.array_equal(family.grid, marginal(spec.g).grid)
     assert_matches_oracle(family, lambda g: marginal(g).density, spec.g, 1e-6 * spec.sigma)
+    assert_same_readout(shipped, family, spec.g)
 
 
 @pytest.mark.parametrize(
@@ -147,7 +207,7 @@ def test_budget_sweep_readouts_match_grid_chain(theta):
     )
     meter = GaussianMeter(sigma)
     base = to_grid(meter, 16 * sigma + 8 * g, 4096)
-    family = quadrature_family(pre, post, SIGMA_Z, meter, theta, base.q_grid)
+    family = fft_axis_family(pre, post, meter, theta, g)
 
     def density(gp):
         joint = evolve_joint(pre, base, CouplingConfig(gp, SIGMA_Z))
@@ -155,6 +215,7 @@ def test_budget_sweep_readouts_match_grid_chain(theta):
         return (cm.momentum() if theta else cm).density().density
 
     assert_matches_oracle(family, density, g, 1e-6)
+    assert_same_readout(quadrature_family(pre, post, SIGMA_Z, meter, theta, g), family, g)
 
 
 def test_general_readout_angle_rejected():
@@ -208,6 +269,15 @@ def test_engine_modules_bind_no_grid_chain_name():
     assert len(modules) == 10
     for module in modules:
         source = Path(module.__file__).read_text(encoding="utf-8")
+        # only the grid chain transforms, and only infometrics picks the axis
+        # a readout lives on
+        if module.__name__ not in ("wvlab.meter", "wvlab.coupling"):
+            assert not re.search(r"\bnp\.fft\b", source), module.__name__
+        if module is not infometrics:
+            assert "readout_axis" not in {
+                getattr(node.func, "id", getattr(node.func, "attr", None))
+                for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            }, module.__name__
         assert not [name for name in STEP_ORACLES if name in source], module.__name__
         assert not [name for name in WRAPPERS if re.search(rf"\b{name}\b", source)], module.__name__
         assert not [name for name in SAMPLING if re.search(rf"\b{name}\b", source)], module.__name__
@@ -272,9 +342,28 @@ def inverse_specs(draw):
     return InverseSpec(g=g, sigma=sigma, phi_angle=angle)
 
 
+def fft_axis_angle_family(spec, theta):
+    """`spec`'s family angle -> density of S_theta on the grid chain's axis, its
+    angle derivative the kernel of d<f|/dangle, as `selection_angle_family`
+    builds it on the shipped axis."""
+    values, weights, position, grid = fft_axis_readout(GaussianMeter(spec.sigma), theta, spec.g)
+    pre, imaginary = bloch_state(np.pi / 2, 0.0), spec.phi_angle != 0.0
+
+    def kernels(angle):
+        f = spec.post_state(0.0, angle) if imaginary else spec.post_state(angle, 0.0)
+        c, b = f.amplitudes
+        df = np.array([0.0, 1j * b]) if imaginary else np.array([-b, c]) / 2
+        k, dk = (Conditioning.of(pre, post, SIGMA_Z, values, weights, position).kernels(spec.g).k
+                 for post in (f, df))
+        return _Kernels(weights, k, 1j * dk)
+
+    return _kernel_family(kernels, grid, values)
+
+
 @given(inverse_specs())
 def test_inverse_family_matches_grid_chain(spec):
-    families = spec.readouts()
+    shipped = spec.readouts()
+    families = [fft_axis_angle_family(spec, theta) for theta in (0.0, math.pi / 2)]
     imaginary = spec.phi_angle != 0.0
     pre = bloch_state(np.pi / 2, 0.0)
     base = to_grid(GaussianMeter(spec.sigma), 16 * spec.sigma + 8 * spec.g, 4096)
@@ -293,6 +382,14 @@ def test_inverse_family_matches_grid_chain(spec):
         families[imaginary], lambda a: meters(a)[imaginary].density().density, angle,
         1e-2 * spec.g / spec.sigma,
     )
+    # the shipped Q readout is the chain's axis. The report reads both means
+    # and sds, and the Fisher number of one readout: the real variant's P
+    # readout is not read for it, and there the FFT dual's few nodes miss the
+    # narrow dips of the density (its Fisher number read 12.16 where 2^16 and
+    # 2^20-node spectra and the shipped one read 0.9241)
+    assert np.array_equal(shipped[0].grid, families[0].grid)
+    for i, (ours, fft) in enumerate(zip(shipped, families)):
+        assert_same_readout(ours, fft, angle, fisher=i == imaginary)
 
 
 # ---------------------------------------------------------------------------

@@ -14,30 +14,12 @@ from wvlab.meter import (
     coherent_coeffs,
     fock_truncation,
     fourier_pair,
-    gaussian_density,
     optimal_quadrature_angle,
     quadrature_marginal,
     to_grid,
 )
 
 SQ2_HALF = math.sqrt(2) / 2
-
-
-class TestGaussianDensity:
-    def test_peak(self):
-        assert gaussian_density(GaussianMeter(1.0), 0.0) == pytest.approx(
-            1 / math.sqrt(2 * np.pi), rel=1e-14
-        )
-
-    def test_normalization_and_variance(self):
-        m = GaussianMeter(0.7, mean_q=0.3)
-        q = np.linspace(-8, 8, 20001)
-        dens = gaussian_density(m, q)
-        dq = q[1] - q[0]
-        assert np.sum(dens) * dq == pytest.approx(1.0, abs=1e-10)
-        mean = np.sum(q * dens) * dq
-        var = np.sum((q - mean) ** 2 * dens) * dq
-        assert var == pytest.approx(0.49, abs=1e-8)
 
 
 class TestToGrid:
@@ -108,7 +90,7 @@ class TestWigner:
         wm = wigner(m)
         assert wm.integral() == pytest.approx(1.0, abs=1e-6)
         mq = wm.marginal_q()
-        dens = gaussian_density(GaussianMeter(1.0, mean_q=0.5), mq.grid)
+        dens = np.exp(-((mq.grid - 0.5) ** 2) / 2) / math.sqrt(2 * np.pi)
         assert np.max(np.abs(mq.density - dens)) < 1e-6
         mp = wm.marginal_p()
         sp2 = 0.25
